@@ -45,17 +45,32 @@ class DistributionParseError(ValueError):
     """The document is not well-formed JSON."""
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads keeps the last of duplicate keys silently; a distribution file must not have any
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValidationError(f"duplicate field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_distribution(text: str) -> JointDistribution:
     """Parse and validate a distribution document.
 
     Raises DistributionParseError for malformed JSON (with line/column) and
     ValidationError for schema or invariant breaches (with the offending
-    field), including NaN and infinite entries.
+    field), including NaN and infinite entries, integers too large for a
+    float and duplicate keys in any object.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DistributionParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValidationError:
+        raise
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ValidationError(str(exc).split(";")[0]) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("nx", "ny", "probs"):
@@ -74,6 +89,11 @@ def parse_distribution(text: str) -> JointDistribution:
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ValidationError(f"probs[{i}][{j}] must be a number, got {x!r}")
+            if isinstance(x, int):
+                try:
+                    float(x)
+                except OverflowError:
+                    raise ValidationError(f"probs[{i}][{j}] is an integer too large for a float") from None
     return JointDistribution(probs)
 
 

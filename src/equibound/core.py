@@ -24,6 +24,7 @@ import numpy as np
 NEG_TOL = 1e-12   # entries below -NEG_TOL are rejected; in [-NEG_TOL, 0) clamped
 UPPER_TOL = 1e-9  # slack allowed above 1.0 for probabilities
 MASS_TOL = 1e-9   # total-mass tolerance for joint grids
+_LN2 = math.log(2.0)
 
 Axis = Literal["x", "y"]
 Formula = Literal["difference", "mixture", "direct"]
@@ -59,9 +60,15 @@ def binary_entropy(eps: float) -> float:
     """Entropy of a Bernoulli(eps) variable in bits: -xlog2x(eps) - xlog2x(1-eps).
 
     Symmetric about 1/2; 0 at the endpoints; maximum 1 at eps = 1/2.
+    Evaluated at t = min(eps, 1 - eps) with log2(1-t) as log1p(-t)/ln 2,
+    so the relative error stays at rounding level for tiny eps, where
+    log2(1 - eps) would lose the digits of eps that 1 - eps cannot hold.
     """
     eps = _as_prob(eps, "eps")
-    return -xlog2x(eps) - xlog2x(1.0 - eps)
+    t = min(eps, 1.0 - eps)
+    if t == 0.0:
+        return 0.0
+    return -(t * math.log2(t)) - (1.0 - t) * (math.log1p(-t) / _LN2)
 
 
 def _xlog2x_arr(a: np.ndarray) -> np.ndarray:

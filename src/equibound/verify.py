@@ -28,6 +28,9 @@ from .walk import InvariantViolation, run_walk
 
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
+# cap on the grid points C(steps + cells - 1, cells - 1): the search's peak
+# memory grows by about 300 bytes per point, so this keeps it near 0.6 GB
+DESK_SCALE_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,8 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     arithmetic (L1 distance of the counts), so no pair is lost to float
     noise. The search prunes with its own best-so-far gap only; the bound is
     computed once for the report and never steers the search. Guarded to
-    desk scale: nx*ny <= 6 and steps_per_dim <= 101.
+    desk scale: nx*ny <= 6, steps_per_dim <= 101, and at most 2 000 000
+    grid points, which bounds the search's memory.
     """
     nx, ny, steps = int(nx), int(ny), int(steps_per_dim)
     if nx < 2:
@@ -200,6 +204,11 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         raise ValidationError(f"nx*ny = {cells} exceeds the desk-scale guard {DESK_SCALE_CELLS}")
     if not 1 <= steps <= DESK_SCALE_STEPS:
         raise ValidationError(f"steps_per_dim must be in 1..{DESK_SCALE_STEPS}, got {steps}")
+    points = math.comb(steps + cells - 1, cells - 1)
+    if points > DESK_SCALE_POINTS:
+        raise ValidationError(
+            f"{points} grid points (nx*ny = {cells}, steps_per_dim = {steps}) exceed the desk-scale guard {DESK_SCALE_POINTS}"
+        )
     eps = float(eps)
     threshold = 1.0 - 1.0 / nx
     if not (0.0 < eps <= threshold + 1e-12):

@@ -11,10 +11,19 @@ Starting from any pair (p, q) it
    uniform Y-marginal.
 
 Along the way the total variation distance never increases and the
-equivocation gap never decreases; both are re-measured after every recorded
-step and a violation beyond 1e-9 raises InvariantViolation (that signals an
-implementation bug, never valid-input behavior). The final gap is then at
-most the continuity bound evaluated at the initial TV.
+equivocation gap never decreases; a violation beyond 1e-9 raises
+InvariantViolation (that signals an implementation bug, never valid-input
+behavior). The final gap is then at most the continuity bound evaluated at
+the initial TV.
+
+The certificate is block-local. TV and H(X|Y) = sum_j p_Y(j) H(X|Y=j) are
+both sums of per-Y-block terms, and every move changes a single block, so
+each recorded block step re-measures only that block: O(nx) per step, not
+O(nx*ny). The block's TV must not rise and its gap must not fall, and the
+running totals are checked as well. The whole grid is measured only at the
+initial pair (which also decides the orientation), after reordering, once
+before averaging as a cross-check of the running totals (a drift beyond
+1e-9 raises InvariantViolation), and after averaging.
 
 Block labels, trace labels and BlockPartition index sets are 1-based;
 in-memory arrays are 0-based.
@@ -23,7 +32,7 @@ in-memory arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Iterator, Literal, Optional
 
 import numpy as np
 
@@ -33,7 +42,7 @@ from .core import (
     JointDistribution,
     ValidationError,
     conditional_entropy,
-    _cond_entropy_mixture,
+    _xlog2x_arr,
 )
 
 STEP_TOL = 1e-9  # tolerance for every walk invariant
@@ -116,6 +125,16 @@ def canonical_orient(pair: DistributionPair) -> DistributionPair:
     return pair
 
 
+def _reorder(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reordered copy of the stacked pair W = [P, Q], and the in-set size of every block (see reorder)."""
+    P, Q = W
+    W = W[:, :, np.argsort(-(Q.sum(axis=0) - P.sum(axis=0)), kind="stable")]
+    P, Q = W
+    # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
+    rows = np.lexsort((-Q, Q < P), axis=0)
+    return np.take_along_axis(W, rows[None], axis=1), (Q >= P).sum(axis=0)
+
+
 def reorder(pair: DistributionPair) -> tuple[DistributionPair, list[BlockPartition]]:
     """Apply the canonical block/row ordering simultaneously to both grids.
 
@@ -127,102 +146,119 @@ def reorder(pair: DistributionPair) -> tuple[DistributionPair, list[BlockPartiti
     Returns the reordered pair and the per-block partitions in the new
     (1-based) coordinates.
     """
-    P = np.array(pair.p.probs)
-    Q = np.array(pair.q.probs)
-    nx, ny = P.shape
-    order = np.argsort(-(Q.sum(axis=0) - P.sum(axis=0)), kind="stable")
-    P = P[:, order]
-    Q = Q[:, order]
-    partitions: list[BlockPartition] = []
-    for j0 in range(ny):
-        qcol = Q[:, j0]
-        in_rows = np.flatnonzero(qcol >= P[:, j0])
-        out_rows = np.flatnonzero(qcol < P[:, j0])
-        in_rows = in_rows[np.argsort(-qcol[in_rows], kind="stable")]
-        out_rows = out_rows[np.argsort(-qcol[out_rows], kind="stable")]
-        rowperm = np.concatenate([in_rows, out_rows])
-        P[:, j0] = P[rowperm, j0]
-        Q[:, j0] = Q[rowperm, j0]
-        k = len(in_rows)
-        partitions.append(
-            BlockPartition(j=j0 + 1, in_set=tuple(range(1, k + 1)), out_set=tuple(range(k + 1, nx + 1)))
-        )
-    reordered = DistributionPair(JointDistribution(P), JointDistribution(Q))
-    return reordered, partitions
+    W, n_in = _reorder(np.stack((pair.p.probs, pair.q.probs)))
+    nx = pair.nx
+    partitions = [
+        BlockPartition(j=j0 + 1, in_set=tuple(range(1, k + 1)), out_set=tuple(range(k + 1, nx + 1)))
+        for j0, k in enumerate(n_in.tolist())
+    ]
+    return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1])), partitions
 
 
-def _concentrate(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = None) -> float:
-    """Phase 1: fold q's excess over p (rows below 1 with q >= p) into q's top row.
+def _running(start: float, s: np.ndarray) -> np.ndarray:
+    # start + s[0], (start + s[0]) + s[1], ...: accumulate adds left to right,
+    # so these are bit-identical to a sequential loop of `+=`
+    return np.add.accumulate(np.concatenate(((start,), s)))[1:]
 
-    Touches q only. Requires Q[0, j0] >= P[0, j0]; afterwards q's top row
-    dominates p's and every other row of q is dominated by p's.
+
+def _total(s: np.ndarray) -> float:
+    # the sequential sum 0.0 + s[0] + s[1] + ...
+    return float(np.add.accumulate(s)[-1]) if s.size else 0.0
+
+
+def _apply(rows: np.ndarray, s: np.ndarray, writes, kind: str, on_move: _OnMove) -> None:
+    """Write one phase's moves into a block's columns.
+
+    Move k sets row rows[k] of each column g in `writes` = [(g, top, new),
+    ...] to new[k] and g's top row to top[k]. Without on_move only the final
+    state is written; with it, every move is written in turn and reported
+    as on_move(kind, rows[k] + 1, s[k]).
     """
-    moved = 0.0
-    for i0 in range(1, P.shape[0]):
-        if Q[i0, j0] >= P[i0, j0]:
-            s = Q[i0, j0] - P[i0, j0]
-            if s == 0.0:
-                continue
-            Q[0, j0] += s
-            Q[i0, j0] = P[i0, j0]
-            moved += s
-            if on_move is not None:
-                on_move("concentrate", i0 + 1, s)
-    return moved
+    if not rows.size:
+        return
+    if on_move is None:
+        for g, top, new in writes:
+            g[0] = top[-1]
+            g[rows] = new
+        return
+    for k, i0 in enumerate(rows.tolist()):
+        for g, top, new in writes:
+            g[0] = top[k]
+            g[i0] = new[k]
+        on_move(kind, i0 + 1, float(s[k]))
 
 
-def _transfer(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = None) -> float:
+def _concentrate(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> float:
+    """Phase 1: fold q's excess over p (rows below 1 with q > p) into q's top row.
+
+    p and q are one block's columns. Touches q only. Requires q[0] >= p[0];
+    afterwards q's top row dominates p's and every other row of q is
+    dominated by p's.
+    """
+    rows = 1 + (q[1:] > p[1:]).nonzero()[0]
+    s = q[rows] - p[rows]
+    _apply(rows, s, [(q, _running(q[0], s), p[rows])], "concentrate", on_move)
+    return _total(s)
+
+
+def _transfer(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> float:
     """Phase 2: move each remaining q weight to the top row of the block, in both grids.
 
-    Requires Q[0, j0] >= P[0, j0] and P[i, j0] >= Q[i, j0] for i > 0; then
-    each shared move of weight s keeps the block's TV contribution constant
-    and cannot shrink the entropy difference (x*log2(x) is convex).
+    Requires q[0] >= p[0] and p[i] >= q[i] for i > 0; then each shared move
+    of weight s keeps the block's TV contribution constant and cannot
+    shrink the entropy difference (x*log2(x) is convex).
     """
-    moved = 0.0
-    for i0 in range(1, P.shape[0]):
-        s = Q[i0, j0]
-        if s == 0.0:
-            continue
-        Q[0, j0] += s
-        P[0, j0] += s
-        Q[i0, j0] = 0.0
-        P[i0, j0] -= s
-        moved += s
-        if on_move is not None:
-            on_move("transfer", i0 + 1, s)
-    return moved
+    rows = 1 + q[1:].nonzero()[0]
+    s = q[rows]
+    writes = [(q, _running(q[0], s), np.zeros_like(s)), (p, _running(p[0], s), p[rows] - s)]
+    _apply(rows, s, writes, "transfer", on_move)
+    return _total(s)
 
 
-def _fill(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = None) -> tuple[float, bool]:
+def _fill(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> tuple[float, bool]:
     """Empty in-set procedure: raise q's top row from the bottom rows, q only.
 
-    Requires Q[i, j0] < P[i, j0] for all i. Sources are consumed from the
-    bottom row upward; each transfer is capped at P[0, j0] - Q[0, j0] so the
-    block's TV contribution is unchanged. Returns (moved, switched):
-    switched is True when the cap bound the last transfer, i.e. Q[0, j0]
-    reached P[0, j0] exactly and two-phase processing applies from here.
+    Requires q[i] < p[i] for all i. Sources are consumed from the bottom row
+    upward; each transfer is capped at p[0] - q[0] so the block's TV
+    contribution is unchanged. Returns (moved, switched): switched is True
+    when the cap bound the last transfer, i.e. q[0] reached p[0] exactly and
+    two-phase processing applies from here.
     """
-    moved = 0.0
-    for i0 in range(P.shape[0] - 1, 0, -1):
-        avail = Q[i0, j0]
-        if avail == 0.0:
-            continue
-        cap = P[0, j0] - Q[0, j0]
-        if avail >= cap:
-            t = cap if cap > 0.0 else 0.0
-            if t > 0.0:
-                Q[i0, j0] -= t
-                moved += t
-            Q[0, j0] = P[0, j0]
-            if on_move is not None:
-                on_move("fill", i0 + 1, t)
-            return moved, True
-        Q[0, j0] += avail
-        Q[i0, j0] = 0.0
-        moved += avail
-        if on_move is not None:
-            on_move("fill", i0 + 1, avail)
-    return moved, False
+    rows = (1 + q[1:].nonzero()[0])[::-1]
+    s = q[rows]
+    top = _running(q[0], s)  # q's top row after consuming each source in full
+    caps = p[0] - np.concatenate(((q[0],), top[:-1]))
+    hits = (s >= caps).nonzero()[0]
+    new = np.zeros_like(s)
+    switched = bool(hits.size)
+    if switched:
+        # the first source that covers the cap gives only the cap; fill ends there
+        n = int(hits[0])
+        t = caps[n] if caps[n] > 0.0 else 0.0
+        rows = rows[: n + 1]
+        s = np.append(s[:n], t)
+        top = np.append(top[:n], p[0])
+        new = np.append(new[:n], q[rows[n]] - t)
+    _apply(rows, s, [(q, top, new)], "fill", on_move)
+    return _total(s), switched
+
+
+def _process_block(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = None) -> Iterator[tuple[str, float]]:
+    """Drive block j0 of Q to a point mass on its top row, in place.
+
+    Yields (phase, moved mass) after each phase. A block whose top row has
+    q >= p (after reordering: a nonempty in-set) runs concentrate, then
+    transfer. Otherwise fill runs first, and the two phases follow only when
+    fill's cap binds. on_move, when given, sees every individual move.
+    """
+    p, q = P[:, j0], Q[:, j0]
+    if q[0] < p[0]:
+        moved, switched = _fill(p, q, on_move)
+        yield "fill", moved
+        if not switched:
+            return
+    yield "concentrate", _concentrate(p, q, on_move)
+    yield "transfer", _transfer(p, q, on_move)
 
 
 def _check_block_label(pair: DistributionPair, j: int) -> int:
@@ -230,6 +266,14 @@ def _check_block_label(pair: DistributionPair, j: int) -> int:
     if not 1 <= j <= pair.ny:
         raise ValidationError(f"block index {j} out of range 1..{pair.ny}")
     return j - 1
+
+
+def _processed(pair: DistributionPair, j0: int) -> DistributionPair:
+    P = np.array(pair.p.probs)
+    Q = np.array(pair.q.probs)
+    for _ in _process_block(P, Q, j0):
+        pass
+    return DistributionPair(JointDistribution(P), JointDistribution(Q))
 
 
 def process_block_nonempty(pair: DistributionPair, j: int) -> DistributionPair:
@@ -242,13 +286,9 @@ def process_block_nonempty(pair: DistributionPair, j: int) -> DistributionPair:
     j contributes 0 to conditional_entropy(q) afterwards.
     """
     j0 = _check_block_label(pair, j)
-    P = np.array(pair.p.probs)
-    Q = np.array(pair.q.probs)
-    if Q[0, j0] < P[0, j0]:
+    if pair.q.probs[0, j0] < pair.p.probs[0, j0]:
         raise ValidationError(f"block {j} has an empty in-set (q(1,{j}) < p(1,{j})); use process_block_empty")
-    _concentrate(P, Q, j0)
-    _transfer(P, Q, j0)
-    return DistributionPair(JointDistribution(P), JointDistribution(Q))
+    return _processed(pair, j0)
 
 
 def process_block_empty(pair: DistributionPair, j: int) -> DistributionPair:
@@ -261,15 +301,14 @@ def process_block_empty(pair: DistributionPair, j: int) -> DistributionPair:
     with q(1,j) = q_Y(j).
     """
     j0 = _check_block_label(pair, j)
-    P = np.array(pair.p.probs)
-    Q = np.array(pair.q.probs)
-    if (Q[:, j0] >= P[:, j0]).any():
+    if (pair.q.probs[:, j0] >= pair.p.probs[:, j0]).any():
         raise ValidationError(f"block {j} has a nonempty in-set; use process_block_nonempty")
-    _, switched = _fill(P, Q, j0)
-    if switched:
-        _concentrate(P, Q, j0)
-        _transfer(P, Q, j0)
-    return DistributionPair(JointDistribution(P), JointDistribution(Q))
+    return _processed(pair, j0)
+
+
+def _average(A: np.ndarray) -> np.ndarray:
+    # every block (last axis) replaced by the mean over blocks, as a read-only view
+    return np.broadcast_to(A.mean(axis=-1, keepdims=True), A.shape)
 
 
 def average_blocks(J: JointDistribution) -> JointDistribution:
@@ -279,48 +318,87 @@ def average_blocks(J: JointDistribution) -> JointDistribution:
     same X-marginal. The map is a uniform mixture of block permutations, so
     it cannot decrease the equivocation, and it cannot increase TV.
     """
-    m = J.probs.mean(axis=1, keepdims=True)
-    return JointDistribution(np.broadcast_to(m, J.probs.shape).copy())
+    return JointDistribution(_average(J.probs))
+
+
+def _block_terms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of the stacked pair W = [P, Q]: TV share, and equivocation terms of P and of Q.
+
+    W is (2, nx, k) for k blocks, or (2, nx) for one block; the terms are
+    (k,) and (2, k), or a scalar and (2,). The equivocation term of a block
+    is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j) log2 p(i,j).
+    Summed over all blocks the terms give tv(P, Q) and H(X|Y) of P and Q.
+    """
+    h = _xlog2x_arr(W.sum(axis=1)) - _xlog2x_arr(W).sum(axis=1)
+    return 0.5 * np.abs(W[0] - W[1]).sum(axis=0), h
 
 
 class _TraceBuilder:
+    """Records walk steps and certifies them from a per-block ledger.
+
+    tv_j holds every block's TV share and h_j (rows p, q) its equivocation
+    terms; tv and gap are the running totals of the last step.
+    """
+
     def __init__(self, mode: SnapshotMode):
         self.mode = mode
         self.steps: list[WalkStep] = []
-        self._tv: float | None = None
-        self._gap: float | None = None
+        self.tv: float | None = None
+        self.gap: float | None = None
 
-    def record(
-        self,
-        label: str,
-        P: np.ndarray,
-        Q: np.ndarray,
-        transferred: float | None = None,
-        substep: bool = False,
-        absolute_gap: bool = False,
-    ) -> None:
-        if substep and self.mode != "all":
-            return
-        tv = 0.5 * float(np.abs(P - Q).sum())
-        gap = _cond_entropy_mixture(P) - _cond_entropy_mixture(Q)
-        if absolute_gap:
-            gap = abs(gap)
-        if self._tv is not None and tv > self._tv + STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: tv increased from {self._tv} to {tv}")
-        if self._gap is not None and gap < self._gap - STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: gap decreased from {self._gap} to {gap}")
-        self._tv, self._gap = tv, gap
-        snap = self.mode == "all" or (self.mode == "phases" and not substep)
-        self.steps.append(
-            WalkStep(
-                label=label,
-                tv=tv,
-                gap=gap,
-                p=JointDistribution(P) if snap else None,
-                q=JointDistribution(Q) if snap else None,
-                transferred=transferred,
+    def _advance(self, label: str, tv: float, gap: float) -> None:
+        if self.tv is not None and tv > self.tv + STEP_TOL:
+            raise InvariantViolation(f"step {label!r}: tv increased from {self.tv} to {tv}")
+        if self.gap is not None and gap < self.gap - STEP_TOL:
+            raise InvariantViolation(f"step {label!r}: gap decreased from {self.gap} to {gap}")
+        self.tv, self.gap = tv, gap
+
+    def measure(self, label: str, W: np.ndarray, orient: bool = False) -> bool:
+        """Measure every block of the stacked pair W, then check the new totals against the last step.
+
+        With orient=True the roles of p and q are swapped when q has the
+        larger equivocation (ties are left); returns whether they were.
+        """
+        self.tv_j, h_j = _block_terms(W)
+        hp, hq = h_j.sum(axis=1).tolist()
+        swap = orient and hq > hp
+        if swap:
+            h_j, hp, hq = h_j[::-1], hq, hp
+        self.h_j = h_j
+        self._advance(label, float(self.tv_j.sum()), hp - hq)
+        return swap
+
+    def measure_block(self, label: str, j0: int, W: np.ndarray) -> None:
+        """Re-measure block j0 only: its TV must not rise nor its gap fall; the totals move by its change."""
+        tv, (hp, hq) = _block_terms(W[:, :, j0])
+        tv, hp, hq = float(tv), float(hp), float(hq)
+        old_tv = float(self.tv_j[j0])
+        old_gap = float(self.h_j[0, j0]) - float(self.h_j[1, j0])
+        if tv > old_tv + STEP_TOL:
+            raise InvariantViolation(f"step {label!r}: block {j0 + 1} tv increased from {old_tv} to {tv}")
+        if hp - hq < old_gap - STEP_TOL:
+            raise InvariantViolation(f"step {label!r}: block {j0 + 1} gap decreased from {old_gap} to {hp - hq}")
+        self.tv_j[j0], self.h_j[0, j0], self.h_j[1, j0] = tv, hp, hq
+        self._advance(label, self.tv + (tv - old_tv), self.gap + ((hp - hq) - old_gap))
+
+    def cross_check(self, W: np.ndarray) -> None:
+        """Compare the running totals with a full measurement of the stacked pair W."""
+        tv_j, h_j = _block_terms(W)
+        hp, hq = h_j.sum(axis=1).tolist()
+        tv, gap = float(tv_j.sum()), hp - hq
+        if abs(tv - self.tv) > STEP_TOL or abs(gap - self.gap) > STEP_TOL:
+            raise InvariantViolation(
+                f"running totals (tv {self.tv}, gap {self.gap}) drifted from the full measurement (tv {tv}, gap {gap})"
             )
-        )
+
+    def record(self, label: str, p, q, transferred: float | None = None) -> None:
+        """Append the current totals, with snapshots of p and q (grids or JointDistributions) unless mode is "none"."""
+        if self.mode == "none":
+            p = q = None
+        else:
+            p = p if isinstance(p, JointDistribution) else JointDistribution(p)
+            q = q if isinstance(q, JointDistribution) else JointDistribution(q)
+        self.steps.append(WalkStep(label=label, tv=self.tv, gap=self.gap, p=p, q=q, transferred=transferred))
 
 
 def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> WalkTrace:
@@ -333,51 +411,52 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
 
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within
-    1e-9; the final q has conditional entropy <= 1e-9 and X-marginal 1 on
-    outcome 1; and the final gap is at most the continuity bound evaluated
-    at the initial TV.
+    1e-9, for the moved block and for the totals; the running totals agree
+    with a full measurement before averaging within 1e-9; the final q has
+    conditional entropy <= 1e-9 and X-marginal 1 on outcome 1; and the final
+    gap is at most the continuity bound evaluated at the initial TV.
     """
     if snapshots not in _SNAPSHOT_MODES:
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
     tb = _TraceBuilder(snapshots)
-    tb.record("initial", pair.p.probs, pair.q.probs, absolute_gap=True)
-    oriented = canonical_orient(pair)
-    tb.record("orient", oriented.p.probs, oriented.q.probs)
-    reordered, partitions = reorder(oriented)
-    P = np.array(reordered.p.probs)
-    Q = np.array(reordered.q.probs)
+    # one measurement serves the initial record and the orientation: the
+    # recorded initial gap is |gap|, which is the oriented gap
+    W = np.stack((pair.p.probs, pair.q.probs))
+    oriented = pair
+    if tb.measure("initial", W, orient=True):
+        W = W[::-1]
+        oriented = DistributionPair(pair.q, pair.p)
+    tb.record("initial", pair.p, pair.q)
+    tb.record("orient", oriented.p, oriented.q)
+    W, _ = _reorder(W)
+    P, Q = W
+    tb.measure("reorder", W)
     tb.record("reorder", P, Q)
 
-    for part in partitions:
-        j0 = part.j - 1
+    def on_move(kind: str, i: int, s: float) -> None:
+        # per-move records, "all" mode only; reads the loop's current block j0
+        label = f"block {j0 + 1} {kind} i={i}"
+        tb.measure_block(label, j0, W)
+        tb.record(label, P, Q, transferred=s)
 
-        def on_move(kind: str, i: int, s: float) -> None:
-            tb.record(f"block {part.j} {kind} i={i}", P, Q, transferred=s, substep=True)
+    for j0 in range(W.shape[2]):
+        for kind, moved in _process_block(P, Q, j0, on_move if snapshots == "all" else None):
+            label = f"block {j0 + 1} {kind}"
+            tb.measure_block(label, j0, W)
+            tb.record(label, P, Q, transferred=moved)
 
-        if part.in_set:
-            moved = _concentrate(P, Q, j0, on_move)
-            tb.record(f"block {part.j} concentrate", P, Q, transferred=moved)
-            moved = _transfer(P, Q, j0, on_move)
-            tb.record(f"block {part.j} transfer", P, Q, transferred=moved)
-        else:
-            moved, switched = _fill(P, Q, j0, on_move)
-            tb.record(f"block {part.j} fill", P, Q, transferred=moved)
-            if switched:
-                moved = _concentrate(P, Q, j0, on_move)
-                tb.record(f"block {part.j} concentrate", P, Q, transferred=moved)
-                moved = _transfer(P, Q, j0, on_move)
-                tb.record(f"block {part.j} transfer", P, Q, transferred=moved)
+    left = np.flatnonzero((Q[1:, :] > 0.0).any(axis=0))
+    if left.size:
+        raise InvariantViolation(f"block {left[0] + 1} processed but q still has weight below the top row")
+    tb.cross_check(W)
 
-    if (Q[1:, :] > 0.0).any():
-        raise InvariantViolation("blocks processed but q still has weight below the top row")
+    W = _average(W)
+    final = DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
+    tb.measure("average", W)
+    tb.record("average", final.p, final.q)
 
-    p_avg = average_blocks(JointDistribution(P))
-    q_avg = average_blocks(JointDistribution(Q))
-    tb.record("average", p_avg.probs, q_avg.probs)
-
-    final = DistributionPair(p_avg, q_avg)
     steps = tuple(tb.steps)
-    final_q_entropy = conditional_entropy(final.q)
+    final_q_entropy = float(tb.h_j[1].sum())
     if final_q_entropy > STEP_TOL:
         raise InvariantViolation(f"final q has conditional entropy {final_q_entropy} > {STEP_TOL}")
     q_x_top = float(final.q.probs[0, :].sum())

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -237,3 +238,26 @@ def test_exit_internal_invariant_violation(monkeypatch, tmp_path, capsys):
 def test_main_help_returns_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ('{"nx":1,"ny":1,"probs":[[1' + "0" * 400 + "]]}", "too large for a float"),
+        # past the interpreter's digit limit for int parsing, where it has one
+        ('{"nx":1,"ny":1,"probs":[[1' + "0" * 5000 + "]]}", "too large for a float|Exceeds the limit"),
+        ('{"nx":2,"ny":1,"nx":1,"probs":[[1.0]]}', "duplicate field 'nx'"),
+        ('{"nx":1,"ny":1,"probs":[[1.0]],"meta":{"a":1,"a":2}}', "duplicate field 'a'"),
+    ],
+    ids=["int-overflows-float", "int-past-digit-limit", "duplicate-top-level-key", "duplicate-nested-key"],
+)
+def test_exit_validation_on_unrepresentable_or_ambiguous_input(tmp_path, capsys, doc, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    with pytest.raises(ValidationError, match=fragment):
+        parse_distribution(doc)
+    assert main(["entropy", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(fragment, captured.err)

@@ -195,3 +195,11 @@ def test_grid_search_matches_plain_enumeration():
                 best = max(best, abs(conditional_entropy(a) - conditional_entropy(b)))
     result = grid_search_max_gap(2, 1, eps, steps)
     assert result.max_gap == pytest.approx(best, abs=1e-12)
+
+
+def test_grid_search_guards_the_number_of_grid_points():
+    # C(106, 5) = 1.06e8 grid points would need tens of GB
+    with pytest.raises(ValidationError, match="grid points"):
+        grid_search_max_gap(3, 2, 0.3, 101)
+    with pytest.raises(ValidationError, match="grid points"):
+        grid_search_max_gap(2, 3, 0.3, 46)

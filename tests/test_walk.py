@@ -4,6 +4,7 @@ import pytest
 from equibound import (
     BlockPartition,
     DistributionPair,
+    InvariantViolation,
     JointDistribution,
     ValidationError,
     average_blocks,
@@ -13,6 +14,7 @@ from equibound import (
     entropy,
     extremal_pair,
     marginal,
+    perturb_within_tv,
     process_block_empty,
     process_block_nonempty,
     reorder,
@@ -20,6 +22,7 @@ from equibound import (
     sample_joint,
     tv_distance,
 )
+from equibound import walk
 
 
 def _pair(p_rows, q_rows):
@@ -330,3 +333,200 @@ def test_block_partition_validation():
         BlockPartition(j=1, in_set=(2,), out_set=(1,))
     part = BlockPartition(j=1, in_set=(1,), out_set=(2, 3))
     assert part.in_set == (1,)
+
+
+# ---------------------------------------------------------------- block kernel against the sequential reference
+#
+# The three loops below are the original one-move-at-a-time phases, kept as
+# the reference: the array kernel must reproduce their grids and moved masses
+# bit for bit, with and without a per-move callback.
+
+
+def _ref_concentrate(P, Q, j0, on_move=None):
+    moved = 0.0
+    for i0 in range(1, P.shape[0]):
+        if Q[i0, j0] >= P[i0, j0]:
+            s = Q[i0, j0] - P[i0, j0]
+            if s == 0.0:
+                continue
+            Q[0, j0] += s
+            Q[i0, j0] = P[i0, j0]
+            moved += s
+            if on_move is not None:
+                on_move("concentrate", i0 + 1, s)
+    return moved
+
+
+def _ref_transfer(P, Q, j0, on_move=None):
+    moved = 0.0
+    for i0 in range(1, P.shape[0]):
+        s = Q[i0, j0]
+        if s == 0.0:
+            continue
+        Q[0, j0] += s
+        P[0, j0] += s
+        Q[i0, j0] = 0.0
+        P[i0, j0] -= s
+        moved += s
+        if on_move is not None:
+            on_move("transfer", i0 + 1, s)
+    return moved
+
+
+def _ref_fill(P, Q, j0, on_move=None):
+    moved = 0.0
+    for i0 in range(P.shape[0] - 1, 0, -1):
+        avail = Q[i0, j0]
+        if avail == 0.0:
+            continue
+        cap = P[0, j0] - Q[0, j0]
+        if avail >= cap:
+            t = cap if cap > 0.0 else 0.0
+            if t > 0.0:
+                Q[i0, j0] -= t
+                moved += t
+            Q[0, j0] = P[0, j0]
+            if on_move is not None:
+                on_move("fill", i0 + 1, t)
+            return moved, True
+        Q[0, j0] += avail
+        Q[i0, j0] = 0.0
+        moved += avail
+        if on_move is not None:
+            on_move("fill", i0 + 1, avail)
+    return moved, False
+
+
+def _ref_process_block(P, Q, j0, in_set_nonempty, on_move=None):
+    phases = []
+    if not in_set_nonempty:
+        moved, switched = _ref_fill(P, Q, j0, on_move)
+        phases.append(("fill", moved))
+        if not switched:
+            return phases
+    phases.append(("concentrate", _ref_concentrate(P, Q, j0, on_move)))
+    phases.append(("transfer", _ref_transfer(P, Q, j0, on_move)))
+    return phases
+
+
+def _kernel_pairs(rng, count):
+    kinds = ("independent", "near", "sparse")
+    for t in range(count):
+        nx, ny = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+        p = sample_joint(nx, ny, rng)
+        kind = kinds[t % 3]
+        if kind == "independent":
+            q = sample_joint(nx, ny, rng)
+        elif kind == "near":
+            q = perturb_within_tv(p, 0.1, rng)
+        else:
+            q = JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny))
+        yield DistributionPair(p, q)
+
+
+def _recorder(P, Q, j0, log):
+    def on_move(kind, i, s):
+        log.append((kind, i, float(s), P[:, j0].tobytes(), Q[:, j0].tobytes()))
+
+    return on_move
+
+
+def test_kernel_matches_sequential_reference():
+    rng = np.random.default_rng(20240)
+    switched = stayed = blocks = 0
+    for pair in _kernel_pairs(rng, 240):
+        reordered, parts = reorder(canonical_orient(pair))
+        for part in parts:
+            j0 = part.j - 1
+            for with_moves in (False, True):
+                P0, Q0 = np.array(reordered.p.probs), np.array(reordered.q.probs)
+                P1, Q1 = P0.copy(), Q0.copy()
+                ref_log, new_log = [], []
+                ref = _ref_process_block(
+                    P0, Q0, j0, bool(part.in_set), _recorder(P0, Q0, j0, ref_log) if with_moves else None
+                )
+                new = list(walk._process_block(P1, Q1, j0, _recorder(P1, Q1, j0, new_log) if with_moves else None))
+                assert new == ref
+                assert all(type(moved) is float for _, moved in new)
+                assert P1.tobytes() == P0.tobytes()
+                assert Q1.tobytes() == Q0.tobytes()
+                assert new_log == ref_log
+            blocks += 1
+            if not part.in_set:
+                if len(ref) == 3:
+                    switched += 1
+                else:
+                    stayed += 1
+    assert blocks >= 200
+    # both outcomes of the fill procedure are exercised
+    assert switched > 0 and stayed > 0
+
+
+@pytest.mark.parametrize("mode", ["phases", "all"])
+def test_walk_steps_match_full_recompute(mode):
+    rng = np.random.default_rng(77)
+    for pair in _kernel_pairs(rng, 60):
+        trace = run_walk(pair, snapshots=mode)
+        for k, step in enumerate(trace.steps):
+            gap = conditional_entropy(step.p) - conditional_entropy(step.q)
+            if k == 0:
+                gap = abs(gap)
+            assert abs(step.tv - tv_distance(step.p, step.q)) <= 1e-12, step.label
+            assert abs(step.gap - gap) <= 1e-12, step.label
+
+
+def test_walk_orient_reuses_initial_measurement():
+    pair = extremal_pair(0.3, 3, 2)
+    trace = run_walk(DistributionPair(pair.q, pair.p))
+    initial, orient = trace.steps[:2]
+    assert (initial.label, orient.label) == ("initial", "orient")
+    assert initial.p == pair.q and initial.q == pair.p
+    assert orient.p == pair.p and orient.q == pair.q
+    assert (orient.tv, orient.gap) == (initial.tv, initial.gap)
+    assert initial.gap == pytest.approx(continuity_bound(0.3, 3).value, abs=1e-12)
+
+
+def _three_block_pair():
+    rng = np.random.default_rng(3)
+    return DistributionPair(sample_joint(3, 3, rng), sample_joint(3, 3, rng))
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_faulty_move_raises_naming_the_block(monkeypatch, mode):
+    real = walk._process_block
+
+    def leaky(P, Q, j0, on_move=None):
+        for phase, moved in real(P, Q, j0, on_move):
+            if j0 == 1 and phase == "transfer":
+                # put half of q's top row back below it
+                half = Q[0, j0] / 2
+                Q[0, j0] -= half
+                Q[1, j0] += half
+            yield phase, moved
+
+    monkeypatch.setattr(walk, "_process_block", leaky)
+    with pytest.raises(InvariantViolation, match=r"'block 2 transfer': block 2 "):
+        run_walk(_three_block_pair(), snapshots=mode)
+
+
+def test_unprocessed_block_raises_naming_the_block(monkeypatch):
+    real = walk._process_block
+
+    def lazy(P, Q, j0, on_move=None):
+        return iter(()) if j0 == 2 else real(P, Q, j0, on_move)
+
+    monkeypatch.setattr(walk, "_process_block", lazy)
+    with pytest.raises(InvariantViolation, match="block 3 processed but q still has weight below the top row"):
+        run_walk(_three_block_pair())
+
+
+def test_drift_of_running_totals_is_caught(monkeypatch):
+    real = walk._TraceBuilder.measure_block
+
+    def drifting(self, label, j0, W):
+        real(self, label, j0, W)
+        self.tv -= 1e-9  # a falling tv passes every step check
+
+    monkeypatch.setattr(walk._TraceBuilder, "measure_block", drifting)
+    with pytest.raises(InvariantViolation, match="drifted from the full measurement"):
+        run_walk(_three_block_pair(), snapshots="none")
