@@ -26,6 +26,7 @@ from .core import (
     conditional_entropy,
     tv_distance,
     _as_prob,
+    _check_grid_size,
 )
 
 SLACK_TOL = 1e-9  # absorbs accumulated float error in entropy sums
@@ -94,6 +95,7 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
     ny = int(ny)
     if ny < 1:
         raise ValidationError(f"ny must be >= 1, got {ny}")
+    _check_grid_size(nx, ny)
     epsilon = float(epsilon)
     threshold = 1.0 - 1.0 / nx
     if not (0.0 < epsilon <= threshold + _EDGE_TOL):

@@ -10,7 +10,6 @@ searching; it only reports it next to the measured maximum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .core import (
     JointDistribution,
     ValidationError,
     _as_prob,
+    _check_grid_size,
     _xlog2x_arr,
 )
 from .walk import InvariantViolation, run_walk
@@ -29,8 +29,10 @@ from .walk import InvariantViolation, run_walk
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1): the search's peak
-# memory grows by about 300 bytes per point, so this keeps it near 0.6 GB
+# memory grows by about 150 bytes per point, so this keeps it near 0.3 GB
 DESK_SCALE_POINTS = 2_000_000
+# consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
+_SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,7 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValidationError(f"nx and ny must be >= 1, got ({nx}, {ny})")
+    _check_grid_size(nx, ny)
     rng = np.random.default_rng(seed)
     v = rng.dirichlet(np.ones(nx * ny))
     return JointDistribution(v.reshape(nx, ny))
@@ -168,31 +171,51 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All orderings of `total` units into `parts` nonnegative cells, one per row."""
+    """All orderings of `total` units into `parts` nonnegative cells, one per row.
+
+    Rows come out in lexicographic order of (c0, c1, ...). They are built
+    as array blocks from the partial sums s_k = c0 + ... + c(k-1), which
+    form the nondecreasing sequences in [0, total], in the same
+    lexicographic order. The sequences of length m + 1 are, for u = 0, 1,
+    ..., total, u prepended to every sequence of length m that starts at u
+    or above, and those sequences are a tail of the length-m table. With
+    parts = 2 the table is a single column and no block is gathered.
+    """
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
-    rows = []
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        row = []
-        for b in bars:
-            row.append(b - prev - 1)
-            prev = b
-        row.append(total + parts - 2 - prev)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    values = np.arange(total + 1, dtype=np.int64)
+    sums = values[:, None]
+    for _ in range(parts - 2):
+        start = np.searchsorted(sums[:, 0], values)
+        lengths = len(sums) - start
+        out_start = np.cumsum(lengths) - lengths
+        longer = np.empty((int(lengths.sum()), sums.shape[1] + 1), dtype=np.int64)
+        longer[:, 0] = np.repeat(values, lengths)
+        longer[:, 1:] = sums[np.arange(len(longer)) + np.repeat(start - out_start, lengths)]
+        sums = longer
+    counts = np.empty((len(sums), parts), dtype=np.int64)
+    counts[:, 0] = sums[:, 0]
+    np.subtract(sums[:, 1:], sums[:, :-1], out=counts[:, 1:-1])
+    counts[:, -1] = total - sums[:, -1]
+    return counts
 
 
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
     Every grid point is a composition of steps_per_dim into nx*ny cells
-    scaled to the simplex. Feasibility is decided in exact integer
-    arithmetic (L1 distance of the counts), so no pair is lost to float
-    noise. The search prunes with its own best-so-far gap only; the bound is
-    computed once for the report and never steers the search. Guarded to
-    desk scale: nx*ny <= 6, steps_per_dim <= 101, and at most 2 000 000
-    grid points, which bounds the search's memory.
+    scaled to the simplex; `_compositions` enumerates them as one array.
+    The points are sorted by equivocation, and for each point a, in
+    ascending order, the scan takes the last feasible b among those with
+    h[b] > h[a] + best, and stops once no b can beat the best gap.
+    Feasibility is decided in exact integer arithmetic (L1 distance of the
+    counts), so no pair is lost to float noise. The counts are stored once
+    per cell as a contiguous int16 row, and the distances of a block of
+    consecutive a to all candidates are summed row by row. The search prunes
+    with its own best-so-far gap only; the bound is computed once for the
+    report and never steers the search. Guarded to desk scale: nx*ny <= 6,
+    steps_per_dim <= 101, and at most 2 000 000 grid points, which bounds
+    the search's memory.
     """
     nx, ny, steps = int(nx), int(ny), int(steps_per_dim)
     if nx < 2:
@@ -215,40 +238,65 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         raise ValidationError(f"eps must be in (0, {threshold}], got {eps}")
 
     counts = _compositions(steps, cells)
-    grids = counts.reshape(-1, nx, ny) / float(steps)
-    block_mass = grids.sum(axis=1)
-    # H(X|Y) = H(XY) - H(Y), vectorized over all grid points
-    h_values = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(block_mass).sum(axis=1)
+    levels = np.arange(steps + 1) / float(steps)
+    block_mass = levels[counts].reshape(-1, nx, ny).sum(axis=1)
+    # H(X|Y) = H(XY) - H(Y), vectorized over all grid points; a cell's x*log2(x) is looked up by its count
+    h_values = -_xlog2x_arr(levels)[counts].sum(axis=1) + _xlog2x_arr(block_mass).sum(axis=1)
 
     order = np.argsort(h_values, kind="stable")
     h_sorted = h_values[order]
-    counts_sorted = counts[order]
+    # one contiguous row per cell, in descending entropy: the point of ascending rank a sits
+    # at position n - 1 - a. Counts are at most 101, so every L1 distance fits in int16.
     n = len(h_sorted)
+    columns = np.ascontiguousarray(counts.astype(np.int16)[order[::-1]].T)
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
 
     best = -1.0
     best_low = best_high = 0
-    top_h = h_sorted[-1]
-    for a in range(n):
-        if top_h - h_sorted[a] <= best:
+    top_h = float(h_sorted[-1])
+    dist = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
+    term = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
+    feasible = np.empty((_SCAN_BLOCK, n), dtype=bool)
+    for a0 in range(0, n, _SCAN_BLOCK):
+        if top_h - h_sorted[a0] <= best:
             break
-        lo = int(np.searchsorted(h_sorted, h_sorted[a] + best, side="right"))
+        # every a of the block scans a0's candidates b >= lo; those below an a's own
+        # candidates have h[b] <= h[a] + best and are skipped below, so the result is exact
+        lo = int(np.searchsorted(h_sorted, h_sorted[a0] + best, side="right"))
         if lo >= n:
             continue
-        l1 = np.abs(counts_sorted[lo:] - counts_sorted[a]).sum(axis=1)
-        feasible = np.flatnonzero(l1 <= max_l1)
-        if len(feasible) == 0:
-            continue
-        b = lo + int(feasible[-1])
-        gap = float(h_sorted[b] - h_sorted[a])
-        if gap > best:
-            best = gap
-            best_low, best_high = a, b
+        a1 = min(a0 + _SCAN_BLOCK, n)
+        shape = (a1 - a0, n - lo)
+        d = dist[: shape[0], : shape[1]]
+        t = term[: shape[0], : shape[1]]
+        f = feasible[: shape[0], : shape[1]]
+        for k, column in enumerate(columns):
+            np.subtract(column[: n - lo], column[n - a1 : n - a0][::-1, None], out=t)
+            np.abs(t, out=d if k == 0 else t)
+            if k:
+                np.add(d, t, out=d)
+        np.less_equal(d, max_l1, out=f)
+        # the first feasible position is the last feasible b
+        first = np.argmax(f, axis=1)
+        h_block = h_sorted[a0:a1].tolist()
+        for i, h_a in enumerate(h_block):
+            if top_h - h_a <= best:
+                break
+            if not f[i, first[i]]:
+                continue
+            b = n - 1 - int(first[i])
+            h_b = float(h_sorted[b])
+            if h_b <= h_a + best:
+                continue
+            gap = h_b - h_a
+            if gap > best:
+                best = gap
+                best_low, best_high = a0 + i, b
     if best < 0.0:
         best = 0.0
 
     def _point(idx: int) -> JointDistribution:
-        return JointDistribution(counts_sorted[idx].reshape(nx, ny) / float(steps))
+        return JointDistribution(columns[:, n - 1 - idx].reshape(nx, ny) / float(steps))
 
     argmax = DistributionPair(p=_point(best_high), q=_point(best_low))
     return GridSearchResult(max_gap=best, bound=continuity_bound(eps, nx).value, argmax_pair=argmax)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,18 @@ def test_bound_hits_log_nx_at_range_edge(nx):
     result = continuity_bound(1.0 - 1.0 / nx, nx)
     assert not result.clamped
     assert result.value == pytest.approx(math.log2(nx), abs=1e-12)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 1000])
+@pytest.mark.parametrize("eps", [1e-17, 1e-12, 1e-9, 0.3, None], ids=["1e-17", "1e-12", "1e-9", "0.3", "edge"])
+def test_bound_relative_accuracy(eps, nx):
+    eps = 1.0 - 1.0 / nx if eps is None else eps
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eps)
+        exact = e * mpmath.log(nx - 1, 2) - (e * mpmath.log(e, 2) + (1 - e) * mpmath.log(1 - e, 2))
+        rel = abs((mpmath.mpf(continuity_bound(eps, nx).value) - exact) / exact)
+    # a few units of double rounding: the formula adds two rounded terms
+    assert rel <= 4 * 2.0**-53
 
 
 @pytest.mark.parametrize("nx", [2, 3, 5])
@@ -99,6 +112,11 @@ def test_extremal_tv_equals_epsilon():
         for eps in (0.1, 0.25, 1.0 - 1.0 / nx):
             pair = extremal_pair(eps, nx, 2)
             assert tv_distance(pair.p, pair.q) == pytest.approx(eps, abs=1e-14)
+
+
+def test_extremal_guards_the_grid_size():
+    with pytest.raises(ValidationError, match="grid-size guard"):
+        extremal_pair(0.3, 3, 10**11)
 
 
 def test_extremal_domain_errors():

@@ -218,6 +218,22 @@ def test_exit_domain_error_is_validation():
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--epsilon", "0.3", "--nx", "3", "--ny", "100000000000"],
+        ["verify", "--nx", "100000", "--ny", "100000", "--trials", "1"],
+    ],
+    ids=["extremal", "verify"],
+)
+def test_exit_validation_on_oversized_grid(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "grid-size guard" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_internal_invariant_violation(monkeypatch, tmp_path, capsys):
     # route an InvariantViolation through main's exit-code mapping in-process
     import equibound.cli as cli

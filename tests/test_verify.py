@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from equibound import (
     tv_distance,
     verify_trials,
 )
+from equibound.core import _xlog2x_arr
+from equibound.verify import _compositions
 
 H_03 = 0.8812908992306926  # binary entropy at 0.3, frozen from mpmath
 
@@ -136,6 +141,13 @@ def test_trials_validation():
         verify_trials(2, 1, 10, seed=-1)
 
 
+def test_sampling_guards_the_grid_size():
+    with pytest.raises(ValidationError, match="grid-size guard"):
+        sample_joint(100_000, 100_000, 0)
+    with pytest.raises(ValidationError, match="grid-size guard"):
+        verify_trials(100_000, 100_000, 1, seed=0)
+
+
 # ---------------------------------------------------------------- grid search oracle
 
 def test_grid_search_two_outcomes_is_binary_entropy():
@@ -203,3 +215,80 @@ def test_grid_search_guards_the_number_of_grid_points():
         grid_search_max_gap(3, 2, 0.3, 101)
     with pytest.raises(ValidationError, match="grid points"):
         grid_search_max_gap(2, 3, 0.3, 46)
+
+
+# ---------------------------------------------------------------- array oracle vs the loop reference
+
+def _reference_compositions(total, parts):
+    # the itertools enumeration the array form replaced
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        row = []
+        for b in bars:
+            row.append(b - prev - 1)
+            prev = b
+        row.append(total + parts - 2 - prev)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def _reference_grid_search(nx, ny, eps, steps):
+    # the row-major int64 pair scan the column scan replaced; returns (max_gap, p grid, q grid)
+    counts = _reference_compositions(steps, nx * ny)
+    grids = counts.reshape(-1, nx, ny) / float(steps)
+    block_mass = grids.sum(axis=1)
+    h_values = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(block_mass).sum(axis=1)
+    order = np.argsort(h_values, kind="stable")
+    h_sorted = h_values[order]
+    counts_sorted = counts[order]
+    n = len(h_sorted)
+    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
+    best = -1.0
+    best_low = best_high = 0
+    top_h = h_sorted[-1]
+    for a in range(n):
+        if top_h - h_sorted[a] <= best:
+            break
+        lo = int(np.searchsorted(h_sorted, h_sorted[a] + best, side="right"))
+        if lo >= n:
+            continue
+        l1 = np.abs(counts_sorted[lo:] - counts_sorted[a]).sum(axis=1)
+        feasible = np.flatnonzero(l1 <= max_l1)
+        if len(feasible) == 0:
+            continue
+        b = lo + int(feasible[-1])
+        gap = float(h_sorted[b] - h_sorted[a])
+        if gap > best:
+            best = gap
+            best_low, best_high = a, b
+    high, low = (counts_sorted[idx].reshape(nx, ny) / float(steps) for idx in (best_high, best_low))
+    return max(best, 0.0), high, low
+
+
+@pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2)])
+def test_compositions_match_the_loop_reference(total, parts):
+    rows = _compositions(total, parts)
+    assert rows.dtype == np.int64
+    assert len(rows) == math.comb(total + parts - 1, parts - 1)
+    assert (rows.sum(axis=1) == total).all()
+    np.testing.assert_array_equal(rows, _reference_compositions(total, parts))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
+        (2, 1, 0.05, 100), (2, 1, 0.3, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
+        (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1),
+        (3, 1, 0.4, 30), (2, 2, 0.3, 20),
+    ],
+)
+def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
+    max_gap, p, q = _reference_grid_search(*cfg)
+    result = grid_search_max_gap(*cfg)
+    assert result.max_gap == max_gap
+    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
+    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
