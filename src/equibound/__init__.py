@@ -28,14 +28,11 @@ from .bounds import (
     extremal_pair,
 )
 from .walk import (
-    BlockPartition,
     InvariantViolation,
     WalkStep,
     WalkTrace,
     average_blocks,
     canonical_orient,
-    process_block_empty,
-    process_block_nonempty,
     reorder,
     run_walk,
 )
@@ -51,7 +48,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition",
     "BoundCheck",
     "BoundResult",
     "DistributionPair",
@@ -75,8 +71,6 @@ __all__ = [
     "grid_search_max_gap",
     "marginal",
     "perturb_within_tv",
-    "process_block_empty",
-    "process_block_nonempty",
     "reorder",
     "run_walk",
     "sample_joint",

@@ -65,6 +65,22 @@ def _check_nx(nx: int) -> int:
     return nx
 
 
+def _check_ny(ny: int) -> int:
+    ny = int(ny)
+    if ny < 1:
+        raise ValidationError(f"ny must be >= 1, got {ny}")
+    return ny
+
+
+def _check_radius(epsilon: float, nx: int, name: str) -> float:
+    """epsilon as a float in (0, 1 - 1/nx], admitting _EDGE_TOL past the upper end."""
+    epsilon = float(epsilon)
+    threshold = 1.0 - 1.0 / nx
+    if not (0.0 < epsilon <= threshold + _EDGE_TOL):
+        raise ValidationError(f"{name} must be in (0, {threshold}], got {epsilon}")
+    return epsilon
+
+
 def continuity_bound(epsilon: float, nx: int) -> BoundResult:
     """Largest possible equivocation gap at TV radius epsilon for an X alphabet of size nx.
 
@@ -91,15 +107,9 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
     symmetries). tv(p, q) = epsilon and the equivocation gap equals
     continuity_bound(epsilon, nx).value.
     """
-    nx = _check_nx(nx)
-    ny = int(ny)
-    if ny < 1:
-        raise ValidationError(f"ny must be >= 1, got {ny}")
+    nx, ny = _check_nx(nx), _check_ny(ny)
     _check_grid_size(nx, ny)
-    epsilon = float(epsilon)
-    threshold = 1.0 - 1.0 / nx
-    if not (0.0 < epsilon <= threshold + _EDGE_TOL):
-        raise ValidationError(f"epsilon must be in (0, {threshold}], got {epsilon}")
+    epsilon = _check_radius(epsilon, nx, "epsilon")
     q = np.zeros((nx, ny))
     q[0, 0] = 1.0
     p = np.zeros((nx, ny))

@@ -149,7 +149,7 @@ class JointDistribution:
         return self.probs.shape[1]
 
     def to_lists(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.probs]
+        return self.probs.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):

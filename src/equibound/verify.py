@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SLACK_TOL, check_bound, continuity_bound
+from .bounds import SLACK_TOL, _check_nx, _check_ny, _check_radius, check_bound, continuity_bound
 from .core import (
     DistributionPair,
     JointDistribution,
@@ -125,11 +125,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     Trials are independent, so results do not depend on execution order; a
     walk violation propagates with the trial's sub-seed attached.
     """
-    nx, ny, trials, seed = int(nx), int(ny), int(trials), int(seed)
-    if nx < 2:
-        raise ValidationError(f"nx must be >= 2, got {nx}")
-    if ny < 1:
-        raise ValidationError(f"ny must be >= 1, got {ny}")
+    nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -217,11 +213,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     steps_per_dim <= 101, and at most 2 000 000 grid points, which bounds
     the search's memory.
     """
-    nx, ny, steps = int(nx), int(ny), int(steps_per_dim)
-    if nx < 2:
-        raise ValidationError(f"nx must be >= 2, got {nx}")
-    if ny < 1:
-        raise ValidationError(f"ny must be >= 1, got {ny}")
+    nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
     cells = nx * ny
     if cells > DESK_SCALE_CELLS:
         raise ValidationError(f"nx*ny = {cells} exceeds the desk-scale guard {DESK_SCALE_CELLS}")
@@ -232,10 +224,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         raise ValidationError(
             f"{points} grid points (nx*ny = {cells}, steps_per_dim = {steps}) exceed the desk-scale guard {DESK_SCALE_POINTS}"
         )
-    eps = float(eps)
-    threshold = 1.0 - 1.0 / nx
-    if not (0.0 < eps <= threshold + 1e-12):
-        raise ValidationError(f"eps must be in (0, {threshold}], got {eps}")
+    eps = _check_radius(eps, nx, "eps")
 
     counts = _compositions(steps, cells)
     levels = np.arange(steps + 1) / float(steps)

@@ -25,8 +25,7 @@ initial pair (which also decides the orientation), after reordering, once
 before averaging as a cross-check of the running totals (a drift beyond
 1e-9 raises InvariantViolation), and after averaging.
 
-Block labels, trace labels and BlockPartition index sets are 1-based;
-in-memory arrays are 0-based.
+Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -56,26 +55,6 @@ _OnMove = Optional[Callable[[str, int, float], None]]
 
 class InvariantViolation(RuntimeError):
     """A walk step broke a monotonicity or terminal-state guarantee."""
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Within block j, the rows where q >= p (in_set) and where q < p (out_set).
-
-    Indices are 1-based and refer to positions after reordering, so every
-    index in in_set precedes every index in out_set.
-    """
-
-    j: int
-    in_set: tuple[int, ...]
-    out_set: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        merged = sorted(self.in_set + self.out_set)
-        if merged != list(range(1, len(merged) + 1)):
-            raise ValidationError(f"in_set {self.in_set} and out_set {self.out_set} must partition 1..nx")
-        if self.in_set and self.out_set and max(self.in_set) > min(self.out_set):
-            raise ValidationError("every in_set index must precede every out_set index")
 
 
 @dataclass(frozen=True)
@@ -125,34 +104,26 @@ def canonical_orient(pair: DistributionPair) -> DistributionPair:
     return pair
 
 
-def _reorder(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reordered copy of the stacked pair W = [P, Q], and the in-set size of every block (see reorder)."""
+def _reorder(W: np.ndarray) -> np.ndarray:
+    """Reordered copy of the stacked pair W = [P, Q] (see reorder)."""
     P, Q = W
     W = W[:, :, np.argsort(-(Q.sum(axis=0) - P.sum(axis=0)), kind="stable")]
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
-    return np.take_along_axis(W, rows[None], axis=1), (Q >= P).sum(axis=0)
+    return np.take_along_axis(W, rows[None], axis=1)
 
 
-def reorder(pair: DistributionPair) -> tuple[DistributionPair, list[BlockPartition]]:
+def reorder(pair: DistributionPair) -> DistributionPair:
     """Apply the canonical block/row ordering simultaneously to both grids.
 
     Blocks are sorted so q_Y(j) - p_Y(j) is non-increasing (stable); within
     each block, rows with q >= p come first, each group sorted by q
     non-increasing (stable, ties keep original index order). All moves are
     block symmetries, so equivocations and TV are unchanged.
-
-    Returns the reordered pair and the per-block partitions in the new
-    (1-based) coordinates.
     """
-    W, n_in = _reorder(np.stack((pair.p.probs, pair.q.probs)))
-    nx = pair.nx
-    partitions = [
-        BlockPartition(j=j0 + 1, in_set=tuple(range(1, k + 1)), out_set=tuple(range(k + 1, nx + 1)))
-        for j0, k in enumerate(n_in.tolist())
-    ]
-    return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1])), partitions
+    W = _reorder(np.stack((pair.p.probs, pair.q.probs)))
+    return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
 
 
 def _running(start: float, s: np.ndarray) -> np.ndarray:
@@ -261,51 +232,6 @@ def _process_block(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = Non
     yield "transfer", _transfer(p, q, on_move)
 
 
-def _check_block_label(pair: DistributionPair, j: int) -> int:
-    j = int(j)
-    if not 1 <= j <= pair.ny:
-        raise ValidationError(f"block index {j} out of range 1..{pair.ny}")
-    return j - 1
-
-
-def _processed(pair: DistributionPair, j0: int) -> DistributionPair:
-    P = np.array(pair.p.probs)
-    Q = np.array(pair.q.probs)
-    for _ in _process_block(P, Q, j0):
-        pass
-    return DistributionPair(JointDistribution(P), JointDistribution(Q))
-
-
-def process_block_nonempty(pair: DistributionPair, j: int) -> DistributionPair:
-    """Drive block j of q to a point mass on its top row (two-phase processing).
-
-    Precondition: the block is reordered and its in-set is nonempty, so
-    q(1,j) >= p(1,j). Phase 1 concentrates q's excess into the top row;
-    Phase 2 transfers the rest of the block upward in both grids. The
-    block's TV contribution and both block masses are preserved, and block
-    j contributes 0 to conditional_entropy(q) afterwards.
-    """
-    j0 = _check_block_label(pair, j)
-    if pair.q.probs[0, j0] < pair.p.probs[0, j0]:
-        raise ValidationError(f"block {j} has an empty in-set (q(1,{j}) < p(1,{j})); use process_block_empty")
-    return _processed(pair, j0)
-
-
-def process_block_empty(pair: DistributionPair, j: int) -> DistributionPair:
-    """Drive block j of q to a point mass when every row has q < p.
-
-    Weight moves within q only, from the bottom rows into the top row, each
-    transfer capped at p(1,j) - q(1,j) so TV is unchanged. If the cap binds
-    the block satisfies the nonempty-in-set preconditions and processing
-    continues with the two-phase procedure; otherwise the sources run out
-    with q(1,j) = q_Y(j).
-    """
-    j0 = _check_block_label(pair, j)
-    if (pair.q.probs[:, j0] >= pair.p.probs[:, j0]).any():
-        raise ValidationError(f"block {j} has a nonempty in-set; use process_block_nonempty")
-    return _processed(pair, j0)
-
-
 def _average(A: np.ndarray) -> np.ndarray:
     # every block (last axis) replaced by the mean over blocks, as a read-only view
     return np.broadcast_to(A.mean(axis=-1, keepdims=True), A.shape)
@@ -331,6 +257,13 @@ def _block_terms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _xlog2x_arr(W.sum(axis=1)) - _xlog2x_arr(W).sum(axis=1)
     return 0.5 * np.abs(W[0] - W[1]).sum(axis=0), h
+
+
+def _measure(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Full measurement of the stacked pair W: the block terms, then tv and H(X|Y) of P and of Q."""
+    tv_j, h_j = _block_terms(W)
+    hp, hq = h_j.sum(axis=1).tolist()
+    return tv_j, h_j, float(tv_j.sum()), hp, hq
 
 
 class _TraceBuilder:
@@ -359,13 +292,12 @@ class _TraceBuilder:
         With orient=True the roles of p and q are swapped when q has the
         larger equivocation (ties are left); returns whether they were.
         """
-        self.tv_j, h_j = _block_terms(W)
-        hp, hq = h_j.sum(axis=1).tolist()
+        tv_j, h_j, tv, hp, hq = _measure(W)
         swap = orient and hq > hp
         if swap:
             h_j, hp, hq = h_j[::-1], hq, hp
-        self.h_j = h_j
-        self._advance(label, float(self.tv_j.sum()), hp - hq)
+        self.tv_j, self.h_j = tv_j, h_j
+        self._advance(label, tv, hp - hq)
         return swap
 
     def measure_block(self, label: str, j0: int, W: np.ndarray) -> None:
@@ -383,9 +315,8 @@ class _TraceBuilder:
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare the running totals with a full measurement of the stacked pair W."""
-        tv_j, h_j = _block_terms(W)
-        hp, hq = h_j.sum(axis=1).tolist()
-        tv, gap = float(tv_j.sum()), hp - hq
+        _, _, tv, hp, hq = _measure(W)
+        gap = hp - hq
         if abs(tv - self.tv) > STEP_TOL or abs(gap - self.gap) > STEP_TOL:
             raise InvariantViolation(
                 f"running totals (tv {self.tv}, gap {self.gap}) drifted from the full measurement (tv {tv}, gap {gap})"
@@ -428,7 +359,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
         oriented = DistributionPair(pair.q, pair.p)
     tb.record("initial", pair.p, pair.q)
     tb.record("orient", oriented.p, oriented.q)
-    W, _ = _reorder(W)
+    W = _reorder(W)
     P, Q = W
     tb.measure("reorder", W)
     tb.record("reorder", P, Q)

@@ -130,6 +130,15 @@ def test_extremal_domain_errors():
         extremal_pair(0.3, 2, 0)
 
 
+@pytest.mark.parametrize("nx", [2, 3, 7])
+def test_extremal_admits_float_noise_at_the_range_edge(nx):
+    edge = 1.0 - 1.0 / nx
+    pair = extremal_pair(edge + 5e-13, nx)
+    assert tv_distance(pair.p, pair.q) == pytest.approx(edge, abs=1e-12)
+    with pytest.raises(ValidationError, match=r"epsilon must be in \(0, "):
+        extremal_pair(edge + 2e-12, nx)
+
+
 @pytest.mark.parametrize("nx", [2, 3, 4, 5])
 def test_extremal_saturates_across_eps_grid(nx):
     edge = 1.0 - 1.0 / nx

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -10,6 +11,7 @@ from equibound import (
     SymmetryElement,
     ValidationError,
     apply_symmetry,
+    average_blocks,
     binary_entropy,
     conditional_entropy,
     entropy,
@@ -148,6 +150,22 @@ def test_joint_equality_is_bitwise():
     c = JointDistribution([[0.25, 0.5], [0.25, 0.0]])
     assert a == b
     assert a != c
+
+
+def _per_element_lists(J):
+    return [[float(x) for x in row] for row in J.probs]
+
+
+def test_to_lists_matches_per_element_floats():
+    rng = np.random.default_rng(31)
+    J = JointDistribution(rng.dirichlet(np.full(48, 0.3)).reshape(6, 8))
+    # average_blocks builds its grid from a read-only broadcast view
+    for grid in (J, average_blocks(J)):
+        lists = grid.to_lists()
+        assert lists == _per_element_lists(grid)
+        assert json.dumps(lists) == json.dumps(_per_element_lists(grid))
+        assert len(lists) == grid.nx and all(len(row) == grid.ny for row in lists)
+        assert all(type(x) is float for row in lists for x in row)
 
 
 def test_pair_shape_mismatch():

@@ -196,6 +196,15 @@ def test_grid_search_guards():
         grid_search_max_gap(1, 1, 0.3, 10)
 
 
+@pytest.mark.parametrize("nx", [2, 3])
+def test_grid_search_admits_float_noise_at_the_range_edge(nx):
+    edge = 1.0 - 1.0 / nx
+    result = grid_search_max_gap(nx, 1, edge + 5e-13, 6)
+    assert result.max_gap <= result.bound + 1e-9
+    with pytest.raises(ValidationError, match=r"eps must be in \(0, "):
+        grid_search_max_gap(nx, 1, edge + 2e-12, 6)
+
+
 def test_grid_search_matches_plain_enumeration():
     # independent route: enumerate the same grid pairs with library calls only
     steps, eps = 12, 0.4

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from equibound import (
-    BlockPartition,
     DistributionPair,
     InvariantViolation,
     JointDistribution,
@@ -15,8 +14,6 @@ from equibound import (
     extremal_pair,
     marginal,
     perturb_within_tv,
-    process_block_empty,
-    process_block_nonempty,
     reorder,
     run_walk,
     sample_joint,
@@ -59,18 +56,26 @@ def test_orient_no_swap_on_tie():
 
 # ---------------------------------------------------------------- reorder
 
+def _in_set_sizes(pair):
+    """Per block of a reordered pair, the in-set size k: rows 1..k have q >= p, the others q < p."""
+    in_set = pair.q.probs >= pair.p.probs
+    k = in_set.sum(axis=0)
+    assert np.array_equal(in_set, np.arange(pair.nx)[:, None] < k), "the in-set is not a prefix of every block"
+    return k
+
+
 def test_reorder_extremal_already_canonical():
     pair = extremal_pair(0.3, 2, 1)
-    out, parts = reorder(pair)
+    out = reorder(pair)
     assert out.p == pair.p
     assert out.q == pair.q
-    assert parts == [BlockPartition(j=1, in_set=(1,), out_set=(2,))]
+    assert _in_set_sizes(out).tolist() == [1]
 
 
 def test_reorder_sorts_blocks_by_mass_surplus():
     # p_Y = (0.7, 0.3), q_Y = (0.4, 0.6): q_Y - p_Y = (-0.3, +0.3), so blocks swap
     pair = _pair([[0.4, 0.1], [0.3, 0.2]], [[0.2, 0.5], [0.2, 0.1]])
-    out, _ = reorder(pair)
+    out = reorder(pair)
     assert np.allclose(marginal(out.p, "y"), [0.3, 0.7], atol=1e-15)
     assert np.allclose(marginal(out.q, "y"), [0.6, 0.4], atol=1e-15)
 
@@ -78,15 +83,14 @@ def test_reorder_sorts_blocks_by_mass_surplus():
 def test_reorder_all_rows_in_set():
     # block 1: q >= p entrywise, so in_set covers both rows
     pair = _pair([[0.1, 0.7], [0.2, 0.0]], [[0.3, 0.4], [0.3, 0.0]])
-    _, parts = reorder(pair)
-    assert parts[0] == BlockPartition(j=1, in_set=(1, 2), out_set=())
+    out = reorder(pair)
+    assert _in_set_sizes(out)[0] == 2
 
 
 def test_reorder_sorts_in_set_by_q_descending():
     pair = _pair([[0.1, 0.3], [0.2, 0.4]], [[0.2, 0.35], [0.3, 0.15]])
-    out, parts = reorder(pair)
-    for j0 in range(out.ny):
-        k = len(parts[j0].in_set)
+    out = reorder(pair)
+    for j0, k in enumerate(_in_set_sizes(out).tolist()):
         qcol = out.q.probs[:, j0]
         assert all(qcol[i] >= qcol[i + 1] for i in range(k - 1))
         assert all(qcol[i] >= qcol[i + 1] for i in range(k, out.nx - 1))
@@ -96,22 +100,31 @@ def test_reorder_preserves_entropies_and_tv():
     rng = np.random.default_rng(42)
     for _ in range(100):
         pair = _random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5)))
-        out, parts = reorder(pair)
+        out = reorder(pair)
         assert conditional_entropy(out.p) == pytest.approx(conditional_entropy(pair.p), abs=1e-12)
         assert conditional_entropy(out.q) == pytest.approx(conditional_entropy(pair.q), abs=1e-12)
         assert tv_distance(out.p, out.q) == pytest.approx(tv_distance(pair.p, pair.q), abs=1e-12)
-        for part in parts:
-            qcol = out.q.probs[:, part.j - 1]
-            pcol = out.p.probs[:, part.j - 1]
-            assert all(qcol[i - 1] >= pcol[i - 1] for i in part.in_set)
-            assert all(qcol[i - 1] < pcol[i - 1] for i in part.out_set)
+        _in_set_sizes(out)
 
 
 # ---------------------------------------------------------------- block processing
+#
+# The examples are written in canonical (reordered) form and run through the
+# walk's block kernel, walk._process_block, on copies of the grids.
+
+
+def _process(pair, j):
+    """Process block j (1-based) of a canonical pair; returns the new pair and the phases run."""
+    assert reorder(pair) == pair, "example is not in canonical form"
+    P, Q = np.array(pair.p.probs), np.array(pair.q.probs)
+    phases = [phase for phase, _ in walk._process_block(P, Q, j - 1)]
+    return DistributionPair(JointDistribution(P), JointDistribution(Q)), phases
+
 
 def test_nonempty_block_two_rows_in_set():
-    pair = _pair([[0.1, 0.7], [0.2, 0.0]], [[0.3, 0.4], [0.3, 0.0]])
-    out = process_block_nonempty(pair, 1)
+    pair = _pair([[0.1, 0.0], [0.2, 0.7]], [[0.3, 0.0], [0.3, 0.4]])
+    out, phases = _process(pair, 1)
+    assert phases == ["concentrate", "transfer"]
     assert np.allclose(out.p.probs[:, 0], [0.3, 0.0], atol=1e-15)
     assert np.allclose(out.q.probs[:, 0], [0.6, 0.0], atol=1e-15)
     # block TV contribution 0.3 before and after; the other block untouched
@@ -122,7 +135,8 @@ def test_nonempty_block_two_rows_in_set():
 
 def test_nonempty_block_equal_blocks_walk_together():
     pair = _pair([[0.5], [0.5]], [[0.5], [0.5]])
-    out = process_block_nonempty(pair, 1)
+    out, phases = _process(pair, 1)
+    assert phases == ["concentrate", "transfer"]
     assert out.p == JointDistribution([[1.0], [0.0]])
     assert out.q == JointDistribution([[1.0], [0.0]])
     assert tv_distance(out.p, out.q) == 0.0
@@ -130,70 +144,60 @@ def test_nonempty_block_equal_blocks_walk_together():
 
 def test_nonempty_block_singleton_in_set():
     # Phase 1 is a no-op; Phase 2 moves s = 0.2 in both grids
-    pair = _pair([[0.2, 0.5], [0.3, 0.0]], [[0.25, 0.55], [0.2, 0.0]])
-    before = np.abs(pair.p.probs[:, 0] - pair.q.probs[:, 0]).sum()
-    out = process_block_nonempty(pair, 1)
-    assert np.allclose(out.q.probs[:, 0], [0.45, 0.0], atol=1e-15)
-    assert np.allclose(out.p.probs[:, 0], [0.4, 0.1], atol=1e-15)
-    after = np.abs(out.p.probs[:, 0] - out.q.probs[:, 0]).sum()
+    pair = _pair([[0.5, 0.2], [0.0, 0.3]], [[0.55, 0.25], [0.0, 0.2]])
+    before = np.abs(pair.p.probs[:, 1] - pair.q.probs[:, 1]).sum()
+    out, phases = _process(pair, 2)
+    assert phases == ["concentrate", "transfer"]
+    assert np.allclose(out.q.probs[:, 1], [0.45, 0.0], atol=1e-15)
+    assert np.allclose(out.p.probs[:, 1], [0.4, 0.1], atol=1e-15)
+    after = np.abs(out.p.probs[:, 1] - out.q.probs[:, 1]).sum()
     assert before == pytest.approx(0.15, abs=1e-15)
     assert after == pytest.approx(before, abs=1e-15)
 
 
-def test_nonempty_block_precondition():
-    pair = _pair([[0.4, 0.2], [0.3, 0.1]], [[0.2, 0.5], [0.2, 0.1]])
-    with pytest.raises(ValidationError, match="empty"):
-        process_block_nonempty(pair, 1)
-
-
 def test_empty_block_cap_binds_and_switches():
-    pair = _pair([[0.4, 0.2], [0.3, 0.1]], [[0.2, 0.5], [0.2, 0.1]])
-    out = process_block_empty(pair, 1)
-    assert np.allclose(out.q.probs[:, 0], [0.4, 0.0], atol=1e-15)
+    pair = _pair([[0.2, 0.4], [0.1, 0.3]], [[0.5, 0.2], [0.1, 0.2]])
+    out, phases = _process(pair, 2)
+    assert phases == ["fill", "concentrate", "transfer"]
+    assert np.allclose(out.q.probs[:, 1], [0.4, 0.0], atol=1e-15)
     assert np.array_equal(out.p.probs, pair.p.probs)
-    assert np.abs(out.p.probs[:, 0] - out.q.probs[:, 0]).sum() == pytest.approx(0.3, abs=1e-15)
+    assert np.abs(out.p.probs[:, 1] - out.q.probs[:, 1]).sum() == pytest.approx(0.3, abs=1e-15)
 
 
 def test_empty_block_sources_run_out():
-    pair = _pair([[0.9, 0.0], [0.05, 0.05]], [[0.5, 0.4], [0.04, 0.06]])
-    out = process_block_empty(pair, 1)
-    assert np.allclose(out.q.probs[:, 0], [0.54, 0.0], atol=1e-15)
-    assert out.q.probs[0, 0] == pytest.approx(marginal(pair.q, "y")[0], abs=1e-15)
+    pair = _pair([[0.0, 0.9], [0.05, 0.05]], [[0.4, 0.5], [0.06, 0.04]])
+    out, phases = _process(pair, 2)
+    assert phases == ["fill"]
+    assert np.allclose(out.q.probs[:, 1], [0.54, 0.0], atol=1e-15)
+    assert out.q.probs[0, 1] == pytest.approx(marginal(pair.q, "y")[1], abs=1e-15)
     assert np.array_equal(out.p.probs, pair.p.probs)
 
 
 def test_empty_block_single_row_is_terminal():
-    pair = _pair([[0.7, 0.3]], [[0.4, 0.6]])
-    out = process_block_empty(pair, 1)
+    pair = _pair([[0.3, 0.7]], [[0.6, 0.4]])
+    out, phases = _process(pair, 2)
+    assert phases == ["fill"]
     assert out.p == pair.p
     assert out.q == pair.q
-
-
-def test_empty_block_precondition():
-    pair = _pair([[0.1, 0.7], [0.2, 0.0]], [[0.3, 0.4], [0.3, 0.0]])
-    with pytest.raises(ValidationError, match="nonempty"):
-        process_block_empty(pair, 1)
 
 
 def test_block_processing_preserves_block_masses():
     rng = np.random.default_rng(7)
     for _ in range(100):
         pair = _random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
-        reordered, parts = reorder(canonical_orient(pair))
-        for part in parts:
-            before_p = marginal(reordered.p, "y")
-            before_q = marginal(reordered.q, "y")
-            if part.in_set:
-                out = process_block_nonempty(reordered, part.j)
-            else:
-                out = process_block_empty(reordered, part.j)
-            assert np.allclose(marginal(out.p, "y"), before_p, atol=1e-12)
-            assert np.allclose(marginal(out.q, "y"), before_q, atol=1e-12)
+        reordered = reorder(canonical_orient(pair))
+        for j0 in range(reordered.ny):
+            P, Q = np.array(reordered.p.probs), np.array(reordered.q.probs)
+            for _ in walk._process_block(P, Q, j0):
+                pass
+            out = DistributionPair(JointDistribution(P), JointDistribution(Q))
+            assert np.allclose(marginal(out.p, "y"), marginal(reordered.p, "y"), atol=1e-12)
+            assert np.allclose(marginal(out.q, "y"), marginal(reordered.q, "y"), atol=1e-12)
             assert tv_distance(out.p, out.q) == pytest.approx(
                 tv_distance(reordered.p, reordered.q), abs=1e-12
             )
             # processed block of q is a point mass on the top row
-            assert np.all(out.q.probs[1:, part.j - 1] == 0.0)
+            assert np.all(out.q.probs[1:, j0] == 0.0)
             reordered = out
 
 
@@ -324,17 +328,6 @@ def test_walk_seeded_campaign_matches_verify_route():
         assert trace.final_gap >= abs(conditional_entropy(p) - conditional_entropy(q)) - 1e-9
 
 
-# ---------------------------------------------------------------- trace types
-
-def test_block_partition_validation():
-    with pytest.raises(ValidationError):
-        BlockPartition(j=1, in_set=(1, 2), out_set=(2,))
-    with pytest.raises(ValidationError):
-        BlockPartition(j=1, in_set=(2,), out_set=(1,))
-    part = BlockPartition(j=1, in_set=(1,), out_set=(2, 3))
-    assert part.in_set == (1,)
-
-
 # ---------------------------------------------------------------- block kernel against the sequential reference
 #
 # The three loops below are the original one-move-at-a-time phases, kept as
@@ -435,15 +428,15 @@ def test_kernel_matches_sequential_reference():
     rng = np.random.default_rng(20240)
     switched = stayed = blocks = 0
     for pair in _kernel_pairs(rng, 240):
-        reordered, parts = reorder(canonical_orient(pair))
-        for part in parts:
-            j0 = part.j - 1
+        reordered = reorder(canonical_orient(pair))
+        for j0 in range(reordered.ny):
             for with_moves in (False, True):
                 P0, Q0 = np.array(reordered.p.probs), np.array(reordered.q.probs)
                 P1, Q1 = P0.copy(), Q0.copy()
                 ref_log, new_log = [], []
+                in_set_nonempty = bool(Q0[0, j0] >= P0[0, j0])
                 ref = _ref_process_block(
-                    P0, Q0, j0, bool(part.in_set), _recorder(P0, Q0, j0, ref_log) if with_moves else None
+                    P0, Q0, j0, in_set_nonempty, _recorder(P0, Q0, j0, ref_log) if with_moves else None
                 )
                 new = list(walk._process_block(P1, Q1, j0, _recorder(P1, Q1, j0, new_log) if with_moves else None))
                 assert new == ref
@@ -452,7 +445,7 @@ def test_kernel_matches_sequential_reference():
                 assert Q1.tobytes() == Q0.tobytes()
                 assert new_log == ref_log
             blocks += 1
-            if not part.in_set:
+            if not in_set_nonempty:
                 if len(ref) == 3:
                     switched += 1
                 else:
