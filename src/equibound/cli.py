@@ -120,7 +120,11 @@ def write_trace(trace: WalkTrace, path: str) -> None:
 
 def _load(path: str) -> JointDistribution:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_distribution(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DistributionParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_distribution(text)
 
 
 def _cmd_bound(args) -> dict:

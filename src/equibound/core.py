@@ -160,6 +160,22 @@ class JointDistribution:
         return f"JointDistribution(nx={self.nx}, ny={self.ny}, probs={self.to_lists()!r})"
 
 
+def _freeze(a: np.ndarray) -> JointDistribution:
+    """A JointDistribution holding a read-only float64 copy of `a`, without validation.
+
+    For grids whose caller has certified them: the walk's ledger checks the
+    entries of every column a step moves and the total mass, so its
+    snapshots skip the whole-grid re-validation. The copy is byte-identical
+    to JointDistribution(a) for a grid that passes validation without
+    clamping.
+    """
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    J = object.__new__(JointDistribution)
+    object.__setattr__(J, "probs", a)
+    return J
+
+
 @dataclass(frozen=True)
 class DistributionPair:
     """An ordered pair (p, q) of joint distributions on a common alphabet."""

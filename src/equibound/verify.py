@@ -119,11 +119,13 @@ def _ratio(gap: float, bound: float) -> float:
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
     """Run a seeded campaign of independent bound checks plus walk certificates.
 
-    Each trial t uses the substream default_rng(seed + t), samples p, builds
-    q (an independent sample when eps is None, a TV-eps perturbation of p
-    otherwise), evaluates check_bound, and runs the invariant-checked walk.
-    Trials are independent, so results do not depend on execution order; a
-    walk violation propagates with the trial's sub-seed attached.
+    Each trial t uses its own stream default_rng([seed, t]), samples p,
+    builds q (an independent sample when eps is None, a TV-eps perturbation
+    of p otherwise), evaluates check_bound, and runs the invariant-checked
+    walk. The stream is seeded by the pair (seed, t), so campaigns at
+    different seeds share no trial, and trials are independent, so results
+    do not depend on execution order; a walk violation propagates with the
+    seed and the trial number attached.
     """
     nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
     if trials < 1:
@@ -137,8 +139,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     max_ratio = 0.0
     worst: DistributionPair | None = None
     for t in range(trials):
-        sub_seed = seed + t
-        rng = np.random.default_rng(sub_seed)
+        rng = np.random.default_rng([seed, t])
         p = sample_joint(nx, ny, rng)
         q = sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng)
         pair = DistributionPair(p, q)
@@ -153,7 +154,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
             run_walk(pair, snapshots="none")
         except InvariantViolation as exc:
             raise InvariantViolation(
-                f"{exc} [trial sub-seed {sub_seed}, nx={nx}, ny={ny}, eps={eps}]"
+                f"{exc} [seed {seed}, trial {t}, nx={nx}, ny={ny}, eps={eps}]"
             ) from exc
     return TrialReport(
         trials=trials,

@@ -5,7 +5,7 @@ Starting from any pair (p, q) it
 
 1. orients the pair so H(X|Y) of p is the larger equivocation,
 2. reorders blocks and rows into a canonical form,
-3. walks q block by block until every block of q is a point mass
+3. drives every block of q to a point mass on its top row
    (so H(X'|Y') = 0), moving shared weight in p where needed,
 4. averages both grids over blocks, leaving product distributions with a
    uniform Y-marginal.
@@ -16,14 +16,25 @@ InvariantViolation (that signals an implementation bug, never valid-input
 behavior). The final gap is then at most the continuity bound evaluated at
 the initial TV.
 
+After reordering the blocks are independent, so step 3 runs them in
+lockstep: each phase (fill, concentrate, transfer) runs once, as array
+operations down the rows, over every block it applies to. The trace still
+lists the steps block by block (block 1's phases, then block 2's, ...), and
+its grids, moved masses and snapshots are bit-identical to processing the
+blocks one after another.
+
 The certificate is block-local. TV and H(X|Y) = sum_j p_Y(j) H(X|Y=j) are
-both sums of per-Y-block terms, and every move changes a single block, so
-each recorded block step re-measures only that block: O(nx) per step, not
-O(nx*ny). The block's TV must not rise and its gap must not fall, and the
-running totals are checked as well. The whole grid is measured only at the
-initial pair (which also decides the orientation), after reordering, once
-before averaging as a cross-check of the running totals (a drift beyond
-1e-9 raises InvariantViolation), and after averaging.
+both sums of per-Y-block terms, and every step changes a single block, so a
+block step is measured on its own column: O(nx) per step, one array pass
+for all steps of a phase. Each step's block TV must not rise and its gap
+must not fall, its column's entries must be finite and in [0, 1 + 1e-9],
+and the running totals (the per-step changes summed in trace order) must
+keep TV non-increasing, the gap non-decreasing and each grid's mass within
+1e-9 of 1. The first failing step in trace order raises. The whole grid is
+measured only at the initial pair (which also decides the orientation),
+after reordering, once before averaging as a cross-check of the running
+totals (a drift beyond 1e-9 raises InvariantViolation), and after
+averaging.
 
 Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 """
@@ -31,16 +42,19 @@ Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, Optional
+from typing import Literal
 
 import numpy as np
 
 from .bounds import continuity_bound
 from .core import (
+    MASS_TOL,
+    UPPER_TOL,
     DistributionPair,
     JointDistribution,
     ValidationError,
     conditional_entropy,
+    _freeze,
     _xlog2x_arr,
 )
 
@@ -48,9 +62,7 @@ STEP_TOL = 1e-9  # tolerance for every walk invariant
 
 SnapshotMode = Literal["phases", "all", "none"]
 _SNAPSHOT_MODES = ("phases", "all", "none")
-
-# move callback: (kind, 1-based row, transferred mass)
-_OnMove = Optional[Callable[[str, int, float], None]]
+_PHASES = ("fill", "concentrate", "transfer")  # a block's phases, in run and trace order
 
 
 class InvariantViolation(RuntimeError):
@@ -126,110 +138,173 @@ def reorder(pair: DistributionPair) -> DistributionPair:
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
 
 
-def _running(start: float, s: np.ndarray) -> np.ndarray:
-    # start + s[0], (start + s[0]) + s[1], ...: accumulate adds left to right,
-    # so these are bit-identical to a sequential loop of `+=`
-    return np.add.accumulate(np.concatenate(((start,), s)))[1:]
+def _running(start: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # start, start + s[:, 0], (start + s[:, 0]) + s[:, 1], ... along the rows
+    # of s: accumulate adds left to right, so these are bit-identical to a
+    # sequential loop of `+=`
+    return np.add.accumulate(np.concatenate((start[:, None], s), axis=1), axis=1)
 
 
-def _total(s: np.ndarray) -> float:
-    # the sequential sum 0.0 + s[0] + s[1] + ...
-    return float(np.add.accumulate(s)[-1]) if s.size else 0.0
+@dataclass
+class _Phase:
+    """One phase run over the columns `cols` of the stacked pair W = [P, Q].
 
-
-def _apply(rows: np.ndarray, s: np.ndarray, writes, kind: str, on_move: _OnMove) -> None:
-    """Write one phase's moves into a block's columns.
-
-    Move k sets row rows[k] of each column g in `writes` = [(g, top, new),
-    ...] to new[k] and g's top row to top[k]. Without on_move only the final
-    state is written; with it, every move is written in turn and reported
-    as on_move(kind, rows[k] + 1, s[k]).
+    Arrays are indexed like W's columns: (2, nx, k) for the p and q grids,
+    or (nx, k). `before` is the state the phase started from and `new` the
+    state it wrote; `move` marks the rows a move took weight from, `s` the
+    weight each moved and `tops` the p and q top rows right after that move.
+    `moved` is each column's moved mass, summed in move order; `switched`
+    (fill only) is whether the cap bound. `after` is read back from W once
+    the phase has run: it is what the ledger measures.
     """
-    if not rows.size:
-        return
-    if on_move is None:
-        for g, top, new in writes:
-            g[0] = top[-1]
-            g[rows] = new
-        return
-    for k, i0 in enumerate(rows.tolist()):
-        for g, top, new in writes:
-            g[0] = top[k]
-            g[i0] = new[k]
-        on_move(kind, i0 + 1, float(s[k]))
+
+    kind: str
+    cols: np.ndarray
+    before: np.ndarray
+    new: np.ndarray
+    move: np.ndarray
+    s: np.ndarray
+    tops: np.ndarray
+    moved: np.ndarray
+    switched: np.ndarray | None = None
+    after: np.ndarray | None = None
 
 
-def _concentrate(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> float:
+# Every phase works down the rows of all its columns at once. A row that does
+# not move adds exactly 0.0 to the running sums, so each column's sums are
+# bit-identical to a loop over its moved rows alone.
+
+
+def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
     """Phase 1: fold q's excess over p (rows below 1 with q > p) into q's top row.
 
-    p and q are one block's columns. Touches q only. Requires q[0] >= p[0];
-    afterwards q's top row dominates p's and every other row of q is
-    dominated by p's.
+    Touches q only. Requires q[0] >= p[0] in every column; afterwards q's
+    top row dominates p's and every other row of q is dominated by p's.
     """
-    rows = 1 + (q[1:] > p[1:]).nonzero()[0]
-    s = q[rows] - p[rows]
-    _apply(rows, s, [(q, _running(q[0], s), p[rows])], "concentrate", on_move)
-    return _total(s)
+    before = W[:, :, cols]
+    P, Q = before
+    move = Q > P
+    move[0] = False
+    s = np.where(move, Q - P, 0.0)
+    run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
+    run[0, 1:] = 0.0
+    run[:2, 0] = before[:, 0]
+    run = np.add.accumulate(run, axis=1)
+    new = np.where(move, P, before)
+    new[1, 0] = run[1, -1]
+    W[:, :, cols] = new
+    return _Phase("concentrate", cols, before, new, move, s, run[:2], run[2, -1])
 
 
-def _transfer(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> float:
+def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
     """Phase 2: move each remaining q weight to the top row of the block, in both grids.
 
     Requires q[0] >= p[0] and p[i] >= q[i] for i > 0; then each shared move
     of weight s keeps the block's TV contribution constant and cannot
     shrink the entropy difference (x*log2(x) is convex).
     """
-    rows = 1 + q[1:].nonzero()[0]
-    s = q[rows]
-    writes = [(q, _running(q[0], s), np.zeros_like(s)), (p, _running(p[0], s), p[rows] - s)]
-    _apply(rows, s, writes, "transfer", on_move)
-    return _total(s)
+    before = W[:, :, cols]
+    Q = before[1]
+    move = Q != 0.0
+    move[0] = False
+    s = np.where(move, Q, 0.0)
+    run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
+    run[:2, 0] = before[:, 0]
+    run = np.add.accumulate(run, axis=1)
+    new = before - s
+    new[:, 0] = run[:2, -1]
+    W[:, :, cols] = new
+    return _Phase("transfer", cols, before, new, move, s, run[:2], run[2, -1])
 
 
-def _fill(p: np.ndarray, q: np.ndarray, on_move: _OnMove = None) -> tuple[float, bool]:
+def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
     """Empty in-set procedure: raise q's top row from the bottom rows, q only.
 
     Requires q[i] < p[i] for all i. Sources are consumed from the bottom row
     upward; each transfer is capped at p[0] - q[0] so the block's TV
-    contribution is unchanged. Returns (moved, switched): switched is True
-    when the cap bound the last transfer, i.e. q[0] reached p[0] exactly and
-    two-phase processing applies from here.
+    contribution is unchanged. In a column where the cap binds (switched),
+    the first source that covers it gives only the cap, q[0] reaches p[0]
+    exactly, fill ends there and two-phase processing applies from here.
     """
-    rows = (1 + q[1:].nonzero()[0])[::-1]
-    s = q[rows]
-    top = _running(q[0], s)  # q's top row after consuming each source in full
-    caps = p[0] - np.concatenate(((q[0],), top[:-1]))
-    hits = (s >= caps).nonzero()[0]
-    new = np.zeros_like(s)
-    switched = bool(hits.size)
-    if switched:
-        # the first source that covers the cap gives only the cap; fill ends there
-        n = int(hits[0])
-        t = caps[n] if caps[n] > 0.0 else 0.0
-        rows = rows[: n + 1]
-        s = np.append(s[:n], t)
-        top = np.append(top[:n], p[0])
-        new = np.append(new[:n], q[rows[n]] - t)
-    _apply(rows, s, [(q, top, new)], "fill", on_move)
-    return _total(s), switched
+    before = W[:, :, cols]
+    P, Q = before
+    nx = Q.shape[0]
+    # up[m] is row (nx - m) % nx: the top row, then the sources bottom-up
+    # (the map is its own inverse, so x[up] also maps back)
+    up = np.concatenate(([0], np.arange(nx - 1, 0, -1)))
+    src = Q[up]
+    run = np.add.accumulate(src, axis=0)  # q's top row after consuming each source in full
+    caps = P[0] - run  # caps[m - 1] is the cap source m meets
+    hit = np.zeros_like(src, dtype=bool)
+    hit[1:] = (src[1:] != 0.0) & (src[1:] >= caps[:-1])
+    switched = hit.any(axis=0)
+    first = hit.argmax(axis=0)  # 0 where nothing hit
+    m = np.arange(nx)[:, None]
+    full = (m >= 1) & (m < np.where(switched, first, nx)) & (src != 0.0)
+    at = m == np.where(switched, first, -1)
+    t = caps[first - 1, np.arange(first.size)]
+    t = np.where(t > 0.0, t, 0.0)
+    s = np.where(full, src, np.where(at, t, 0.0))
+    new = before.copy()
+    new[1] = np.where(full, 0.0, src - s)[up]
+    new[1, 0] = np.where(switched, P[0], run[-1])
+    W[:, :, cols] = new
+    tops = np.empty_like(before)
+    tops[0] = P[0]
+    tops[1] = np.where(at, P[0], run)[up]
+    moved = np.add.accumulate(s, axis=0)[-1]
+    return _Phase("fill", cols, before, new, (full | at)[up], s[up], tops, moved, switched)
 
 
-def _process_block(P: np.ndarray, Q: np.ndarray, j0: int, on_move: _OnMove = None) -> Iterator[tuple[str, float]]:
-    """Drive block j0 of Q to a point mass on its top row, in place.
+def _walk_blocks(W: np.ndarray) -> list[_Phase]:
+    """Drive every block of Q to a point mass on its top row, in place, in lockstep.
 
-    Yields (phase, moved mass) after each phase. A block whose top row has
-    q >= p (after reordering: a nonempty in-set) runs concentrate, then
-    transfer. Otherwise fill runs first, and the two phases follow only when
-    fill's cap binds. on_move, when given, sees every individual move.
+    W = [P, Q] is a reordered stacked pair. Blocks whose top row has q < p
+    (an empty in-set) are filled first; those where fill's cap bound, and
+    all others, then run concentrate and transfer. Returns the phases in run
+    order; a phase with no block to run on is left out.
     """
-    p, q = P[:, j0], Q[:, j0]
-    if q[0] < p[0]:
-        moved, switched = _fill(p, q, on_move)
-        yield "fill", moved
-        if not switched:
-            return
-    yield "concentrate", _concentrate(p, q, on_move)
-    yield "transfer", _transfer(p, q, on_move)
+    phases: list[_Phase] = []
+
+    def run(phase, cols: np.ndarray) -> _Phase:
+        ph = phase(W, cols)
+        ph.after = W[:, :, ph.cols]
+        phases.append(ph)
+        return ph
+
+    P, Q = W
+    todo = np.ones(W.shape[2], dtype=bool)
+    cols = np.flatnonzero(Q[0] < P[0])
+    if cols.size:
+        ph = run(_fill, cols)
+        todo[ph.cols[~ph.switched]] = False
+    cols = np.flatnonzero(todo)
+    if cols.size:
+        run(_concentrate, cols)
+        run(_transfer, cols)
+    return phases
+
+
+def _move_states(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every single move of a phase, replayed from its arrays.
+
+    Returns (c, r, states): for move n, ph.cols[c[n]] is its block, r[n] the
+    row it took weight from, and states[:, :, n] the block's (2, nx) column
+    state right after it. Moves come column by column, each column's in move
+    order (fill works bottom-up, the other phases top-down).
+    """
+    nx = ph.move.shape[0]
+    i = np.arange(nx)[:, None]
+    if ph.kind == "fill":
+        c, r = np.nonzero(ph.move[::-1].T)
+        r = nx - 1 - r
+        done = i >= r
+    else:
+        c, r = np.nonzero(ph.move.T)
+        done = i <= r
+    states = np.where(done, ph.new[:, :, c], ph.before[:, :, c])
+    states[:, 0] = ph.tops[:, r, c]
+    return c, r, states
 
 
 def _average(A: np.ndarray) -> np.ndarray:
@@ -247,30 +322,37 @@ def average_blocks(J: JointDistribution) -> JointDistribution:
     return JointDistribution(_average(J.probs))
 
 
-def _block_terms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per block of the stacked pair W = [P, Q]: TV share, and equivocation terms of P and of Q.
+def _block_terms(W: np.ndarray) -> np.ndarray:
+    """Per column of the stacked pair W = [P, Q], shape (2, nx, k): a (6, k) array of terms.
 
-    W is (2, nx, k) for k blocks, or (2, nx) for one block; the terms are
-    (k,) and (2, k), or a scalar and (2,). The equivocation term of a block
-    is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j) log2 p(i,j).
-    Summed over all blocks the terms give tv(P, Q) and H(X|Y) of P and Q.
+    The first four rows are the ones the walk's ledger tracks: the TV share,
+    the gap (P's equivocation term minus Q's), and the masses of P and of Q.
+    The last two are the equivocation terms of P and of Q. The equivocation
+    term of a block is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j)
+    log2 p(i,j). Summed over all blocks the terms give tv(P, Q) and H(X|Y)
+    of P and Q.
     """
-    h = _xlog2x_arr(W.sum(axis=1)) - _xlog2x_arr(W).sum(axis=1)
-    return 0.5 * np.abs(W[0] - W[1]).sum(axis=0), h
+    m = W.sum(axis=1)
+    h = _xlog2x_arr(m) - _xlog2x_arr(W).sum(axis=1)
+    tv = 0.5 * np.abs(W[0] - W[1]).sum(axis=0)
+    return np.concatenate((tv[None], (h[0] - h[1])[None], m, h))
 
 
-def _measure(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Full measurement of the stacked pair W: the block terms, then tv and H(X|Y) of P and of Q."""
-    tv_j, h_j = _block_terms(W)
-    hp, hq = h_j.sum(axis=1).tolist()
-    return tv_j, h_j, float(tv_j.sum()), hp, hq
+def _measure(W: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Full measurement of the stacked pair W: the block terms, and their sums over all blocks."""
+    terms = _block_terms(W)
+    return terms, terms.sum(axis=1).tolist()
+
+
+# signs that turn "tv rises" and "gap falls" into one comparison, for a block's and for the totals'
+_RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 class _TraceBuilder:
     """Records walk steps and certifies them from a per-block ledger.
 
-    tv_j holds every block's TV share and h_j (rows p, q) its equivocation
-    terms; tv and gap are the running totals of the last step.
+    `terms` holds every block's terms as measured last (see _block_terms);
+    tv and gap are the running totals of the last step.
     """
 
     def __init__(self, mode: SnapshotMode):
@@ -292,44 +374,117 @@ class _TraceBuilder:
         With orient=True the roles of p and q are swapped when q has the
         larger equivocation (ties are left); returns whether they were.
         """
-        tv_j, h_j, tv, hp, hq = _measure(W)
+        terms, (tv, _, mp, mq, hp, hq) = _measure(W)
         swap = orient and hq > hp
         if swap:
-            h_j, hp, hq = h_j[::-1], hq, hp
-        self.tv_j, self.h_j = tv_j, h_j
+            terms, mp, mq, hp, hq = terms[[0, 1, 3, 2, 5, 4]], mq, mp, hq, hp
+            terms[1] = -terms[1]
+        self.terms, self.mass = terms, (mp, mq)
         self._advance(label, tv, hp - hq)
         return swap
 
-    def measure_block(self, label: str, j0: int, W: np.ndarray) -> None:
-        """Re-measure block j0 only: its TV must not rise nor its gap fall; the totals move by its change."""
-        tv, (hp, hq) = _block_terms(W[:, :, j0])
-        tv, hp, hq = float(tv), float(hp), float(hq)
-        old_tv = float(self.tv_j[j0])
-        old_gap = float(self.h_j[0, j0]) - float(self.h_j[1, j0])
-        if tv > old_tv + STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: block {j0 + 1} tv increased from {old_tv} to {tv}")
-        if hp - hq < old_gap - STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: block {j0 + 1} gap decreased from {old_gap} to {hp - hq}")
-        self.tv_j[j0], self.h_j[0, j0], self.h_j[1, j0] = tv, hp, hq
-        self._advance(label, self.tv + (tv - old_tv), self.gap + ((hp - hq) - old_gap))
+    def freeze(self, label: str, W: np.ndarray) -> tuple[JointDistribution, JointDistribution]:
+        """The just measured stacked pair W as two grids, certified here instead of re-validated.
+
+        Every entry must be finite and in [0, 1 + 1e-9], and each grid's
+        measured mass within 1e-9 of 1.
+        """
+        if not (W.min() >= 0.0 and W.max() <= 1.0 + UPPER_TOL):
+            raise InvariantViolation(f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
+        for name, m in zip("pq", self.mass):
+            if abs(m - 1.0) > MASS_TOL:
+                raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
+        return _freeze(W[0]), _freeze(W[1])
+
+    def blocks(self, phases: list[_Phase], R: np.ndarray | None) -> None:
+        """Certify and record the block steps of the phases, in one array pass.
+
+        Steps are listed block by block: a block's fill, concentrate and
+        transfer (in "all" mode each preceded by its single moves). Each
+        step's column state is measured against the block's previous step,
+        and the running totals move by the differences. R, a copy of the
+        reordered pair, receives the states in trace order for the snapshots
+        (None in "none" mode).
+        """
+        # part by part: a phase's single moves ("all" mode only), then its phase
+        # steps; a stable sort by block then lists each block's steps in run order
+        cols, labels, moved, states = [], [], [], []
+        for ph in phases:
+            if self.mode == "all":
+                c, r, st = _move_states(ph)
+                cols.append(ph.cols[c])
+                labels += [f"block {j + 1} {ph.kind} i={i + 1}" for j, i in zip(cols[-1].tolist(), r.tolist())]
+                moved.append(ph.s[r, c])
+                states.append(st)
+            cols.append(ph.cols)
+            labels += [f"block {j + 1} {ph.kind}" for j in ph.cols.tolist()]
+            moved.append(ph.moved)
+            states.append(ph.after)
+        block = np.concatenate(cols)
+        order = block.argsort(kind="stable")
+        block = block[order]
+        states = np.concatenate(states, axis=2)
+        new = _block_terms(states)[:4, order]
+
+        # each step against the block's previous step, or its reorder measurement
+        first = np.empty(block.size, dtype=bool)
+        first[0] = True
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        old = np.where(first, self.terms[:4, block], np.concatenate((new[:, :1], new[:, :-1]), axis=1))
+        run = _running(np.array((self.tv, self.gap, *self.mass)), new - old)
+        # the block's tv and gap, then the totals': no tv may rise and no gap fall
+        rise = np.concatenate((new[:2], run[:2, 1:])) * _RISE
+        limit = np.concatenate((old[:2], run[:2, :-1])) * _RISE + STEP_TOL
+        mass = np.abs(run[2:, 1:] - 1.0)
+        order = order.tolist()
+        labels = [labels[n] for n in order]
+        if (rise > limit).any() or not (
+            states.min() >= 0.0 and states.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL
+        ):
+            entries = ((states >= 0.0) & (states <= 1.0 + UPPER_TOL)).all(axis=(0, 1))[order]
+            bad = np.concatenate((rise > limit, ~entries[None], ~(mass <= MASS_TOL)))
+            n = int(bad.any(axis=0).argmax())
+            j = int(block[n]) + 1
+            (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
+            (l_tv, l_gap), (tv, gap, mp, mq) = run[:2, n].tolist(), run[:, n + 1].tolist()
+            messages = (
+                f"block {j} tv increased from {o_tv} to {n_tv}",
+                f"block {j} gap decreased from {o_gap} to {n_gap}",
+                f"tv increased from {l_tv} to {tv}",
+                f"gap decreased from {l_gap} to {gap}",
+                f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
+                f"total mass of p is {mp}, not 1 within {MASS_TOL}",
+                f"total mass of q is {mq}, not 1 within {MASS_TOL}",
+            )
+            raise InvariantViolation(f"step {labels[n]!r}: {messages[int(bad[:, n].argmax())]}")
+
+        tvs, gaps, moved = run[0, 1:].tolist(), run[1, 1:].tolist(), np.concatenate(moved)[order].tolist()
+        self.tv, self.gap = tvs[-1], gaps[-1]
+        if R is None:
+            self.steps.extend(
+                WalkStep(label, tv, gap, transferred=s) for label, tv, gap, s in zip(labels, tvs, gaps, moved)
+            )
+            return
+        steps = self.steps
+        for n, j, label, tv, gap, s in zip(order, block.tolist(), labels, tvs, gaps, moved):
+            # each snapshot is certified above: the entries of its moved column and both total masses
+            R[:, :, j] = states[:, :, n]
+            steps.append(WalkStep(label, tv, gap, _freeze(R[0]), _freeze(R[1]), s))
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare the running totals with a full measurement of the stacked pair W."""
-        _, _, tv, hp, hq = _measure(W)
+        _, (tv, _, _, _, hp, hq) = _measure(W)
         gap = hp - hq
         if abs(tv - self.tv) > STEP_TOL or abs(gap - self.gap) > STEP_TOL:
             raise InvariantViolation(
                 f"running totals (tv {self.tv}, gap {self.gap}) drifted from the full measurement (tv {tv}, gap {gap})"
             )
 
-    def record(self, label: str, p, q, transferred: float | None = None) -> None:
-        """Append the current totals, with snapshots of p and q (grids or JointDistributions) unless mode is "none"."""
+    def record(self, label: str, p: JointDistribution | None, q: JointDistribution | None) -> None:
+        """Append the current totals, with the snapshots p and q unless mode is "none"."""
         if self.mode == "none":
             p = q = None
-        else:
-            p = p if isinstance(p, JointDistribution) else JointDistribution(p)
-            q = q if isinstance(q, JointDistribution) else JointDistribution(q)
-        self.steps.append(WalkStep(label=label, tv=self.tv, gap=self.gap, p=p, q=q, transferred=transferred))
+        self.steps.append(WalkStep(label=label, tv=self.tv, gap=self.gap, p=p, q=q))
 
 
 def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> WalkTrace:
@@ -342,10 +497,12 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
 
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within
-    1e-9, for the moved block and for the totals; the running totals agree
-    with a full measurement before averaging within 1e-9; the final q has
-    conditional entropy <= 1e-9 and X-marginal 1 on outcome 1; and the final
-    gap is at most the continuity bound evaluated at the initial TV.
+    1e-9, for the moved block and for the totals; every block step leaves its
+    column's entries finite and in [0, 1 + 1e-9] and each grid's mass within
+    1e-9 of 1; the running totals agree with a full measurement before
+    averaging within 1e-9; the final q has conditional entropy <= 1e-9 and
+    X-marginal 1 on outcome 1; and the final gap is at most the continuity
+    bound evaluated at the initial TV.
     """
     if snapshots not in _SNAPSHOT_MODES:
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
@@ -360,34 +517,28 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     tb.record("initial", pair.p, pair.q)
     tb.record("orient", oriented.p, oriented.q)
     W = _reorder(W)
-    P, Q = W
     tb.measure("reorder", W)
-    tb.record("reorder", P, Q)
+    R = None
+    if snapshots == "none":
+        tb.record("reorder", None, None)
+    else:
+        tb.record("reorder", *tb.freeze("reorder", W))
+        R = W.copy()
+    tb.blocks(_walk_blocks(W), R)
 
-    def on_move(kind: str, i: int, s: float) -> None:
-        # per-move records, "all" mode only; reads the loop's current block j0
-        label = f"block {j0 + 1} {kind} i={i}"
-        tb.measure_block(label, j0, W)
-        tb.record(label, P, Q, transferred=s)
-
-    for j0 in range(W.shape[2]):
-        for kind, moved in _process_block(P, Q, j0, on_move if snapshots == "all" else None):
-            label = f"block {j0 + 1} {kind}"
-            tb.measure_block(label, j0, W)
-            tb.record(label, P, Q, transferred=moved)
-
+    Q = W[1]
     left = np.flatnonzero((Q[1:, :] > 0.0).any(axis=0))
     if left.size:
         raise InvariantViolation(f"block {left[0] + 1} processed but q still has weight below the top row")
     tb.cross_check(W)
 
     W = _average(W)
-    final = DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
     tb.measure("average", W)
+    final = DistributionPair(*tb.freeze("average", W))
     tb.record("average", final.p, final.q)
 
     steps = tuple(tb.steps)
-    final_q_entropy = float(tb.h_j[1].sum())
+    final_q_entropy = float(tb.terms[5].sum())
     if final_q_entropy > STEP_TOL:
         raise InvariantViolation(f"final q has conditional entropy {final_q_entropy} > {STEP_TOL}")
     q_x_top = float(final.q.probs[0, :].sum())

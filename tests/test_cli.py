@@ -213,6 +213,19 @@ def test_exit_usage_errors(tmp_path):
     assert run_cli("entropy", str(tmp_path / "missing.json")).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["entropy", "tv", "walk"])
+def test_exit_usage_on_non_utf8_file(tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    good = write_dist(tmp_path / "good.json", JointDistribution([[0.5], [0.5]]))
+    files = [str(bad)] if command == "entropy" else [good, str(bad)]
+    proc = run_cli(command, *files)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed distribution file: not UTF-8 text")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_domain_error_is_validation():
     assert run_cli("bound", "--epsilon", "0.5", "--nx", "1").returncode == 1
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1

@@ -130,6 +130,44 @@ def test_trials_are_deterministic():
     assert a.worst_pair.q == b.worst_pair.q
 
 
+def test_campaigns_at_neighbouring_seeds_share_no_trial(monkeypatch):
+    from equibound import verify
+
+    seen = []
+    real = verify.check_bound
+
+    def recording(pair):
+        seen.append(pair.p.probs.tobytes() + pair.q.probs.tobytes())
+        return real(pair)
+
+    def sampled(seed):
+        """The (p, q) bytes of every trial of a campaign, in trial order."""
+        seen.clear()
+        verify_trials(3, 2, 50, seed=seed)
+        return list(seen)
+
+    monkeypatch.setattr(verify, "check_bound", recording)
+    at_7, at_8 = sampled(7), sampled(8)
+    assert len(set(at_7)) == len(set(at_8)) == 50
+    assert not set(at_7) & set(at_8)
+    assert sampled(7) == at_7
+
+
+def test_walk_violation_names_seed_and_trial(monkeypatch):
+    from equibound import InvariantViolation, verify
+
+    calls = []
+
+    def failing_on_trial_3(pair, snapshots="phases"):
+        calls.append(pair)
+        if len(calls) == 4:
+            raise InvariantViolation("synthetic failure")
+
+    monkeypatch.setattr(verify, "run_walk", failing_on_trial_3)
+    with pytest.raises(InvariantViolation, match=r"synthetic failure \[seed 7, trial 3, nx=2, ny=1, eps=None\]"):
+        verify_trials(2, 1, 10, seed=7)
+
+
 def test_trials_validation():
     with pytest.raises(ValidationError):
         verify_trials(1, 1, 10, seed=0)

@@ -110,15 +110,17 @@ def test_reorder_preserves_entropies_and_tv():
 # ---------------------------------------------------------------- block processing
 #
 # The examples are written in canonical (reordered) form and run through the
-# walk's block kernel, walk._process_block, on copies of the grids.
+# walk's lockstep block kernel, walk._walk_blocks, on copies of the grids.
 
 
 def _process(pair, j):
     """Process block j (1-based) of a canonical pair; returns the new pair and the phases run."""
     assert reorder(pair) == pair, "example is not in canonical form"
-    P, Q = np.array(pair.p.probs), np.array(pair.q.probs)
-    phases = [phase for phase, _ in walk._process_block(P, Q, j - 1)]
-    return DistributionPair(JointDistribution(P), JointDistribution(Q)), phases
+    W = np.stack((pair.p.probs, pair.q.probs))
+    block = W[:, :, j - 1 : j].copy()
+    phases = [ph.kind for ph in walk._walk_blocks(block)]
+    W[:, :, j - 1 : j] = block
+    return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1])), phases
 
 
 def test_nonempty_block_two_rows_in_set():
@@ -186,19 +188,14 @@ def test_block_processing_preserves_block_masses():
     for _ in range(100):
         pair = _random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
         reordered = reorder(canonical_orient(pair))
-        for j0 in range(reordered.ny):
-            P, Q = np.array(reordered.p.probs), np.array(reordered.q.probs)
-            for _ in walk._process_block(P, Q, j0):
-                pass
-            out = DistributionPair(JointDistribution(P), JointDistribution(Q))
-            assert np.allclose(marginal(out.p, "y"), marginal(reordered.p, "y"), atol=1e-12)
-            assert np.allclose(marginal(out.q, "y"), marginal(reordered.q, "y"), atol=1e-12)
-            assert tv_distance(out.p, out.q) == pytest.approx(
-                tv_distance(reordered.p, reordered.q), abs=1e-12
-            )
-            # processed block of q is a point mass on the top row
-            assert np.all(out.q.probs[1:, j0] == 0.0)
-            reordered = out
+        W = np.stack((reordered.p.probs, reordered.q.probs))
+        walk._walk_blocks(W)
+        out = DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
+        assert np.allclose(marginal(out.p, "y"), marginal(reordered.p, "y"), atol=1e-12)
+        assert np.allclose(marginal(out.q, "y"), marginal(reordered.q, "y"), atol=1e-12)
+        assert tv_distance(out.p, out.q) == pytest.approx(tv_distance(reordered.p, reordered.q), abs=1e-12)
+        # every block of q is a point mass on the top row
+        assert np.all(out.q.probs[1:, :] == 0.0)
 
 
 # ---------------------------------------------------------------- average_blocks
@@ -319,9 +316,9 @@ def test_walk_single_outcome_alphabet():
 
 
 def test_walk_seeded_campaign_matches_verify_route():
-    # same sub-seed derivation as verify_trials, exercised directly
+    # same trial stream derivation as verify_trials (seed 900, trials 0..49), exercised directly
     for t in range(50):
-        rng = np.random.default_rng(900 + t)
+        rng = np.random.default_rng([900, t])
         p = sample_joint(3, 3, rng)
         q = sample_joint(3, 3, rng)
         trace = run_walk(DistributionPair(p, q), snapshots="none")
@@ -331,8 +328,9 @@ def test_walk_seeded_campaign_matches_verify_route():
 # ---------------------------------------------------------------- block kernel against the sequential reference
 #
 # The three loops below are the original one-move-at-a-time phases, kept as
-# the reference: the array kernel must reproduce their grids and moved masses
-# bit for bit, with and without a per-move callback.
+# the reference. The lockstep kernel runs each phase once over all blocks; it
+# must reproduce their grids, moved masses and single-move states bit for bit,
+# block by block.
 
 
 def _ref_concentrate(P, Q, j0, on_move=None):
@@ -417,42 +415,103 @@ def _kernel_pairs(rng, count):
         yield DistributionPair(p, q)
 
 
-def _recorder(P, Q, j0, log):
-    def on_move(kind, i, s):
-        log.append((kind, i, float(s), P[:, j0].tobytes(), Q[:, j0].tobytes()))
+def _wide_and_tall_pairs(rng):
+    # one pair of each kind at a wide and a tall shape: many blocks of two rows, few blocks of many rows
+    for nx, ny in ((2, 500), (300, 3)):
+        p = sample_joint(nx, ny, rng)
+        yield DistributionPair(p, sample_joint(nx, ny, rng))
+        yield DistributionPair(p, perturb_within_tv(p, 0.1, rng))
+        yield DistributionPair(p, JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny)))
 
-    return on_move
+
+def _ref_blocks(P, Q):
+    """The sequential reference, block after block: per block its phases and its single moves."""
+    phases, moves = [], []
+    for j0 in range(P.shape[1]):
+        log = []
+
+        def on_move(kind, i, s):
+            log.append((kind, i, float(s), P[:, j0].tobytes(), Q[:, j0].tobytes()))
+
+        phases.append(_ref_process_block(P, Q, j0, bool(Q[0, j0] >= P[0, j0]), on_move))
+        moves.append(log)
+    return phases, moves
+
+
+def _kernel_blocks(W):
+    """The lockstep kernel on W, regrouped per block like _ref_blocks."""
+    ny = W.shape[2]
+    phases, moves = [[] for _ in range(ny)], [[] for _ in range(ny)]
+    for ph in walk._walk_blocks(W):
+        for j0, moved in zip(ph.cols.tolist(), ph.moved.tolist()):
+            phases[j0].append((ph.kind, moved))
+        c, r, states = walk._move_states(ph)
+        for n, (j0, i0) in enumerate(zip(ph.cols[c].tolist(), r.tolist())):
+            moves[j0].append((ph.kind, i0 + 1, float(ph.s[i0, c[n]]), states[0, :, n].tobytes(), states[1, :, n].tobytes()))
+    return phases, moves
 
 
 def test_kernel_matches_sequential_reference():
     rng = np.random.default_rng(20240)
     switched = stayed = blocks = 0
-    for pair in _kernel_pairs(rng, 240):
+    pairs = list(_kernel_pairs(rng, 240)) + list(_wide_and_tall_pairs(rng))
+    for pair in pairs:
         reordered = reorder(canonical_orient(pair))
-        for j0 in range(reordered.ny):
-            for with_moves in (False, True):
-                P0, Q0 = np.array(reordered.p.probs), np.array(reordered.q.probs)
-                P1, Q1 = P0.copy(), Q0.copy()
-                ref_log, new_log = [], []
-                in_set_nonempty = bool(Q0[0, j0] >= P0[0, j0])
-                ref = _ref_process_block(
-                    P0, Q0, j0, in_set_nonempty, _recorder(P0, Q0, j0, ref_log) if with_moves else None
-                )
-                new = list(walk._process_block(P1, Q1, j0, _recorder(P1, Q1, j0, new_log) if with_moves else None))
-                assert new == ref
-                assert all(type(moved) is float for _, moved in new)
-                assert P1.tobytes() == P0.tobytes()
-                assert Q1.tobytes() == Q0.tobytes()
-                assert new_log == ref_log
-            blocks += 1
-            if not in_set_nonempty:
-                if len(ref) == 3:
-                    switched += 1
-                else:
-                    stayed += 1
-    assert blocks >= 200
+        P0, Q0 = np.array(reordered.p.probs), np.array(reordered.q.probs)
+        W = np.stack((P0, Q0))
+        filled = Q0[0] < P0[0]
+        ref_phases, ref_moves = _ref_blocks(P0, Q0)
+        new_phases, new_moves = _kernel_blocks(W)
+        assert new_phases == ref_phases
+        assert all(type(moved) is float for block in new_phases for _, moved in block)
+        assert W[0].tobytes() == P0.tobytes()
+        assert W[1].tobytes() == Q0.tobytes()
+        assert new_moves == ref_moves
+        blocks += reordered.ny
+        switched += sum(len(ph) == 3 for ph in ref_phases)
+        stayed += sum(len(ph) == 1 for ph, f in zip(ref_phases, filled) if f)
+    assert blocks >= 1000
     # both outcomes of the fill procedure are exercised
     assert switched > 0 and stayed > 0
+
+
+def _ref_walk_steps(pair, mode):
+    """(label, moved mass, snapshot bytes) of every block step, from the sequential reference."""
+    reordered = reorder(canonical_orient(pair))
+    P, Q = np.array(reordered.p.probs), np.array(reordered.q.probs)
+    steps = []
+    for j0 in range(P.shape[1]):
+
+        def on_move(kind, i, s):
+            if mode == "all":
+                steps.append((f"block {j0 + 1} {kind} i={i}", float(s), P.tobytes() + Q.tobytes()))
+
+        def phase(kind, moved):
+            steps.append((f"block {j0 + 1} {kind}", moved, P.tobytes() + Q.tobytes()))
+
+        if Q[0, j0] < P[0, j0]:
+            moved, switched = _ref_fill(P, Q, j0, on_move)
+            phase("fill", moved)
+            if not switched:
+                continue
+        phase("concentrate", _ref_concentrate(P, Q, j0, on_move))
+        phase("transfer", _ref_transfer(P, Q, j0, on_move))
+    return steps
+
+
+@pytest.mark.parametrize("mode", ["phases", "all"])
+def test_walk_trace_matches_sequential_reference(mode):
+    # the trace lists the lockstep kernel's steps block by block, with the snapshots of a sequential walk
+    rng = np.random.default_rng(505)
+    pairs = list(_kernel_pairs(rng, 90))
+    if mode == "phases":
+        pairs += list(_wide_and_tall_pairs(rng))
+    for pair in pairs:
+        trace = run_walk(pair, snapshots=mode)
+        block_steps = [s for s in trace.steps if s.label.startswith("block ")]
+        got = [(s.label, s.transferred, s.p.probs.tobytes() + s.q.probs.tobytes()) for s in block_steps]
+        assert got == _ref_walk_steps(pair, mode)
+        assert all(not s.p.probs.flags.writeable and not s.q.probs.flags.writeable for s in trace.steps)
 
 
 @pytest.mark.parametrize("mode", ["phases", "all"])
@@ -486,40 +545,90 @@ def _three_block_pair():
 
 @pytest.mark.parametrize("mode", ["none", "phases", "all"])
 def test_faulty_move_raises_naming_the_block(monkeypatch, mode):
-    real = walk._process_block
+    real = walk._transfer
 
-    def leaky(P, Q, j0, on_move=None):
-        for phase, moved in real(P, Q, j0, on_move):
-            if j0 == 1 and phase == "transfer":
-                # put half of q's top row back below it
-                half = Q[0, j0] / 2
-                Q[0, j0] -= half
-                Q[1, j0] += half
-            yield phase, moved
+    def leaky(W, cols):
+        phase = real(W, cols)
+        if 1 in cols:
+            # put half of block 2's q top row back below it
+            half = W[1, 0, 1] / 2
+            W[1, 0, 1] -= half
+            W[1, 1, 1] += half
+        return phase
 
-    monkeypatch.setattr(walk, "_process_block", leaky)
+    monkeypatch.setattr(walk, "_transfer", leaky)
     with pytest.raises(InvariantViolation, match=r"'block 2 transfer': block 2 "):
         run_walk(_three_block_pair(), snapshots=mode)
 
 
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_bad_entry_in_a_moved_column_raises(monkeypatch, mode):
+    real = walk._concentrate
+
+    def corrupt(W, cols):
+        phase = real(W, cols)
+        if 2 in cols:
+            W[0, 1, 2] = np.nan
+        return phase
+
+    monkeypatch.setattr(walk, "_concentrate", corrupt)
+    with pytest.raises(InvariantViolation, match=r"'block 3 concentrate': block 3 has an entry that is not finite"):
+        run_walk(_three_block_pair(), snapshots=mode)
+
+
+def test_mass_drift_in_a_moved_column_raises(monkeypatch):
+    real = walk._transfer
+
+    def inflate(W, cols):
+        # the same weight added to both top rows: tv is unchanged and the gap grows
+        phase = real(W, cols)
+        if 0 in cols:
+            W[:, 0, 0] += 1e-6
+        return phase
+
+    monkeypatch.setattr(walk, "_transfer", inflate)
+    with pytest.raises(InvariantViolation, match=r"'block 1 transfer': total mass of p is 1.00000"):
+        run_walk(_three_block_pair(), snapshots="phases")
+
+
+def test_whole_grid_snapshots_are_certified():
+    pair = _three_block_pair()
+    W = np.stack((pair.p.probs, pair.q.probs))
+
+    def freeze(W):
+        tb = walk._TraceBuilder("phases")
+        tb.measure("average", W)
+        return tb.freeze("average", W)
+
+    p, q = freeze(W)
+    assert p == pair.p and q == pair.q
+    assert p.probs.tobytes() == pair.p.probs.tobytes() and not p.probs.flags.writeable
+    bad = W.copy()
+    bad[1, 2, 0] = -1e-13
+    with pytest.raises(InvariantViolation, match="'average': an entry is not finite or outside"):
+        freeze(bad)
+    with pytest.raises(InvariantViolation, match="'average': total mass of p is 1.001"):
+        freeze(W * 1.001)
+
+
 def test_unprocessed_block_raises_naming_the_block(monkeypatch):
-    real = walk._process_block
+    def skipping(real):
+        return lambda W, cols: real(W, cols[cols != 2])
 
-    def lazy(P, Q, j0, on_move=None):
-        return iter(()) if j0 == 2 else real(P, Q, j0, on_move)
-
-    monkeypatch.setattr(walk, "_process_block", lazy)
+    for name in ("_fill", "_concentrate", "_transfer"):
+        monkeypatch.setattr(walk, name, skipping(getattr(walk, name)))
     with pytest.raises(InvariantViolation, match="block 3 processed but q still has weight below the top row"):
         run_walk(_three_block_pair())
 
 
 def test_drift_of_running_totals_is_caught(monkeypatch):
-    real = walk._TraceBuilder.measure_block
+    real = walk._running
 
-    def drifting(self, label, j0, W):
-        real(self, label, j0, W)
-        self.tv -= 1e-9  # a falling tv passes every step check
+    def drifting(start, s):
+        run = real(start, s)
+        run[0] -= 1e-9 * np.arange(run.shape[1])  # a tv falling by 1e-9 per step passes every step check
+        return run
 
-    monkeypatch.setattr(walk._TraceBuilder, "measure_block", drifting)
+    monkeypatch.setattr(walk, "_running", drifting)
     with pytest.raises(InvariantViolation, match="drifted from the full measurement"):
         run_walk(_three_block_pair(), snapshots="none")
