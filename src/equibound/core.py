@@ -85,8 +85,12 @@ def _check_grid_size(nx: int, ny: int) -> None:
 
 
 def _xlog2x_arr(a: np.ndarray) -> np.ndarray:
-    # non-positive entries take log2(1) = 0, so they contribute a * 0 = 0
-    return a * np.log2(np.where(a > 0.0, a, 1.0))
+    # non-positive entries take log2(1) = 0, so they contribute a * 0 = 0;
+    # one temporary, updated in place
+    out = np.where(a > 0.0, a, 1.0)
+    np.log2(out, out=out)
+    out *= a
+    return out
 
 
 def _field_path(name: str, index: np.ndarray) -> str:

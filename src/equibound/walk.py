@@ -142,7 +142,8 @@ def _running(start: np.ndarray, s: np.ndarray) -> np.ndarray:
     # start, start + s[:, 0], (start + s[:, 0]) + s[:, 1], ... along the rows
     # of s: accumulate adds left to right, so these are bit-identical to a
     # sequential loop of `+=`
-    return np.add.accumulate(np.concatenate((start[:, None], s), axis=1), axis=1)
+    run = np.concatenate((start[:, None], s), axis=1)
+    return np.add.accumulate(run, axis=1, out=run)
 
 
 @dataclass
@@ -189,7 +190,7 @@ def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
     run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
     run[0, 1:] = 0.0
     run[:2, 0] = before[:, 0]
-    run = np.add.accumulate(run, axis=1)
+    np.add.accumulate(run, axis=1, out=run)
     new = np.where(move, P, before)
     new[1, 0] = run[1, -1]
     W[:, :, cols] = new
@@ -210,7 +211,7 @@ def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
     s = np.where(move, Q, 0.0)
     run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
     run[:2, 0] = before[:, 0]
-    run = np.add.accumulate(run, axis=1)
+    np.add.accumulate(run, axis=1, out=run)
     new = before - s
     new[:, 0] = run[:2, -1]
     W[:, :, cols] = new
@@ -256,19 +257,23 @@ def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
     return _Phase("fill", cols, before, new, (full | at)[up], s[up], tops, moved, switched)
 
 
-def _walk_blocks(W: np.ndarray) -> list[_Phase]:
+def _walk_blocks(W: np.ndarray, moves: bool = True) -> list[_Phase]:
     """Drive every block of Q to a point mass on its top row, in place, in lockstep.
 
     W = [P, Q] is a reordered stacked pair. Blocks whose top row has q < p
     (an empty in-set) are filled first; those where fill's cap bound, and
     all others, then run concentrate and transfer. Returns the phases in run
-    order; a phase with no block to run on is left out.
+    order; a phase with no block to run on is left out. With moves=False the
+    arrays that only single-move replay reads (before, new, tops, s) are
+    dropped, so they do not outlive their phase.
     """
     phases: list[_Phase] = []
 
     def run(phase, cols: np.ndarray) -> _Phase:
         ph = phase(W, cols)
         ph.after = W[:, :, ph.cols]
+        if not moves:
+            ph.before = ph.new = ph.tops = ph.s = None
         phases.append(ph)
         return ph
 
@@ -344,8 +349,19 @@ def _measure(W: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return terms, terms.sum(axis=1).tolist()
 
 
-# signs that turn "tv rises" and "gap falls" into one comparison, for a block's and for the totals'
-_RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+# column cells the ledger measures at a time (4 MB of float64 for the pair)
+_LEDGER_CELLS = 1 << 18
+
+
+def _labels(parts, order: np.ndarray) -> list[str]:
+    """Trace labels of the block steps of `parts` (kind, blocks, rows or None), taken in `order`."""
+    labels = []
+    for kind, cols, rows in parts:
+        if rows is None:
+            labels += [f"block {j + 1} {kind}" for j in cols.tolist()]
+        else:
+            labels += [f"block {j + 1} {kind} i={i + 1}" for j, i in zip(cols.tolist(), rows.tolist())]
+    return np.array(labels, dtype=object)[order].tolist()
 
 
 class _TraceBuilder:
@@ -400,76 +416,100 @@ class _TraceBuilder:
         """Certify and record the block steps of the phases, in one array pass.
 
         Steps are listed block by block: a block's fill, concentrate and
-        transfer (in "all" mode each preceded by its single moves). Each
-        step's column state is measured against the block's previous step,
-        and the running totals move by the differences. R, a copy of the
-        reordered pair, receives the states in trace order for the snapshots
-        (None in "none" mode).
+        transfer (in "all" mode each preceded by its single moves). R, a copy
+        of the reordered pair, receives the states in trace order for the
+        snapshots (None in "none" mode).
         """
         # part by part: a phase's single moves ("all" mode only), then its phase
         # steps; a stable sort by block then lists each block's steps in run order
-        cols, labels, moved, states = [], [], [], []
+        parts, moved, states = [], [], []
         for ph in phases:
             if self.mode == "all":
                 c, r, st = _move_states(ph)
-                cols.append(ph.cols[c])
-                labels += [f"block {j + 1} {ph.kind} i={i + 1}" for j, i in zip(cols[-1].tolist(), r.tolist())]
+                parts.append((ph.kind, ph.cols[c], r))
                 moved.append(ph.s[r, c])
                 states.append(st)
-            cols.append(ph.cols)
-            labels += [f"block {j + 1} {ph.kind}" for j in ph.cols.tolist()]
+            parts.append((ph.kind, ph.cols, None))
             moved.append(ph.moved)
             states.append(ph.after)
-        block = np.concatenate(cols)
+        block = np.concatenate([cols for _, cols, _ in parts])
         order = block.argsort(kind="stable")
-        block = block[order]
         states = np.concatenate(states, axis=2)
-        new = _block_terms(states)[:4, order]
-
-        # each step against the block's previous step, or its reorder measurement
-        first = np.empty(block.size, dtype=bool)
-        first[0] = True
-        np.not_equal(block[1:], block[:-1], out=first[1:])
-        old = np.where(first, self.terms[:4, block], np.concatenate((new[:, :1], new[:, :-1]), axis=1))
-        run = _running(np.array((self.tv, self.gap, *self.mass)), new - old)
-        # the block's tv and gap, then the totals': no tv may rise and no gap fall
-        rise = np.concatenate((new[:2], run[:2, 1:])) * _RISE
-        limit = np.concatenate((old[:2], run[:2, :-1])) * _RISE + STEP_TOL
-        mass = np.abs(run[2:, 1:] - 1.0)
-        order = order.tolist()
-        labels = [labels[n] for n in order]
-        if (rise > limit).any() or not (
-            states.min() >= 0.0 and states.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL
-        ):
-            entries = ((states >= 0.0) & (states <= 1.0 + UPPER_TOL)).all(axis=(0, 1))[order]
-            bad = np.concatenate((rise > limit, ~entries[None], ~(mass <= MASS_TOL)))
-            n = int(bad.any(axis=0).argmax())
-            j = int(block[n]) + 1
-            (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
-            (l_tv, l_gap), (tv, gap, mp, mq) = run[:2, n].tolist(), run[:, n + 1].tolist()
-            messages = (
-                f"block {j} tv increased from {o_tv} to {n_tv}",
-                f"block {j} gap decreased from {o_gap} to {n_gap}",
-                f"tv increased from {l_tv} to {tv}",
-                f"gap decreased from {l_gap} to {gap}",
-                f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
-                f"total mass of p is {mp}, not 1 within {MASS_TOL}",
-                f"total mass of q is {mq}, not 1 within {MASS_TOL}",
-            )
-            raise InvariantViolation(f"step {labels[n]!r}: {messages[int(bad[:, n].argmax())]}")
-
-        tvs, gaps, moved = run[0, 1:].tolist(), run[1, 1:].tolist(), np.concatenate(moved)[order].tolist()
+        tvs, gaps = self._certify(block[order], order, states, parts)
         self.tv, self.gap = tvs[-1], gaps[-1]
+
+        if R is None:
+            del states
+        labels, moved = _labels(parts, order), np.concatenate(moved)[order].tolist()
         if R is None:
             self.steps.extend(
                 WalkStep(label, tv, gap, transferred=s) for label, tv, gap, s in zip(labels, tvs, gaps, moved)
             )
             return
         steps = self.steps
-        for n, j, label, tv, gap, s in zip(order, block.tolist(), labels, tvs, gaps, moved):
-            # each snapshot is certified above: the entries of its moved column and both total masses
+        for n, j, label, tv, gap, s in zip(order.tolist(), block[order].tolist(), labels, tvs, gaps, moved):
+            # each snapshot is certified: the entries of its moved column and both total masses
             R[:, :, j] = states[:, :, n]
             steps.append(WalkStep(label, tv, gap, _freeze(R[0]), _freeze(R[1]), s))
+
+    def _certify(self, block: np.ndarray, order: np.ndarray, states: np.ndarray, parts) -> tuple[list, list]:
+        """Check every block step; returns the running tv and gap after each.
+
+        block is each step's block in trace order, and states[:, :, order]
+        the column states in trace order. Each step is measured against the
+        block's previous step (or its reorder measurement), and the running
+        totals move by the differences. A step's block tv must not rise nor
+        its gap fall, nor may the totals'; its column's entries must be
+        finite and in [0, 1 + 1e-9], and each grid's mass within 1e-9 of 1.
+        The first failing step raises. Steps are taken in chunks of about
+        _LEDGER_CELLS column cells, so the ledger's arrays stay small on
+        grids with very many blocks.
+        """
+        size = max(1, _LEDGER_CELLS // states.shape[1])
+        tvs, gaps = [], []
+        start = np.array((self.tv, self.gap, *self.mass))
+        last = self.terms[:4, :0]  # the previous step's terms, once there is one
+        for lo in range(0, block.size, size):
+            b, st = block[lo : lo + size], states[:, :, order[lo : lo + size]]
+            new = _block_terms(st)[:4]
+            first = np.empty(b.size, dtype=bool)
+            np.not_equal(b[1:], b[:-1], out=first[1:])
+            first[0] = lo == 0 or b[0] != block[lo - 1]
+            old = np.concatenate((last, new[:, :-1]), axis=1) if lo else np.empty_like(new)
+            if not lo:
+                old[:, 1:] = new[:, :-1]
+            old[:, first] = self.terms[:4, b[first]]
+            run = _running(start, new - old)
+            mass = run[2:, 1:] - 1.0
+            np.abs(mass, out=mass)
+            bad = np.array((
+                new[0] > old[0] + STEP_TOL,  # the block's tv rose
+                new[1] < old[1] - STEP_TOL,  # the block's gap fell
+                run[0, 1:] > run[0, :-1] + STEP_TOL,  # the total tv rose
+                run[1, 1:] < run[1, :-1] - STEP_TOL,  # the total gap fell
+            ))
+            if bad.any() or not (st.min() >= 0.0 and st.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL):
+                entries = ((st >= 0.0) & (st <= 1.0 + UPPER_TOL)).all(axis=(0, 1))
+                bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
+                n = int(bad.any(axis=0).argmax())
+                j = int(b[n]) + 1
+                (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
+                (l_tv, l_gap), (tv, gap, mp, mq) = run[:2, n].tolist(), run[:, n + 1].tolist()
+                messages = (
+                    f"block {j} tv increased from {o_tv} to {n_tv}",
+                    f"block {j} gap decreased from {o_gap} to {n_gap}",
+                    f"tv increased from {l_tv} to {tv}",
+                    f"gap decreased from {l_gap} to {gap}",
+                    f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
+                    f"total mass of p is {mp}, not 1 within {MASS_TOL}",
+                    f"total mass of q is {mq}, not 1 within {MASS_TOL}",
+                )
+                label = _labels(parts, order)[lo + n]
+                raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
+            tvs += run[0, 1:].tolist()
+            gaps += run[1, 1:].tolist()
+            start, last = run[:, -1], new[:, -1:]
+        return tvs, gaps
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare the running totals with a full measurement of the stacked pair W."""
@@ -524,7 +564,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     else:
         tb.record("reorder", *tb.freeze("reorder", W))
         R = W.copy()
-    tb.blocks(_walk_blocks(W), R)
+    tb.blocks(_walk_blocks(W, moves=snapshots == "all"), R)
 
     Q = W[1]
     left = np.flatnonzero((Q[1:, :] > 0.0).any(axis=0))
