@@ -134,7 +134,7 @@ def reorder(pair: DistributionPair) -> DistributionPair:
     non-increasing (stable, ties keep original index order). All moves are
     block symmetries, so equivocations and TV are unchanged.
     """
-    W = _reorder(np.stack((pair.p.probs, pair.q.probs)))
+    W = _reorder(np.array((pair.p.probs, pair.q.probs)))
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
 
 
@@ -549,7 +549,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     tb = _TraceBuilder(snapshots)
     # one measurement serves the initial record and the orientation: the
     # recorded initial gap is |gap|, which is the oriented gap
-    W = np.stack((pair.p.probs, pair.q.probs))
+    W = np.array((pair.p.probs, pair.q.probs))
     oriented = pair
     if tb.measure("initial", W, orient=True):
         W = W[::-1]

@@ -576,6 +576,23 @@ def test_bad_entry_in_a_moved_column_raises(monkeypatch, mode):
         run_walk(_three_block_pair(), snapshots=mode)
 
 
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_negative_entry_in_a_moved_column_raises(monkeypatch, mode):
+    real = walk._transfer
+
+    def negative(W, cols):
+        # 1e-13 of block 3's q top row moved below a zero: tv, gap and mass move by far less than 1e-9
+        phase = real(W, cols)
+        if 2 in cols:
+            W[1, 1, 2] -= 1e-13
+            W[1, 0, 2] += 1e-13
+        return phase
+
+    monkeypatch.setattr(walk, "_transfer", negative)
+    with pytest.raises(InvariantViolation, match=r"'block 3 transfer': block 3 has an entry that is not finite"):
+        run_walk(_three_block_pair(), snapshots=mode)
+
+
 def test_mass_drift_in_a_moved_column_raises(monkeypatch):
     real = walk._transfer
 
@@ -589,6 +606,28 @@ def test_mass_drift_in_a_moved_column_raises(monkeypatch):
     monkeypatch.setattr(walk, "_transfer", inflate)
     with pytest.raises(InvariantViolation, match=r"'block 1 transfer': total mass of p is 1.00000"):
         run_walk(_three_block_pair(), snapshots="phases")
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_ledger_chunks_certify_the_same_trace(monkeypatch, mode):
+    # chunks of one step, and of a few steps that split blocks, against the single-chunk ledger
+    rng = np.random.default_rng(606)
+    pairs = list(_kernel_pairs(rng, 30))
+    whole = [run_walk(pair, snapshots=mode) for pair in pairs]
+    for steps_per_chunk in (1, 4):
+        for pair, expected in zip(pairs, whole):
+            monkeypatch.setattr(walk, "_LEDGER_CELLS", steps_per_chunk * pair.nx)
+            trace = run_walk(pair, snapshots=mode)
+            assert [(s.label, s.transferred, s.p, s.q) for s in trace.steps] == [
+                (s.label, s.transferred, s.p, s.q) for s in expected.steps
+            ]
+            assert np.allclose([s.tv for s in trace.steps], [s.tv for s in expected.steps], rtol=0, atol=1e-12)
+            assert np.allclose([s.gap for s in trace.steps], [s.gap for s in expected.steps], rtol=0, atol=1e-12)
+
+
+def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
+    monkeypatch.setattr(walk, "_LEDGER_CELLS", 3)  # one step per chunk
+    test_faulty_move_raises_naming_the_block(monkeypatch, "none")
 
 
 def test_whole_grid_snapshots_are_certified():
@@ -619,6 +658,19 @@ def test_unprocessed_block_raises_naming_the_block(monkeypatch):
         monkeypatch.setattr(walk, name, skipping(getattr(walk, name)))
     with pytest.raises(InvariantViolation, match="block 3 processed but q still has weight below the top row"):
         run_walk(_three_block_pair())
+
+
+def test_rising_running_total_is_caught(monkeypatch):
+    real = walk._running
+
+    def rising(start, s):
+        run = real(start, s)
+        run[0] += 2e-9 * np.arange(run.shape[1])  # each step's block checks still pass
+        return run
+
+    monkeypatch.setattr(walk, "_running", rising)
+    with pytest.raises(InvariantViolation, match=r"'block 1 [a-z]+': tv increased from "):
+        run_walk(_three_block_pair(), snapshots="none")
 
 
 def test_drift_of_running_totals_is_caught(monkeypatch):
