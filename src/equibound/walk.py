@@ -42,6 +42,7 @@ Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -353,6 +354,17 @@ def _measure(W: np.ndarray) -> tuple[np.ndarray, list[float]]:
 _LEDGER_CELLS = 1 << 18
 
 
+def _replay(R: np.ndarray, blocks: np.ndarray, states: np.ndarray, order: np.ndarray):
+    """Snapshots of the block steps: each step's column state written into R in trace order.
+
+    The snapshots are read-only copies that skip re-validation: the ledger
+    has certified the entries of every moved column and both total masses.
+    """
+    for j, n in zip(blocks.tolist(), order.tolist()):
+        R[:, :, j] = states[:, :, n]
+        yield _freeze(R[0]), _freeze(R[1])
+
+
 def _labels(parts, order: np.ndarray) -> list[str]:
     """Trace labels of the block steps of `parts` (kind, blocks, rows or None), taken in `order`."""
     labels = []
@@ -437,20 +449,13 @@ class _TraceBuilder:
         states = np.concatenate(states, axis=2)
         tvs, gaps = self._certify(block[order], order, states, parts)
         self.tv, self.gap = tvs[-1], gaps[-1]
-
-        if R is None:
-            del states
+        snapshots = repeat((None, None)) if R is None else _replay(R, block[order], states, order)
+        del states  # in "none" mode nothing reads the column states again
         labels, moved = _labels(parts, order), np.concatenate(moved)[order].tolist()
-        if R is None:
-            self.steps.extend(
-                WalkStep(label, tv, gap, transferred=s) for label, tv, gap, s in zip(labels, tvs, gaps, moved)
-            )
-            return
-        steps = self.steps
-        for n, j, label, tv, gap, s in zip(order.tolist(), block[order].tolist(), labels, tvs, gaps, moved):
-            # each snapshot is certified: the entries of its moved column and both total masses
-            R[:, :, j] = states[:, :, n]
-            steps.append(WalkStep(label, tv, gap, _freeze(R[0]), _freeze(R[1]), s))
+        self.steps.extend(
+            WalkStep(label, tv, gap, p, q, s)
+            for label, tv, gap, (p, q), s in zip(labels, tvs, gaps, snapshots, moved)
+        )
 
     def _certify(self, block: np.ndarray, order: np.ndarray, states: np.ndarray, parts) -> tuple[list, list]:
         """Check every block step; returns the running tv and gap after each.
@@ -468,16 +473,14 @@ class _TraceBuilder:
         size = max(1, _LEDGER_CELLS // states.shape[1])
         tvs, gaps = [], []
         start = np.array((self.tv, self.gap, *self.mass))
-        last = self.terms[:4, :0]  # the previous step's terms, once there is one
+        last = self.terms[:4, :1]  # the step before the chunk (a placeholder in the first chunk, where a block starts)
         for lo in range(0, block.size, size):
             b, st = block[lo : lo + size], states[:, :, order[lo : lo + size]]
             new = _block_terms(st)[:4]
             first = np.empty(b.size, dtype=bool)
             np.not_equal(b[1:], b[:-1], out=first[1:])
             first[0] = lo == 0 or b[0] != block[lo - 1]
-            old = np.concatenate((last, new[:, :-1]), axis=1) if lo else np.empty_like(new)
-            if not lo:
-                old[:, 1:] = new[:, :-1]
+            old = np.concatenate((last, new[:, :-1]), axis=1)
             old[:, first] = self.terms[:4, b[first]]
             run = _running(start, new - old)
             mass = run[2:, 1:] - 1.0

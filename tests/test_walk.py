@@ -447,7 +447,8 @@ def _kernel_blocks(W):
             phases[j0].append((ph.kind, moved))
         c, r, states = walk._move_states(ph)
         for n, (j0, i0) in enumerate(zip(ph.cols[c].tolist(), r.tolist())):
-            moves[j0].append((ph.kind, i0 + 1, float(ph.s[i0, c[n]]), states[0, :, n].tobytes(), states[1, :, n].tobytes()))
+            p, q = states[:, :, n]
+            moves[j0].append((ph.kind, i0 + 1, float(ph.s[i0, c[n]]), p.tobytes(), q.tobytes()))
     return phases, moves
 
 
