@@ -26,10 +26,11 @@ UPPER_TOL = 1e-9  # slack allowed above 1.0 for probabilities
 MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # Cap on nx*ny for the grids the package builds from sizes alone (sample_joint,
 # hence verify_trials, and extremal_pair). Peak memory grows by up to about
-# 430 bytes per cell: measured 425-433 B for a one-trial verify_trials at
-# nx=2, ny=500 000 (with and without eps) and 342 B for the `extremal` CLI
-# at nx=1 000 000, ny=1 (Python 3.11, numpy 2.4), so an admitted grid stays
-# under about 0.45 GB.
+# 500 bytes per cell: measured 478-498 MB for a one-trial verify_trials at
+# nx=2, ny=500 000 (with and without eps; the walk's trace holds about a
+# million steps), 197 MB at 1000 x 1000 and 342 B per cell for the
+# `extremal` CLI at nx=1 000 000, ny=1 (Python 3.11, numpy 2.4), so an
+# admitted grid stays under about 0.5 GB.
 MAX_GRID_CELLS = 1_000_000
 _LN2 = math.log(2.0)
 

@@ -444,6 +444,7 @@ class _TraceBuilder:
             parts.append((ph.kind, ph.cols, None))
             moved.append(ph.moved)
             states.append(ph.after)
+            ph.after = None  # held once, in the concatenation below
         block = np.concatenate([cols for _, cols, _ in parts])
         order = block.argsort(kind="stable")
         states = np.concatenate(states, axis=2)
