@@ -25,12 +25,13 @@ blocks one after another.
 
 The certificate is block-local. TV and H(X|Y) = sum_j p_Y(j) H(X|Y=j) are
 both sums of per-Y-block terms, and every step changes a single block, so a
-block step is measured on its own column: O(nx) per step, one array pass
-for all steps of a phase. Each step's block TV must not rise and its gap
-must not fall, its column's entries must be finite and in [0, 1 + 1e-9],
-and the running totals (the per-step changes summed in trace order) must
-keep TV non-increasing, the gap non-decreasing and each grid's mass within
-1e-9 of 1. The first failing step in trace order raises. The whole grid is
+block step is measured on its own column: O(nx) per step, in one array pass
+over the block steps. Each step's block TV must not rise and its gap must
+not fall, its column's entries must be finite and in [0, 1 + 1e-9], and
+the running totals (the per-step changes summed in trace order) must keep
+TV non-increasing, the gap non-decreasing and each grid's mass within 1e-9
+of 1. The first failing step in trace order raises. Snapshots are read-only
+copies of this certified state, not re-validated grids. The whole grid is
 measured only at the initial pair (which also decides the orientation),
 after reordering, once before averaging as a cross-check of the running
 totals (a drift beyond 1e-9 raises InvariantViolation), and after
@@ -352,6 +353,9 @@ def _measure(W: np.ndarray) -> tuple[np.ndarray, list[float]]:
 
 # column cells the ledger measures at a time (4 MB of float64 for the pair)
 _LEDGER_CELLS = 1 << 18
+# signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
+# for a block's tv and gap and for the running totals
+_RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 def _replay(R: np.ndarray, blocks: np.ndarray, states: np.ndarray, order: np.ndarray):
@@ -474,24 +478,18 @@ class _TraceBuilder:
         size = max(1, _LEDGER_CELLS // states.shape[1])
         tvs, gaps = [], []
         start = np.array((self.tv, self.gap, *self.mass))
-        last = self.terms[:4, :1]  # the step before the chunk (a placeholder in the first chunk, where a block starts)
+        last_block, last = -1, self.terms[:4, :1]  # the step before the chunk (none before the first)
         for lo in range(0, block.size, size):
             b, st = block[lo : lo + size], states[:, :, order[lo : lo + size]]
             new = _block_terms(st)[:4]
-            first = np.empty(b.size, dtype=bool)
-            np.not_equal(b[1:], b[:-1], out=first[1:])
-            first[0] = lo == 0 or b[0] != block[lo - 1]
-            old = np.concatenate((last, new[:, :-1]), axis=1)
-            old[:, first] = self.terms[:4, b[first]]
+            same = b == np.concatenate(((last_block,), b[:-1]))
+            old = np.where(same, np.concatenate((last, new[:, :-1]), axis=1), self.terms[:4, b])
             run = _running(start, new - old)
             mass = run[2:, 1:] - 1.0
             np.abs(mass, out=mass)
-            bad = np.array((
-                new[0] > old[0] + STEP_TOL,  # the block's tv rose
-                new[1] < old[1] - STEP_TOL,  # the block's gap fell
-                run[0, 1:] > run[0, :-1] + STEP_TOL,  # the total tv rose
-                run[1, 1:] < run[1, :-1] - STEP_TOL,  # the total gap fell
-            ))
+            # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
+            rise = np.concatenate((new[:2], run[:2, 1:])) * _RISE
+            bad = rise > np.concatenate((old[:2], run[:2, :-1])) * _RISE + STEP_TOL
             if bad.any() or not (st.min() >= 0.0 and st.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL):
                 entries = ((st >= 0.0) & (st <= 1.0 + UPPER_TOL)).all(axis=(0, 1))
                 bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
@@ -512,7 +510,7 @@ class _TraceBuilder:
                 raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
             tvs += run[0, 1:].tolist()
             gaps += run[1, 1:].tolist()
-            start, last = run[:, -1], new[:, -1:]
+            start, last_block, last = run[:, -1], b[-1], new[:, -1:]
         return tvs, gaps
 
     def cross_check(self, W: np.ndarray) -> None:
