@@ -280,12 +280,13 @@ def _walk_blocks(W: np.ndarray, moves: bool = True) -> list[_Phase]:
         return ph
 
     P, Q = W
-    todo = np.ones(W.shape[2], dtype=bool)
-    cols = np.flatnonzero(Q[0] < P[0])
+    fill = Q[0] < P[0]
+    rest = ~fill
+    cols = fill.nonzero()[0]
     if cols.size:
         ph = run(_fill, cols)
-        todo[ph.cols[~ph.switched]] = False
-    cols = np.flatnonzero(todo)
+        rest[ph.cols[ph.switched]] = True
+    cols = rest.nonzero()[0]
     if cols.size:
         run(_concentrate, cols)
         run(_transfer, cols)
