@@ -6,8 +6,9 @@ representation, so parse(serialize(J)) reproduces J bit-exactly.
 
 Exit codes: 0 success; 1 validation error (schema or invariant breach,
 including NaN/infinite/negative entries and bad total mass); 2 usage error
-(bad arguments, unreadable file, malformed JSON); 3 internal invariant
-violation (a walk certificate failed, which signals a bug).
+(bad arguments, unreadable file, a file that is not UTF-8 text, malformed
+JSON); 3 internal invariant violation (a walk certificate failed, which
+signals a bug).
 
 File formats:
 
