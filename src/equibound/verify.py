@@ -119,13 +119,12 @@ def _ratio(gap: float, bound: float) -> float:
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
     """Run a seeded campaign of independent bound checks plus walk certificates.
 
-    Each trial t uses its own stream default_rng([seed, t]), samples p,
-    builds q (an independent sample when eps is None, a TV-eps perturbation
-    of p otherwise), evaluates check_bound, and runs the invariant-checked
-    walk. The stream is seeded by the pair (seed, t), so campaigns at
-    different seeds share no trial, and trials are independent, so results
-    do not depend on execution order; a walk violation propagates with the
-    seed and the trial number attached.
+    Each trial t draws from its own stream default_rng([seed, t]): it
+    samples p, builds q (an independent sample when eps is None, a TV-eps
+    perturbation of p otherwise), evaluates check_bound, and runs the
+    invariant-checked walk. Campaigns at different seeds share no trial, and
+    results do not depend on execution order; a walk violation propagates
+    with the seed and the trial number attached.
     """
     nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
     if trials < 1:

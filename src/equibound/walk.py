@@ -64,7 +64,6 @@ STEP_TOL = 1e-9  # tolerance for every walk invariant
 
 SnapshotMode = Literal["phases", "all", "none"]
 _SNAPSHOT_MODES = ("phases", "all", "none")
-_PHASES = ("fill", "concentrate", "transfer")  # a block's phases, in run and trace order
 
 
 class InvariantViolation(RuntimeError):
@@ -136,7 +135,7 @@ def reorder(pair: DistributionPair) -> DistributionPair:
     non-increasing (stable, ties keep original index order). All moves are
     block symmetries, so equivocations and TV are unchanged.
     """
-    W = _reorder(np.array((pair.p.probs, pair.q.probs)))
+    W = _reorder(np.stack((pair.p.probs, pair.q.probs)))
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
 
 
