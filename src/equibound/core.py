@@ -26,11 +26,10 @@ UPPER_TOL = 1e-9  # slack allowed above 1.0 for probabilities
 MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # Cap on nx*ny for the grids the package builds from sizes alone (sample_joint,
 # hence verify_trials, and extremal_pair). Peak memory grows by up to about
-# 500 bytes per cell: measured 478-498 MB for a one-trial verify_trials at
-# nx=2, ny=500 000 (with and without eps; the walk's trace holds about a
-# million steps), 197 MB at 1000 x 1000 and 342 B per cell for the
-# `extremal` CLI at nx=1 000 000, ny=1 (Python 3.11, numpy 2.4), so an
-# admitted grid stays under about 0.5 GB.
+# 350 bytes per cell: measured 342 B per cell for the `extremal` CLI at
+# nx=1 000 000, ny=1, and 184-208 MB for a one-trial verify_trials at
+# 1000 x 1000, 1 000 000 x 1 and nx=2, ny=500 000 (with and without eps)
+# (Python 3.11, numpy 2.4), so an admitted grid stays under about 0.35 GB.
 MAX_GRID_CELLS = 1_000_000
 _LN2 = math.log(2.0)
 
@@ -45,7 +44,7 @@ class ValidationError(ValueError):
 def _as_prob(x: float, name: str) -> float:
     """Validate a scalar probability, clamping tolerated excursions into [0, 1]."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     if x < -NEG_TOL or x > 1.0 + UPPER_TOL:
         raise ValidationError(f"{name} must be in [0, 1], got {x}")
@@ -138,10 +137,14 @@ class JointDistribution:
         a = np.array(self.probs, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"probs must be a 2-d grid with positive dimensions, got shape {a.shape}")
-        a = _clean_vector(a, "probs")
         total = float(a.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"total probability mass is {total}, must be 1 within {MASS_TOL}")
+        # nonnegative entries whose sum is within 1e-9 of 1 are finite and at most
+        # that sum, so there is nothing to report or clamp; anything else is checked in full
+        if not (a.min() >= 0.0 and abs(total - 1.0) <= MASS_TOL):
+            a = _clean_vector(a, "probs")
+            total = float(a.sum())
+            if abs(total - 1.0) > MASS_TOL:
+                raise ValidationError(f"total probability mass is {total}, must be 1 within {MASS_TOL}")
         a.flags.writeable = False
         object.__setattr__(self, "probs", a)
 
@@ -274,13 +277,27 @@ def _cond_entropy_difference(P: np.ndarray) -> float:
 
 def _cond_entropy_mixture(P: np.ndarray) -> float:
     # sum_j p_Y(j) * H(X | Y=j); zero-mass blocks contribute 0
-    my = P.sum(axis=0)
+    return _cond_entropies(P[None])[0]
+
+
+def _cond_entropies(P: np.ndarray) -> list[float]:
+    """The mixture formula on every grid of a (B, nx, ny) stack.
+
+    Each block's conditional entropy sums the block's rows pairwise, as
+    contiguous rows of a (B, ny, nx) stack; the closing dot products are
+    numpy's 1-d dot for each grid (a stack of (1, ny) @ (ny, 1) products
+    takes it too), over the blocks with mass. So a grid's value does not
+    depend on the grids stacked with it.
+    """
+    my = P.sum(axis=1)
     pos = my > 0.0
-    if not pos.any():
-        return 0.0
-    cond = P[:, pos] / my[pos]
-    block_h = -_xlog2x_arr(cond).sum(axis=0)
-    return float(my[pos] @ block_h)
+    cond = P.transpose(0, 2, 1).copy()  # a C-ordered copy, divided in place
+    np.divide(cond, my[:, :, None], out=cond, where=pos[:, :, None])
+    block_h = -_xlog2x_arr(cond).sum(axis=2)
+    h = np.matmul(my[:, None, :], block_h[:, :, None])[:, 0, 0].tolist()
+    for b in np.flatnonzero(~pos.all(axis=1)).tolist():
+        h[b] = float(my[b, pos[b]] @ block_h[b, pos[b]])
+    return h
 
 
 def _cond_entropy_direct(P: np.ndarray) -> float:

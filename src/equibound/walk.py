@@ -37,6 +37,17 @@ after reordering, once before averaging as a cross-check of the running
 totals (a drift beyond 1e-9 raises InvariantViolation), and after
 averaging.
 
+Because the blocks are independent, the columns of many pairs placed side
+by side form one valid input too. A campaign (verify.verify_trials) walks a
+whole batch of trials in one pass: each trial is oriented, reordered and
+averaged within its own columns, the kernel runs once over all of them,
+and the ledger keeps the running totals per trial, padding a trial with
+fewer steps with steps that change nothing (adding 0.0 is exact). Each
+trial's columns are summed as its own walk sums them, so its totals are
+bit-identical to its own walk. run_walk is this path for one pair, plus the
+trace. When trials fail, the first failing trial raises the message its own
+walk would give.
+
 Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 """
 
@@ -117,10 +128,12 @@ def canonical_orient(pair: DistributionPair) -> DistributionPair:
     return pair
 
 
-def _reorder(W: np.ndarray) -> np.ndarray:
-    """Reordered copy of the stacked pair W = [P, Q] (see reorder)."""
+def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
+    """Reordered copy of the stacked pair W = [P, Q] (see reorder), each trial within its own columns."""
     P, Q = W
-    W = W[:, :, np.argsort(-(Q.sum(axis=0) - P.sum(axis=0)), kind="stable")]
+    key = -(Q.sum(axis=0) - P.sum(axis=0))
+    # lexsort is stable: within a trial, blocks with equal keys keep their order
+    W = W[:, :, np.lexsort((key, np.arange(key.size) // (key.size // trials)) if trials > 1 else (key,))]
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
@@ -140,11 +153,11 @@ def reorder(pair: DistributionPair) -> DistributionPair:
 
 
 def _running(start: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # start, start + s[:, 0], (start + s[:, 0]) + s[:, 1], ... along the rows
-    # of s: accumulate adds left to right, so these are bit-identical to a
-    # sequential loop of `+=`
-    run = np.concatenate((start[:, None], s), axis=1)
-    return np.add.accumulate(run, axis=1, out=run)
+    # start, start + s[..., 0], (start + s[..., 0]) + s[..., 1], ... along the
+    # last axis of s: accumulate adds left to right, so these are
+    # bit-identical to a sequential loop of `+=`
+    run = np.concatenate((start[..., None], s), axis=-1)
+    return np.add.accumulate(run, axis=-1, out=run)
 
 
 @dataclass
@@ -314,9 +327,11 @@ def _move_states(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, r, states
 
 
-def _average(A: np.ndarray) -> np.ndarray:
-    # every block (last axis) replaced by the mean over blocks, as a read-only view
-    return np.broadcast_to(A.mean(axis=-1, keepdims=True), A.shape)
+def _average(A: np.ndarray, trials: int = 1) -> np.ndarray:
+    # every block (last axis) replaced by the mean over its trial's blocks;
+    # a read-only view for one trial
+    T = A.reshape(*A.shape[:-1], trials, -1)
+    return np.broadcast_to(T.mean(axis=-1, keepdims=True), T.shape).reshape(A.shape)
 
 
 def average_blocks(J: JointDistribution) -> JointDistribution:
@@ -330,7 +345,7 @@ def average_blocks(J: JointDistribution) -> JointDistribution:
 
 
 def _block_terms(W: np.ndarray) -> np.ndarray:
-    """Per column of the stacked pair W = [P, Q], shape (2, nx, k): a (6, k) array of terms.
+    """Per column of the stacked pair W = [P, Q], shape (2, ..., nx, k): a (6, ..., k) array of terms.
 
     The first four rows are the ones the walk's ledger tracks: the TV share,
     the gap (P's equivocation term minus Q's), and the masses of P and of Q.
@@ -338,17 +353,23 @@ def _block_terms(W: np.ndarray) -> np.ndarray:
     term of a block is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j)
     log2 p(i,j). Summed over all blocks the terms give tv(P, Q) and H(X|Y)
     of P and Q.
+
+    The sums down the rows are numpy's, and their order follows the memory
+    layout: the rows of a row-major grid of several columns are added in
+    order, but a column whose rows are contiguous (a lone column, or one
+    gathered by fancy indexing) is summed pairwise, which differs once there
+    are 8 or more rows. A batch keeps each trial's columns in the layout its
+    own walk measures them in.
     """
-    m = W.sum(axis=1)
-    h = _xlog2x_arr(m) - _xlog2x_arr(W).sum(axis=1)
-    tv = 0.5 * np.abs(W[0] - W[1]).sum(axis=0)
+    m = W.sum(axis=-2)
+    h = _xlog2x_arr(m) - _xlog2x_arr(W).sum(axis=-2)
+    tv = 0.5 * np.abs(W[0] - W[1]).sum(axis=-2)
     return np.concatenate((tv[None], (h[0] - h[1])[None], m, h))
 
 
-def _measure(W: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Full measurement of the stacked pair W: the block terms, and their sums over all blocks."""
-    terms = _block_terms(W)
-    return terms, terms.sum(axis=1).tolist()
+def _trial_sums(terms: np.ndarray, trials: int) -> np.ndarray:
+    # (rows, trials * ny) block terms -> (rows, trials): each trial's blocks summed
+    return terms.reshape(len(terms), trials, -1).sum(axis=2)
 
 
 # column cells the ledger measures at a time (4 MB of float64 for the pair)
@@ -369,75 +390,130 @@ def _replay(R: np.ndarray, blocks: np.ndarray, states: np.ndarray, order: np.nda
         yield _freeze(R[0]), _freeze(R[1])
 
 
-def _labels(parts, order: np.ndarray) -> list[str]:
-    """Trace labels of the block steps of `parts` (kind, blocks, rows or None), taken in `order`."""
+def _labels(parts, order: np.ndarray, ny: int | None = None) -> list[str]:
+    """Trace labels of the block steps of `parts` (kind, columns, rows or None), taken in `order`.
+
+    A label names the block within its trial: in a batch of trials with ny
+    blocks each, column c is block c % ny + 1.
+    """
     labels = []
     for kind, cols, rows in parts:
+        blocks = (cols if ny is None else cols % ny) + 1
         if rows is None:
-            labels += [f"block {j + 1} {kind}" for j in cols.tolist()]
+            labels += [f"block {j} {kind}" for j in blocks.tolist()]
         else:
-            labels += [f"block {j + 1} {kind} i={i + 1}" for j, i in zip(cols.tolist(), rows.tolist())]
+            labels += [f"block {j} {kind} i={i + 1}" for j, i in zip(blocks.tolist(), rows.tolist())]
     return np.array(labels, dtype=object)[order].tolist()
 
 
 class _TraceBuilder:
-    """Records walk steps and certifies them from a per-block ledger.
+    """Certifies the walk of a batch of trials from a per-block ledger, and records one trial's steps.
 
-    `terms` holds every block's terms as measured last (see _block_terms);
-    tv and gap are the running totals of the last step.
+    The stacked pair W = [P, Q] holds `trials` pairs side by side: trial b
+    owns columns b*ny ... (b+1)*ny - 1. `terms` holds every block's terms as
+    measured last (see _block_terms); tv, gap and mass hold each trial's
+    running totals after its last step, one float per trial. A trial's
+    first failing check is kept as its failure, and finish() raises the
+    failure of the first failing trial; no trial comes before trial 0, so
+    its failure raises at once. With trace=True (one trial) the steps are
+    recorded as WalkSteps.
     """
 
-    def __init__(self, mode: SnapshotMode):
-        self.mode = mode
-        self.steps: list[WalkStep] = []
-        self.tv: float | None = None
-        self.gap: float | None = None
+    def __init__(self, mode: SnapshotMode, trials: int = 1, trace: bool = False):
+        self.mode, self.trials = mode, trials
+        self.steps: list[WalkStep] | None = [] if trace else None
+        self.tv: list[float] | None = None
+        self.gap: list[float] | None = None
+        self.failures: dict[int, str] = {}
 
-    def _advance(self, label: str, tv: float, gap: float) -> None:
-        if self.tv is not None and tv > self.tv + STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: tv increased from {self.tv} to {tv}")
-        if self.gap is not None and gap < self.gap - STEP_TOL:
-            raise InvariantViolation(f"step {label!r}: gap decreased from {self.gap} to {gap}")
+    def fail(self, trial: int, message: str) -> None:
+        """Keep `message` as the trial's failure unless it has one; trial 0 raises at once."""
+        self.failures.setdefault(trial, message)
+        if trial == 0:
+            self.finish()
+
+    def finish(self) -> None:
+        """Raise the first failing trial's failure, with the trial's index in the batch as `trial`."""
+        if self.failures:
+            b = min(self.failures)
+            exc = InvariantViolation(self.failures[b])
+            exc.trial = b
+            raise exc
+
+    def _advance(self, label: str, tv: list[float], gap: list[float]) -> None:
+        if self.tv is not None:
+            for b, (old_tv, new_tv, old_gap, new_gap) in enumerate(zip(self.tv, tv, self.gap, gap)):
+                if new_tv > old_tv + STEP_TOL:
+                    self.fail(b, f"step {label!r}: tv increased from {old_tv} to {new_tv}")
+                elif new_gap < old_gap - STEP_TOL:
+                    self.fail(b, f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
         self.tv, self.gap = tv, gap
 
-    def measure(self, label: str, W: np.ndarray, orient: bool = False) -> bool:
-        """Measure every block of the stacked pair W, then check the new totals against the last step.
+    def _terms(self, W: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+        """Every block's terms of the stacked pair W, measured as in each trial's own walk, and each trial's sums.
 
-        With orient=True the roles of p and q are swapped when q has the
-        larger equivocation (ties are left); returns whether they were.
+        A walk of one pair measures its ny columns together; so does a
+        batch, unless every trial is a single block: then each trial's
+        column is summed on its own, as its walk sums a lone column.
         """
-        terms, (tv, _, mp, mq, hp, hq) = _measure(W)
-        swap = orient and hq > hp
-        if swap:
-            terms, mp, mq, hp, hq = terms[[0, 1, 3, 2, 5, 4]], mq, mp, hq, hp
-            terms[1] = -terms[1]
+        if self.ny == 1 and self.trials > 1:
+            terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
+        else:
+            terms = _block_terms(W)
+        return terms, _trial_sums(terms, self.trials).tolist()
+
+    def measure(self, label: str, W: np.ndarray, orient: bool = False) -> list[bool] | None:
+        """Measure every block of the stacked pair W, then check each trial's new totals against its last step.
+
+        With orient=True the roles of p and q are swapped in every trial
+        where q has the larger equivocation (ties are left); returns whether
+        each trial was swapped.
+        """
+        self.ny = W.shape[2] // self.trials
+        terms, (tv, _, mp, mq, hp, hq) = self._terms(W)
+        swap = None
+        if orient:
+            # the swap is applied to the totals only: the next measurement
+            # (after reordering) replaces the block terms
+            swap = [q > p for p, q in zip(hp, hq)]
+            for b in (b for b, s in enumerate(swap) if s):
+                mp[b], mq[b], hp[b], hq[b] = mq[b], mp[b], hq[b], hp[b]
+            self.initial_tv = tv
         self.terms, self.mass = terms, (mp, mq)
-        self._advance(label, tv, hp - hq)
+        self._advance(label, tv, [p - q for p, q in zip(hp, hq)])
         return swap
 
-    def freeze(self, label: str, W: np.ndarray) -> tuple[JointDistribution, JointDistribution]:
-        """The just measured stacked pair W as two grids, certified here instead of re-validated.
+    def certify(self, label: str, W: np.ndarray) -> None:
+        """Check the just measured stacked pair W, trial by trial.
 
         Every entry must be finite and in [0, 1 + 1e-9], and each grid's
         measured mass within 1e-9 of 1.
         """
         if not (W.min() >= 0.0 and W.max() <= 1.0 + UPPER_TOL):
-            raise InvariantViolation(f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
-        for name, m in zip("pq", self.mass):
-            if abs(m - 1.0) > MASS_TOL:
-                raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
+            ok = ((W >= 0.0) & (W <= 1.0 + UPPER_TOL)).reshape(-1, self.trials, self.ny).all(axis=(0, 2))
+            for b in np.flatnonzero(~ok).tolist():
+                self.fail(b, f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
+        for b, masses in enumerate(zip(*self.mass)):
+            for name, m in zip("pq", masses):
+                if abs(m - 1.0) > MASS_TOL:
+                    self.fail(b, f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
+
+    def freeze(self, label: str, W: np.ndarray) -> tuple[JointDistribution, JointDistribution]:
+        """The just measured stacked pair W of one trial as two grids, certified here instead of re-validated."""
+        self.certify(label, W)
         return _freeze(W[0]), _freeze(W[1])
 
     def blocks(self, phases: list[_Phase], R: np.ndarray | None) -> None:
-        """Certify and record the block steps of the phases, in one array pass.
+        """Certify the block steps of the phases in one array pass, and record them when tracing.
 
-        Steps are listed block by block: a block's fill, concentrate and
-        transfer (in "all" mode each preceded by its single moves). R, a copy
-        of the reordered pair, receives the states in trace order for the
-        snapshots (None in "none" mode).
+        Steps are listed trial by trial and, within a trial, block by block:
+        a block's fill, concentrate and transfer (in "all" mode each
+        preceded by its single moves). R, a copy of the reordered pair,
+        receives the states in trace order for the snapshots (None in
+        "none" mode).
         """
         # part by part: a phase's single moves ("all" mode only), then its phase
-        # steps; a stable sort by block then lists each block's steps in run order
+        # steps; a stable sort by column then lists each block's steps in run order
         parts, moved, states = [], [], []
         for ph in phases:
             if self.mode == "all":
@@ -453,7 +529,8 @@ class _TraceBuilder:
         order = block.argsort(kind="stable")
         states = np.concatenate(states, axis=2)
         tvs, gaps = self._certify(block[order], order, states, parts)
-        self.tv, self.gap = tvs[-1], gaps[-1]
+        if self.steps is None:
+            return
         snapshots = repeat((None, None)) if R is None else _replay(R, block[order], states, order)
         del states  # in "none" mode nothing reads the column states again
         labels, moved = _labels(parts, order), np.concatenate(moved)[order].tolist()
@@ -463,70 +540,163 @@ class _TraceBuilder:
         )
 
     def _certify(self, block: np.ndarray, order: np.ndarray, states: np.ndarray, parts) -> tuple[list, list]:
-        """Check every block step; returns the running tv and gap after each.
+        """Check every block step; returns the running tv and gap after each when tracing.
 
-        block is each step's block in trace order, and states[:, :, order]
+        block is each step's column in trace order, and states[:, :, order]
         the column states in trace order. Each step is measured against the
-        block's previous step (or its reorder measurement), and the running
-        totals move by the differences. A step's block tv must not rise nor
-        its gap fall, nor may the totals'; its column's entries must be
-        finite and in [0, 1 + 1e-9], and each grid's mass within 1e-9 of 1.
-        The first failing step raises. Steps are taken in chunks of about
-        _LEDGER_CELLS column cells, so the ledger's arrays stay small on
-        grids with very many blocks.
+        block's previous step (or its reorder measurement), and its trial's
+        running totals move by the differences: a trial's changes form one
+        row, padded with zero changes, summed along the row. A step's block
+        tv must not rise nor its gap fall, nor may its trial's totals; its
+        column's entries must be finite and in [0, 1 + 1e-9], and each
+        grid's mass within 1e-9 of 1. A trial's first failing step fails
+        it. Steps are taken in chunks of about _LEDGER_CELLS column cells,
+        so the ledger's arrays stay small on grids with very many blocks.
         """
+        ny = self.ny
         size = max(1, _LEDGER_CELLS // states.shape[1])
+        totals = np.array((self.tv, self.gap, *self.mass))
         tvs, gaps = [], []
-        start = np.array((self.tv, self.gap, *self.mass))
         last_block, last = -1, self.terms[:4, :1]  # the step before the chunk (none before the first)
         for lo in range(0, block.size, size):
             b, st = block[lo : lo + size], states[:, :, order[lo : lo + size]]
+            # gathered column by column, so each column's rows are contiguous and summed
+            # the same way (pairwise) whatever the chunk holds
             new = _block_terms(st)[:4]
             same = b == np.concatenate(((last_block,), b[:-1]))
             old = np.where(same, np.concatenate((last, new[:, :-1]), axis=1), self.terms[:4, b])
-            run = _running(start, new - old)
-            mass = run[2:, 1:] - 1.0
+            # one row per trial t0 .. t1 - 1 of the chunk, each step at its position in its trial
+            t0, t1 = int(b[0]) // ny, int(b[-1]) // ny + 1
+            if t1 - t0 == 1:
+                run = _running(totals[:, t0:t1], (new - old)[:, None])
+                before, after = run[:, 0, :-1], run[:, 0, 1:]
+            else:
+                row = b // ny - t0
+                pos = np.arange(b.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
+                delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
+                delta[:, row, pos] = new - old
+                run = _running(totals[:, t0:t1], delta)
+                before, after = run[:, row, pos], run[:, row, pos + 1]
+            totals[:, t0:t1] = run[:, :, -1]
+            mass = after[2:] - 1.0
             np.abs(mass, out=mass)
             # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
-            rise = np.concatenate((new[:2], run[:2, 1:])) * _RISE
-            bad = rise > np.concatenate((old[:2], run[:2, :-1])) * _RISE + STEP_TOL
+            rise = np.concatenate((new[:2], after[:2])) * _RISE
+            bad = rise > np.concatenate((old[:2], before[:2])) * _RISE + STEP_TOL
             if bad.any() or not (st.min() >= 0.0 and st.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL):
                 entries = ((st >= 0.0) & (st <= 1.0 + UPPER_TOL)).all(axis=(0, 1))
                 bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
-                n = int(bad.any(axis=0).argmax())
-                j = int(b[n]) + 1
-                (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
-                (l_tv, l_gap), (tv, gap, mp, mq) = run[:2, n].tolist(), run[:, n + 1].tolist()
-                messages = (
-                    f"block {j} tv increased from {o_tv} to {n_tv}",
-                    f"block {j} gap decreased from {o_gap} to {n_gap}",
-                    f"tv increased from {l_tv} to {tv}",
-                    f"gap decreased from {l_gap} to {gap}",
-                    f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
-                    f"total mass of p is {mp}, not 1 within {MASS_TOL}",
-                    f"total mass of q is {mq}, not 1 within {MASS_TOL}",
-                )
-                label = _labels(parts, order)[lo + n]
-                raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
-            tvs += run[0, 1:].tolist()
-            gaps += run[1, 1:].tolist()
-            start, last_block, last = run[:, -1], b[-1], new[:, -1:]
+                failing = np.flatnonzero(bad.any(axis=0))
+                trial = b // ny
+                labels = _labels(parts, order[lo : lo + size], ny)
+                # each failing trial's first failing step
+                for n in failing[np.unique(trial[failing], return_index=True)[1]].tolist():
+                    j = int(b[n]) % ny + 1
+                    (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
+                    (l_tv, l_gap), (tv, gap, mp, mq) = before[:2, n].tolist(), after[:, n].tolist()
+                    messages = (
+                        f"block {j} tv increased from {o_tv} to {n_tv}",
+                        f"block {j} gap decreased from {o_gap} to {n_gap}",
+                        f"tv increased from {l_tv} to {tv}",
+                        f"gap decreased from {l_gap} to {gap}",
+                        f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
+                        f"total mass of p is {mp}, not 1 within {MASS_TOL}",
+                        f"total mass of q is {mq}, not 1 within {MASS_TOL}",
+                    )
+                    self.fail(int(trial[n]), f"step {labels[n]!r}: {messages[int(bad[:, n].argmax())]}")
+            if self.steps is not None:
+                tvs += after[0].tolist()
+                gaps += after[1].tolist()
+            last_block, last = b[-1], new[:, -1:]
+        self.tv, self.gap, mp, mq = totals.tolist()
+        self.mass = (mp, mq)
         return tvs, gaps
 
     def cross_check(self, W: np.ndarray) -> None:
-        """Compare the running totals with a full measurement of the stacked pair W."""
-        _, (tv, _, _, _, hp, hq) = _measure(W)
-        gap = hp - hq
-        if abs(tv - self.tv) > STEP_TOL or abs(gap - self.gap) > STEP_TOL:
-            raise InvariantViolation(
-                f"running totals (tv {self.tv}, gap {self.gap}) drifted from the full measurement (tv {tv}, gap {gap})"
-            )
+        """Compare each trial's running totals with a full measurement of the stacked pair W."""
+        _, (tvs, _, _, _, hp, hq) = self._terms(W)
+        for b, (run_tv, run_gap, tv, p, q) in enumerate(zip(self.tv, self.gap, tvs, hp, hq)):
+            gap = p - q
+            if abs(tv - run_tv) > STEP_TOL or abs(gap - run_gap) > STEP_TOL:
+                self.fail(
+                    b,
+                    f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})",
+                )
 
     def record(self, label: str, p: JointDistribution | None, q: JointDistribution | None) -> None:
-        """Append the current totals, with the snapshots p and q unless mode is "none"."""
+        """Append the traced trial's current totals, with the snapshots p and q unless mode is "none"."""
+        if self.steps is None:
+            return
         if self.mode == "none":
             p = q = None
-        self.steps.append(WalkStep(label=label, tv=self.tv, gap=self.gap, p=p, q=q))
+        self.steps.append(WalkStep(label=label, tv=self.tv[0], gap=self.gap[0], p=p, q=q))
+
+
+def _walk(
+    W: np.ndarray, trials: int = 1, snapshots: SnapshotMode = "none", pair: DistributionPair | None = None
+) -> _TraceBuilder:
+    """Run the certified walk on `trials` pairs placed side by side in the stacked pair W = [P, Q].
+
+    Trial b owns the columns b*ny ... (b+1)*ny - 1. Each trial is oriented,
+    reordered and averaged within its own columns; the kernel and the
+    ledger run once over all of them, and the final checks run per trial.
+    If trials fail, the first failing trial raises InvariantViolation with
+    the message its own walk would give, and its index in the batch as the
+    exception's `trial`. With `pair` (the one trial W holds) the steps are
+    recorded in the snapshot mode, and the returned ledger's `final` is the
+    averaged pair.
+    """
+    tb = _TraceBuilder(snapshots, trials, trace=pair is not None)
+    ny = W.shape[2] // trials
+    # one measurement serves the initial record and the orientation: the
+    # recorded initial gap is |gap|, which is the oriented gap
+    swap = tb.measure("initial", W, orient=True)
+    swapped = sum(swap)
+    if swapped == trials:
+        W = W[::-1]
+    elif swapped:
+        W = np.where(np.repeat(swap, ny), W[::-1], W)
+    if pair is not None:
+        tb.record("initial", pair.p, pair.q)
+        tb.record("orient", *((pair.q, pair.p) if swapped else (pair.p, pair.q)))
+    W = _reorder(W, trials)
+    tb.measure("reorder", W)
+    R = None
+    if snapshots == "none":
+        tb.record("reorder", None, None)
+    else:
+        tb.record("reorder", *tb.freeze("reorder", W))
+        R = W.copy()
+    tb.blocks(_walk_blocks(W, moves=snapshots == "all"), R)
+
+    left = np.flatnonzero((W[1, 1:] > 0.0).any(axis=0))
+    if left.size:
+        for c in left[np.unique(left // ny, return_index=True)[1]].tolist():
+            tb.fail(c // ny, f"block {c % ny + 1} processed but q still has weight below the top row")
+    tb.cross_check(W)
+
+    W = _average(W, trials)
+    tb.measure("average", W)
+    if pair is None:
+        tb.certify("average", W)
+    else:
+        tb.final = DistributionPair(*tb.freeze("average", W))
+        tb.record("average", tb.final.p, tb.final.q)
+
+    final_q_entropy = _trial_sums(tb.terms[5:], trials)[0].tolist()
+    q_x_top = W[1, 0].reshape(trials, ny).sum(axis=1).tolist()
+    nx = W.shape[1]
+    for b, (h, top, initial_tv, final_gap) in enumerate(zip(final_q_entropy, q_x_top, tb.initial_tv, tb.gap)):
+        if h > STEP_TOL:
+            tb.fail(b, f"final q has conditional entropy {h} > {STEP_TOL}")
+        elif abs(top - 1.0) > STEP_TOL:
+            tb.fail(b, f"final q_X(1) = {top}, expected 1")
+        elif b not in tb.failures:
+            chain_cap = continuity_bound(initial_tv, nx).value if nx >= 2 else 0.0
+            if final_gap > chain_cap + STEP_TOL:
+                tb.fail(b, f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}")
+    tb.finish()
+    return tb
 
 
 def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> WalkTrace:
@@ -548,49 +718,5 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     """
     if snapshots not in _SNAPSHOT_MODES:
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
-    tb = _TraceBuilder(snapshots)
-    # one measurement serves the initial record and the orientation: the
-    # recorded initial gap is |gap|, which is the oriented gap
-    W = np.array((pair.p.probs, pair.q.probs))
-    oriented = pair
-    if tb.measure("initial", W, orient=True):
-        W = W[::-1]
-        oriented = DistributionPair(pair.q, pair.p)
-    tb.record("initial", pair.p, pair.q)
-    tb.record("orient", oriented.p, oriented.q)
-    W = _reorder(W)
-    tb.measure("reorder", W)
-    R = None
-    if snapshots == "none":
-        tb.record("reorder", None, None)
-    else:
-        tb.record("reorder", *tb.freeze("reorder", W))
-        R = W.copy()
-    tb.blocks(_walk_blocks(W, moves=snapshots == "all"), R)
-
-    Q = W[1]
-    left = np.flatnonzero((Q[1:, :] > 0.0).any(axis=0))
-    if left.size:
-        raise InvariantViolation(f"block {left[0] + 1} processed but q still has weight below the top row")
-    tb.cross_check(W)
-
-    W = _average(W)
-    tb.measure("average", W)
-    final = DistributionPair(*tb.freeze("average", W))
-    tb.record("average", final.p, final.q)
-
-    steps = tuple(tb.steps)
-    final_q_entropy = float(tb.terms[5].sum())
-    if final_q_entropy > STEP_TOL:
-        raise InvariantViolation(f"final q has conditional entropy {final_q_entropy} > {STEP_TOL}")
-    q_x_top = float(final.q.probs[0, :].sum())
-    if abs(q_x_top - 1.0) > STEP_TOL:
-        raise InvariantViolation(f"final q_X(1) = {q_x_top}, expected 1")
-    initial_tv = steps[0].tv
-    final_gap = steps[-1].gap
-    chain_cap = continuity_bound(initial_tv, pair.nx).value if pair.nx >= 2 else 0.0
-    if final_gap > chain_cap + STEP_TOL:
-        raise InvariantViolation(
-            f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}"
-        )
-    return WalkTrace(steps=steps, initial=pair, final=final)
+    tb = _walk(np.array((pair.p.probs, pair.q.probs)), 1, snapshots, pair)
+    return WalkTrace(steps=tuple(tb.steps), initial=pair, final=tb.final)

@@ -19,6 +19,7 @@ from equibound import (
     tv_distance,
     xlog2x,
 )
+from equibound.core import _cond_entropies, _xlog2x_arr
 
 # high-precision reference values (frozen from a 60-digit mpmath evaluation)
 H_QUARTER = 0.8112781244591328  # binary entropy at 0.25
@@ -129,6 +130,14 @@ def test_joint_rejects_nan_and_inf():
         JointDistribution([[float("inf")], [0.0]])
 
 
+def test_joint_rejects_entry_above_one():
+    # nonnegative entries summing to 1 within 1e-9 need no further check; this grid does not
+    with pytest.raises(ValidationError, match=r"probs\[0\]\[0\] = 1.000000002 exceeds 1"):
+        JointDistribution([[1.0 + 2e-9], [0.0]])
+    with pytest.raises(ValidationError, match="negative"):
+        JointDistribution([[1.5], [-0.5]])
+
+
 def test_joint_rejects_bad_shape():
     with pytest.raises(ValidationError):
         JointDistribution([0.5, 0.5])
@@ -231,6 +240,34 @@ def test_formulas_agree_on_random_grids():
 
 
 # ---------------------------------------------------------------- tv distance
+
+def _reference_mixture(P):
+    # the mixture formula one grid at a time, as conditional_entropy computed it before stacks
+    my = P.sum(axis=0)
+    pos = my > 0.0
+    if not pos.any():
+        return 0.0
+    cond = P[:, pos] / my[pos]
+    block_h = -_xlog2x_arr(cond).sum(axis=0)
+    return float(my[pos] @ block_h)
+
+
+def test_stacked_entropies_match_the_per_grid_formula():
+    # bit for bit, on stacks of every size, including tall blocks, single blocks and zero-mass blocks
+    rng = np.random.default_rng(41)
+    for nx in (1, 2, 3, 5, 7, 8, 9, 30):
+        for ny in (1, 2, 3, 4, 9, 33):
+            for count in (1, 2, 7):
+                P = rng.dirichlet(np.ones(nx * ny), size=count).reshape(count, nx, ny)
+                if ny > 1:
+                    P[0, :, 0] = 0.0  # a zero-mass block
+                    P[0] /= P[0].sum()
+                expected = [_reference_mixture(G) for G in P]
+                given = P.copy()
+                assert _cond_entropies(P) == expected
+                assert np.array_equal(P, given)  # the stack is read, not written
+                assert [conditional_entropy(JointDistribution(G)) for G in P] == expected
+
 
 def test_tv_identical_is_zero():
     J = JointDistribution([[0.3, 0.2], [0.1, 0.4]])

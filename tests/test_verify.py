@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from equibound import (
+    DistributionPair,
+    InvariantViolation,
     JointDistribution,
     ValidationError,
     check_bound,
@@ -12,12 +16,14 @@ from equibound import (
     continuity_bound,
     grid_search_max_gap,
     perturb_within_tv,
+    run_walk,
     sample_joint,
     tv_distance,
     verify_trials,
 )
+from equibound import bounds, verify
 from equibound.core import _xlog2x_arr
-from equibound.verify import _compositions
+from equibound.verify import _compositions, _ratio
 
 H_03 = 0.8812908992306926  # binary entropy at 0.3, frozen from mpmath
 
@@ -98,6 +104,45 @@ def test_perturb_domain_error():
         perturb_within_tv(JointDistribution([[1.0]]), 1.5, 0)
 
 
+def _reference_perturb_within_tv(p, eps, seed):
+    # perturb_within_tv as it was, with the recipient pool from np.setdiff1d
+    rng = np.random.default_rng(seed)
+    flat = np.array(p.probs).ravel()
+    ncells = flat.size
+    if eps == 0.0 or ncells == 1:
+        return p
+    positive = rng.permutation(np.flatnonzero(flat > 0.0))
+    n_donors_max = len(positive) if len(positive) < ncells else ncells - 1
+    n_donors = int(rng.integers(1, n_donors_max + 1))
+    donors = positive[:n_donors]
+    others = rng.permutation(np.setdiff1d(np.arange(ncells), donors))
+    recipients = others[: int(rng.integers(1, len(others) + 1))]
+    target = min(eps, float(flat[donors].sum()))
+    remaining = target
+    for c in donors:
+        if remaining <= 0.0:
+            break
+        take = min(float(flat[c]), remaining)
+        flat[c] -= take
+        remaining -= take
+    adds = target * rng.dirichlet(np.ones(len(recipients)))
+    adds[-1] = max(0.0, target - float(adds[:-1].sum()))
+    flat[recipients] += adds
+    return JointDistribution(flat.reshape(p.probs.shape))
+
+
+def test_perturb_matches_the_setdiff1d_reference():
+    # the boolean-mask recipient pool is the same sorted array, so the draws and the bytes are the same;
+    # 500 seeds on each of the 16 campaign shapes, the three eps taken in turn
+    for seed in range(500):
+        for k, (nx, ny) in enumerate((nx, ny) for nx in range(2, 6) for ny in range(1, 5)):
+            eps = (0.05, 0.1, 0.9)[(seed + k) % 3]
+            p = sample_joint(nx, ny, np.random.default_rng([seed, nx, ny]))
+            q = perturb_within_tv(p, eps, np.random.default_rng([seed, 1]))
+            ref = _reference_perturb_within_tv(p, eps, np.random.default_rng([seed, 1]))
+            assert q.probs.tobytes() == ref.probs.tobytes()
+
+
 # ---------------------------------------------------------------- verify_trials
 
 def test_trials_random_mode_no_violations():
@@ -134,38 +179,130 @@ def test_campaigns_at_neighbouring_seeds_share_no_trial(monkeypatch):
     from equibound import verify
 
     seen = []
-    real = verify.check_bound
+    real = verify.sample_joint
 
-    def recording(pair):
-        seen.append(pair.p.probs.tobytes() + pair.q.probs.tobytes())
-        return real(pair)
+    def recording(nx, ny, seed):
+        J = real(nx, ny, seed)
+        seen.append(J.probs.tobytes())
+        return J
 
     def sampled(seed):
         """The (p, q) bytes of every trial of a campaign, in trial order."""
         seen.clear()
         verify_trials(3, 2, 50, seed=seed)
-        return list(seen)
+        return [p + q for p, q in zip(seen[0::2], seen[1::2])]
 
-    monkeypatch.setattr(verify, "check_bound", recording)
+    monkeypatch.setattr(verify, "sample_joint", recording)
     at_7, at_8 = sampled(7), sampled(8)
     assert len(set(at_7)) == len(set(at_8)) == 50
     assert not set(at_7) & set(at_8)
     assert sampled(7) == at_7
 
 
+def _trial_pair(nx, ny, seed, t, eps=None):
+    rng = np.random.default_rng([seed, t])
+    p = sample_joint(nx, ny, rng)
+    return DistributionPair(p, sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng))
+
+
+def _leaky_transfer(monkeypatch, columns):
+    """Wrap walk._transfer so that it puts half of q's top row back below it in the given columns."""
+    from equibound import walk
+
+    real = walk._transfer
+
+    def leaky(W, cols):
+        phase = real(W, cols)
+        for c in set(columns) & set(cols.tolist()):
+            half = W[1, 0, c] / 2
+            W[1, 0, c] -= half
+            W[1, 1, c] += half
+        return phase
+
+    monkeypatch.setattr(walk, "_transfer", leaky)
+
+
+def _own_walk_message(monkeypatch, pair, inject):
+    """The InvariantViolation message of the pair's own walk, with inject(monkeypatch, [0]) in place."""
+    with monkeypatch.context() as m:
+        inject(m, [0])
+        with pytest.raises(InvariantViolation) as exc:
+            run_walk(pair, snapshots="none")
+    return str(exc.value)
+
+
 def test_walk_violation_names_seed_and_trial(monkeypatch):
-    from equibound import InvariantViolation, verify
-
-    calls = []
-
-    def failing_on_trial_3(pair, snapshots="phases"):
-        calls.append(pair)
-        if len(calls) == 4:
-            raise InvariantViolation("synthetic failure")
-
-    monkeypatch.setattr(verify, "run_walk", failing_on_trial_3)
-    with pytest.raises(InvariantViolation, match=r"synthetic failure \[seed 7, trial 3, nx=2, ny=1, eps=None\]"):
+    # a fault in trial 3's column only, inside one batch of 10 trials
+    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 3), _leaky_transfer)
+    assert re.match(r"step 'block 1 transfer': block 1 ", own)
+    _leaky_transfer(monkeypatch, [3])
+    with pytest.raises(InvariantViolation) as exc:
         verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
+
+
+def test_walk_violation_in_a_later_batch_names_its_campaign_trial(monkeypatch):
+    # batches of 4: trial 6 is column 2 of the second batch
+    from equibound import walk
+
+    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 6), _leaky_transfer)
+    real, calls = walk._transfer, []
+
+    def leaky_in_second_batch(W, cols):
+        phase = real(W, cols)
+        calls.append(1)
+        if len(calls) == 2:
+            half = W[1, 0, 2] / 2
+            W[1, 0, 2] -= half
+            W[1, 1, 2] += half
+        return phase
+
+    monkeypatch.setattr(verify, "_BATCH_CELLS", 4 * 2)
+    monkeypatch.setattr(walk, "_transfer", leaky_in_second_batch)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own + " [seed 7, trial 6, nx=2, ny=1, eps=None]"
+
+
+def test_walk_violation_names_the_first_failing_trial(monkeypatch):
+    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 3), _leaky_transfer)
+    _leaky_transfer(monkeypatch, [3, 7])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
+
+
+def test_a_later_check_of_an_earlier_trial_comes_first(monkeypatch):
+    # trial 7 fails in the block ledger, trial 3 only once averaged: the campaign names trial 3,
+    # with the message of trial 3's own walk
+    from equibound import walk
+
+    real = walk._average
+
+    def skewed_average(columns):
+        def average(A, trials=1):
+            out = np.array(real(A, trials))
+            if A.ndim == 3:  # the walk's stacked pair, not a single grid
+                ny = A.shape[2] // trials
+                for c in columns:
+                    out[0, 1, c * ny] += 0.01
+                    out[0, 0, c * ny] -= 0.01
+            return out
+
+        return average
+
+    pair = _trial_pair(3, 2, 11, 3, eps=0.1)
+    with monkeypatch.context() as m:
+        m.setattr(walk, "_average", skewed_average([0]))
+        with pytest.raises(InvariantViolation, match=r"^step 'average': ") as own:
+            run_walk(pair, snapshots="none")
+    _leaky_transfer(monkeypatch, [7 * 2, 7 * 2 + 1])
+    with pytest.raises(InvariantViolation, match=r"^step 'block \d transfer': .* \[seed 11, trial 7, "):
+        verify_trials(3, 2, 10, seed=11, eps=0.1)
+    monkeypatch.setattr(walk, "_average", skewed_average([3]))
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(3, 2, 10, seed=11, eps=0.1)
+    assert str(exc.value) == str(own.value) + " [seed 11, trial 3, nx=3, ny=2, eps=0.1]"
 
 
 def test_trials_validation():
@@ -184,6 +321,96 @@ def test_sampling_guards_the_grid_size():
         sample_joint(100_000, 100_000, 0)
     with pytest.raises(ValidationError, match="grid-size guard"):
         verify_trials(100_000, 100_000, 1, seed=0)
+
+
+# ---------------------------------------------------------------- batched campaigns against the per-trial loop
+#
+# The loop below is the campaign as it ran before batching: sample, check_bound and
+# run_walk, one trial at a time. The batched route must give the same report.
+
+CAMPAIGN_SHAPES = [(nx, ny) for nx in range(2, 6) for ny in range(1, 5)]
+BATCH = 4
+
+
+def _reference_trials(nx, ny, trials, seed, eps=None):
+    """(violated, ratio, pair) of every trial of the per-trial loop."""
+    out = []
+    for t in range(trials):
+        pair = _trial_pair(nx, ny, seed, t, eps)
+        result = check_bound(pair)
+        run_walk(pair, snapshots="none")
+        out.append((result.slack < -1e-9, _ratio(result.gap, result.bound_at_tv), pair))
+    return out
+
+
+def _reference_report(per_trial):
+    """Violations, largest ratio and worst pair, aggregated as the loop did."""
+    violations, max_ratio, worst = 0, 0.0, None
+    for violated, ratio, pair in per_trial:
+        violations += violated
+        if worst is None or ratio > max_ratio:
+            max_ratio, worst = ratio, pair
+    return violations, max_ratio, worst
+
+
+def _assert_same_report(report, reference):
+    violations, ratio, worst = reference
+    assert report.violations == violations
+    assert report.max_gap_over_bound_ratio.hex() == ratio.hex()  # bit-equal
+    assert report.worst_pair.p.probs.tobytes() == worst.p.probs.tobytes()
+    assert report.worst_pair.q.probs.tobytes() == worst.q.probs.tobytes()
+
+
+@pytest.mark.parametrize("eps", [None, 0.1, 0.0])
+def test_batched_campaign_matches_the_per_trial_loop(monkeypatch, eps):
+    # batches of BATCH trials, and campaigns of 1, B - 1, B, B + 1 and 2B + 3 trials, on every campaign shape
+    for nx, ny in CAMPAIGN_SHAPES:
+        monkeypatch.setattr(verify, "_BATCH_CELLS", BATCH * nx * ny)
+        seed = 1000 + 10 * nx + ny
+        reference = _reference_trials(nx, ny, 2 * BATCH + 3, seed, eps)
+        for trials in (1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3):
+            _assert_same_report(verify_trials(nx, ny, trials, seed, eps=eps), _reference_report(reference[:trials]))
+
+
+def test_violation_counts_match_the_per_trial_loop(monkeypatch):
+    # a bound shrunk to a third of its value is violated by some trials, and the routes count the same ones
+    real = bounds.continuity_bound
+
+    def shrunk(epsilon, nx):
+        result = real(epsilon, nx)
+        return dataclasses.replace(result, value=result.value / 3)
+
+    monkeypatch.setattr(verify, "continuity_bound", shrunk)
+    monkeypatch.setattr(bounds, "continuity_bound", shrunk)
+    monkeypatch.setattr(verify, "_BATCH_CELLS", BATCH * 6)
+    for eps in (None, 0.1):
+        reference = _reference_report(_reference_trials(3, 2, 2 * BATCH + 3, 77, eps))
+        assert 0 < reference[0] < 2 * BATCH + 3
+        _assert_same_report(verify_trials(3, 2, 2 * BATCH + 3, 77, eps=eps), reference)
+
+
+def test_batch_size_follows_the_cell_budget(monkeypatch):
+    sizes = []
+    real = verify._walk
+
+    def recording(W, trials, *args):
+        sizes.append(trials)
+        return real(W, trials, *args)
+
+    monkeypatch.setattr(verify, "_walk", recording)
+
+    def batches(*args, **kwargs):
+        sizes.clear()
+        verify_trials(*args, **kwargs)
+        return list(sizes)
+
+    assert batches(3, 2, 1, seed=1) == [1]
+    assert batches(3, 2, 25, seed=1) == [25]
+    monkeypatch.setattr(verify, "_BATCH_CELLS", 10 * 6)
+    assert batches(3, 2, 25, seed=1) == [10, 10, 5]
+    assert batches(3, 2, 1, seed=1) == [1]
+    monkeypatch.setattr(verify, "_BATCH_CELLS", 5)  # a grid past the budget is a batch of one
+    assert batches(3, 2, 3, seed=1, eps=0.2) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------- grid search oracle

@@ -631,6 +631,110 @@ def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
     test_faulty_move_raises_naming_the_block(monkeypatch, "none")
 
 
+def _batch(pairs):
+    """The pairs side by side as one stacked pair, trial b in columns b*ny ... (b+1)*ny - 1."""
+    return np.concatenate([np.stack((pair.p.probs, pair.q.probs)) for pair in pairs], axis=2)
+
+
+def _pairs_of_shape(rng, nx, ny, count):
+    """count pairs of one shape, of the independent, near and sparse kinds in turn."""
+    pairs = []
+    for t in range(count):
+        p = sample_joint(nx, ny, rng)
+        if t % 3 == 0:
+            q = sample_joint(nx, ny, rng)
+        elif t % 3 == 1:
+            q = perturb_within_tv(p, 0.1, rng)
+        else:
+            q = JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny))
+        pairs.append(DistributionPair(p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (5, 4), (1, 3), (9, 1), (12, 3), (24, 5)])
+def test_batched_walk_keeps_each_trials_totals(monkeypatch, shape):
+    # one pass over many trials: each trial's running totals are bit-identical to its own walk,
+    # and the zero-change steps that pad a shorter trial leave its totals as they are
+    runs = []
+    real = walk._running
+
+    def recording(start, s):
+        run = real(start, s)
+        runs.append(run.copy())
+        return run
+
+    monkeypatch.setattr(walk, "_running", recording)
+    nx, ny = shape
+    rng = np.random.default_rng(808 + nx * ny)
+    pairs = _pairs_of_shape(rng, nx, ny, 10)
+    tb = walk._walk(_batch(pairs), len(pairs))
+    (batch,) = runs
+    for b, pair in enumerate(pairs):
+        runs.clear()
+        trace = run_walk(pair, snapshots="none")
+        (own,) = runs
+        n = own.shape[-1]
+        assert batch[:, b, :n].tobytes() == own[:, 0].tobytes()
+        assert (batch[:, b, n:] == own[:, 0, -1:]).all()
+        assert (tb.initial_tv[b], tb.tv[b], tb.gap[b]) == (trace.initial_tv, trace.final_tv, trace.final_gap)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (24, 2)])
+def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
+    # chunks that end inside a trial carry its totals into the next chunk, and a lone last
+    # step is measured like the others, so the ledger's totals do not depend on the chunking
+    nx, ny = shape
+    pairs = _pairs_of_shape(np.random.default_rng(909), nx, ny, 12)
+    cells, certify, ledgers = walk._LEDGER_CELLS, walk._TraceBuilder._certify, []
+
+    def recording(self, block, *args):
+        result = certify(self, block, *args)
+        ledgers.append((block.size, self.tv, self.gap, self.mass))
+        return result
+
+    monkeypatch.setattr(walk._TraceBuilder, "_certify", recording)
+    walk._walk(_batch(pairs), len(pairs))
+    steps, *whole = ledgers[0]
+    # chunk sizes that leave a lone last step
+    lone_last = [c for c in range(2, steps) if steps % c == 1]
+    assert lone_last
+    for steps_per_chunk in [1, 5] + lone_last:
+        ledgers.clear()
+        monkeypatch.setattr(walk, "_LEDGER_CELLS", steps_per_chunk * nx)
+        walk._walk(_batch(pairs), len(pairs))
+        assert ledgers[0][1:] == tuple(whole)
+    monkeypatch.setattr(walk, "_LEDGER_CELLS", cells)
+    for b, pair in enumerate(pairs):
+        ledgers.clear()
+        run_walk(pair, snapshots="none")
+        _, tv, gap, (mp, mq) = ledgers[0]
+        assert (tv, gap, mp, mq) == ([whole[0][b]], [whole[1][b]], [whole[2][0][b]], [whole[2][1][b]])
+
+
+def test_batched_walk_raises_the_first_failing_trials_own_message(monkeypatch):
+    rng = np.random.default_rng(4)
+    pairs = [DistributionPair(sample_joint(3, 3, rng), sample_joint(3, 3, rng)) for _ in range(6)]
+    real = walk._concentrate
+
+    def corrupt(trials):
+        def concentrate(W, cols):
+            phase = real(W, cols)
+            for c in {3 * b + 2 for b in trials} & set(cols.tolist()):
+                W[0, 1, c] = np.nan
+            return phase
+
+        return concentrate
+
+    monkeypatch.setattr(walk, "_concentrate", corrupt([0]))
+    with pytest.raises(InvariantViolation) as own:
+        run_walk(pairs[4], snapshots="none")
+    monkeypatch.setattr(walk, "_concentrate", corrupt([4, 5]))
+    with pytest.raises(InvariantViolation) as exc:
+        walk._walk(_batch(pairs), len(pairs))
+    assert (str(exc.value), exc.value.trial) == (str(own.value), 4)
+    assert str(exc.value).startswith("step 'block 3 concentrate': block 3 has an entry that is not finite")
+
+
 def test_whole_grid_snapshots_are_certified():
     pair = _three_block_pair()
     W = np.stack((pair.p.probs, pair.q.probs))
@@ -666,7 +770,7 @@ def test_rising_running_total_is_caught(monkeypatch):
 
     def rising(start, s):
         run = real(start, s)
-        run[0] += 2e-9 * np.arange(run.shape[1])  # each step's block checks still pass
+        run[0] += 2e-9 * np.arange(run.shape[-1])  # each step's block checks still pass
         return run
 
     monkeypatch.setattr(walk, "_running", rising)
@@ -679,7 +783,7 @@ def test_drift_of_running_totals_is_caught(monkeypatch):
 
     def drifting(start, s):
         run = real(start, s)
-        run[0] -= 1e-9 * np.arange(run.shape[1])  # a tv falling by 1e-9 per step passes every step check
+        run[0] -= 1e-9 * np.arange(run.shape[-1])  # a tv falling by 1e-9 per step passes every step check
         return run
 
     monkeypatch.setattr(walk, "_running", drifting)
