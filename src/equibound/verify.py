@@ -34,8 +34,8 @@ DESK_SCALE_STEPS = 101
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
 _SCAN_BLOCK = 8
-# grid cells of the trials a campaign certifies in one batch (4 MB of float64 per grid
-# stack); a grid past it is a batch of one
+# grid cells of the trials a campaign checks and certifies in one batch (4 MB of
+# float64 for the stacked pairs); a grid past it is a batch of one
 _BATCH_CELLS = 1 << 18
 
 
@@ -168,7 +168,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
             rng = _trial_stream(seed, t)
             p = sample_joint(nx, ny, rng)
             pairs.append((p, sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng)))
-        # check_bound of every pair
+        # check_bound's gap, tv and bound for every pair of the batch
         P, Q = _stack(pairs)
         tvs = (0.5 * np.abs(P - Q).reshape(len(pairs), -1).sum(axis=1)).tolist()
         hps, hqs = _cond_entropies(P), _cond_entropies(Q)

@@ -1,16 +1,16 @@
 """Collect parent and change benchmark runs into one BENCH_<topic>.json record.
 
     python tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
-        --workload campaign --seeds 3001-3010 --out BENCH_campaign_batch.json
+        --runs campaign:3001-3010 walk_none:4001-4003 --out BENCH_campaign_batch.json
 
 Each tree is a checkout in which `python bench/run.py --workload W --seed S`
-has run; the runs' record files are read from its `.bench_out/`
-(`record-<workload>-s<seed>-t0.json`, untraced runs only). The output holds,
-per side, the git sha and machine of the runs, every run's end-to-end
-metrics, and each metric's median and quartiles; and, over the seeds both
-sides ran, how many of the pairs the change won on each metric (the
-direction comes from BENCHMARK.json). The file is a record of measurements,
-not a gate.
+has run for every workload W and seed S named in --runs; the runs' record
+files are read from its `.bench_out/` (`record-<W>-s<S>-t0.json`, untraced
+runs only). For each workload the output holds, per side, the git sha and
+machine of the runs, every run's end-to-end metrics, and each metric's
+median and quartiles; and how many of the parent/change pairs (one per
+seed) the change won on each metric, the direction coming from
+BENCHMARK.json. The file is a record of measurements, not a gate.
 """
 
 from __future__ import annotations
@@ -67,37 +67,48 @@ def side(runs: dict[int, dict]) -> dict:
     }
 
 
+def compare(parent: dict[int, dict], change: dict[int, dict], better: dict[str, str]) -> dict:
+    """Per metric: how many of the seed-matched pairs the change won (ties count for neither)."""
+    wins = {}
+    for metric, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        won = sum(
+            sign * change[s]["metrics"][metric]["value"] < sign * parent[s]["metrics"][metric]["value"] for s in parent
+        )
+        wins[metric] = {"better": direction, "change_won": won, "pairs": len(parent)}
+    return wins
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="e.g. 3001-3010 or 5,7,9")
+    ap.add_argument("--runs", nargs="+", required=True, help="WORKLOAD:SEEDS, e.g. campaign:3001-3010")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    seeds = parse_seeds(args.seeds)
-    parent, change = load_runs(args.parent, args.workload, seeds), load_runs(args.change, args.workload, seeds)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    wins = {}
-    for metric, direction in better.items():
-        sign = 1.0 if direction == "lower" else -1.0
-        won = sum(sign * change[s]["metrics"][metric]["value"] < sign * parent[s]["metrics"][metric]["value"] for s in seeds)
-        wins[metric] = {"better": direction, "change_won": won, "pairs": len(seeds)}
     doc = {
-        "workload": args.workload,
-        "seeds": seeds,
-        "command": f"python bench/run.py --workload {args.workload} --seed SEED --seconds S, parent and change alternating",
-        "parent": side(parent),
-        "change": side(change),
-        "pairs": wins,
+        "command": "python bench/run.py --workload W --seed S --seconds 15, parent and change alternating",
+        "workloads": {},
     }
+    for run in args.runs:
+        workload, _, seed_text = run.partition(":")
+        seeds = parse_seeds(seed_text)
+        parent, change = load_runs(args.parent, workload, seeds), load_runs(args.change, workload, seeds)
+        doc["workloads"][workload] = {
+            "seeds": seeds,
+            "parent": side(parent),
+            "change": side(change),
+            "pairs": compare(parent, change, better),
+        }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for metric, w in wins.items():
-        p, c = doc["parent"]["summary"][metric], doc["change"]["summary"][metric]
-        print(f"{metric:12s} parent {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g})  "
-              f"change {c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g})  change won {w['change_won']}/{w['pairs']}")
+    for workload, entry in doc["workloads"].items():
+        for metric, w in entry["pairs"].items():
+            p, c = entry["parent"]["summary"][metric], entry["change"]["summary"][metric]
+            print(f"{workload:12s} {metric:12s} parent {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g})  "
+                  f"change {c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g})  change won {w['change_won']}/{w['pairs']}")
     return 0
 
 
