@@ -23,10 +23,9 @@ from .core import (
     JointDistribution,
     ValidationError,
     binary_entropy,
-    conditional_entropy,
-    tv_distance,
     _as_prob,
     _check_grid_size,
+    _cond_entropies,
 )
 
 SLACK_TOL = 1e-9  # absorbs accumulated float error in entropy sums
@@ -123,9 +122,23 @@ def check_bound(pair: DistributionPair) -> BoundCheck:
 
     slack = bound_at_tv - gap; the pair `holds` when slack >= -1e-9.
     """
-    nx = _check_nx(pair.nx)
-    gap = abs(conditional_entropy(pair.p) - conditional_entropy(pair.q))
-    tv = tv_distance(pair.p, pair.q)
-    bound_at_tv = continuity_bound(tv, nx).value
-    slack = bound_at_tv - gap
-    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack)
+    return _check_bounds(pair.p.probs[None], pair.q.probs[None])[0]
+
+
+def _check_bounds(P: np.ndarray, Q: np.ndarray) -> list[BoundCheck]:
+    """check_bound on every pair (P[b], Q[b]) of two (B, nx, ny) stacks of grids.
+
+    The gaps and TVs are computed for the whole stack at once, and a pair's
+    values do not depend on the pairs stacked with it (see
+    core._cond_entropies; each pair's TV is one flat sum). The bound is
+    the scalar continuity_bound, once per pair.
+    """
+    nx = _check_nx(P.shape[1])
+    tvs = (0.5 * np.abs(P - Q).reshape(len(P), -1).sum(axis=1)).tolist()
+    checks = []
+    for hp, hq, tv in zip(_cond_entropies(P), _cond_entropies(Q), tvs):
+        gap = abs(hp - hq)
+        bound_at_tv = continuity_bound(tv, nx).value
+        slack = bound_at_tv - gap
+        checks.append(BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack))
+    return checks

@@ -44,7 +44,7 @@ class ValidationError(ValueError):
 def _as_prob(x: float, name: str) -> float:
     """Validate a scalar probability, clamping tolerated excursions into [0, 1]."""
     x = float(x)
-    if not math.isfinite(x):
+    if not np.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     if x < -NEG_TOL or x > 1.0 + UPPER_TOL:
         raise ValidationError(f"{name} must be in [0, 1], got {x}")
@@ -137,14 +137,10 @@ class JointDistribution:
         a = np.array(self.probs, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"probs must be a 2-d grid with positive dimensions, got shape {a.shape}")
+        a = _clean_vector(a, "probs")
         total = float(a.sum())
-        # nonnegative entries whose sum is within 1e-9 of 1 are finite and at most
-        # that sum, so there is nothing to report or clamp; anything else is checked in full
-        if not (a.min() >= 0.0 and abs(total - 1.0) <= MASS_TOL):
-            a = _clean_vector(a, "probs")
-            total = float(a.sum())
-            if abs(total - 1.0) > MASS_TOL:
-                raise ValidationError(f"total probability mass is {total}, must be 1 within {MASS_TOL}")
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValidationError(f"total probability mass is {total}, must be 1 within {MASS_TOL}")
         a.flags.writeable = False
         object.__setattr__(self, "probs", a)
 

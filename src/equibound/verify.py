@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SLACK_TOL, _check_nx, _check_ny, _check_radius, continuity_bound
+from .bounds import SLACK_TOL, _check_bounds, _check_nx, _check_ny, _check_radius, continuity_bound
 from .core import (
     DistributionPair,
     JointDistribution,
     ValidationError,
     _as_prob,
     _check_grid_size,
-    _cond_entropies,
     _xlog2x_arr,
 )
-from .walk import InvariantViolation, _walk
+from .walk import InvariantViolation, _walk, run_walk
 
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
@@ -129,15 +128,6 @@ def _stack(pairs: list[tuple[JointDistribution, JointDistribution]]) -> np.ndarr
     return np.array([[p.probs for p, _ in pairs], [q.probs for _, q in pairs]])
 
 
-def _trial_stream(seed: int, t: int) -> np.random.Generator:
-    """default_rng([seed, t]), the random stream of trial t of a campaign at `seed`."""
-    if seed < 1 << 32 and t < 1 << 32:
-        # SeedSequence reads an int below 2**32 as one uint32 word, so these two
-        # words are the same entropy, given without the per-int conversion
-        return np.random.default_rng(np.array((seed, t), dtype=np.uint32))
-    return np.random.default_rng([seed, t])
-
-
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
     """Run a seeded campaign of independent bound checks plus walk certificates.
 
@@ -146,11 +136,12 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     TV-eps perturbation of p otherwise). Campaigns at different seeds share
     no trial, and results do not depend on execution order. The trials run
     in batches of up to 2^14 grid cells (one trial per batch on larger
-    grids): each batch is checked against the bound, with the gap and TV of
-    check_bound computed for the whole batch at once and bit-identical to
-    it, and certified by one pass of the invariant-checked walk. If walks
-    fail, the first failing trial's violation propagates, with the seed and
-    that trial's number attached.
+    grids): each batch is checked against the bound at once (the checks are
+    check_bound's, bit for bit) and certified by one pass of the
+    invariant-checked walk. If a batch's walk fails, its trials are walked
+    again one at a time, and the first failing trial's violation
+    propagates, with the seed and that trial's number attached (if none
+    fails on its own, the batch's violation, with its trials' range).
     """
     nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
     if trials < 1:
@@ -167,20 +158,13 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     for t0 in range(0, trials, size):
         pairs = []
         for t in range(t0, min(t0 + size, trials)):
-            rng = _trial_stream(seed, t)
+            rng = np.random.default_rng([seed, t])
             p = sample_joint(nx, ny, rng)
             pairs.append((p, sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng)))
-        # check_bound's gap, tv and bound for every pair of the batch
-        P, Q = _stack(pairs)
-        tvs = (0.5 * np.abs(P - Q).reshape(len(pairs), -1).sum(axis=1)).tolist()
-        hps, hqs = _cond_entropies(P), _cond_entropies(Q)
-        del P, Q
-        for pair, hp, hq, tv in zip(pairs, hps, hqs, tvs):
-            gap = abs(hp - hq)
-            bound = continuity_bound(tv, nx).value
-            if bound - gap < -SLACK_TOL:
+        for pair, result in zip(pairs, _check_bounds(*_stack(pairs))):
+            if result.slack < -SLACK_TOL:
                 violations += 1
-            ratio = _ratio(gap, bound)
+            ratio = _ratio(result.gap, result.bound_at_tv)
             if worst is None or ratio > max_ratio:
                 max_ratio = ratio
                 worst = pair
@@ -189,8 +173,17 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
             # it has reordered, so a large grid is not held twice
             _walk(_stack(pairs).transpose(0, 2, 1, 3).reshape(2, nx, -1), len(pairs))
         except InvariantViolation as exc:
+            # the batch raised its first failure found, which need not be its first failing
+            # trial's: the trials walk again one at a time, and the first to fail is named
+            for t, pair in enumerate(pairs, t0):
+                try:
+                    run_walk(DistributionPair(*pair), snapshots="none")
+                except InvariantViolation as own:
+                    raise InvariantViolation(
+                        f"{own} [seed {seed}, trial {t}, nx={nx}, ny={ny}, eps={eps}]"
+                    ) from own
             raise InvariantViolation(
-                f"{exc} [seed {seed}, trial {t0 + exc.trial}, nx={nx}, ny={ny}, eps={eps}]"
+                f"{exc} [seed {seed}, trials {t0}-{t0 + len(pairs) - 1}, nx={nx}, ny={ny}, eps={eps}]"
             ) from exc
     return TrialReport(
         trials=trials,

@@ -45,8 +45,7 @@ and the ledger keeps the running totals per trial, padding a trial with
 fewer steps with steps that change nothing (adding 0.0 is exact). Each
 trial's columns are summed as its own walk sums them, so its totals are
 bit-identical to its own walk. run_walk is this path for one pair, plus the
-trace. When trials fail, the first failing trial raises the message its own
-walk would give.
+trace. A batch raises at its first failing check, as a single walk does.
 
 Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 """
@@ -133,7 +132,7 @@ def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
     P, Q = W
     key = -(Q.sum(axis=0) - P.sum(axis=0))
     # lexsort is stable: within a trial, blocks with equal keys keep their order
-    W = W[:, :, np.lexsort((key, np.arange(key.size) // (key.size // trials)) if trials > 1 else (key,))]
+    W = W[:, :, np.lexsort((key, np.arange(key.size) // (key.size // trials)))]
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
@@ -412,11 +411,10 @@ class _TraceBuilder:
     The stacked pair W = [P, Q] holds `trials` pairs side by side: trial b
     owns columns b*ny ... (b+1)*ny - 1. `terms` holds every block's terms as
     measured last (see _block_terms); tv, gap and mass hold each trial's
-    running totals after its last step, one float per trial. A trial's
-    first failing check is kept as its failure, and finish() raises the
-    failure of the first failing trial; no trial comes before trial 0, so
-    its failure raises at once. With trace=True (one trial) the steps are
-    recorded as WalkSteps.
+    running totals after its last step, one float per trial. Every check
+    is made per trial, and the first failing check found raises
+    InvariantViolation. With trace=True (one trial) the steps are recorded
+    as WalkSteps.
     """
 
     def __init__(self, mode: SnapshotMode, trials: int = 1, trace: bool = False):
@@ -424,39 +422,24 @@ class _TraceBuilder:
         self.steps: list[WalkStep] | None = [] if trace else None
         self.tv: list[float] | None = None
         self.gap: list[float] | None = None
-        self.failures: dict[int, str] = {}
-
-    def fail(self, trial: int, message: str) -> None:
-        """Keep `message` as the trial's failure unless it has one; trial 0 raises at once."""
-        self.failures.setdefault(trial, message)
-        if trial == 0:
-            self.finish()
-
-    def finish(self) -> None:
-        """Raise the first failing trial's failure, with the trial's index in the batch as `trial`."""
-        if self.failures:
-            b = min(self.failures)
-            exc = InvariantViolation(self.failures[b])
-            exc.trial = b
-            raise exc
 
     def _advance(self, label: str, tv: list[float], gap: list[float]) -> None:
         if self.tv is not None:
-            for b, (old_tv, new_tv, old_gap, new_gap) in enumerate(zip(self.tv, tv, self.gap, gap)):
+            for old_tv, new_tv, old_gap, new_gap in zip(self.tv, tv, self.gap, gap):
                 if new_tv > old_tv + STEP_TOL:
-                    self.fail(b, f"step {label!r}: tv increased from {old_tv} to {new_tv}")
-                elif new_gap < old_gap - STEP_TOL:
-                    self.fail(b, f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
+                    raise InvariantViolation(f"step {label!r}: tv increased from {old_tv} to {new_tv}")
+                if new_gap < old_gap - STEP_TOL:
+                    raise InvariantViolation(f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
         self.tv, self.gap = tv, gap
 
     def _terms(self, W: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
         """Every block's terms of the stacked pair W, measured as in each trial's own walk, and each trial's sums.
 
-        A walk of one pair measures its ny columns together; so does a
-        batch, unless every trial is a single block: then each trial's
-        column is summed on its own, as its walk sums a lone column.
+        The ny columns of each trial are measured together, unless every
+        trial is a single block: then each column is summed on its own, as
+        a lone column is, whatever the batch holds.
         """
-        if self.ny == 1 and self.trials > 1:
+        if self.ny == 1:
             terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
         else:
             terms = _block_terms(W)
@@ -484,19 +467,17 @@ class _TraceBuilder:
         return swap
 
     def certify(self, label: str, W: np.ndarray) -> None:
-        """Check the just measured stacked pair W, trial by trial.
+        """Check the just measured stacked pair W.
 
         Every entry must be finite and in [0, 1 + 1e-9], and each grid's
         measured mass within 1e-9 of 1.
         """
         if not (W.min() >= 0.0 and W.max() <= 1.0 + UPPER_TOL):
-            ok = ((W >= 0.0) & (W <= 1.0 + UPPER_TOL)).reshape(-1, self.trials, self.ny).all(axis=(0, 2))
-            for b in np.flatnonzero(~ok).tolist():
-                self.fail(b, f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
-        for b, masses in enumerate(zip(*self.mass)):
+            raise InvariantViolation(f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
+        for masses in zip(*self.mass):
             for name, m in zip("pq", masses):
                 if abs(m - 1.0) > MASS_TOL:
-                    self.fail(b, f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
+                    raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
 
     def freeze(self, label: str, W: np.ndarray) -> tuple[JointDistribution, JointDistribution]:
         """The just measured stacked pair W of one trial as two grids, certified here instead of re-validated."""
@@ -549,8 +530,8 @@ class _TraceBuilder:
         row, padded with zero changes, summed along the row. A step's block
         tv must not rise nor its gap fall, nor may its trial's totals; its
         column's entries must be finite and in [0, 1 + 1e-9], and each
-        grid's mass within 1e-9 of 1. A trial's first failing step fails
-        it. Steps are taken in chunks of about _LEDGER_CELLS column cells,
+        grid's mass within 1e-9 of 1. The first failing step in trace order
+        raises. Steps are taken in chunks of about _LEDGER_CELLS column cells,
         so the ledger's arrays stay small on grids with very many blocks.
         """
         ny = self.ny
@@ -567,16 +548,12 @@ class _TraceBuilder:
             old = np.where(same, np.concatenate((last, new[:, :-1]), axis=1), self.terms[:4, b])
             # one row per trial t0 .. t1 - 1 of the chunk, each step at its position in its trial
             t0, t1 = int(b[0]) // ny, int(b[-1]) // ny + 1
-            if t1 - t0 == 1:
-                run = _running(totals[:, t0:t1], (new - old)[:, None])
-                before, after = run[:, 0, :-1], run[:, 0, 1:]
-            else:
-                row = b // ny - t0
-                pos = np.arange(b.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
-                delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
-                delta[:, row, pos] = new - old
-                run = _running(totals[:, t0:t1], delta)
-                before, after = run[:, row, pos], run[:, row, pos + 1]
+            row = b // ny - t0
+            pos = np.arange(b.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
+            delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
+            delta[:, row, pos] = new - old
+            run = _running(totals[:, t0:t1], delta)
+            before, after = run[:, row, pos], run[:, row, pos + 1]
             totals[:, t0:t1] = run[:, :, -1]
             mass = after[2:] - 1.0
             np.abs(mass, out=mass)
@@ -586,24 +563,21 @@ class _TraceBuilder:
             if bad.any() or not (st.min() >= 0.0 and st.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL):
                 entries = ((st >= 0.0) & (st <= 1.0 + UPPER_TOL)).all(axis=(0, 1))
                 bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
-                failing = np.flatnonzero(bad.any(axis=0))
-                trial = b // ny
-                labels = _labels(parts, order[lo : lo + size], ny)
-                # each failing trial's first failing step
-                for n in failing[np.unique(trial[failing], return_index=True)[1]].tolist():
-                    j = int(b[n]) % ny + 1
-                    (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
-                    (l_tv, l_gap), (tv, gap, mp, mq) = before[:2, n].tolist(), after[:, n].tolist()
-                    messages = (
-                        f"block {j} tv increased from {o_tv} to {n_tv}",
-                        f"block {j} gap decreased from {o_gap} to {n_gap}",
-                        f"tv increased from {l_tv} to {tv}",
-                        f"gap decreased from {l_gap} to {gap}",
-                        f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
-                        f"total mass of p is {mp}, not 1 within {MASS_TOL}",
-                        f"total mass of q is {mq}, not 1 within {MASS_TOL}",
-                    )
-                    self.fail(int(trial[n]), f"step {labels[n]!r}: {messages[int(bad[:, n].argmax())]}")
+                n = int(bad.any(axis=0).argmax())
+                j = int(b[n]) % ny + 1
+                (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
+                (l_tv, l_gap), (tv, gap, mp, mq) = before[:2, n].tolist(), after[:, n].tolist()
+                messages = (
+                    f"block {j} tv increased from {o_tv} to {n_tv}",
+                    f"block {j} gap decreased from {o_gap} to {n_gap}",
+                    f"tv increased from {l_tv} to {tv}",
+                    f"gap decreased from {l_gap} to {gap}",
+                    f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
+                    f"total mass of p is {mp}, not 1 within {MASS_TOL}",
+                    f"total mass of q is {mq}, not 1 within {MASS_TOL}",
+                )
+                label = _labels(parts, order[lo : lo + size], ny)[n]
+                raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
             if self.steps is not None:
                 tvs += after[0].tolist()
                 gaps += after[1].tolist()
@@ -615,12 +589,11 @@ class _TraceBuilder:
     def cross_check(self, W: np.ndarray) -> None:
         """Compare each trial's running totals with a full measurement of the stacked pair W."""
         _, (tvs, _, _, _, hp, hq) = self._terms(W)
-        for b, (run_tv, run_gap, tv, p, q) in enumerate(zip(self.tv, self.gap, tvs, hp, hq)):
+        for run_tv, run_gap, tv, p, q in zip(self.tv, self.gap, tvs, hp, hq):
             gap = p - q
             if abs(tv - run_tv) > STEP_TOL or abs(gap - run_gap) > STEP_TOL:
-                self.fail(
-                    b,
-                    f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})",
+                raise InvariantViolation(
+                    f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})"
                 )
 
     def record(self, label: str, p: JointDistribution | None, q: JointDistribution | None) -> None:
@@ -640,9 +613,7 @@ def _walk(
     Trial b owns the columns b*ny ... (b+1)*ny - 1. Each trial is oriented,
     reordered and averaged within its own columns; the kernel and the
     ledger run once over all of them, and the final checks run per trial.
-    If trials fail, the first failing trial raises InvariantViolation with
-    the message its own walk would give, and its index in the batch as the
-    exception's `trial`. With `pair` (the one trial W holds) the steps are
+    The first failing check found raises InvariantViolation. With `pair` (the one trial W holds) the steps are
     recorded in the snapshot mode, and the returned ledger's `final` is the
     averaged pair.
     """
@@ -651,14 +622,11 @@ def _walk(
     # one measurement serves the initial record and the orientation: the
     # recorded initial gap is |gap|, which is the oriented gap
     swap = tb.measure("initial", W, orient=True)
-    swapped = sum(swap)
-    if swapped == trials:
-        W = W[::-1]
-    elif swapped:
+    if any(swap):
         W = np.where(np.repeat(swap, ny), W[::-1], W)
     if pair is not None:
         tb.record("initial", pair.p, pair.q)
-        tb.record("orient", *((pair.q, pair.p) if swapped else (pair.p, pair.q)))
+        tb.record("orient", *((pair.q, pair.p) if swap[0] else (pair.p, pair.q)))
     W = _reorder(W, trials)
     tb.measure("reorder", W)
     R = None
@@ -671,8 +639,7 @@ def _walk(
 
     left = np.flatnonzero((W[1, 1:] > 0.0).any(axis=0))
     if left.size:
-        for c in left[np.unique(left // ny, return_index=True)[1]].tolist():
-            tb.fail(c // ny, f"block {c % ny + 1} processed but q still has weight below the top row")
+        raise InvariantViolation(f"block {left[0] % ny + 1} processed but q still has weight below the top row")
     tb.cross_check(W)
 
     W = _average(W, trials)
@@ -686,16 +653,14 @@ def _walk(
     final_q_entropy = _trial_sums(tb.terms[5:], trials)[0].tolist()
     q_x_top = W[1, 0].reshape(trials, ny).sum(axis=1).tolist()
     nx = W.shape[1]
-    for b, (h, top, initial_tv, final_gap) in enumerate(zip(final_q_entropy, q_x_top, tb.initial_tv, tb.gap)):
+    for h, top, initial_tv, final_gap in zip(final_q_entropy, q_x_top, tb.initial_tv, tb.gap):
         if h > STEP_TOL:
-            tb.fail(b, f"final q has conditional entropy {h} > {STEP_TOL}")
-        elif abs(top - 1.0) > STEP_TOL:
-            tb.fail(b, f"final q_X(1) = {top}, expected 1")
-        elif b not in tb.failures:
-            chain_cap = continuity_bound(initial_tv, nx).value if nx >= 2 else 0.0
-            if final_gap > chain_cap + STEP_TOL:
-                tb.fail(b, f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}")
-    tb.finish()
+            raise InvariantViolation(f"final q has conditional entropy {h} > {STEP_TOL}")
+        if abs(top - 1.0) > STEP_TOL:
+            raise InvariantViolation(f"final q_X(1) = {top}, expected 1")
+        chain_cap = continuity_bound(initial_tv, nx).value if nx >= 2 else 0.0
+        if final_gap > chain_cap + STEP_TOL:
+            raise InvariantViolation(f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}")
     return tb
 
 

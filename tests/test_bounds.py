@@ -14,6 +14,7 @@ from equibound import (
     extremal_pair,
     tv_distance,
 )
+from equibound.bounds import BoundCheck, _check_bounds
 
 # frozen from a 60-digit mpmath evaluation
 BOUND_QUARTER_4 = 1.207518749639422   # 0.25*log2(3) + h(0.25)
@@ -178,6 +179,31 @@ def test_check_bound_holds_on_random_pairs():
         p = JointDistribution(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny))
         q = JointDistribution(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny))
         assert check_bound(DistributionPair(p, q)).holds
+
+
+def _reference_check(p, q):
+    # check_bound as it was computed one pair at a time, before stacks
+    gap = abs(conditional_entropy(p) - conditional_entropy(q))
+    tv = tv_distance(p, q)
+    bound_at_tv = continuity_bound(tv, p.nx).value
+    slack = bound_at_tv - gap
+    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -1e-9), slack=slack)
+
+
+def test_stacked_checks_match_the_per_pair_formula():
+    # bit for bit, whatever else is stacked, including tall blocks, single blocks and zero-mass blocks
+    rng = np.random.default_rng(77)
+    for nx in (2, 3, 5, 8, 9, 30):
+        for ny in (1, 2, 4, 9):
+            for count in (1, 2, 7):
+                P, Q = rng.dirichlet(np.ones(nx * ny), size=(2, count)).reshape(2, count, nx, ny)
+                if ny > 1:
+                    P[0, :, 0] = 0.0  # a zero-mass block
+                    P[0] /= P[0].sum()
+                pairs = [DistributionPair(JointDistribution(p), JointDistribution(q)) for p, q in zip(P, Q)]
+                expected = [_reference_check(pair.p, pair.q) for pair in pairs]
+                assert _check_bounds(P, Q) == expected
+                assert [check_bound(pair) for pair in pairs] == expected
 
 
 def test_check_bound_requires_two_outcomes():

@@ -131,7 +131,7 @@ def test_joint_rejects_nan_and_inf():
 
 
 def test_joint_rejects_entry_above_one():
-    # nonnegative entries summing to 1 within 1e-9 need no further check; this grid does not
+    # the entry is named, before the total mass is checked
     with pytest.raises(ValidationError, match=r"probs\[0\]\[0\] = 1.000000002 exceeds 1"):
         JointDistribution([[1.0 + 2e-9], [0.0]])
     with pytest.raises(ValidationError, match="negative"):

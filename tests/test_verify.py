@@ -205,15 +205,37 @@ def _trial_pair(nx, ny, seed, t, eps=None):
     return DistributionPair(p, sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng))
 
 
-def _leaky_transfer(monkeypatch, columns):
-    """Wrap walk._transfer so that it puts half of q's top row back below it in the given columns."""
+def _column_states(monkeypatch, name, pair):
+    """The column states (as bytes) that walk.<name> is given in the pair's own walk."""
+    from equibound import walk
+
+    real, seen = getattr(walk, name), set()
+
+    def spy(W, *args):
+        if W.ndim == 3:  # the walk's stacked pair, not a single grid
+            seen.update(W[:, :, c].tobytes() for c in range(W.shape[2]))
+        return real(W, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(walk, name, spy)
+        run_walk(pair, snapshots="none")
+    return seen
+
+
+# A column's state at each step is the same in a batch as in its trial's own walk, so a
+# fault keyed on the states of a trial's own walk hits that trial wherever it runs.
+
+
+def _leaky_transfer(monkeypatch, states):
+    """Wrap walk._transfer so that it puts half of q's top row back below it in every column it starts from one of `states`."""
     from equibound import walk
 
     real = walk._transfer
 
     def leaky(W, cols):
+        hit = [c for c in cols.tolist() if W[:, :, c].tobytes() in states]
         phase = real(W, cols)
-        for c in set(columns) & set(cols.tolist()):
+        for c in hit:
             half = W[1, 0, c] / 2
             W[1, 0, c] -= half
             W[1, 1, c] += half
@@ -222,87 +244,91 @@ def _leaky_transfer(monkeypatch, columns):
     monkeypatch.setattr(walk, "_transfer", leaky)
 
 
-def _own_walk_message(monkeypatch, pair, inject):
-    """The InvariantViolation message of the pair's own walk, with inject(monkeypatch, [0]) in place."""
-    with monkeypatch.context() as m:
-        inject(m, [0])
-        with pytest.raises(InvariantViolation) as exc:
-            run_walk(pair, snapshots="none")
-    return str(exc.value)
-
-
-def test_walk_violation_names_seed_and_trial(monkeypatch):
-    # a fault in trial 3's column only, inside one batch of 10 trials
-    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 3), _leaky_transfer)
-    assert re.match(r"step 'block 1 transfer': block 1 ", own)
-    _leaky_transfer(monkeypatch, [3])
-    with pytest.raises(InvariantViolation) as exc:
-        verify_trials(2, 1, 10, seed=7)
-    assert str(exc.value) == own + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
-
-
-def test_walk_violation_in_a_later_batch_names_its_campaign_trial(monkeypatch):
-    # batches of 4: trial 6 is column 2 of the second batch
-    from equibound import walk
-
-    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 6), _leaky_transfer)
-    real, calls = walk._transfer, []
-
-    def leaky_in_second_batch(W, cols):
-        phase = real(W, cols)
-        calls.append(1)
-        if len(calls) == 2:
-            half = W[1, 0, 2] / 2
-            W[1, 0, 2] -= half
-            W[1, 1, 2] += half
-        return phase
-
-    monkeypatch.setattr(verify, "_BATCH_CELLS", 4 * 2)
-    monkeypatch.setattr(walk, "_transfer", leaky_in_second_batch)
-    with pytest.raises(InvariantViolation) as exc:
-        verify_trials(2, 1, 10, seed=7)
-    assert str(exc.value) == own + " [seed 7, trial 6, nx=2, ny=1, eps=None]"
-
-
-def test_walk_violation_names_the_first_failing_trial(monkeypatch):
-    own = _own_walk_message(monkeypatch, _trial_pair(2, 1, 7, 3), _leaky_transfer)
-    _leaky_transfer(monkeypatch, [3, 7])
-    with pytest.raises(InvariantViolation) as exc:
-        verify_trials(2, 1, 10, seed=7)
-    assert str(exc.value) == own + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
-
-
-def test_a_later_check_of_an_earlier_trial_comes_first(monkeypatch):
-    # trial 7 fails in the block ledger, trial 3 only once averaged: the campaign names trial 3,
-    # with the message of trial 3's own walk
+def _skewed_average(monkeypatch, states):
+    """Wrap walk._average so that it moves 0.01 of p down one row in every column averaged from one of `states`."""
     from equibound import walk
 
     real = walk._average
 
-    def skewed_average(columns):
-        def average(A, trials=1):
-            out = np.array(real(A, trials))
-            if A.ndim == 3:  # the walk's stacked pair, not a single grid
-                ny = A.shape[2] // trials
-                for c in columns:
-                    out[0, 1, c * ny] += 0.01
-                    out[0, 0, c * ny] -= 0.01
-            return out
+    def average(A, trials=1):
+        out = real(A, trials)
+        if A.ndim == 3:
+            hit = [c for c in range(A.shape[2]) if A[:, :, c].tobytes() in states]
+            out = np.array(out)
+            out[0, 1, hit] += 0.01
+            out[0, 0, hit] -= 0.01
+        return out
 
-        return average
+    monkeypatch.setattr(walk, "_average", average)
 
-    pair = _trial_pair(3, 2, 11, 3, eps=0.1)
-    with monkeypatch.context() as m:
-        m.setattr(walk, "_average", skewed_average([0]))
-        with pytest.raises(InvariantViolation, match=r"^step 'average': ") as own:
+
+def _fault(monkeypatch, inject, nx, ny, seed, trials, eps=None, name="_transfer"):
+    """Put inject's fault on the given trials of a campaign; returns the messages of their own walks under it."""
+    pairs = {t: _trial_pair(nx, ny, seed, t, eps) for t in trials}
+    states = set().union(*(_column_states(monkeypatch, name, pair) for pair in pairs.values()))
+    inject(monkeypatch, states)
+    own = {}
+    for t, pair in pairs.items():
+        with pytest.raises(InvariantViolation) as exc:
             run_walk(pair, snapshots="none")
-    _leaky_transfer(monkeypatch, [7 * 2, 7 * 2 + 1])
+        own[t] = str(exc.value)
+    return own
+
+
+def test_walk_violation_names_seed_and_trial(monkeypatch):
+    # a fault in trial 3's column only, inside one batch of 10 trials
+    own = _fault(monkeypatch, _leaky_transfer, 2, 1, 7, [3])
+    assert re.match(r"step 'block 1 transfer': block 1 ", own[3])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own[3] + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
+
+
+def test_walk_violation_in_a_later_batch_names_its_campaign_trial(monkeypatch):
+    # batches of 4: trial 6 is column 2 of the second batch
+    monkeypatch.setattr(verify, "_BATCH_CELLS", 4 * 2)
+    own = _fault(monkeypatch, _leaky_transfer, 2, 1, 7, [6])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own[6] + " [seed 7, trial 6, nx=2, ny=1, eps=None]"
+
+
+def test_walk_violation_names_the_first_failing_trial(monkeypatch):
+    own = _fault(monkeypatch, _leaky_transfer, 2, 1, 7, [3, 7])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(2, 1, 10, seed=7)
+    assert str(exc.value) == own[3] + " [seed 7, trial 3, nx=2, ny=1, eps=None]"
+
+
+def test_a_later_check_of_an_earlier_trial_comes_first(monkeypatch):
+    # trial 7 fails in the block ledger, trial 3 only once averaged: the batch raises at
+    # trial 7's step, and the campaign names trial 3, with the message of its own walk
+    _fault(monkeypatch, _leaky_transfer, 3, 2, 11, [7], eps=0.1)
     with pytest.raises(InvariantViolation, match=r"^step 'block \d transfer': .* \[seed 11, trial 7, "):
         verify_trials(3, 2, 10, seed=11, eps=0.1)
-    monkeypatch.setattr(walk, "_average", skewed_average([3]))
+    own = _fault(monkeypatch, _skewed_average, 3, 2, 11, [3], eps=0.1, name="_average")
+    assert own[3].startswith("step 'average': ")
     with pytest.raises(InvariantViolation) as exc:
         verify_trials(3, 2, 10, seed=11, eps=0.1)
-    assert str(exc.value) == str(own.value) + " [seed 11, trial 3, nx=3, ny=2, eps=0.1]"
+    assert str(exc.value) == own[3] + " [seed 11, trial 3, nx=3, ny=2, eps=0.1]"
+
+
+def test_a_batch_failure_no_trial_repeats_names_the_batch(monkeypatch):
+    # a fault only in a batch's column 3, never in a walk of one pair
+    from equibound import walk
+
+    real = walk._transfer
+
+    def leaky_in_batches(W, cols):
+        phase = real(W, cols)
+        if W.shape[2] > 1:
+            W[1, 0, 3] /= 2
+            W[1, 1, 3] += W[1, 0, 3]
+        return phase
+
+    monkeypatch.setattr(walk, "_transfer", leaky_in_batches)
+    with pytest.raises(InvariantViolation, match=r"^step 'block 1 transfer': .* \[seed 7, trials 0-9, nx=2, ny=1, eps=None\]$"):
+        verify_trials(2, 1, 10, seed=7)
 
 
 def test_trials_validation():
@@ -380,7 +406,6 @@ def test_violation_counts_match_the_per_trial_loop(monkeypatch):
         result = real(epsilon, nx)
         return dataclasses.replace(result, value=result.value / 3)
 
-    monkeypatch.setattr(verify, "continuity_bound", shrunk)
     monkeypatch.setattr(bounds, "continuity_bound", shrunk)
     monkeypatch.setattr(verify, "_BATCH_CELLS", BATCH * 6)
     for eps in (None, 0.1):
