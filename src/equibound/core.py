@@ -27,7 +27,7 @@ MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # Cap on nx*ny for the grids the package builds from sizes alone (sample_joint,
 # hence verify_trials, and extremal_pair). Peak memory grows by up to about
 # 350 bytes per cell: measured 342 B per cell for the `extremal` CLI at
-# nx=1 000 000, ny=1, and 184-208 MB for a one-trial verify_trials at
+# nx=1 000 000, ny=1, and 183-223 MB for a one-trial verify_trials at
 # 1000 x 1000, 1 000 000 x 1 and nx=2, ny=500 000 (with and without eps)
 # (Python 3.11, numpy 2.4), so an admitted grid stays under about 0.35 GB.
 MAX_GRID_CELLS = 1_000_000
