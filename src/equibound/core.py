@@ -25,12 +25,18 @@ NEG_TOL = 1e-12   # entries below -NEG_TOL are rejected; in [-NEG_TOL, 0) clampe
 UPPER_TOL = 1e-9  # slack allowed above 1.0 for probabilities
 MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # Cap on nx*ny for the grids the package builds from sizes alone (sample_joint,
-# hence verify_trials, and extremal_pair). Peak memory grows by up to about
-# 350 bytes per cell: measured 342 B per cell for the `extremal` CLI at
-# nx=1 000 000, ny=1, and 183-223 MB for a one-trial verify_trials at
-# 1000 x 1000, 1 000 000 x 1 and nx=2, ny=500 000 (with and without eps)
-# (Python 3.11, numpy 2.4), so an admitted grid stays under about 0.35 GB.
+# hence verify_trials, and extremal_pair) and for the pairs run_walk (hence the
+# `walk` CLI) accepts. Peak memory grows by up to about 350 bytes per cell:
+# measured 342 B per cell for the `extremal` CLI at nx=1 000 000, ny=1, and
+# 183-223 MB for a one-trial verify_trials at 1000 x 1000, 1 000 000 x 1 and
+# nx=2, ny=500 000 (with and without eps) (Python 3.11, numpy 2.4), so an
+# admitted grid stays under about 0.35 GB.
 MAX_GRID_CELLS = 1_000_000
+# Cap on the snapshots a run_walk trace may hold. A snapshot step holds two
+# float64 grids, 16*nx*ny bytes, and a walk has at most 3*ny + 4 steps in
+# "phases" mode and 3*nx*ny + 4 in "all" mode ("none" keeps no snapshots);
+# run_walk refuses a pair whose bound exceeds the cap before it walks.
+MAX_TRACE_BYTES = 1 << 30
 _LN2 = math.log(2.0)
 
 Axis = Literal["x", "y"]
@@ -97,15 +103,24 @@ def _field_path(name: str, index: np.ndarray) -> str:
     return name + "".join(f"[{int(k)}]" for k in index)
 
 
+def _in_range(a: np.ndarray, lo: float, axis=None):
+    """Whether the entries of `a` (all of them, or each slice along `axis`) are finite and in [lo, 1 + UPPER_TOL].
+
+    One min and one max: a NaN propagates through both and fails both
+    comparisons, an infinity fails one, and an empty array passes.
+    """
+    return (a.min(axis=axis, initial=np.inf) >= lo) & (a.max(axis=axis, initial=-np.inf) <= 1.0 + UPPER_TOL)
+
+
 def _clean_vector(v, name: str) -> np.ndarray:
     a = np.array(v, dtype=np.float64)
-    if not np.isfinite(a).all():
-        k = np.argwhere(~np.isfinite(a))[0]
-        raise ValidationError(f"{_field_path(name, k)} is not finite")
-    if (a < -NEG_TOL).any():
-        k = np.argwhere(a < -NEG_TOL)[0]
-        raise ValidationError(f"{_field_path(name, k)} = {a[tuple(k)]} is negative beyond tolerance")
-    if (a > 1.0 + UPPER_TOL).any():
+    if not _in_range(a, -NEG_TOL):
+        if not np.isfinite(a).all():
+            k = np.argwhere(~np.isfinite(a))[0]
+            raise ValidationError(f"{_field_path(name, k)} is not finite")
+        if (a < -NEG_TOL).any():
+            k = np.argwhere(a < -NEG_TOL)[0]
+            raise ValidationError(f"{_field_path(name, k)} = {a[tuple(k)]} is negative beyond tolerance")
         k = np.argwhere(a > 1.0 + UPPER_TOL)[0]
         raise ValidationError(f"{_field_path(name, k)} = {a[tuple(k)]} exceeds 1 beyond tolerance")
     a[a < 0.0] = 0.0

@@ -24,7 +24,7 @@ from .core import (
     _check_grid_size,
     _xlog2x_arr,
 )
-from .walk import InvariantViolation, _walk, run_walk
+from .walk import InvariantViolation, _walk
 
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
@@ -177,7 +177,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
             # trial's: the trials walk again one at a time, and the first to fail is named
             for t, pair in enumerate(pairs, t0):
                 try:
-                    run_walk(DistributionPair(*pair), snapshots="none")
+                    _walk(np.array([J.probs for J in pair]))
                 except InvariantViolation as own:
                     raise InvariantViolation(
                         f"{own} [seed {seed}, trial {t}, nx={nx}, ny={ny}, eps={eps}]"

@@ -3,7 +3,8 @@
 The walk turns the tightness argument into a runtime-checkable certificate.
 Starting from any pair (p, q) it
 
-1. orients the pair so H(X|Y) of p is the larger equivocation,
+1. orients the pair so p has the larger equivocation H(X|Y), as the walk
+   measures it (ties are left as they are),
 2. reorders blocks and rows into a canonical form,
 3. drives every block of q to a point mass on its top row
    (so H(X'|Y') = 0), moving shared weight in p where needed,
@@ -30,12 +31,20 @@ over the block steps. Each step's block TV must not rise and its gap must
 not fall, its column's entries must be finite and in [0, 1 + 1e-9], and
 the running totals (the per-step changes summed in trace order) must keep
 TV non-increasing, the gap non-decreasing and each grid's mass within 1e-9
-of 1. The first failing step in trace order raises. Snapshots are read-only
-copies of this certified state, not re-validated grids. The whole grid is
-measured only at the initial pair (which also decides the orientation),
-after reordering, once before averaging as a cross-check of the running
-totals (a drift beyond 1e-9 raises InvariantViolation), and after
-averaging.
+of 1. The first failing step in trace order raises. The whole grid is
+measured only at the initial pair, after reordering, once before averaging
+as a cross-check of the running totals (a drift beyond 1e-9 raises
+InvariantViolation), and after averaging. The reordered and the averaged
+grids are certified the same way in every snapshot mode and in batches:
+entries finite and in [0, 1 + 1e-9], each grid's mass within 1e-9 of 1.
+Snapshots are read-only copies of this certified state, not re-validated
+grids.
+
+The initial measurement also decides the orientation, and it is the only
+rule that does: canonical_orient is its one-pair case. Pairs related by a
+block symmetry have equal equivocations, but float sums taken in different
+orders may split such a tie either way; one rule splits it the same way
+everywhere.
 
 Because the blocks are independent, the columns of many pairs placed side
 by side form one valid input too. A campaign (verify.verify_trials) walks a
@@ -61,12 +70,14 @@ import numpy as np
 from .bounds import continuity_bound
 from .core import (
     MASS_TOL,
+    MAX_TRACE_BYTES,
     UPPER_TOL,
     DistributionPair,
     JointDistribution,
     ValidationError,
-    conditional_entropy,
+    _check_grid_size,
     _freeze,
+    _in_range,
     _xlog2x_arr,
 )
 
@@ -118,13 +129,14 @@ class WalkTrace:
 
 
 def canonical_orient(pair: DistributionPair) -> DistributionPair:
-    """Swap the pair if needed so conditional_entropy(p) >= conditional_entropy(q).
+    """Swap the pair if needed so p has the larger equivocation, as run_walk orients it.
 
+    The equivocations compared are the walk's own measurement of the pair
+    (see _orientation), so a tie is split the same way here as in the walk.
     Ties are left unchanged. Gap and TV are unaffected.
     """
-    if conditional_entropy(pair.q) > conditional_entropy(pair.p):
-        return DistributionPair(pair.q, pair.p)
-    return pair
+    (swap,), _ = _orientation(np.array((pair.p.probs, pair.q.probs)))
+    return DistributionPair(pair.q, pair.p) if swap else pair
 
 
 def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
@@ -371,6 +383,35 @@ def _trial_sums(terms: np.ndarray, trials: int) -> np.ndarray:
     return terms.reshape(len(terms), trials, -1).sum(axis=2)
 
 
+def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's terms of the stacked pair W of `trials` pairs (see _block_terms), and each trial's sums.
+
+    The ny columns of each trial are measured together, unless every trial
+    is a single block: then each column is summed on its own, as a lone
+    column is, whatever the batch holds. So a trial measures the same in a
+    batch as on its own.
+    """
+    if W.shape[2] == trials:
+        terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
+    else:
+        terms = _block_terms(W)
+    return terms, _trial_sums(terms, trials)
+
+
+def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's sums as oriented.
+
+    A trial is swapped when its q has the larger measured equivocation
+    (see _measure); ties are left as they are. A swapped trial's sums are
+    those of (q, p): its p and q rows are exchanged and its gap row negated.
+    """
+    _, sums = _measure(W, trials)
+    swap = sums[5] > sums[4]
+    swapped = sums[[0, 1, 3, 2, 5, 4]]
+    swapped[1] *= -1.0
+    return swap, np.where(swap, swapped, sums)
+
+
 # column cells the ledger measures at a time (4 MB of float64 for the pair)
 _LEDGER_CELLS = 1 << 18
 # signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
@@ -389,7 +430,7 @@ def _replay(R: np.ndarray, blocks: np.ndarray, states: np.ndarray, order: np.nda
         yield _freeze(R[0]), _freeze(R[1])
 
 
-def _labels(parts, order: np.ndarray, ny: int | None = None) -> list[str]:
+def _labels(parts, order: np.ndarray, ny: int) -> list[str]:
     """Trace labels of the block steps of `parts` (kind, columns, rows or None), taken in `order`.
 
     A label names the block within its trial: in a batch of trials with ny
@@ -397,7 +438,7 @@ def _labels(parts, order: np.ndarray, ny: int | None = None) -> list[str]:
     """
     labels = []
     for kind, cols, rows in parts:
-        blocks = (cols if ny is None else cols % ny) + 1
+        blocks = cols % ny + 1
         if rows is None:
             labels += [f"block {j} {kind}" for j in blocks.tolist()]
         else:
@@ -409,89 +450,61 @@ class _TraceBuilder:
     """Certifies the walk of a batch of trials from a per-block ledger, and records one trial's steps.
 
     The stacked pair W = [P, Q] holds `trials` pairs side by side: trial b
-    owns columns b*ny ... (b+1)*ny - 1. `terms` holds every block's terms as
-    measured last (see _block_terms); tv, gap and mass hold each trial's
-    running totals after its last step, one float per trial. Every check
-    is made per trial, and the first failing check found raises
-    InvariantViolation. With trace=True (one trial) the steps are recorded
-    as WalkSteps.
+    owns columns b*ny ... (b+1)*ny - 1. `terms` holds every block's terms
+    from the last whole-grid measurement (see _measure); tv, gap and mass
+    hold each trial's running totals after its last step, one float per
+    trial. Every check is made per trial, and the first failing check found
+    raises InvariantViolation. With trace=True (one trial) the steps are
+    recorded as WalkSteps, with snapshots unless mode is "none" (`keep`).
     """
 
-    def __init__(self, mode: SnapshotMode, trials: int = 1, trace: bool = False):
-        self.mode, self.trials = mode, trials
+    def __init__(self, mode: SnapshotMode, ny: int, trials: int = 1, trace: bool = False):
+        self.mode, self.ny, self.trials = mode, ny, trials
         self.steps: list[WalkStep] | None = [] if trace else None
+        self.keep = trace and mode != "none"
         self.tv: list[float] | None = None
         self.gap: list[float] | None = None
 
-    def _advance(self, label: str, tv: list[float], gap: list[float]) -> None:
+    def advance(self, label: str, sums: np.ndarray) -> None:
+        """Take each trial's totals from its sums (see _measure), checking tv and gap against its last step."""
+        tv, gap = sums[0].tolist(), (sums[4] - sums[5]).tolist()
         if self.tv is not None:
             for old_tv, new_tv, old_gap, new_gap in zip(self.tv, tv, self.gap, gap):
                 if new_tv > old_tv + STEP_TOL:
                     raise InvariantViolation(f"step {label!r}: tv increased from {old_tv} to {new_tv}")
                 if new_gap < old_gap - STEP_TOL:
                     raise InvariantViolation(f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
-        self.tv, self.gap = tv, gap
+        self.tv, self.gap, self.mass = tv, gap, tuple(sums[2:4].tolist())
 
-    def _terms(self, W: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
-        """Every block's terms of the stacked pair W, measured as in each trial's own walk, and each trial's sums.
+    def measure(self, label: str, W: np.ndarray) -> None:
+        """Measure the whole stacked pair W, certify it and record it.
 
-        The ny columns of each trial are measured together, unless every
-        trial is a single block: then each column is summed on its own, as
-        a lone column is, whatever the batch holds.
-        """
-        if self.ny == 1:
-            terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
-        else:
-            terms = _block_terms(W)
-        return terms, _trial_sums(terms, self.trials).tolist()
-
-    def measure(self, label: str, W: np.ndarray, orient: bool = False) -> list[bool] | None:
-        """Measure every block of the stacked pair W, then check each trial's new totals against its last step.
-
-        With orient=True the roles of p and q are swapped in every trial
-        where q has the larger equivocation (ties are left); returns whether
-        each trial was swapped.
-        """
-        self.ny = W.shape[2] // self.trials
-        terms, (tv, _, mp, mq, hp, hq) = self._terms(W)
-        swap = None
-        if orient:
-            # the swap is applied to the totals only: the next measurement
-            # (after reordering) replaces the block terms
-            swap = [q > p for p, q in zip(hp, hq)]
-            for b in (b for b, s in enumerate(swap) if s):
-                mp[b], mq[b], hp[b], hq[b] = mq[b], mp[b], hq[b], hp[b]
-            self.initial_tv = tv
-        self.terms, self.mass = terms, (mp, mq)
-        self._advance(label, tv, [p - q for p, q in zip(hp, hq)])
-        return swap
-
-    def certify(self, label: str, W: np.ndarray) -> None:
-        """Check the just measured stacked pair W.
-
-        Every entry must be finite and in [0, 1 + 1e-9], and each grid's
+        Each trial's new totals are checked against its last step; then
+        every entry must be finite and in [0, 1 + 1e-9], and each grid's
         measured mass within 1e-9 of 1.
         """
-        if not (W.min() >= 0.0 and W.max() <= 1.0 + UPPER_TOL):
+        self.terms, sums = _measure(W, self.trials)
+        self.advance(label, sums)
+        if not _in_range(W, 0.0):
             raise InvariantViolation(f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
         for masses in zip(*self.mass):
             for name, m in zip("pq", masses):
                 if abs(m - 1.0) > MASS_TOL:
                     raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
+        self.record(label, *self.snapshots(W))
 
-    def freeze(self, label: str, W: np.ndarray) -> tuple[JointDistribution, JointDistribution]:
-        """The just measured stacked pair W of one trial as two grids, certified here instead of re-validated."""
-        self.certify(label, W)
-        return _freeze(W[0]), _freeze(W[1])
+    def snapshots(self, W: np.ndarray) -> tuple[JointDistribution | None, JointDistribution | None]:
+        """Read-only copies of the grids of the stacked pair W if the trace keeps snapshots, else (None, None)."""
+        return (_freeze(W[0]), _freeze(W[1])) if self.keep else (None, None)
 
-    def blocks(self, phases: list[_Phase], R: np.ndarray | None) -> None:
+    def blocks(self, phases: list[_Phase]) -> None:
         """Certify the block steps of the phases in one array pass, and record them when tracing.
 
         Steps are listed trial by trial and, within a trial, block by block:
         a block's fill, concentrate and transfer (in "all" mode each
-        preceded by its single moves). R, a copy of the reordered pair,
-        receives the states in trace order for the snapshots (None in
-        "none" mode).
+        preceded by its single moves). Their snapshots replay the states in
+        trace order onto a copy of the last recorded snapshot, the
+        reordered pair.
         """
         # part by part: a phase's single moves ("all" mode only), then its phase
         # steps; a stable sort by column then lists each block's steps in run order
@@ -512,9 +525,14 @@ class _TraceBuilder:
         tvs, gaps = self._certify(block[order], order, states, parts)
         if self.steps is None:
             return
-        snapshots = repeat((None, None)) if R is None else _replay(R, block[order], states, order)
+        if self.keep:
+            reordered = self.steps[-1]
+            R = np.array((reordered.p.probs, reordered.q.probs))
+            snapshots = _replay(R, block[order], states, order)
+        else:
+            snapshots = repeat((None, None))
         del states  # in "none" mode nothing reads the column states again
-        labels, moved = _labels(parts, order), np.concatenate(moved)[order].tolist()
+        labels, moved = _labels(parts, order, self.ny), np.concatenate(moved)[order].tolist()
         self.steps.extend(
             WalkStep(label, tv, gap, p, q, s)
             for label, tv, gap, (p, q), s in zip(labels, tvs, gaps, snapshots, moved)
@@ -560,8 +578,8 @@ class _TraceBuilder:
             # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
             rise = np.concatenate((new[:2], after[:2])) * _RISE
             bad = rise > np.concatenate((old[:2], before[:2])) * _RISE + STEP_TOL
-            if bad.any() or not (st.min() >= 0.0 and st.max() <= 1.0 + UPPER_TOL and mass.max() <= MASS_TOL):
-                entries = ((st >= 0.0) & (st <= 1.0 + UPPER_TOL)).all(axis=(0, 1))
+            if bad.any() or not (_in_range(st, 0.0) and mass.max() <= MASS_TOL):
+                entries = _in_range(st, 0.0, axis=(0, 1))
                 bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
                 n = int(bad.any(axis=0).argmax())
                 j = int(b[n]) % ny + 1
@@ -588,21 +606,17 @@ class _TraceBuilder:
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare each trial's running totals with a full measurement of the stacked pair W."""
-        _, (tvs, _, _, _, hp, hq) = self._terms(W)
-        for run_tv, run_gap, tv, p, q in zip(self.tv, self.gap, tvs, hp, hq):
-            gap = p - q
+        _, (tvs, _, _, _, hp, hq) = _measure(W, self.trials)
+        for run_tv, run_gap, tv, gap in zip(self.tv, self.gap, tvs.tolist(), (hp - hq).tolist()):
             if abs(tv - run_tv) > STEP_TOL or abs(gap - run_gap) > STEP_TOL:
                 raise InvariantViolation(
                     f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})"
                 )
 
     def record(self, label: str, p: JointDistribution | None, q: JointDistribution | None) -> None:
-        """Append the traced trial's current totals, with the snapshots p and q unless mode is "none"."""
-        if self.steps is None:
-            return
-        if self.mode == "none":
-            p = q = None
-        self.steps.append(WalkStep(label=label, tv=self.tv[0], gap=self.gap[0], p=p, q=q))
+        """Append the traced trial's current totals, with the snapshots p and q."""
+        if self.steps is not None:
+            self.steps.append(WalkStep(label=label, tv=self.tv[0], gap=self.gap[0], p=p, q=q))
 
 
 def _walk(
@@ -613,29 +627,27 @@ def _walk(
     Trial b owns the columns b*ny ... (b+1)*ny - 1. Each trial is oriented,
     reordered and averaged within its own columns; the kernel and the
     ledger run once over all of them, and the final checks run per trial.
-    The first failing check found raises InvariantViolation. With `pair` (the one trial W holds) the steps are
-    recorded in the snapshot mode, and the returned ledger's `final` is the
-    averaged pair.
+    The first failing check found raises InvariantViolation. With `pair`
+    (the one trial W holds) the steps are recorded in the snapshot mode,
+    and the grids of `pair` are the snapshots of the initial and oriented
+    steps, which do not change them. The returned ledger's `final` is the
+    averaged stacked pair.
     """
-    tb = _TraceBuilder(snapshots, trials, trace=pair is not None)
     ny = W.shape[2] // trials
-    # one measurement serves the initial record and the orientation: the
-    # recorded initial gap is |gap|, which is the oriented gap
-    swap = tb.measure("initial", W, orient=True)
-    if any(swap):
+    tb = _TraceBuilder(snapshots, ny, trials, trace=pair is not None)
+    # one measurement decides the orientation and gives the initial totals:
+    # the recorded initial gap is |gap|, which is the oriented gap
+    swap, sums = _orientation(W, trials)
+    tb.initial_tv = sums[0].tolist()
+    tb.advance("initial", sums)
+    grids = (pair.p, pair.q) if tb.keep else (None, None)
+    tb.record("initial", *grids)
+    tb.record("orient", *(grids[::-1] if swap[0] else grids))
+    if swap.any():
         W = np.where(np.repeat(swap, ny), W[::-1], W)
-    if pair is not None:
-        tb.record("initial", pair.p, pair.q)
-        tb.record("orient", *((pair.q, pair.p) if swap[0] else (pair.p, pair.q)))
     W = _reorder(W, trials)
     tb.measure("reorder", W)
-    R = None
-    if snapshots == "none":
-        tb.record("reorder", None, None)
-    else:
-        tb.record("reorder", *tb.freeze("reorder", W))
-        R = W.copy()
-    tb.blocks(_walk_blocks(W, moves=snapshots == "all"), R)
+    tb.blocks(_walk_blocks(W, moves=snapshots == "all"))
 
     left = np.flatnonzero((W[1, 1:] > 0.0).any(axis=0))
     if left.size:
@@ -644,11 +656,7 @@ def _walk(
 
     W = _average(W, trials)
     tb.measure("average", W)
-    if pair is None:
-        tb.certify("average", W)
-    else:
-        tb.final = DistributionPair(*tb.freeze("average", W))
-        tb.record("average", tb.final.p, tb.final.q)
+    tb.final = W
 
     final_q_entropy = _trial_sums(tb.terms[5:], trials)[0].tolist()
     q_x_top = W[1, 0].reshape(trials, ny).sum(axis=1).tolist()
@@ -672,16 +680,32 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     records every individual weight move, "none" keeps only labels and the
     measured tv/gap per phase.
 
+    Before it walks, the pair is refused (ValidationError) if it has more
+    than MAX_GRID_CELLS cells, or if its snapshots could exceed
+    MAX_TRACE_BYTES: 16*nx*ny bytes per step, over at most 3*ny + 4 steps
+    in "phases" mode and 3*nx*ny + 4 in "all" mode.
+
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within
     1e-9, for the moved block and for the totals; every block step leaves its
-    column's entries finite and in [0, 1 + 1e-9] and each grid's mass within
-    1e-9 of 1; the running totals agree with a full measurement before
-    averaging within 1e-9; the final q has conditional entropy <= 1e-9 and
-    X-marginal 1 on outcome 1; and the final gap is at most the continuity
-    bound evaluated at the initial TV.
+    column's entries finite and in [0, 1 + 1e-9], and so do the reordered
+    and the averaged grids, each grid's mass staying within 1e-9 of 1; the
+    running totals agree with a full measurement before averaging within
+    1e-9; the final q has conditional entropy <= 1e-9 and X-marginal 1 on
+    outcome 1; and the final gap is at most the continuity bound evaluated
+    at the initial TV.
     """
     if snapshots not in _SNAPSHOT_MODES:
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
+    nx, ny = pair.nx, pair.ny
+    _check_grid_size(nx, ny)
+    size = 16 * nx * ny * {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    if size > MAX_TRACE_BYTES:
+        raise ValidationError(
+            f"the {snapshots!r} snapshots of the {nx}x{ny} pair may take {size} bytes, over the trace guard {MAX_TRACE_BYTES}"
+        )
     tb = _walk(np.array((pair.p.probs, pair.q.probs)), 1, snapshots, pair)
-    return WalkTrace(steps=tuple(tb.steps), initial=pair, final=tb.final)
+    # the averaged pair: the last step's snapshots, or copies when the trace keeps none
+    last = tb.steps[-1]
+    final = (last.p, last.q) if tb.keep else (_freeze(tb.final[0]), _freeze(tb.final[1]))
+    return WalkTrace(steps=tuple(tb.steps), initial=pair, final=DistributionPair(*final))

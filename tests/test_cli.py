@@ -247,6 +247,20 @@ def test_exit_validation_on_oversized_grid(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_walk_refuses_a_trace_past_the_guard(tmp_path):
+    # a 100 x 100 pair: an "all" trace may take about 4.8 GB, so the walk is refused before it runs
+    rng = np.random.default_rng(5)
+    p, q = (
+        write_dist(tmp_path / f"{name}.json", JointDistribution(rng.dirichlet(np.ones(100 * 100)).reshape(100, 100)))
+        for name in "pq"
+    )
+    proc = run_cli("walk", p, q, "--snapshots", "all")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "trace guard" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_internal_invariant_violation(monkeypatch, tmp_path, capsys):
     # route an InvariantViolation through main's exit-code mapping in-process
     import equibound.cli as cli

@@ -244,22 +244,64 @@ def _leaky_transfer(monkeypatch, states):
     monkeypatch.setattr(walk, "_transfer", leaky)
 
 
-def _skewed_average(monkeypatch, states):
-    """Wrap walk._average so that it moves 0.01 of p down one row in every column averaged from one of `states`."""
+def _average_fault(fault):
+    """An injector that wraps walk._average so that fault(G) changes the averaged columns G (2, nx, k) of every column averaged from one of `states`."""
+
+    def inject(monkeypatch, states):
+        from equibound import walk
+
+        real = walk._average
+
+        def average(A, trials=1):
+            out = real(A, trials)
+            if A.ndim == 3:
+                hit = [c for c in range(A.shape[2]) if A[:, :, c].tobytes() in states]
+                out = np.array(out)
+                G = out[:, :, hit]
+                fault(G)
+                out[:, :, hit] = G
+            return out
+
+        monkeypatch.setattr(walk, "_average", average)
+
+    return inject
+
+
+def _move_down(grids, s):
+    """Move s of the given grids' top row to the row below it, in every column."""
+
+    def fault(G):
+        G[grids, 0] -= s
+        G[grids, 1] += s
+
+    return fault
+
+
+def _p_is_q(G):
+    G[0] = G[1]
+
+
+def _rows_reversed(G):
+    G[:] = G[:, ::-1].copy()
+
+
+_skewed_average = _average_fault(_move_down(0, 0.01))
+
+
+def _negative_after_reorder(monkeypatch, states):
+    """Wrap walk._reorder so that it leaves -1e-13 in the bottom row of both grids of every trial given a column of `states`."""
     from equibound import walk
 
-    real = walk._average
+    real = walk._reorder
 
-    def average(A, trials=1):
-        out = real(A, trials)
-        if A.ndim == 3:
-            hit = [c for c in range(A.shape[2]) if A[:, :, c].tobytes() in states]
-            out = np.array(out)
-            out[0, 1, hit] += 0.01
-            out[0, 0, hit] -= 0.01
+    def reorder(W, trials=1):
+        out = real(W, trials)
+        ny = W.shape[2] // trials
+        for t in {c // ny for c in range(W.shape[2]) if W[:, :, c].tobytes() in states}:
+            out[:, -1, t * ny : (t + 1) * ny] = -1e-13
         return out
 
-    monkeypatch.setattr(walk, "_average", average)
+    monkeypatch.setattr(walk, "_reorder", reorder)
 
 
 def _fault(monkeypatch, inject, nx, ny, seed, trials, eps=None, name="_transfer"):
@@ -311,6 +353,30 @@ def test_a_later_check_of_an_earlier_trial_comes_first(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         verify_trials(3, 2, 10, seed=11, eps=0.1)
     assert str(exc.value) == own[3] + " [seed 11, trial 3, nx=3, ny=2, eps=0.1]"
+
+
+# Faults caught only by the checks of the whole walk: the reordered grid's entries, the
+# averaged grid's gap, and the final checks. eps = 0 campaigns have q = p, so tv and gap
+# are 0 throughout and a fault of 1e-10 already breaks the bound at the initial tv.
+WHOLE_WALK_FAULTS = {
+    "reorder_entry": (_negative_after_reorder, "_reorder", 0.0, r"step 'reorder': an entry is not finite or outside \[0, 1\.000000001\]"),
+    "average_gap": (_average_fault(_p_is_q), "_average", 0.1, r"step 'average': gap decreased from \S+ to 0\.0"),
+    "final_q_entropy": (_average_fault(_move_down([0, 1], 1e-6)), "_average", 0.0, r"final q has conditional entropy \S+ > 1e-09"),
+    "final_q_top": (_average_fault(_rows_reversed), "_average", 0.0, r"final q_X\(1\) = 0\.0, expected 1"),
+    "final_bound": (_average_fault(_move_down(0, 1e-10)), "_average", 0.0, r"final gap \S+ exceeds the bound 0\.0 at the initial tv 0\.0"),
+}
+
+
+@pytest.mark.parametrize("fault", WHOLE_WALK_FAULTS)
+def test_whole_walk_checks_name_the_trial(monkeypatch, fault):
+    # a fault in trial 3 only: its own walk raises the check's message, and the campaign that
+    # certifies it in a batch names trial 3 with that message
+    inject, name, eps, message = WHOLE_WALK_FAULTS[fault]
+    own = _fault(monkeypatch, inject, 3, 2, 11, [3], eps=eps, name=name)
+    assert re.fullmatch(message, own[3]), own[3]
+    with pytest.raises(InvariantViolation) as exc:
+        verify_trials(3, 2, 10, seed=11, eps=eps)
+    assert str(exc.value) == own[3] + f" [seed 11, trial 3, nx=3, ny=2, eps={eps}]"
 
 
 def test_a_batch_failure_no_trial_repeats_names_the_batch(monkeypatch):

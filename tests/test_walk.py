@@ -5,7 +5,9 @@ from equibound import (
     DistributionPair,
     InvariantViolation,
     JointDistribution,
+    SymmetryElement,
     ValidationError,
+    apply_symmetry,
     average_blocks,
     canonical_orient,
     conditional_entropy,
@@ -267,6 +269,7 @@ def test_walk_trace_invariants_on_random_pairs():
         nx, ny = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         pair = _random_pair(rng, nx, ny)
         trace = run_walk(pair)
+        assert len(trace.steps) <= 3 * ny + 4
         tvs = [s.tv for s in trace.steps]
         gaps = [s.gap for s in trace.steps]
         assert all(b <= a + 1e-9 for a, b in zip(tvs, tvs[1:]))
@@ -306,6 +309,25 @@ def test_walk_rejects_unknown_snapshot_mode():
     pair = extremal_pair(0.3, 2, 1)
     with pytest.raises(ValidationError):
         run_walk(pair, snapshots="verbose")
+
+
+def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
+    from equibound import core
+
+    pair = _random_pair(np.random.default_rng(100), 100, 100)  # 160 KB per grid
+    real = walk._walk
+    monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
+    # an "all" trace may hold 16 * 10^4 bytes per step over 3 * 10^4 + 4 steps, about 4.8 GB
+    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 100x100 pair may take 4800640000 bytes, over the trace guard 1073741824$"):
+        run_walk(pair, snapshots="all")
+    monkeypatch.setattr(core, "MAX_GRID_CELLS", 100 * 100 - 1)
+    for mode in ("none", "phases", "all"):
+        with pytest.raises(ValidationError, match="grid-size guard"):
+            run_walk(pair, snapshots=mode)
+    monkeypatch.undo()
+    assert walk._walk is real
+    # "phases" may hold 16 * 10^4 bytes over 3 * 100 + 4 steps, about 49 MB: admitted
+    assert len(run_walk(pair, snapshots="phases").steps) <= 304
 
 
 def test_walk_single_outcome_alphabet():
@@ -415,6 +437,14 @@ def _kernel_pairs(rng, count):
         yield DistributionPair(p, q)
 
 
+def _tied_pairs(rng, count):
+    # q = g.p for a block symmetry g: equal equivocations, which float sums may split either way
+    for _ in range(count):
+        nx, ny = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        p = sample_joint(nx, ny, rng)
+        yield DistributionPair(p, apply_symmetry(p, SymmetryElement.random(nx, ny, rng)))
+
+
 def _wide_and_tall_pairs(rng):
     # one pair of each kind at a wide and a tall shape: many blocks of two rows, few blocks of many rows
     for nx, ny in ((2, 500), (300, 3)):
@@ -502,13 +532,15 @@ def _ref_walk_steps(pair, mode):
 
 @pytest.mark.parametrize("mode", ["phases", "all"])
 def test_walk_trace_matches_sequential_reference(mode):
-    # the trace lists the lockstep kernel's steps block by block, with the snapshots of a sequential walk
+    # the trace lists the lockstep kernel's steps block by block, with the snapshots of a sequential
+    # walk from the pair as canonical_orient orients it, ties included
     rng = np.random.default_rng(505)
-    pairs = list(_kernel_pairs(rng, 90))
+    pairs = list(_kernel_pairs(rng, 90)) + list(_tied_pairs(rng, 60))
     if mode == "phases":
         pairs += list(_wide_and_tall_pairs(rng))
     for pair in pairs:
         trace = run_walk(pair, snapshots=mode)
+        assert len(trace.steps) <= (3 * pair.ny + 4 if mode == "phases" else 3 * pair.nx * pair.ny + 4)
         block_steps = [s for s in trace.steps if s.label.startswith("block ")]
         got = [(s.label, s.transferred, s.p.probs.tobytes() + s.q.probs.tobytes()) for s in block_steps]
         assert got == _ref_walk_steps(pair, mode)
@@ -740,20 +772,37 @@ def test_whole_grid_snapshots_are_certified():
     pair = _three_block_pair()
     W = np.stack((pair.p.probs, pair.q.probs))
 
-    def freeze(W):
-        tb = walk._TraceBuilder("phases")
+    def snapshot(W):
+        # a whole-grid measurement certifies the grid before it records the snapshots
+        tb = walk._TraceBuilder("phases", 3, trace=True)
         tb.measure("average", W)
-        return tb.freeze("average", W)
+        (step,) = tb.steps
+        return step.p, step.q
 
-    p, q = freeze(W)
+    p, q = snapshot(W)
     assert p == pair.p and q == pair.q
     assert p.probs.tobytes() == pair.p.probs.tobytes() and not p.probs.flags.writeable
     bad = W.copy()
     bad[1, 2, 0] = -1e-13
     with pytest.raises(InvariantViolation, match="'average': an entry is not finite or outside"):
-        freeze(bad)
+        snapshot(bad)
     with pytest.raises(InvariantViolation, match="'average': total mass of p is 1.001"):
-        freeze(W * 1.001)
+        snapshot(W * 1.001)
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_bad_entry_left_by_reorder_raises_at_reorder(monkeypatch, mode):
+    # -1e-13 in both grids of the zero block: tv, gap and mass move by far less than 1e-9
+    real = walk._reorder
+
+    def negative(W, trials=1):
+        out = real(W, trials)
+        out[:, :, ~out.any(axis=(0, 1))] = -1e-13
+        return out
+
+    monkeypatch.setattr(walk, "_reorder", negative)
+    with pytest.raises(InvariantViolation, match=r"^step 'reorder': an entry is not finite or outside \[0, 1.000000001\]$"):
+        run_walk(extremal_pair(0.3, 3, 2), snapshots=mode)
 
 
 def test_unprocessed_block_raises_naming_the_block(monkeypatch):
