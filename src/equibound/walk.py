@@ -398,6 +398,12 @@ def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return terms, _trial_sums(terms, trials)
 
 
+# the rows of a trial's sums (see _measure) for its swapped pair (q, p), and their
+# signs: p's and q's rows exchanged, the gap row negated (negation is exact)
+_SWAPPED_ROWS = np.array([0, 1, 3, 2, 5, 4])
+_SWAPPED_SIGNS = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
+
+
 def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's sums as oriented.
 
@@ -407,9 +413,7 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
     """
     _, sums = _measure(W, trials)
     swap = sums[5] > sums[4]
-    swapped = sums[[0, 1, 3, 2, 5, 4]]
-    swapped[1] *= -1.0
-    return swap, np.where(swap, swapped, sums)
+    return swap, np.where(swap, sums[_SWAPPED_ROWS] * _SWAPPED_SIGNS, sums)
 
 
 # column cells the ledger measures at a time (4 MB of float64 for the pair)
