@@ -60,14 +60,17 @@ def parse_distribution(text: str) -> JointDistribution:
     """Parse and validate a distribution document.
 
     Raises DistributionParseError for malformed JSON (with line/column) and
-    ValidationError for schema or invariant breaches (with the offending
-    field), including NaN and infinite entries, integers too large for a
-    float and duplicate keys in any object.
+    for nesting too deep to decode, and ValidationError for schema or
+    invariant breaches (with the offending field), including NaN and
+    infinite entries, integers too large for a float and duplicate keys in
+    any object.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DistributionParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:  # arrays or objects nested past the decoder's recursion limit
+        raise DistributionParseError("arrays or objects nested too deeply") from None
     except ValidationError:
         raise
     except ValueError as exc:  # an integer literal past Python's digit limit

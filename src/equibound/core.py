@@ -27,9 +27,10 @@ MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # Cap on nx*ny for the grids the package builds from sizes alone (sample_joint,
 # hence verify_trials, and extremal_pair) and for the pairs run_walk (hence the
 # `walk` CLI) accepts. Peak memory grows by up to about 350 bytes per cell:
-# measured 342 B per cell for the `extremal` CLI at nx=1 000 000, ny=1, and
-# 183-223 MB for a one-trial verify_trials at 1000 x 1000, 1 000 000 x 1 and
-# nx=2, ny=500 000 (with and without eps) (Python 3.11, numpy 2.4), so an
+# measured 342 B per cell for the `extremal` CLI at nx=1 000 000, ny=1; a
+# one-trial verify_trials grew by 90 MB at 1000 x 1000, 118-121 MB at nx=2,
+# ny=500 000 (with and without eps) and 189 MB at 1 000 000 x 1, whose one
+# block the walk takes as a whole range (Python 3.11, numpy 2.4), so an
 # admitted grid stays under about 0.35 GB.
 MAX_GRID_CELLS = 1_000_000
 # Cap on the snapshots a run_walk trace may hold. A snapshot step holds two

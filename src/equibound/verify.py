@@ -24,7 +24,7 @@ from .core import (
     _check_grid_size,
     _xlog2x_arr,
 )
-from .walk import InvariantViolation, _walk
+from .walk import InvariantViolation, _range_blocks, _walk
 
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
@@ -33,11 +33,6 @@ DESK_SCALE_STEPS = 101
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
 _SCAN_BLOCK = 8
-# grid cells of the trials a campaign checks and certifies in one batch; a grid
-# past it is a batch of one. Besides its grids a trial holds about 2 KB while its
-# batch runs (measured on 2 x 1 grids, the most trials per batch), so a batch
-# stays near 20 MB; larger batches were not measurably faster
-_BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,8 +130,9 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     samples p, then builds q (an independent sample when eps is None, a
     TV-eps perturbation of p otherwise). Campaigns at different seeds share
     no trial, and results do not depend on execution order. The trials run
-    in batches of up to 2^14 grid cells (one trial per batch on larger
-    grids): each batch is checked against the bound at once (the checks are
+    in batches that fill one range of the walk's blocks, 2^14 grid cells
+    (one trial per batch on larger grids, whose walk takes several ranges):
+    each batch is checked against the bound at once (the checks are
     check_bound's, bit for bit) and certified by one pass of the
     invariant-checked walk. If a batch's walk fails, its trials are walked
     again one at a time, and the first failing trial's violation
@@ -154,7 +150,7 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     violations = 0
     max_ratio = 0.0
     worst: tuple[JointDistribution, JointDistribution] | None = None
-    size = min(trials, max(1, _BATCH_CELLS // (nx * ny)))
+    size = min(trials, max(1, _range_blocks(nx) // ny))
     for t0 in range(0, trials, size):
         pairs = []
         for t in range(t0, min(t0 + size, trials)):

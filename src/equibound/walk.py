@@ -18,20 +18,23 @@ behavior). The final gap is then at most the continuity bound evaluated at
 the initial TV.
 
 After reordering the blocks are independent, so step 3 runs them in
-lockstep: each phase (fill, concentrate, transfer) runs once, as array
-operations down the rows, over every block it applies to. The trace still
-lists the steps block by block (block 1's phases, then block 2's, ...), and
-its grids, moved masses and snapshots are bit-identical to processing the
-blocks one after another.
+lockstep, a range of blocks at a time: each range holds at most
+max(1, _CHUNK_CELLS // nx) blocks, and each phase (fill, concentrate,
+transfer) runs once, as array operations down the rows, over every block of
+the range it applies to. So every pass of the kernel and its ledger works
+on about _CHUNK_CELLS cells of each grid (a whole block when one block is
+taller). The trace still lists the steps block by block (block 1's phases,
+then block 2's, ...), and its grids, moved masses and snapshots are
+bit-identical to processing the blocks one after another.
 
 The certificate is block-local. TV and H(X|Y) = sum_j p_Y(j) H(X|Y=j) are
 both sums of per-Y-block terms, and every step changes a single block, so a
-block step is measured on its own column: O(nx) per step, in one array pass
-over the block steps. Each step's block TV must not rise and its gap must
-not fall, its column's entries must be finite and in [0, 1 + 1e-9], and
-the running totals (the per-step changes summed in trace order) must keep
-TV non-increasing, the gap non-decreasing and each grid's mass within 1e-9
-of 1. The first failing step in trace order raises. The whole grid is
+block step is measured on its own column: O(nx) per step, in one array
+pass over the block steps of a range. Each step's block TV must not rise
+and its gap must not fall, its column's entries must be finite and in
+[0, 1 + 1e-9], and the running totals (the per-step changes summed in trace
+order) must keep TV non-increasing, the gap non-decreasing and each grid's
+mass within 1e-9 of 1. The first failing step in trace order raises. The whole grid is
 measured only at the initial pair, after reordering, once before averaging
 as a cross-check of the running totals (a drift beyond 1e-9 raises
 InvariantViolation), and after averaging. The reordered and the averaged
@@ -48,9 +51,10 @@ everywhere.
 
 Because the blocks are independent, the columns of many pairs placed side
 by side form one valid input too. A campaign (verify.verify_trials) walks a
-whole batch of trials in one pass: each trial is oriented, reordered and
-averaged within its own columns, the kernel runs once over all of them,
-and the ledger keeps the running totals per trial, padding a trial with
+batch of trials, sized to one range, in one pass: each trial is oriented,
+reordered and averaged within its own columns, the kernel runs once over
+all of them, and the ledger keeps the running totals per trial (carried
+from range to range when a trial spans several), padding a trial with
 fewer steps with steps that change nothing (adding 0.0 is exact). Each
 trial's columns are summed as its own walk sums them, so its totals are
 bit-identical to its own walk. run_walk is this path for one pair, plus the
@@ -105,10 +109,9 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Ordered record of a walk, with the untouched initial and final pairs."""
+    """Ordered record of a walk, with its final (averaged) pair."""
 
     steps: tuple[WalkStep, ...]
-    initial: DistributionPair
     final: DistributionPair
 
     @property
@@ -282,15 +285,27 @@ def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
     return _Phase("fill", cols, before, new, (full | at)[up], s[up], tops, moved, switched)
 
 
-def _walk_blocks(W: np.ndarray, moves: bool = True) -> list[_Phase]:
-    """Drive every block of Q to a point mass on its top row, in place, in lockstep.
+# grid cells the kernel and its ledger work on at a time, and so the cells of a campaign batch
+# (see _range_blocks): 128 KB of float64 for each grid of the pair
+_CHUNK_CELLS = 1 << 14
 
-    W = [P, Q] is a reordered stacked pair. Blocks whose top row has q < p
+
+def _range_blocks(nx: int) -> int:
+    # the blocks of one range: about _CHUNK_CELLS cells of each grid, and at least one block
+    return max(1, _CHUNK_CELLS // nx)
+
+
+def _walk_blocks(W: np.ndarray, lo: int, hi: int, moves: bool = True) -> list[_Phase]:
+    """Drive the blocks lo ... hi - 1 of Q to a point mass on their top row, in place, in lockstep.
+
+    W = [P, Q] is a reordered stacked pair; the phases work on those columns
+    of W and name them by their column in W. Blocks whose top row has q < p
     (an empty in-set) are filled first; those where fill's cap bound, and
     all others, then run concentrate and transfer. Returns the phases in run
-    order; a phase with no block to run on is left out. With moves=False the
-    arrays that only single-move replay reads (before, new, tops, s) are
-    dropped, so they do not outlive their phase.
+    order; a phase with no block to run on is left out. Every array a phase
+    holds has one column per block it runs on, so a range of blocks bounds
+    them. With moves=False the arrays that only single-move replay reads
+    (before, new, tops, s) are dropped, so they do not outlive their phase.
     """
     phases: list[_Phase] = []
 
@@ -302,14 +317,13 @@ def _walk_blocks(W: np.ndarray, moves: bool = True) -> list[_Phase]:
         phases.append(ph)
         return ph
 
-    P, Q = W
-    fill = Q[0] < P[0]
+    fill = W[1, 0, lo:hi] < W[0, 0, lo:hi]
     rest = ~fill
-    cols = fill.nonzero()[0]
+    cols = fill.nonzero()[0] + lo
     if cols.size:
         ph = run(_fill, cols)
-        rest[ph.cols[ph.switched]] = True
-    cols = rest.nonzero()[0]
+        rest[ph.cols[ph.switched] - lo] = True
+    cols = rest.nonzero()[0] + lo
     if cols.size:
         run(_concentrate, cols)
         run(_transfer, cols)
@@ -416,8 +430,6 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
     return swap, np.where(swap, sums[_SWAPPED_ROWS] * _SWAPPED_SIGNS, sums)
 
 
-# column cells the ledger measures at a time (4 MB of float64 for the pair)
-_LEDGER_CELLS = 1 << 18
 # signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
 # for a block's tv and gap and for the running totals
 _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
@@ -502,13 +514,14 @@ class _TraceBuilder:
         return (_freeze(W[0]), _freeze(W[1])) if self.keep else (None, None)
 
     def blocks(self, phases: list[_Phase]) -> None:
-        """Certify the block steps of the phases in one array pass, and record them when tracing.
+        """Certify the block steps of one range's phases in one array pass, and record them when tracing.
 
         Steps are listed trial by trial and, within a trial, block by block:
         a block's fill, concentrate and transfer (in "all" mode each
-        preceded by its single moves). Their snapshots replay the states in
-        trace order onto a copy of the last recorded snapshot, the
-        reordered pair.
+        preceded by its single moves). The column states are concatenated
+        once and measured once. Their snapshots replay the states in trace
+        order onto a copy of the last recorded snapshot: the reordered pair,
+        or the last step of the range before.
         """
         # part by part: a phase's single moves ("all" mode only), then its phase
         # steps; a stable sort by column then lists each block's steps in run order
@@ -525,88 +538,87 @@ class _TraceBuilder:
             ph.after = None  # held once, in the concatenation below
         block = np.concatenate([cols for _, cols, _ in parts])
         order = block.argsort(kind="stable")
-        states = np.concatenate(states, axis=2)
-        tvs, gaps = self._certify(block[order], order, states, parts)
+        # laid out column by column, so each column's rows are contiguous and summed the same
+        # way (pairwise) whatever the range holds
+        out = np.empty((block.size, *states[0].shape[:2])).transpose(1, 2, 0)
+        states = np.concatenate(states, axis=2, out=out)
+        terms = _block_terms(states)[:4, order]
+        # one min and one max pass a whole range; per-column flags, much slower on short
+        # columns, are taken only to name the column that fails
+        ok = _in_range(states, 0.0)
+        entries = np.full(block.size, True) if ok else _in_range(states, 0.0, axis=(0, 1))[order]
+        totals = self._certify(block[order], terms, entries, parts, order)
         if self.steps is None:
             return
         if self.keep:
-            reordered = self.steps[-1]
-            R = np.array((reordered.p.probs, reordered.q.probs))
+            last = self.steps[-1]
+            R = np.array((last.p.probs, last.q.probs))
             snapshots = _replay(R, block[order], states, order)
         else:
             snapshots = repeat((None, None))
         del states  # in "none" mode nothing reads the column states again
-        labels, moved = _labels(parts, order, self.ny), np.concatenate(moved)[order].tolist()
+        (tvs, gaps), labels = totals.tolist(), _labels(parts, order, self.ny)
+        moved = np.concatenate(moved)[order].tolist()
         self.steps.extend(
             WalkStep(label, tv, gap, p, q, s)
             for label, tv, gap, (p, q), s in zip(labels, tvs, gaps, snapshots, moved)
         )
 
-    def _certify(self, block: np.ndarray, order: np.ndarray, states: np.ndarray, parts) -> tuple[list, list]:
-        """Check every block step; returns the running tv and gap after each when tracing.
+    def _certify(self, block: np.ndarray, new: np.ndarray, entries: np.ndarray, parts, order) -> np.ndarray:
+        """Check every block step of a range; returns the running tv and gap after each, shape (2, steps).
 
-        block is each step's column in trace order, and states[:, :, order]
-        the column states in trace order. Each step is measured against the
-        block's previous step (or its reorder measurement), and its trial's
-        running totals move by the differences: a trial's changes form one
-        row, padded with zero changes, summed along the row. A step's block
-        tv must not rise nor its gap fall, nor may its trial's totals; its
-        column's entries must be finite and in [0, 1 + 1e-9], and each
+        In trace order, block is each step's column, new the first four
+        terms of its column state (see _block_terms) and entries whether
+        that state's entries are finite and in [0, 1 + 1e-9]; order maps
+        trace order to the steps of `parts`, for the labels. Each step is
+        measured against the block's previous step (or its reorder
+        measurement: a block lies in one range), and its trial's running
+        totals move by the differences: a trial's changes form one row,
+        padded with zero changes, summed along the row from the totals the
+        range before left. A step's block tv must not rise nor its gap fall,
+        nor may its trial's totals; its entries must be in range, and each
         grid's mass within 1e-9 of 1. The first failing step in trace order
-        raises. Steps are taken in chunks of about _LEDGER_CELLS column cells,
-        so the ledger's arrays stay small on grids with very many blocks.
+        raises.
         """
         ny = self.ny
-        size = max(1, _LEDGER_CELLS // states.shape[1])
         totals = np.array((self.tv, self.gap, *self.mass))
-        tvs, gaps = [], []
-        last_block, last = -1, self.terms[:4, :1]  # the step before the chunk (none before the first)
-        for lo in range(0, block.size, size):
-            b, st = block[lo : lo + size], states[:, :, order[lo : lo + size]]
-            # gathered column by column, so each column's rows are contiguous and summed
-            # the same way (pairwise) whatever the chunk holds
-            new = _block_terms(st)[:4]
-            same = b == np.concatenate(((last_block,), b[:-1]))
-            old = np.where(same, np.concatenate((last, new[:, :-1]), axis=1), self.terms[:4, b])
-            # one row per trial t0 .. t1 - 1 of the chunk, each step at its position in its trial
-            t0, t1 = int(b[0]) // ny, int(b[-1]) // ny + 1
-            row = b // ny - t0
-            pos = np.arange(b.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
-            delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
-            delta[:, row, pos] = new - old
-            run = _running(totals[:, t0:t1], delta)
-            before, after = run[:, row, pos], run[:, row, pos + 1]
-            totals[:, t0:t1] = run[:, :, -1]
-            mass = after[2:] - 1.0
-            np.abs(mass, out=mass)
-            # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
-            rise = np.concatenate((new[:2], after[:2])) * _RISE
-            bad = rise > np.concatenate((old[:2], before[:2])) * _RISE + STEP_TOL
-            if bad.any() or not (_in_range(st, 0.0) and mass.max() <= MASS_TOL):
-                entries = _in_range(st, 0.0, axis=(0, 1))
-                bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
-                n = int(bad.any(axis=0).argmax())
-                j = int(b[n]) % ny + 1
-                (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
-                (l_tv, l_gap), (tv, gap, mp, mq) = before[:2, n].tolist(), after[:, n].tolist()
-                messages = (
-                    f"block {j} tv increased from {o_tv} to {n_tv}",
-                    f"block {j} gap decreased from {o_gap} to {n_gap}",
-                    f"tv increased from {l_tv} to {tv}",
-                    f"gap decreased from {l_gap} to {gap}",
-                    f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
-                    f"total mass of p is {mp}, not 1 within {MASS_TOL}",
-                    f"total mass of q is {mq}, not 1 within {MASS_TOL}",
-                )
-                label = _labels(parts, order[lo : lo + size], ny)[n]
-                raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
-            if self.steps is not None:
-                tvs += after[0].tolist()
-                gaps += after[1].tolist()
-            last_block, last = b[-1], new[:, -1:]
+        old = self.terms[:4, block]
+        same = np.flatnonzero(block[1:] == block[:-1]) + 1
+        old[:, same] = new[:, same - 1]
+        # one row per trial t0 .. t1 - 1 of the range, each step at its position in its trial
+        t0, t1 = int(block[0]) // ny, int(block[-1]) // ny + 1
+        row = block // ny - t0
+        pos = np.arange(block.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
+        delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
+        delta[:, row, pos] = new - old
+        run = _running(totals[:, t0:t1], delta)
+        before, after = run[:, row, pos], run[:, row, pos + 1]
+        totals[:, t0:t1] = run[:, :, -1]
+        mass = after[2:] - 1.0
+        np.abs(mass, out=mass)
+        # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
+        rise = np.concatenate((new[:2], after[:2])) * _RISE
+        bad = rise > np.concatenate((old[:2], before[:2])) * _RISE + STEP_TOL
+        if bad.any() or not (entries.all() and mass.max() <= MASS_TOL):
+            bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
+            n = int(bad.any(axis=0).argmax())
+            j = int(block[n]) % ny + 1
+            (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()
+            (l_tv, l_gap), (tv, gap, mp, mq) = before[:2, n].tolist(), after[:, n].tolist()
+            messages = (
+                f"block {j} tv increased from {o_tv} to {n_tv}",
+                f"block {j} gap decreased from {o_gap} to {n_gap}",
+                f"tv increased from {l_tv} to {tv}",
+                f"gap decreased from {l_gap} to {gap}",
+                f"block {j} has an entry that is not finite or outside [0, {1.0 + UPPER_TOL}]",
+                f"total mass of p is {mp}, not 1 within {MASS_TOL}",
+                f"total mass of q is {mq}, not 1 within {MASS_TOL}",
+            )
+            label = _labels(parts, order, ny)[n]
+            raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
         self.tv, self.gap, mp, mq = totals.tolist()
         self.mass = (mp, mq)
-        return tvs, gaps
+        return after[:2]
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare each trial's running totals with a full measurement of the stacked pair W."""
@@ -630,7 +642,8 @@ def _walk(
 
     Trial b owns the columns b*ny ... (b+1)*ny - 1. Each trial is oriented,
     reordered and averaged within its own columns; the kernel and the
-    ledger run once over all of them, and the final checks run per trial.
+    ledger run over all of them, one range of blocks (see _range_blocks)
+    at a time, and the final checks run per trial.
     The first failing check found raises InvariantViolation. With `pair`
     (the one trial W holds) the steps are recorded in the snapshot mode,
     and the grids of `pair` are the snapshots of the initial and oriented
@@ -651,7 +664,9 @@ def _walk(
         W = np.where(np.repeat(swap, ny), W[::-1], W)
     W = _reorder(W, trials)
     tb.measure("reorder", W)
-    tb.blocks(_walk_blocks(W, moves=snapshots == "all"))
+    size = _range_blocks(W.shape[1])
+    for lo in range(0, W.shape[2], size):
+        tb.blocks(_walk_blocks(W, lo, lo + size, moves=snapshots == "all"))
 
     left = np.flatnonzero((W[1, 1:] > 0.0).any(axis=0))
     if left.size:
@@ -712,4 +727,4 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     # the averaged pair: the last step's snapshots, or copies when the trace keeps none
     last = tb.steps[-1]
     final = (last.p, last.q) if tb.keep else (_freeze(tb.final[0]), _freeze(tb.final[1]))
-    return WalkTrace(steps=tuple(tb.steps), initial=pair, final=DistributionPair(*final))
+    return WalkTrace(steps=tuple(tb.steps), final=DistributionPair(*final))

@@ -226,6 +226,19 @@ def test_exit_usage_on_non_utf8_file(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["entropy", "tv", "walk"])
+def test_exit_usage_on_deeply_nested_file(tmp_path, command):
+    # past the decoder's nesting limit json.loads raises RecursionError, not JSONDecodeError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    good = write_dist(tmp_path / "good.json", JointDistribution([[0.5], [0.5]]))
+    files = [str(deep)] if command == "entropy" else [good, str(deep)]
+    proc = run_cli(command, *files)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: malformed distribution file: arrays or objects nested too deeply\n"
+
+
 def test_exit_domain_error_is_validation():
     assert run_cli("bound", "--epsilon", "0.5", "--nx", "1").returncode == 1
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1

@@ -21,7 +21,7 @@ from equibound import (
     tv_distance,
     verify_trials,
 )
-from equibound import bounds, verify
+from equibound import bounds, verify, walk
 from equibound.core import _xlog2x_arr
 from equibound.verify import _compositions, _ratio
 
@@ -207,8 +207,6 @@ def _trial_pair(nx, ny, seed, t, eps=None):
 
 def _column_states(monkeypatch, name, pair):
     """The column states (as bytes) that walk.<name> is given in the pair's own walk."""
-    from equibound import walk
-
     real, seen = getattr(walk, name), set()
 
     def spy(W, *args):
@@ -228,8 +226,6 @@ def _column_states(monkeypatch, name, pair):
 
 def _leaky_transfer(monkeypatch, states):
     """Wrap walk._transfer so that it puts half of q's top row back below it in every column it starts from one of `states`."""
-    from equibound import walk
-
     real = walk._transfer
 
     def leaky(W, cols):
@@ -248,8 +244,6 @@ def _average_fault(fault):
     """An injector that wraps walk._average so that fault(G) changes the averaged columns G (2, nx, k) of every column averaged from one of `states`."""
 
     def inject(monkeypatch, states):
-        from equibound import walk
-
         real = walk._average
 
         def average(A, trials=1):
@@ -290,8 +284,6 @@ _skewed_average = _average_fault(_move_down(0, 0.01))
 
 def _negative_after_reorder(monkeypatch, states):
     """Wrap walk._reorder so that it leaves -1e-13 in the bottom row of both grids of every trial given a column of `states`."""
-    from equibound import walk
-
     real = walk._reorder
 
     def reorder(W, trials=1):
@@ -328,7 +320,7 @@ def test_walk_violation_names_seed_and_trial(monkeypatch):
 
 def test_walk_violation_in_a_later_batch_names_its_campaign_trial(monkeypatch):
     # batches of 4: trial 6 is column 2 of the second batch
-    monkeypatch.setattr(verify, "_BATCH_CELLS", 4 * 2)
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 4 * 2)
     own = _fault(monkeypatch, _leaky_transfer, 2, 1, 7, [6])
     with pytest.raises(InvariantViolation) as exc:
         verify_trials(2, 1, 10, seed=7)
@@ -381,8 +373,6 @@ def test_whole_walk_checks_name_the_trial(monkeypatch, fault):
 
 def test_a_batch_failure_no_trial_repeats_names_the_batch(monkeypatch):
     # a fault only in a batch's column 3, never in a walk of one pair
-    from equibound import walk
-
     real = walk._transfer
 
     def leaky_in_batches(W, cols):
@@ -457,7 +447,7 @@ def _assert_same_report(report, reference):
 def test_batched_campaign_matches_the_per_trial_loop(monkeypatch, eps):
     # batches of BATCH trials, and campaigns of 1, B - 1, B, B + 1 and 2B + 3 trials, on every campaign shape
     for nx, ny in CAMPAIGN_SHAPES:
-        monkeypatch.setattr(verify, "_BATCH_CELLS", BATCH * nx * ny)
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * nx * ny)
         seed = 1000 + 10 * nx + ny
         reference = _reference_trials(nx, ny, 2 * BATCH + 3, seed, eps)
         for trials in (1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3):
@@ -473,7 +463,7 @@ def test_violation_counts_match_the_per_trial_loop(monkeypatch):
         return dataclasses.replace(result, value=result.value / 3)
 
     monkeypatch.setattr(bounds, "continuity_bound", shrunk)
-    monkeypatch.setattr(verify, "_BATCH_CELLS", BATCH * 6)
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * 6)
     for eps in (None, 0.1):
         reference = _reference_report(_reference_trials(3, 2, 2 * BATCH + 3, 77, eps))
         assert 0 < reference[0] < 2 * BATCH + 3
@@ -497,10 +487,10 @@ def test_batch_size_follows_the_cell_budget(monkeypatch):
 
     assert batches(3, 2, 1, seed=1) == [1]
     assert batches(3, 2, 25, seed=1) == [25]
-    monkeypatch.setattr(verify, "_BATCH_CELLS", 10 * 6)
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 10 * 6)
     assert batches(3, 2, 25, seed=1) == [10, 10, 5]
     assert batches(3, 2, 1, seed=1) == [1]
-    monkeypatch.setattr(verify, "_BATCH_CELLS", 5)  # a grid past the budget is a batch of one
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 5)  # a grid past the budget is a batch of one
     assert batches(3, 2, 3, seed=1, eps=0.2) == [1, 1, 1]
 
 

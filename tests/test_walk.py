@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def _process(pair, j):
     assert reorder(pair) == pair, "example is not in canonical form"
     W = np.stack((pair.p.probs, pair.q.probs))
     block = W[:, :, j - 1 : j].copy()
-    phases = [ph.kind for ph in walk._walk_blocks(block)]
+    phases = [ph.kind for ph in walk._walk_blocks(block, 0, 1)]
     W[:, :, j - 1 : j] = block
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1])), phases
 
@@ -191,7 +193,7 @@ def test_block_processing_preserves_block_masses():
         pair = _random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
         reordered = reorder(canonical_orient(pair))
         W = np.stack((reordered.p.probs, reordered.q.probs))
-        walk._walk_blocks(W)
+        walk._walk_blocks(W, 0, W.shape[2])
         out = DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
         assert np.allclose(marginal(out.p, "y"), marginal(reordered.p, "y"), atol=1e-12)
         assert np.allclose(marginal(out.q, "y"), marginal(reordered.q, "y"), atol=1e-12)
@@ -472,7 +474,7 @@ def _kernel_blocks(W):
     """The lockstep kernel on W, regrouped per block like _ref_blocks."""
     ny = W.shape[2]
     phases, moves = [[] for _ in range(ny)], [[] for _ in range(ny)]
-    for ph in walk._walk_blocks(W):
+    for ph in walk._walk_blocks(W, 0, ny):
         for j0, moved in zip(ph.cols.tolist(), ph.moved.tolist()):
             phases[j0].append((ph.kind, moved))
         c, r, states = walk._move_states(ph)
@@ -643,23 +645,22 @@ def test_mass_drift_in_a_moved_column_raises(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["none", "phases", "all"])
 def test_ledger_chunks_certify_the_same_trace(monkeypatch, mode):
-    # chunks of one step, and of a few steps that split blocks, against the single-chunk ledger
+    # ranges of one block, and of two blocks, against the one-range walk: the same trace, bit for bit
     rng = np.random.default_rng(606)
     pairs = list(_kernel_pairs(rng, 30))
     whole = [run_walk(pair, snapshots=mode) for pair in pairs]
-    for steps_per_chunk in (1, 4):
+    for blocks_per_range in (1, 2):
         for pair, expected in zip(pairs, whole):
-            monkeypatch.setattr(walk, "_LEDGER_CELLS", steps_per_chunk * pair.nx)
+            monkeypatch.setattr(walk, "_CHUNK_CELLS", blocks_per_range * pair.nx)
             trace = run_walk(pair, snapshots=mode)
-            assert [(s.label, s.transferred, s.p, s.q) for s in trace.steps] == [
-                (s.label, s.transferred, s.p, s.q) for s in expected.steps
+            assert [(s.label, s.tv.hex(), s.gap.hex(), s.transferred, s.p, s.q) for s in trace.steps] == [
+                (s.label, s.tv.hex(), s.gap.hex(), s.transferred, s.p, s.q) for s in expected.steps
             ]
-            assert np.allclose([s.tv for s in trace.steps], [s.tv for s in expected.steps], rtol=0, atol=1e-12)
-            assert np.allclose([s.gap for s in trace.steps], [s.gap for s in expected.steps], rtol=0, atol=1e-12)
+            assert trace.final == expected.final
 
 
 def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
-    monkeypatch.setattr(walk, "_LEDGER_CELLS", 3)  # one step per chunk
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 3)  # one block per range
     test_faulty_move_raises_naming_the_block(monkeypatch, "none")
 
 
@@ -713,11 +714,11 @@ def test_batched_walk_keeps_each_trials_totals(monkeypatch, shape):
 
 @pytest.mark.parametrize("shape", [(3, 2), (24, 2)])
 def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
-    # chunks that end inside a trial carry its totals into the next chunk, and a lone last
-    # step is measured like the others, so the ledger's totals do not depend on the chunking
+    # ranges that end inside a trial carry its totals into the next range, and a lone last
+    # block is measured like the others, so the ledger's totals do not depend on the ranges
     nx, ny = shape
     pairs = _pairs_of_shape(np.random.default_rng(909), nx, ny, 12)
-    cells, certify, ledgers = walk._LEDGER_CELLS, walk._TraceBuilder._certify, []
+    cells, certify, ledgers = walk._CHUNK_CELLS, walk._TraceBuilder._certify, []
 
     def recording(self, block, *args):
         result = certify(self, block, *args)
@@ -726,21 +727,59 @@ def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
 
     monkeypatch.setattr(walk._TraceBuilder, "_certify", recording)
     walk._walk(_batch(pairs), len(pairs))
-    steps, *whole = ledgers[0]
-    # chunk sizes that leave a lone last step
-    lone_last = [c for c in range(2, steps) if steps % c == 1]
+    (whole,) = [ledger[1:] for ledger in ledgers]
+    # range sizes that leave a lone last block
+    blocks = len(pairs) * ny
+    lone_last = [c for c in range(2, blocks) if blocks % c == 1]
     assert lone_last
-    for steps_per_chunk in [1, 5] + lone_last:
+    for blocks_per_range in [1, 5] + lone_last:
         ledgers.clear()
-        monkeypatch.setattr(walk, "_LEDGER_CELLS", steps_per_chunk * nx)
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", blocks_per_range * nx)
         walk._walk(_batch(pairs), len(pairs))
-        assert ledgers[0][1:] == tuple(whole)
-    monkeypatch.setattr(walk, "_LEDGER_CELLS", cells)
+        assert len(ledgers) == -(-blocks // blocks_per_range)
+        assert ledgers[-1][1:] == whole
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", cells)
     for b, pair in enumerate(pairs):
         ledgers.clear()
         run_walk(pair, snapshots="none")
         _, tv, gap, (mp, mq) = ledgers[0]
         assert (tv, gap, mp, mq) == ([whole[0][b]], [whole[1][b]], [whole[2][0][b]], [whole[2][1][b]])
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (2, 50_000)])
+def test_walk_takes_its_blocks_a_bounded_range_at_a_time(monkeypatch, shape):
+    # every kernel call runs its phases on at most one range of blocks, and the calls cover each block once
+    nx, ny = shape
+    real, calls = walk._walk_blocks, []
+
+    def recording(W, lo, hi, moves=True):
+        phases = real(W, lo, hi, moves)
+        calls.append(np.unique(np.concatenate([ph.cols for ph in phases])))
+        return phases
+
+    monkeypatch.setattr(walk, "_walk_blocks", recording)
+    rng = np.random.default_rng(31)
+    run_walk(DistributionPair(sample_joint(nx, ny, rng), sample_joint(nx, ny, rng)), snapshots="none")
+    size = max(1, walk._CHUNK_CELLS // nx)
+    assert len(calls) > 1
+    assert max(cols.size for cols in calls) <= size
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.arange(ny))
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (2, 50_000)])
+def test_walk_memory_stays_within_a_few_copies_of_the_pair(shape):
+    # numpy reports its allocations to tracemalloc; the walk's peak is a few copies of the
+    # stacked pair, since the kernel and its ledger hold one range of blocks at a time
+    nx, ny = shape
+    rng = np.random.default_rng(32)
+    W = np.stack((sample_joint(nx, ny, rng).probs, sample_joint(nx, ny, rng).probs))
+    tracemalloc.start()
+    try:
+        walk._walk(W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * W.nbytes
 
 
 def test_batched_walk_raises_its_first_failing_step(monkeypatch):

@@ -11,7 +11,11 @@ bits on these inputs:
   masses, snapshot bytes and final-grid bytes;
 - campaigns: the 32 bench `campaign` items (seed 2001) and the sixteen
   campaigns of acceptance criterion 1: violation counts,
-  max_gap_over_bound_ratio (float.hex) and worst-pair bytes.
+  max_gap_over_bound_ratio (float.hex) and worst-pair bytes;
+- ranges: walks past the kernel's cell budget, so that each walks its blocks
+  in several ranges: one pair of each kind at 200x200 and 1000x40 in the
+  "none" and "phases" modes, and at 2x30000 and 20000x2 in "none" mode,
+  hashed like the walks.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -31,6 +35,8 @@ from equibound import DistributionPair, JointDistribution, perturb_within_tv, ru
 from test_walk import _kernel_pairs  # noqa: E402
 
 BENCH_SHAPES = [(48, 48), (16, 144), (144, 16), (12, 12), (6, 24), (24, 6)]
+# (shape, modes) of the walks that span several ranges of blocks
+RANGE_WALKS = [((200, 200), ("none", "phases")), ((1000, 40), ("none", "phases")), ((2, 30000), ("none",)), ((20000, 2), ("none",))]
 CAMPAIGN_SHAPES = [(nx, ny) for nx in range(2, 6) for ny in range(1, 5)]
 
 
@@ -42,26 +48,37 @@ def _grid(J):
     return b"-" if J is None else J.probs.tobytes()
 
 
-def _bench_pairs(rng):
-    for nx, ny in BENCH_SHAPES:
+def _bench_pairs(rng, shapes=BENCH_SHAPES):
+    for nx, ny in shapes:
         p = sample_joint(nx, ny, rng)
         yield DistributionPair(p, sample_joint(nx, ny, rng))
         yield DistributionPair(p, perturb_within_tv(p, 0.1, rng))
         yield DistributionPair(p, JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny)))
 
 
-def walks() -> tuple[int, str]:
+def _walk_digest(runs) -> tuple[int, str]:
+    # runs: (pair, modes) items; one walk per pair and mode
     h, count = hashlib.sha256(), 0
-    pairs = list(_kernel_pairs(np.random.default_rng(20240), 240)) + list(_bench_pairs(np.random.default_rng(2001)))
-    for pair in pairs:
-        for mode in ("none", "phases", "all"):
+    for pair, modes in runs:
+        for mode in modes:
             trace = run_walk(pair, snapshots=mode)
             for s in trace.steps:
                 h.update(f"{s.label}|{_hex(s.tv)}|{_hex(s.gap)}|{_hex(s.transferred)}|".encode())
                 h.update(_grid(s.p) + _grid(s.q))
             h.update(_grid(trace.final.p) + _grid(trace.final.q))
+            del trace  # else the next walk's trace is built while this one is still held
             count += 1
     return count, h.hexdigest()
+
+
+def walks() -> tuple[int, str]:
+    pairs = list(_kernel_pairs(np.random.default_rng(20240), 240)) + list(_bench_pairs(np.random.default_rng(2001)))
+    return _walk_digest((pair, ("none", "phases", "all")) for pair in pairs)
+
+
+def ranges() -> tuple[int, str]:
+    rng = np.random.default_rng(2002)
+    return _walk_digest((pair, modes) for shape, modes in RANGE_WALKS for pair in _bench_pairs(rng, [shape]))
 
 
 def campaigns() -> tuple[int, str]:
@@ -77,6 +94,6 @@ def campaigns() -> tuple[int, str]:
 
 
 if __name__ == "__main__":
-    for name, section in (("walks", walks), ("campaigns", campaigns)):
+    for name, section in (("walks", walks), ("campaigns", campaigns), ("ranges", ranges)):
         count, digest = section()
         print(f"{name} {count} {digest}")
