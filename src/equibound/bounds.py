@@ -74,7 +74,7 @@ def _check_ny(ny: int) -> int:
 def _check_radius(epsilon: float, nx: int, name: str) -> float:
     """epsilon as a float in (0, 1 - 1/nx], admitting _EDGE_TOL past the upper end."""
     epsilon = float(epsilon)
-    threshold = 1.0 - 1.0 / nx
+    threshold = 1.0 - 1 / nx
     if not (0.0 < epsilon <= threshold + _EDGE_TOL):
         raise ValidationError(f"{name} must be in (0, {threshold}], got {epsilon}")
     return epsilon
@@ -90,7 +90,7 @@ def continuity_bound(epsilon: float, nx: int) -> BoundResult:
     """
     nx = _check_nx(nx)
     epsilon = _as_prob(epsilon, "epsilon")
-    threshold = 1.0 - 1.0 / nx
+    threshold = 1.0 - 1 / nx
     if epsilon > threshold:
         return BoundResult(epsilon=epsilon, nx=nx, value=math.log2(nx), clamped=True)
     value = epsilon * math.log2(nx - 1) + binary_entropy(epsilon)

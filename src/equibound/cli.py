@@ -27,6 +27,7 @@ from typing import Any
 
 from .bounds import continuity_bound, extremal_pair
 from .core import (
+    _COND_FORMULAS,
     DistributionPair,
     JointDistribution,
     ValidationError,
@@ -34,7 +35,7 @@ from .core import (
     tv_distance,
 )
 from .verify import TrialReport, grid_search_max_gap, verify_trials
-from .walk import InvariantViolation, WalkTrace, run_walk
+from .walk import _SNAPSHOT_MODES, InvariantViolation, WalkTrace, run_walk
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_entropy = sub.add_parser("entropy", help="conditional entropy H(X|Y) of a distribution file")
     p_entropy.add_argument("file")
-    p_entropy.add_argument("--formula", choices=["difference", "mixture", "direct"], default="mixture")
+    p_entropy.add_argument("--formula", choices=list(_COND_FORMULAS), default="mixture")
     p_entropy.set_defaults(handler=_cmd_entropy)
 
     p_tv = sub.add_parser("tv", help="total variation distance between two distribution files")
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("p_file")
     p_walk.add_argument("q_file")
     p_walk.add_argument("--trace-file", default=None, help="write the JSON-lines trace here")
-    p_walk.add_argument("--snapshots", choices=["phases", "all", "none"], default="phases")
+    p_walk.add_argument("--snapshots", choices=_SNAPSHOT_MODES, default="phases")
     p_walk.set_defaults(handler=_cmd_walk)
 
     p_verify = sub.add_parser("verify", help="seeded random campaign of bound checks and walks")

@@ -131,10 +131,11 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     TV-eps perturbation of p otherwise). Campaigns at different seeds share
     no trial, and results do not depend on execution order. The trials run
     in batches that fill one range of the walk's blocks, 2^14 grid cells
-    (one trial per batch on larger grids, whose walk takes several ranges):
-    each batch is checked against the bound at once (the checks are
-    check_bound's, bit for bit) and certified by one pass of the
-    invariant-checked walk. If a batch's walk fails, its trials are walked
+    (one trial per batch on larger grids, whose walk takes several ranges).
+    A batch's grids, stacked as one (2, trials, nx, ny) array, are checked
+    against the bound at once (the checks are check_bound's, bit for bit)
+    and certified by one pass of the invariant-checked walk, which takes
+    the same stack. If a batch's walk fails, its trials are walked
     again one at a time, and the first failing trial's violation
     propagates, with the seed and that trial's number attached (if none
     fails on its own, the batch's violation, with its trials' range).
@@ -167,13 +168,13 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
         try:
             # stacked again, not kept: the walk holds the only reference, which it drops once
             # it has reordered, so a large grid is not held twice
-            _walk(_stack(pairs).transpose(0, 2, 1, 3).reshape(2, nx, -1), len(pairs))
+            _walk(_stack(pairs))
         except InvariantViolation as exc:
             # the batch raised its first failure found, which need not be its first failing
             # trial's: the trials walk again one at a time, and the first to fail is named
             for t, pair in enumerate(pairs, t0):
                 try:
-                    _walk(np.array([J.probs for J in pair]))
+                    _walk(_stack([pair]))
                 except InvariantViolation as own:
                     raise InvariantViolation(
                         f"{own} [seed {seed}, trial {t}, nx={nx}, ny={ny}, eps={eps}]"

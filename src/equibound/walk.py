@@ -47,18 +47,22 @@ The initial measurement also decides the orientation, and it is the only
 rule that does: canonical_orient is its one-pair case. Pairs related by a
 block symmetry have equal equivocations, but float sums taken in different
 orders may split such a tie either way; one rule splits it the same way
-everywhere.
+everywhere. Orienting changes no tv and only the sign of the gap, so the
+ledger starts from the measured tv and |H(p) - H(q)|, whichever way the
+pair was given.
 
 Because the blocks are independent, the columns of many pairs placed side
-by side form one valid input too. A campaign (verify.verify_trials) walks a
-batch of trials, sized to one range, in one pass: each trial is oriented,
-reordered and averaged within its own columns, the kernel runs once over
-all of them, and the ledger keeps the running totals per trial (carried
-from range to range when a trial spans several), padding a trial with
-fewer steps with steps that change nothing (adding 0.0 is exact). Each
-trial's columns are summed as its own walk sums them, so its totals are
-bit-identical to its own walk. run_walk is this path for one pair, plus the
-trace. A batch raises at its first failing check, as a single walk does.
+by side form one valid input too. The walk takes a stack of trials, shape
+(2, trials, nx, ny), and lays them side by side itself. A campaign
+(verify.verify_trials) walks a batch of trials, sized to one range, in one
+pass: each trial is oriented, reordered and averaged within its own
+columns, the kernel runs once over all of them, and the ledger keeps the
+running totals per trial (carried from range to range when a trial spans
+several), padding a trial with fewer steps with steps that change nothing
+(adding 0.0 is exact). Each trial's columns are summed as its own walk
+sums them, so its totals are bit-identical to its own walk. run_walk is
+this path for one pair, plus the trace. A batch raises at its first
+failing check, as a single walk does.
 
 Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 """
@@ -138,7 +142,7 @@ def canonical_orient(pair: DistributionPair) -> DistributionPair:
     (see _orientation), so a tie is split the same way here as in the walk.
     Ties are left unchanged. Gap and TV are unaffected.
     """
-    (swap,), _ = _orientation(np.array((pair.p.probs, pair.q.probs)))
+    (swap,), _, _ = _orientation(np.array((pair.p.probs, pair.q.probs)))
     return DistributionPair(pair.q, pair.p) if swap else pair
 
 
@@ -392,11 +396,6 @@ def _block_terms(W: np.ndarray) -> np.ndarray:
     return np.concatenate((tv[None], (h[0] - h[1])[None], m, h))
 
 
-def _trial_sums(terms: np.ndarray, trials: int) -> np.ndarray:
-    # (rows, trials * ny) block terms -> (rows, trials): each trial's blocks summed
-    return terms.reshape(len(terms), trials, -1).sum(axis=2)
-
-
 def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Every block's terms of the stacked pair W of `trials` pairs (see _block_terms), and each trial's sums.
 
@@ -409,25 +408,20 @@ def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
         terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
     else:
         terms = _block_terms(W)
-    return terms, _trial_sums(terms, trials)
+    # (6, trials * ny) block terms -> (6, trials): each trial's blocks summed
+    return terms, terms.reshape(len(terms), trials, -1).sum(axis=2)
 
 
-# the rows of a trial's sums (see _measure) for its swapped pair (q, p), and their
-# signs: p's and q's rows exchanged, the gap row negated (negation is exact)
-_SWAPPED_ROWS = np.array([0, 1, 3, 2, 5, 4])
-_SWAPPED_SIGNS = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
-
-
-def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's sums as oriented.
+def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's tv and gap as oriented.
 
     A trial is swapped when its q has the larger measured equivocation
-    (see _measure); ties are left as they are. A swapped trial's sums are
-    those of (q, p): its p and q rows are exchanged and its gap row negated.
+    (see _measure); ties are left as they are. Swapping changes no tv, and
+    the oriented gap is |H(p) - H(q)|: for a swapped trial that is exactly
+    H(q) - H(p), since a - b is exactly -(b - a).
     """
-    _, sums = _measure(W, trials)
-    swap = sums[5] > sums[4]
-    return swap, np.where(swap, sums[_SWAPPED_ROWS] * _SWAPPED_SIGNS, sums)
+    _, (tv, _, _, _, hp, hq) = _measure(W, trials)
+    return hq > hp, tv, np.abs(hp - hq)
 
 
 # signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
@@ -466,31 +460,24 @@ class _TraceBuilder:
     """Certifies the walk of a batch of trials from a per-block ledger, and records one trial's steps.
 
     The stacked pair W = [P, Q] holds `trials` pairs side by side: trial b
-    owns columns b*ny ... (b+1)*ny - 1. `terms` holds every block's terms
-    from the last whole-grid measurement (see _measure); tv, gap and mass
-    hold each trial's running totals after its last step, one float per
-    trial. Every check is made per trial, and the first failing check found
-    raises InvariantViolation. With trace=True (one trial) the steps are
-    recorded as WalkSteps, with snapshots unless mode is "none" (`keep`).
+    owns columns b*ny ... (b+1)*ny - 1. The ledger starts from each trial's
+    initial tv and gap, `tv` and `gap` (one float per trial, the gap as
+    oriented; see _orientation), which it keeps as `initial_tv` too. `terms`
+    and `sums` hold every block's terms and each trial's sums from the last
+    whole-grid measurement (see _measure); tv, gap and mass hold each
+    trial's running totals after its last step. Every check is made per
+    trial, and the first failing check found raises InvariantViolation.
+    With trace=True (one trial) the steps are recorded as WalkSteps, with
+    snapshots unless mode is "none" (`keep`).
     """
 
-    def __init__(self, mode: SnapshotMode, ny: int, trials: int = 1, trace: bool = False):
+    def __init__(
+        self, mode: SnapshotMode, ny: int, tv: list[float], gap: list[float], trials: int = 1, trace: bool = False
+    ):
         self.mode, self.ny, self.trials = mode, ny, trials
         self.steps: list[WalkStep] | None = [] if trace else None
         self.keep = trace and mode != "none"
-        self.tv: list[float] | None = None
-        self.gap: list[float] | None = None
-
-    def advance(self, label: str, sums: np.ndarray) -> None:
-        """Take each trial's totals from its sums (see _measure), checking tv and gap against its last step."""
-        tv, gap = sums[0].tolist(), (sums[4] - sums[5]).tolist()
-        if self.tv is not None:
-            for old_tv, new_tv, old_gap, new_gap in zip(self.tv, tv, self.gap, gap):
-                if new_tv > old_tv + STEP_TOL:
-                    raise InvariantViolation(f"step {label!r}: tv increased from {old_tv} to {new_tv}")
-                if new_gap < old_gap - STEP_TOL:
-                    raise InvariantViolation(f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
-        self.tv, self.gap, self.mass = tv, gap, tuple(sums[2:4].tolist())
+        self.initial_tv, self.tv, self.gap = tv, tv, gap
 
     def measure(self, label: str, W: np.ndarray) -> None:
         """Measure the whole stacked pair W, certify it and record it.
@@ -499,8 +486,14 @@ class _TraceBuilder:
         every entry must be finite and in [0, 1 + 1e-9], and each grid's
         measured mass within 1e-9 of 1.
         """
-        self.terms, sums = _measure(W, self.trials)
-        self.advance(label, sums)
+        self.terms, self.sums = _measure(W, self.trials)
+        tv, gap = self.sums[0].tolist(), (self.sums[4] - self.sums[5]).tolist()
+        for old_tv, new_tv, old_gap, new_gap in zip(self.tv, tv, self.gap, gap):
+            if new_tv > old_tv + STEP_TOL:
+                raise InvariantViolation(f"step {label!r}: tv increased from {old_tv} to {new_tv}")
+            if new_gap < old_gap - STEP_TOL:
+                raise InvariantViolation(f"step {label!r}: gap decreased from {old_gap} to {new_gap}")
+        self.tv, self.gap, self.mass = tv, gap, tuple(self.sums[2:4].tolist())
         if not _in_range(W, 0.0):
             raise InvariantViolation(f"step {label!r}: an entry is not finite or outside [0, {1.0 + UPPER_TOL}]")
         for masses in zip(*self.mass):
@@ -635,12 +628,11 @@ class _TraceBuilder:
             self.steps.append(WalkStep(label=label, tv=self.tv[0], gap=self.gap[0], p=p, q=q))
 
 
-def _walk(
-    W: np.ndarray, trials: int = 1, snapshots: SnapshotMode = "none", pair: DistributionPair | None = None
-) -> _TraceBuilder:
-    """Run the certified walk on `trials` pairs placed side by side in the stacked pair W = [P, Q].
+def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", pair: DistributionPair | None = None) -> _TraceBuilder:
+    """Run the certified walk on every pair of W, a (2, trials, nx, ny) stack: the p grids, then the q grids.
 
-    Trial b owns the columns b*ny ... (b+1)*ny - 1. Each trial is oriented,
+    The trials are laid side by side, trial b in the columns b*ny ...
+    (b+1)*ny - 1 (for one trial, a view of W). Each trial is oriented,
     reordered and averaged within its own columns; the kernel and the
     ledger run over all of them, one range of blocks (see _range_blocks)
     at a time, and the final checks run per trial.
@@ -648,15 +640,13 @@ def _walk(
     (the one trial W holds) the steps are recorded in the snapshot mode,
     and the grids of `pair` are the snapshots of the initial and oriented
     steps, which do not change them. The returned ledger's `final` is the
-    averaged stacked pair.
+    averaged pair, laid side by side.
     """
-    ny = W.shape[2] // trials
-    tb = _TraceBuilder(snapshots, ny, trials, trace=pair is not None)
-    # one measurement decides the orientation and gives the initial totals:
-    # the recorded initial gap is |gap|, which is the oriented gap
-    swap, sums = _orientation(W, trials)
-    tb.initial_tv = sums[0].tolist()
-    tb.advance("initial", sums)
+    _, trials, nx, ny = W.shape
+    W = W.transpose(0, 2, 1, 3).reshape(2, nx, trials * ny)
+    # one measurement decides the orientation and gives the initial totals, as oriented
+    swap, tv, gap = _orientation(W, trials)
+    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist(), trials, trace=pair is not None)
     grids = (pair.p, pair.q) if tb.keep else (None, None)
     tb.record("initial", *grids)
     tb.record("orient", *(grids[::-1] if swap[0] else grids))
@@ -664,7 +654,7 @@ def _walk(
         W = np.where(np.repeat(swap, ny), W[::-1], W)
     W = _reorder(W, trials)
     tb.measure("reorder", W)
-    size = _range_blocks(W.shape[1])
+    size = _range_blocks(nx)
     for lo in range(0, W.shape[2], size):
         tb.blocks(_walk_blocks(W, lo, lo + size, moves=snapshots == "all"))
 
@@ -677,10 +667,8 @@ def _walk(
     tb.measure("average", W)
     tb.final = W
 
-    final_q_entropy = _trial_sums(tb.terms[5:], trials)[0].tolist()
     q_x_top = W[1, 0].reshape(trials, ny).sum(axis=1).tolist()
-    nx = W.shape[1]
-    for h, top, initial_tv, final_gap in zip(final_q_entropy, q_x_top, tb.initial_tv, tb.gap):
+    for h, top, initial_tv, final_gap in zip(tb.sums[5].tolist(), q_x_top, tb.initial_tv, tb.gap):
         if h > STEP_TOL:
             raise InvariantViolation(f"final q has conditional entropy {h} > {STEP_TOL}")
         if abs(top - 1.0) > STEP_TOL:
@@ -723,7 +711,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
         raise ValidationError(
             f"the {snapshots!r} snapshots of the {nx}x{ny} pair may take {size} bytes, over the trace guard {MAX_TRACE_BYTES}"
         )
-    tb = _walk(np.array((pair.p.probs, pair.q.probs)), 1, snapshots, pair)
+    tb = _walk(np.array((pair.p.probs, pair.q.probs))[:, None], snapshots, pair)
     # the averaged pair: the last step's snapshots, or copies when the trace keeps none
     last = tb.steps[-1]
     final = (last.p, last.q) if tb.keep else (_freeze(tb.final[0]), _freeze(tb.final[1]))

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion runs at its stated tolerance.
 
 Each test prints one `[PASS]`/`[FAIL]` line (visible with `pytest -s`).
-Expected total runtime is a couple of minutes, dominated by the
-100 000-pair bound-validity campaign.
+The module takes about 20 s on a 2-CPU host, most of it in the 100 000-pair
+bound-validity campaign (about 12 s) and the 10 000 walk certificates.
 """
 
 import json

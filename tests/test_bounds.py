@@ -81,6 +81,12 @@ def test_bound_domain_errors():
         continuity_bound(1.1, 2)
 
 
+def test_bound_on_an_alphabet_past_the_float_range():
+    # 1 / nx is correctly rounded for any int nx, where 1.0 / nx overflows
+    result = continuity_bound(0.5, 10**400)
+    assert (result.value, result.clamped) == (665.3856189774725, False)
+
+
 # ---------------------------------------------------------------- extremal_pair
 
 def test_extremal_half_two():

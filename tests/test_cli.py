@@ -13,6 +13,8 @@ from equibound.cli import (
     main,
     parse_distribution,
 )
+from equibound.core import _COND_FORMULAS
+from equibound.walk import _SNAPSHOT_MODES
 
 
 def run_cli(*argv):
@@ -239,6 +241,14 @@ def test_exit_usage_on_deeply_nested_file(tmp_path, command):
     assert proc.stderr == "error: malformed distribution file: arrays or objects nested too deeply\n"
 
 
+def test_bound_on_an_alphabet_past_the_float_range():
+    # 1.0 / nx overflows for such an nx; the bound is still defined
+    proc = run_cli("bound", "--epsilon", "0.5", "--nx", "1" + "0" * 400)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"value": 665.3856189774725, "clamped": False}
+
+
 def test_exit_domain_error_is_validation():
     assert run_cli("bound", "--epsilon", "0.5", "--nx", "1").returncode == 1
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1
@@ -294,6 +304,16 @@ def test_exit_internal_invariant_violation(monkeypatch, tmp_path, capsys):
 def test_main_help_returns_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command,option,choices",
+    [("entropy", "--formula", list(_COND_FORMULAS)), ("walk", "--snapshots", list(_SNAPSHOT_MODES))],
+    ids=["formula", "snapshots"],
+)
+def test_option_choices_are_the_librarys(capsys, command, option, choices):
+    assert main([command, "--help"]) == 0
+    assert f"{option} {{{','.join(choices)}}}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -474,9 +474,9 @@ def test_batch_size_follows_the_cell_budget(monkeypatch):
     sizes = []
     real = verify._walk
 
-    def recording(W, trials, *args):
-        sizes.append(trials)
-        return real(W, trials, *args)
+    def recording(W, *args):
+        sizes.append(W.shape[1])
+        return real(W, *args)
 
     monkeypatch.setattr(verify, "_walk", recording)
 

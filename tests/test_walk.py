@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -573,6 +574,28 @@ def test_walk_orient_reuses_initial_measurement():
     assert initial.gap == pytest.approx(continuity_bound(0.3, 3).value, abs=1e-12)
 
 
+def test_walk_of_the_swapped_pair_is_the_same_walk():
+    # orienting fixes only the sign of the gap: unless the equivocations tie, (p, q) and (q, p)
+    # start from the same tv and gap and take the same steps from "orient" on, bit for bit
+    def steps(trace):
+        return [
+            (s.label, s.tv.hex(), s.gap.hex(), s.transferred, s.p.probs.tobytes() + s.q.probs.tobytes())
+            for s in trace.steps[1:]
+        ]
+
+    walked = 0
+    for pair in _kernel_pairs(np.random.default_rng(20240), 240):
+        (gap,) = walk._orientation(np.array((pair.p.probs, pair.q.probs)))[2]
+        if gap == 0.0:
+            continue
+        trace = run_walk(pair, snapshots="phases")
+        swapped = run_walk(DistributionPair(pair.q, pair.p), snapshots="phases")
+        assert (swapped.initial_tv.hex(), swapped.initial_gap.hex()) == (trace.initial_tv.hex(), trace.initial_gap.hex())
+        assert steps(swapped) == steps(trace)
+        walked += 1
+    assert walked >= 200
+
+
 def _three_block_pair():
     rng = np.random.default_rng(3)
     return DistributionPair(sample_joint(3, 3, rng), sample_joint(3, 3, rng))
@@ -665,8 +688,8 @@ def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
 
 
 def _batch(pairs):
-    """The pairs side by side as one stacked pair, trial b in columns b*ny ... (b+1)*ny - 1."""
-    return np.concatenate([np.stack((pair.p.probs, pair.q.probs)) for pair in pairs], axis=2)
+    """The pairs as one (2, trials, nx, ny) stack: the p grids, then the q grids."""
+    return np.array([[pair.p.probs for pair in pairs], [pair.q.probs for pair in pairs]])
 
 
 def _pairs_of_shape(rng, nx, ny, count):
@@ -700,7 +723,7 @@ def test_batched_walk_keeps_each_trials_totals(monkeypatch, shape):
     nx, ny = shape
     rng = np.random.default_rng(808 + nx * ny)
     pairs = _pairs_of_shape(rng, nx, ny, 10)
-    tb = walk._walk(_batch(pairs), len(pairs))
+    tb = walk._walk(_batch(pairs))
     (batch,) = runs
     for b, pair in enumerate(pairs):
         runs.clear()
@@ -726,7 +749,7 @@ def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
         return result
 
     monkeypatch.setattr(walk._TraceBuilder, "_certify", recording)
-    walk._walk(_batch(pairs), len(pairs))
+    walk._walk(_batch(pairs))
     (whole,) = [ledger[1:] for ledger in ledgers]
     # range sizes that leave a lone last block
     blocks = len(pairs) * ny
@@ -735,7 +758,7 @@ def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
     for blocks_per_range in [1, 5] + lone_last:
         ledgers.clear()
         monkeypatch.setattr(walk, "_CHUNK_CELLS", blocks_per_range * nx)
-        walk._walk(_batch(pairs), len(pairs))
+        walk._walk(_batch(pairs))
         assert len(ledgers) == -(-blocks // blocks_per_range)
         assert ledgers[-1][1:] == whole
     monkeypatch.setattr(walk, "_CHUNK_CELLS", cells)
@@ -775,7 +798,7 @@ def test_walk_memory_stays_within_a_few_copies_of_the_pair(shape):
     W = np.stack((sample_joint(nx, ny, rng).probs, sample_joint(nx, ny, rng).probs))
     tracemalloc.start()
     try:
-        walk._walk(W)
+        walk._walk(W[:, None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -802,7 +825,7 @@ def test_batched_walk_raises_its_first_failing_step(monkeypatch):
         run_walk(pairs[4], snapshots="none")
     monkeypatch.setattr(walk, "_concentrate", corrupt([4, 5]))
     with pytest.raises(InvariantViolation) as exc:
-        walk._walk(_batch(pairs), len(pairs))
+        walk._walk(_batch(pairs))
     assert str(exc.value) == str(own.value)
     assert str(exc.value).startswith("step 'block 3 concentrate': block 3 has an entry that is not finite")
 
@@ -813,7 +836,8 @@ def test_whole_grid_snapshots_are_certified():
 
     def snapshot(W):
         # a whole-grid measurement certifies the grid before it records the snapshots
-        tb = walk._TraceBuilder("phases", 3, trace=True)
+        # starting totals that no measurement's tv or gap fails against
+        tb = walk._TraceBuilder("phases", 3, [math.inf], [-math.inf], trace=True)
         tb.measure("average", W)
         (step,) = tb.steps
         return step.p, step.q

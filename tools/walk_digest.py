@@ -15,7 +15,13 @@ bits on these inputs:
 - ranges: walks past the kernel's cell budget, so that each walks its blocks
   in several ranges: one pair of each kind at 200x200 and 1000x40 in the
   "none" and "phases" modes, and at 2x30000 and 20000x2 in "none" mode,
-  hashed like the walks.
+  hashed like the walks;
+- orientation: the walks whose orientation swaps or ties: every pair of
+  `_kernel_pairs(default_rng(20240), 240)` walked swapped, (q, p), in
+  "none" mode, 120 of tests/test_walk.py's `_tied_pairs` (pairs related
+  by a block symmetry) in all three modes, hashed like the walks, and one
+  200-trial eps = 0 campaign (q = p) at each shape of criterion 1, hashed
+  like the campaigns.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -32,7 +38,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from equibound import DistributionPair, JointDistribution, perturb_within_tv, run_walk, sample_joint, verify_trials  # noqa: E402
-from test_walk import _kernel_pairs  # noqa: E402
+from test_walk import _kernel_pairs, _tied_pairs  # noqa: E402
 
 BENCH_SHAPES = [(48, 48), (16, 144), (144, 16), (12, 12), (6, 24), (24, 6)]
 # (shape, modes) of the walks that span several ranges of blocks
@@ -56,9 +62,9 @@ def _bench_pairs(rng, shapes=BENCH_SHAPES):
         yield DistributionPair(p, JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny)))
 
 
-def _walk_digest(runs) -> tuple[int, str]:
+def _walk_digest(runs, h=None) -> tuple[int, str]:
     # runs: (pair, modes) items; one walk per pair and mode
-    h, count = hashlib.sha256(), 0
+    h, count = h or hashlib.sha256(), 0
     for pair, modes in runs:
         for mode in modes:
             trace = run_walk(pair, snapshots=mode)
@@ -81,11 +87,9 @@ def ranges() -> tuple[int, str]:
     return _walk_digest((pair, modes) for shape, modes in RANGE_WALKS for pair in _bench_pairs(rng, [shape]))
 
 
-def campaigns() -> tuple[int, str]:
-    rng = np.random.default_rng(2001)
-    items = [(nx, ny, eps, int(rng.integers(0, 2**31)), 20) for nx, ny in CAMPAIGN_SHAPES for eps in (None, 0.1)]
-    items += [(nx, ny, None, 20260810 + 97 * nx + ny, 100_000 // 16) for nx, ny in CAMPAIGN_SHAPES]
-    h = hashlib.sha256()
+def _campaign_digest(items, h=None) -> tuple[int, str]:
+    # items: (nx, ny, eps, seed, trials); one campaign each
+    h = h or hashlib.sha256()
     for nx, ny, eps, seed, trials in items:
         rep = verify_trials(nx, ny, trials, seed, eps=eps)
         h.update(f"{rep.violations}|{_hex(rep.max_gap_over_bound_ratio)}|".encode())
@@ -93,7 +97,24 @@ def campaigns() -> tuple[int, str]:
     return len(items), h.hexdigest()
 
 
+def campaigns() -> tuple[int, str]:
+    rng = np.random.default_rng(2001)
+    items = [(nx, ny, eps, int(rng.integers(0, 2**31)), 20) for nx, ny in CAMPAIGN_SHAPES for eps in (None, 0.1)]
+    items += [(nx, ny, None, 20260810 + 97 * nx + ny, 100_000 // 16) for nx, ny in CAMPAIGN_SHAPES]
+    return _campaign_digest(items)
+
+
+def orientation() -> tuple[int, str]:
+    swapped = [DistributionPair(pair.q, pair.p) for pair in _kernel_pairs(np.random.default_rng(20240), 240)]
+    tied = list(_tied_pairs(np.random.default_rng(2003), 120))
+    runs = [(pair, ("none",)) for pair in swapped] + [(pair, ("none", "phases", "all")) for pair in tied]
+    h = hashlib.sha256()
+    walked, _ = _walk_digest(runs, h)
+    campaigned, digest = _campaign_digest([(nx, ny, 0.0, 2003, 200) for nx, ny in CAMPAIGN_SHAPES], h)
+    return walked + campaigned, digest
+
+
 if __name__ == "__main__":
-    for name, section in (("walks", walks), ("campaigns", campaigns), ("ranges", ranges)):
+    for name, section in (("walks", walks), ("campaigns", campaigns), ("ranges", ranges), ("orientation", orientation)):
         count, digest = section()
         print(f"{name} {count} {digest}")
