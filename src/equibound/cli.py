@@ -15,12 +15,18 @@ File formats:
 - distribution file: UTF-8 JSON {"nx": int, "ny": int, "probs": [[real; ny]; nx]}
 - walk trace file: JSON lines, one step per line:
   {"label": str, "tv": real, "gap": real, "p"?: probs, "q"?: probs, "s"?: real}
-- verify report: one JSON object mirroring the TrialReport fields
+- verify report: the TrialReport fields, in declaration order
+- search result: the GridSearchResult fields, in declaration order
+
+A result's document is its type's fields: a grid is a distribution document
+and a pair is {"p": ..., "q": ...}, so a field added to a result type
+reaches its subcommand's output with no edit here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any
@@ -34,7 +40,7 @@ from .core import (
     conditional_entropy,
     tv_distance,
 )
-from .verify import TrialReport, grid_search_max_gap, verify_trials
+from .verify import grid_search_max_gap, verify_trials
 from .walk import _SNAPSHOT_MODES, InvariantViolation, WalkTrace, run_walk
 
 EXIT_OK = 0
@@ -106,6 +112,15 @@ def distribution_doc(J: JointDistribution) -> dict[str, Any]:
     return {"nx": J.nx, "ny": J.ny, "probs": J.to_lists()}
 
 
+def _result_doc(result: Any) -> Any:
+    """The document of a result: a grid's distribution document, a dataclass's fields in declaration order."""
+    if isinstance(result, JointDistribution):
+        return distribution_doc(result)
+    if dataclasses.is_dataclass(result):
+        return {f.name: _result_doc(getattr(result, f.name)) for f in dataclasses.fields(result)}
+    return result
+
+
 def trace_line(step) -> str:
     obj: dict[str, Any] = {"label": step.label, "tv": step.tv, "gap": step.gap}
     if step.p is not None:
@@ -147,8 +162,7 @@ def _cmd_tv(args) -> dict:
 
 
 def _cmd_extremal(args) -> dict:
-    pair = extremal_pair(args.epsilon, args.nx, args.ny)
-    return {"p": distribution_doc(pair.p), "q": distribution_doc(pair.q)}
+    return _result_doc(extremal_pair(args.epsilon, args.nx, args.ny))
 
 
 def _cmd_walk(args) -> dict:
@@ -168,34 +182,12 @@ def _cmd_walk(args) -> dict:
     }
 
 
-def _report_doc(report: TrialReport) -> dict:
-    worst = report.worst_pair
-    return {
-        "trials": report.trials,
-        "violations": report.violations,
-        "max_gap_over_bound_ratio": report.max_gap_over_bound_ratio,
-        "worst_pair": None if worst is None else {"p": distribution_doc(worst.p), "q": distribution_doc(worst.q)},
-        "seed": report.seed,
-        "nx": report.nx,
-        "ny": report.ny,
-    }
-
-
 def _cmd_verify(args) -> dict:
-    report = verify_trials(args.nx, args.ny, args.trials, args.seed, eps=args.eps)
-    return _report_doc(report)
+    return _result_doc(verify_trials(args.nx, args.ny, args.trials, args.seed, eps=args.eps))
 
 
 def _cmd_search(args) -> dict:
-    result = grid_search_max_gap(args.nx, args.ny, args.epsilon, args.steps)
-    return {
-        "max_gap": result.max_gap,
-        "bound": result.bound,
-        "argmax_pair": {
-            "p": distribution_doc(result.argmax_pair.p),
-            "q": distribution_doc(result.argmax_pair.q),
-        },
-    }
+    return _result_doc(grid_search_max_gap(args.nx, args.ny, args.epsilon, args.steps))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -135,7 +135,7 @@ def entropy(v) -> float:
     sub-normalized block vectors can be fed directly.
     """
     a = _clean_vector(v, "v")
-    return float(-_xlog2x_arr(a).sum())
+    return float(0.0 - _xlog2x_arr(a).sum())  # not -sum: a point mass gives +0.0, not -0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +318,7 @@ def _cond_entropy_direct(P: np.ndarray) -> float:
     ratio = np.divide(P, my[None, :], out=np.ones_like(P), where=my[None, :] > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = P * np.log2(ratio)
-    return float(-np.where(P > 0.0, t, 0.0).sum())
+    return float(0.0 - np.where(P > 0.0, t, 0.0).sum())  # not -sum: a point mass gives +0.0
 
 
 _COND_FORMULAS = {

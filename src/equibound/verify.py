@@ -42,7 +42,7 @@ class TrialReport:
     trials: int
     violations: int
     max_gap_over_bound_ratio: float
-    worst_pair: DistributionPair | None
+    worst_pair: DistributionPair
     seed: int
     nx: int
     ny: int
@@ -196,31 +196,20 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All orderings of `total` units into `parts` nonnegative cells, one per row.
 
-    Rows come out in lexicographic order of (c0, c1, ...). They are built
-    as array blocks from the partial sums s_k = c0 + ... + c(k-1), which
-    form the nondecreasing sequences in [0, total], in the same
-    lexicographic order. The sequences of length m + 1 are, for u = 0, 1,
-    ..., total, u prepended to every sequence of length m that starts at u
-    or above, and those sequences are a tail of the length-m table. With
-    parts = 2 the table is a single column and no block is gathered.
+    Rows come out in lexicographic order of (c0, c1, ...). They are built by
+    plain extension, one cell at a time: each partial row, with `rest`
+    units still unplaced, is extended by every value 0, 1, ..., rest of its
+    next cell in turn, and the last cell takes what is left.
     """
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    values = np.arange(total + 1, dtype=np.int64)
-    sums = values[:, None]
-    for _ in range(parts - 2):
-        start = np.searchsorted(sums[:, 0], values)
-        lengths = len(sums) - start
-        out_start = np.cumsum(lengths) - lengths
-        longer = np.empty((int(lengths.sum()), sums.shape[1] + 1), dtype=np.int64)
-        longer[:, 0] = np.repeat(values, lengths)
-        longer[:, 1:] = sums[np.arange(len(longer)) + np.repeat(start - out_start, lengths)]
-        sums = longer
-    counts = np.empty((len(sums), parts), dtype=np.int64)
-    counts[:, 0] = sums[:, 0]
-    np.subtract(sums[:, 1:], sums[:, :-1], out=counts[:, 1:-1])
-    counts[:, -1] = total - sums[:, -1]
-    return counts
+    columns: list[np.ndarray] = []
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        widths = rest + 1
+        columns = [np.repeat(c, widths) for c in columns]
+        columns.append(np.arange(widths.sum(), dtype=np.int64) - np.repeat(np.cumsum(widths) - widths, widths))
+        rest = np.repeat(rest, widths) - columns[-1]
+    columns.append(rest)
+    return np.stack(columns, axis=1)
 
 
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
@@ -308,8 +297,6 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
             if gap > best:
                 best = gap
                 best_low, best_high = a0 + i, b
-    if best < 0.0:
-        best = 0.0
 
     def _point(idx: int) -> JointDistribution:
         return JointDistribution(columns[:, n - 1 - idx].reshape(nx, ny) / float(steps))

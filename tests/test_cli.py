@@ -121,6 +121,14 @@ def test_entropy_subcommand(tmp_path):
     assert json.loads(proc.stdout)["formula"] == "difference"
 
 
+@pytest.mark.parametrize("formula", list(_COND_FORMULAS))
+def test_entropy_subcommand_prints_positive_zero_for_a_point_mass(tmp_path, formula):
+    f = write_dist(tmp_path / "j.json", JointDistribution([[1.0], [0.0]]))
+    proc = run_cli("entropy", f, "--formula", formula)
+    assert proc.returncode == 0
+    assert proc.stdout == f'{{"conditional_entropy": 0.0, "formula": "{formula}"}}\n'
+
+
 def test_walk_subcommand_with_trace(tmp_path):
     p = write_dist(tmp_path / "p.json", JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
     q = write_dist(tmp_path / "q.json", JointDistribution([[0.5, 0.5], [0.0, 0.0]]))
@@ -159,7 +167,9 @@ def test_verify_subcommand_mirrors_report():
     proc = run_cli("verify", "--nx", "2", "--ny", "2", "--trials", "50", "--seed", "3")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert set(doc) == {"trials", "violations", "max_gap_over_bound_ratio", "worst_pair", "seed", "nx", "ny"}
+    # the TrialReport fields in declaration order
+    assert list(doc) == ["trials", "violations", "max_gap_over_bound_ratio", "worst_pair", "seed", "nx", "ny"]
+    assert list(doc["worst_pair"]) == ["p", "q"]
     assert doc["trials"] == 50
     assert doc["violations"] == 0
     assert doc["worst_pair"]["p"]["nx"] == 2
@@ -178,6 +188,9 @@ def test_search_subcommand():
     proc = run_cli("search", "--nx", "2", "--ny", "1", "--epsilon", "0.3", "--steps", "30")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
+    # the GridSearchResult fields in declaration order
+    assert list(doc) == ["max_gap", "bound", "argmax_pair"]
+    assert list(doc["argmax_pair"]) == ["p", "q"]
     assert doc["max_gap"] <= doc["bound"] + 1e-9
     assert doc["argmax_pair"]["p"]["nx"] == 2
 

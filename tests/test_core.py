@@ -15,6 +15,7 @@ from equibound import (
     binary_entropy,
     conditional_entropy,
     entropy,
+    extremal_pair,
     marginal,
     tv_distance,
     xlog2x,
@@ -81,6 +82,9 @@ def test_entropy_uniform_four():
 
 def test_entropy_point_mass():
     assert entropy([1.0, 0.0]) == 0.0
+    # +0.0, not -0.0
+    for v in ([1.0], [1.0, 0.0], []):
+        assert math.copysign(1.0, entropy(v)) == 1.0
 
 
 def test_entropy_weighted():
@@ -159,6 +163,13 @@ def test_joint_equality_is_bitwise():
     c = JointDistribution([[0.25, 0.5], [0.25, 0.0]])
     assert a == b
     assert a != c
+    # a grid is never equal to its nested lists
+    assert a.__eq__(a.to_lists()) is NotImplemented
+    assert (a == a.to_lists()) is False
+
+
+def test_joint_repr():
+    assert repr(JointDistribution([[1.0], [0.0]])) == "JointDistribution(nx=2, ny=1, probs=[[1.0], [0.0]])"
 
 
 def _per_element_lists(J):
@@ -222,6 +233,24 @@ def test_conditional_entropy_half_bit():
 def test_conditional_entropy_formulas_on_example(formula):
     J = JointDistribution([[0.5, 0.25], [0.0, 0.25]])
     assert conditional_entropy(J, formula) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("formula", ["difference", "mixture", "direct"])
+@pytest.mark.parametrize(
+    "J",
+    [
+        JointDistribution([[1.0]]),
+        JointDistribution([[1.0], [0.0]]),
+        JointDistribution([[0.0, 0.0], [0.0, 1.0]]),
+        JointDistribution([[0.5, 0.0], [0.0, 0.5]]),
+        extremal_pair(0.3, 3, 2).q,
+    ],
+    ids=["1x1", "2x1", "2x2-corner", "2x2-diagonal", "extremal-q"],
+)
+def test_conditional_entropy_is_positive_zero_on_point_mass_blocks(J, formula):
+    h = conditional_entropy(J, formula)
+    assert h == 0.0
+    assert math.copysign(1.0, h) == 1.0
 
 
 def test_conditional_entropy_unknown_formula():
@@ -343,3 +372,7 @@ def test_symmetry_rejects_non_permutations():
         SymmetryElement(block_perm=[0, 0], within_perms=(np.arange(2), np.arange(2)))
     with pytest.raises(ValidationError):
         SymmetryElement(block_perm=[0, 1], within_perms=(np.arange(2),))
+    with pytest.raises(ValidationError, match="non-empty 1-d"):
+        SymmetryElement(block_perm=[], within_perms=())
+    with pytest.raises(ValidationError, match="non-empty 1-d"):
+        SymmetryElement(block_perm=[[0, 1]], within_perms=(np.arange(2), np.arange(2)))
