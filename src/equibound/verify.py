@@ -57,6 +57,11 @@ class GridSearchResult:
     argmax_pair: DistributionPair
 
 
+def _sample(out: np.ndarray, rng: np.random.Generator) -> None:
+    """One Dirichlet-1 draw from rng, written into the flat array out."""
+    out[:] = rng.dirichlet(np.ones(out.size))
+
+
 def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     """Draw a joint grid from the flat (Dirichlet-1) measure on the simplex.
 
@@ -67,9 +72,38 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     if nx < 1 or ny < 1:
         raise ValidationError(f"nx and ny must be >= 1, got ({nx}, {ny})")
     _check_grid_size(nx, ny)
-    rng = np.random.default_rng(seed)
-    v = rng.dirichlet(np.ones(nx * ny))
+    v = np.empty(nx * ny)
+    _sample(v, np.random.default_rng(seed))
     return JointDistribution(v.reshape(nx, ny))
+
+
+def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
+    """perturb_within_tv on the flat grid `flat`, in place; eps is a probability already checked."""
+    ncells = flat.size
+    if eps == 0.0 or ncells == 1:
+        return
+    positive = rng.permutation(np.flatnonzero(flat > 0.0))
+    n_donors_max = len(positive) if len(positive) < ncells else ncells - 1
+    n_donors = int(rng.integers(1, n_donors_max + 1))
+    donors = positive[:n_donors]
+    pool = np.ones(ncells, dtype=bool)
+    pool[donors] = False
+    others = rng.permutation(np.flatnonzero(pool))
+    recipients = others[: int(rng.integers(1, len(others) + 1))]
+
+    held = flat[donors]
+    target = min(eps, float(held.sum()))
+    remaining = target
+    for c, v in zip(donors.tolist(), held.tolist()):
+        if remaining <= 0.0:
+            break
+        take = min(v, remaining)
+        flat[c] = v - take
+        remaining -= take
+    adds = target * rng.dirichlet(np.ones(len(recipients)))
+    # the last recipient takes the exact remainder, so the added mass is target
+    adds[-1] = max(0.0, target - float(adds[:-1].sum()))
+    flat[recipients] += adds
 
 
 def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistribution:
@@ -84,31 +118,10 @@ def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistributi
     """
     eps = _as_prob(eps, "eps")
     rng = np.random.default_rng(seed)
-    flat = np.array(p.probs).ravel()
-    ncells = flat.size
-    if eps == 0.0 or ncells == 1:
+    if eps == 0.0 or p.probs.size == 1:
         return p
-    positive = rng.permutation(np.flatnonzero(flat > 0.0))
-    n_donors_max = len(positive) if len(positive) < ncells else ncells - 1
-    n_donors = int(rng.integers(1, n_donors_max + 1))
-    donors = positive[:n_donors]
-    pool = np.ones(ncells, dtype=bool)
-    pool[donors] = False
-    others = rng.permutation(np.flatnonzero(pool))
-    recipients = others[: int(rng.integers(1, len(others) + 1))]
-
-    target = min(eps, float(flat[donors].sum()))
-    remaining = target
-    for c in donors:
-        if remaining <= 0.0:
-            break
-        take = min(float(flat[c]), remaining)
-        flat[c] -= take
-        remaining -= take
-    adds = target * rng.dirichlet(np.ones(len(recipients)))
-    # the last recipient takes the exact remainder, so the added mass is target
-    adds[-1] = max(0.0, target - float(adds[:-1].sum()))
-    flat[recipients] += adds
+    flat = p.probs.ravel().copy()
+    _perturb(flat, eps, rng)
     return JointDistribution(flat.reshape(p.probs.shape))
 
 
@@ -118,27 +131,27 @@ def _ratio(gap: float, bound: float) -> float:
     return 0.0 if gap <= 1e-12 else math.inf
 
 
-def _stack(pairs: list[tuple[JointDistribution, JointDistribution]]) -> np.ndarray:
-    """The grids of a batch as one (2, B, nx, ny) array: the p grids, then the q grids."""
-    return np.array([[p.probs for p, _ in pairs], [q.probs for _, q in pairs]])
-
-
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
     """Run a seeded campaign of independent bound checks plus walk certificates.
 
-    Each trial t draws from its own stream default_rng([seed, t]): it
-    samples p, then builds q (an independent sample when eps is None, a
-    TV-eps perturbation of p otherwise). Campaigns at different seeds share
-    no trial, and results do not depend on execution order. The trials run
-    in batches that fill one range of the walk's blocks, 2^14 grid cells
-    (one trial per batch on larger grids, whose walk takes several ranges).
-    A batch's grids, stacked as one (2, trials, nx, ny) array, are checked
-    against the bound at once (the checks are check_bound's, bit for bit)
-    and certified by one pass of the invariant-checked walk, which takes
-    the same stack. If a batch's walk fails, its trials are walked
-    again one at a time, and the first failing trial's violation
-    propagates, with the seed and that trial's number attached (if none
-    fails on its own, the batch's violation, with its trials' range).
+    Each trial t draws from its own stream default_rng([seed, t]): p, then
+    q (an independent sample when eps is None, a TV-eps perturbation of p
+    otherwise), with the draws of sample_joint and perturb_within_tv.
+    Campaigns at different seeds share no trial, and results do not depend
+    on execution order. The trials run in batches that fill one range of
+    the walk's blocks, 2^14 grid cells (one trial per batch on larger
+    grids, whose walk takes several ranges). A batch is drawn straight into
+    one (2, trials, nx*ny) array, which, as a (2, trials, nx, ny) stack, is
+    checked against the bound at once (the checks are check_bound's, bit
+    for bit) and certified by one pass of the invariant-checked walk. The
+    drawn grids are not JointDistributions: what that validation checks
+    (entries finite and in range, each grid's mass within 1e-9 of 1) the
+    walk certifies at its reorder and average measurements, before
+    anything is reported. Only the worst pair becomes JointDistributions,
+    at the end. If a batch's walk fails, its trials are walked again one
+    at a time, and the first failing trial's violation propagates, with
+    the seed and that trial's number attached (if none fails on its own,
+    the batch's violation, with its trials' range).
     """
     nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
     if trials < 1:
@@ -147,46 +160,54 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if eps is not None:
         eps = _as_prob(eps, "eps")
+    _check_grid_size(nx, ny)
 
     violations = 0
     max_ratio = 0.0
-    worst: tuple[JointDistribution, JointDistribution] | None = None
+    worst: np.ndarray | None = None
     size = min(trials, max(1, _range_blocks(nx) // ny))
     for t0 in range(0, trials, size):
-        pairs = []
-        for t in range(t0, min(t0 + size, trials)):
-            rng = np.random.default_rng([seed, t])
-            p = sample_joint(nx, ny, rng)
-            pairs.append((p, sample_joint(nx, ny, rng) if eps is None else perturb_within_tv(p, eps, rng)))
-        for pair, result in zip(pairs, _check_bounds(*_stack(pairs))):
+        t1 = min(t0 + size, trials)
+        batch = np.empty((2, t1 - t0, nx * ny))
+        for b in range(t1 - t0):
+            rng = np.random.default_rng([seed, t0 + b])
+            p, q = batch[:, b]
+            _sample(p, rng)
+            if eps is None:
+                _sample(q, rng)
+            else:
+                q[:] = p
+                _perturb(q, eps, rng)
+        grids = batch.reshape(2, t1 - t0, nx, ny)
+        for b, result in enumerate(_check_bounds(*grids)):
             if result.slack < -SLACK_TOL:
                 violations += 1
             ratio = _ratio(result.gap, result.bound_at_tv)
             if worst is None or ratio > max_ratio:
                 max_ratio = ratio
-                worst = pair
+                # a view, which keeps its batch alive until the report is built
+                worst = grids[:, b]
         try:
-            # stacked again, not kept: the walk holds the only reference, which it drops once
-            # it has reordered, so a large grid is not held twice
-            _walk(_stack(pairs))
+            _walk(grids)
         except InvariantViolation as exc:
             # the batch raised its first failure found, which need not be its first failing
             # trial's: the trials walk again one at a time, and the first to fail is named
-            for t, pair in enumerate(pairs, t0):
+            for b in range(t1 - t0):
                 try:
-                    _walk(_stack([pair]))
+                    # contiguous, as run_walk stacks a pair
+                    _walk(grids[:, b : b + 1].copy())
                 except InvariantViolation as own:
                     raise InvariantViolation(
-                        f"{own} [seed {seed}, trial {t}, nx={nx}, ny={ny}, eps={eps}]"
+                        f"{own} [seed {seed}, trial {t0 + b}, nx={nx}, ny={ny}, eps={eps}]"
                     ) from own
             raise InvariantViolation(
-                f"{exc} [seed {seed}, trials {t0}-{t0 + len(pairs) - 1}, nx={nx}, ny={ny}, eps={eps}]"
+                f"{exc} [seed {seed}, trials {t0}-{t1 - 1}, nx={nx}, ny={ny}, eps={eps}]"
             ) from exc
     return TrialReport(
         trials=trials,
         violations=violations,
         max_gap_over_bound_ratio=max_ratio,
-        worst_pair=DistributionPair(*worst),
+        worst_pair=DistributionPair(JointDistribution(worst[0]), JointDistribution(worst[1])),
         seed=seed,
         nx=nx,
         ny=ny,
@@ -240,7 +261,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         raise ValidationError(
             f"{points} grid points (nx*ny = {cells}, steps_per_dim = {steps}) exceed the desk-scale guard {DESK_SCALE_POINTS}"
         )
-    eps = _check_radius(eps, nx, "eps")
+    eps = _check_radius(eps, nx, "epsilon")
 
     counts = _compositions(steps, cells)
     levels = np.arange(steps + 1) / float(steps)

@@ -267,6 +267,14 @@ def test_exit_domain_error_is_validation():
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1
 
 
+@pytest.mark.parametrize("command", ["search", "extremal"])
+def test_a_radius_out_of_range_names_the_epsilon_option(command):
+    proc = run_cli(command, "--epsilon", "0", "--nx", "2", "--ny", "1", *(["--steps", "10"] if command == "search" else []))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: epsilon must be in (0, 0.5], got 0.0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibound import (
     DistributionPair,
@@ -24,6 +27,7 @@ from equibound import (
 from equibound import bounds, verify, walk
 from equibound.core import _xlog2x_arr
 from equibound.verify import _compositions, _ratio
+from test_walk_properties import _grid
 
 H_03 = 0.8812908992306926  # binary entropy at 0.3, frozen from mpmath
 
@@ -143,6 +147,32 @@ def test_perturb_matches_the_setdiff1d_reference():
             assert q.probs.tobytes() == ref.probs.tobytes()
 
 
+@st.composite
+def perturbations(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["sparse", "quantized", "tiny"]))
+    p = JointDistribution(_grid(kind, nx, ny, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+    # eps is 0, a simple fraction (which a quantized grid's donors may carry exactly) or any probability
+    eps = draw(st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: k / 12), st.floats(0.0, 1.0)))
+    return p, eps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbations())
+def test_perturb_core_matches_the_public_and_reference_draws(case):
+    # the in-place core gives the bytes of perturb_within_tv and of the numpy reference
+    # above, and leaves the generator where they leave it
+    p, eps, seed = case
+    flat = p.probs.ravel().copy()
+    rng = np.random.default_rng(seed)
+    verify._perturb(flat, eps, rng)
+    after = rng.random()
+    for perturb in (perturb_within_tv, _reference_perturb_within_tv):
+        other = np.random.default_rng(seed)
+        assert perturb(p, eps, other).probs.tobytes() == flat.tobytes()
+        assert other.random() == after
+
+
 # ---------------------------------------------------------------- verify_trials
 
 def test_trials_random_mode_no_violations():
@@ -176,15 +206,12 @@ def test_trials_are_deterministic():
 
 
 def test_campaigns_at_neighbouring_seeds_share_no_trial(monkeypatch):
-    from equibound import verify
-
     seen = []
-    real = verify.sample_joint
+    real = verify._sample
 
-    def recording(nx, ny, seed):
-        J = real(nx, ny, seed)
-        seen.append(J.probs.tobytes())
-        return J
+    def recording(out, rng):
+        real(out, rng)
+        seen.append(out.tobytes())
 
     def sampled(seed):
         """The (p, q) bytes of every trial of a campaign, in trial order."""
@@ -192,7 +219,7 @@ def test_campaigns_at_neighbouring_seeds_share_no_trial(monkeypatch):
         verify_trials(3, 2, 50, seed=seed)
         return [p + q for p, q in zip(seen[0::2], seen[1::2])]
 
-    monkeypatch.setattr(verify, "sample_joint", recording)
+    monkeypatch.setattr(verify, "_sample", recording)
     at_7, at_8 = sampled(7), sampled(8)
     assert len(set(at_7)) == len(set(at_8)) == 50
     assert not set(at_7) & set(at_8)
@@ -402,7 +429,16 @@ def test_sampling_guards_the_grid_size():
     with pytest.raises(ValidationError, match="grid-size guard"):
         sample_joint(100_000, 100_000, 0)
     with pytest.raises(ValidationError, match="grid-size guard"):
-        verify_trials(100_000, 100_000, 1, seed=0)
+        verify_trials(100_000, 100_000, 1, seed=0, eps=0.1)
+    # the campaign refuses before it allocates its batch (149 GiB here)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="grid-size guard"):
+            verify_trials(100_000, 100_000, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- batched campaigns against the per-trial loop
@@ -452,6 +488,31 @@ def test_batched_campaign_matches_the_per_trial_loop(monkeypatch, eps):
         reference = _reference_trials(nx, ny, 2 * BATCH + 3, seed, eps)
         for trials in (1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3):
             _assert_same_report(verify_trials(nx, ny, trials, seed, eps=eps), _reference_report(reference[:trials]))
+
+
+@pytest.mark.parametrize("eps", [None, 0.1, 0.0])
+def test_campaign_walks_the_public_draws(monkeypatch, eps):
+    # every trial the walk is given, across batch boundaries, is the pair sample_joint and
+    # perturb_within_tv draw from the trial's stream, byte for byte
+    stacks = []
+    real = verify._walk
+
+    def recording(W, *args):
+        stacks.append(W.copy())
+        return real(W, *args)
+
+    monkeypatch.setattr(verify, "_walk", recording)
+    for nx, ny in CAMPAIGN_SHAPES:
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * nx * ny)
+        seed = 2000 + 10 * nx + ny
+        stacks.clear()
+        verify_trials(nx, ny, 2 * BATCH + 3, seed, eps=eps)
+        assert [W.shape[1] for W in stacks] == [BATCH, BATCH, 3]
+        walked = np.concatenate(stacks, axis=1)
+        for t in range(2 * BATCH + 3):
+            pair = _trial_pair(nx, ny, seed, t, eps)
+            assert walked[0, t].tobytes() == pair.p.probs.tobytes()
+            assert walked[1, t].tobytes() == pair.q.probs.tobytes()
 
 
 def test_violation_counts_match_the_per_trial_loop(monkeypatch):
@@ -547,7 +608,7 @@ def test_grid_search_admits_float_noise_at_the_range_edge(nx):
     edge = 1.0 - 1.0 / nx
     result = grid_search_max_gap(nx, 1, edge + 5e-13, 6)
     assert result.max_gap <= result.bound + 1e-9
-    with pytest.raises(ValidationError, match=r"eps must be in \(0, "):
+    with pytest.raises(ValidationError, match=r"epsilon must be in \(0, "):
         grid_search_max_gap(nx, 1, edge + 2e-12, 6)
 
 
