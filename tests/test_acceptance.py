@@ -2,7 +2,7 @@
 
 Each test prints one `[PASS]`/`[FAIL]` line (visible with `pytest -s`).
 The module takes about 20 s on a 2-CPU host, most of it in the 100 000-pair
-bound-validity campaign (about 12 s) and the 10 000 walk certificates.
+bound-validity campaign (about 7-8 s) and the 10 000 walk certificates.
 """
 
 import json
