@@ -181,15 +181,14 @@ class JointDistribution:
 
 
 def _freeze(a: np.ndarray) -> JointDistribution:
-    """A JointDistribution holding a read-only float64 copy of `a`, without validation.
+    """A JointDistribution holding the float64 grid `a` itself, made read-only, without validation.
 
-    For grids whose caller has certified them: the walk's ledger checks the
-    entries of every column a step moves and the total mass, so its
-    snapshots skip the whole-grid re-validation. The copy is byte-identical
-    to JointDistribution(a) for a grid that passes validation without
-    clamping.
+    For grids whose caller has certified them and that nothing writes
+    afterwards: the walk's ledger checks the entries of every column a step
+    moves and the total mass, so its snapshots skip the whole-grid
+    re-validation. Its bytes are those of JointDistribution(a) for a grid
+    that passes validation without clamping.
     """
-    a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
     J = object.__new__(JointDistribution)
     object.__setattr__(J, "probs", a)

@@ -40,8 +40,14 @@ as a cross-check of the running totals (a drift beyond 1e-9 raises
 InvariantViolation), and after averaging. The reordered and the averaged
 grids are certified the same way in every snapshot mode and in batches:
 entries finite and in [0, 1 + 1e-9], each grid's mass within 1e-9 of 1.
-Snapshots are read-only copies of this certified state, not re-validated
-grids.
+
+The ledger certifies every step as the walk goes; the trace only keeps what
+it needs to show the steps later. Per step it keeps the label, tv, gap and
+moved mass, and in snapshot modes each block step's (2, nx) column state,
+which the ledger has already concatenated to measure it. A step's
+snapshots are built when the step is read, by writing its column state
+onto the grids around it: read-only copies of this certified state, not
+re-validated grids.
 
 The initial measurement also decides the orientation, and it is the only
 rule that does: canonical_orient is its one-pair case. Pairs related by a
@@ -69,8 +75,9 @@ Block labels and trace labels are 1-based; in-memory arrays are 0-based.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -113,9 +120,13 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Ordered record of a walk, with its final (averaged) pair."""
+    """Ordered record of a walk, with its final (averaged) pair.
 
-    steps: tuple[WalkStep, ...]
+    `steps` is a read-only sequence (len, indices, slices, iteration); each
+    WalkStep is built when it is read and not kept.
+    """
+
+    steps: Sequence[WalkStep]
     final: DistributionPair
 
     @property
@@ -351,7 +362,8 @@ def _move_states(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         c, r = np.nonzero(ph.move.T)
         done = i <= r
-    states = np.where(done, ph.new[:, :, c], ph.before[:, :, c])
+    states = ph.before[:, :, c]
+    np.copyto(states, ph.new[:, :, c], where=done)
     states[:, 0] = ph.tops[:, r, c]
     return c, r, states
 
@@ -429,17 +441,6 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
 _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
-def _replay(R: np.ndarray, blocks: np.ndarray, states: np.ndarray, order: np.ndarray):
-    """Snapshots of the block steps: each step's column state written into R in trace order.
-
-    The snapshots are read-only copies that skip re-validation: the ledger
-    has certified the entries of every moved column and both total masses.
-    """
-    for j, n in zip(blocks.tolist(), order.tolist()):
-        R[:, :, j] = states[:, :, n]
-        yield _freeze(R[0]), _freeze(R[1])
-
-
 def _labels(parts, order: np.ndarray, ny: int) -> list[str]:
     """Trace labels of the block steps of `parts` (kind, columns, rows or None), taken in `order`.
 
@@ -456,6 +457,82 @@ def _labels(parts, order: np.ndarray, ny: int) -> list[str]:
     return np.array(labels, dtype=object)[order].tolist()
 
 
+class _Steps(Sequence):
+    """The recorded steps of one walk, held column by column: each WalkStep is built when it is read.
+
+    Every step has a label, tv, gap and moved mass (None for a whole-grid
+    step). When the trace keeps snapshots, a whole-grid step holds its
+    stacked pair, read-only, and each range of block steps its column
+    states, once (see _TraceBuilder.blocks). The walk finishes each block before it
+    starts the next, so the grids after a block step are `end` (the stacked
+    pair the block steps end at, before averaging) left of its block, its
+    column state in it, and the reordered pair right of it. A read builds
+    them from these, and iteration writes one column per step onto the
+    grids of the step before; either way each snapshot is a copy of its own.
+    """
+
+    def __init__(self, snapshots: bool):
+        self.snapshots = snapshots
+        self.rows: list[tuple[str, float, float, float | None]] = []  # each step's label, tv, gap and moved mass
+        self.grids: dict[int, np.ndarray] = {}  # whole-grid step -> its stacked pair, read-only
+        # per range: its first step, and each of its steps' column and index into its states
+        self.ranges: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self.end = None  # set by _walk
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]  # negative from the end; IndexError past it
+        return self._step(k, None)[0]
+
+    def __iter__(self):
+        grids = None
+        for k in range(len(self)):
+            step, grids = self._step(k, grids)
+            yield step
+
+    def _step(self, k: int, grids: np.ndarray | None) -> tuple[WalkStep, np.ndarray | None]:
+        """Step k, and the stacked pair after it if it is a block step; `grids` is that of step k - 1, or None."""
+        label, tv, gap, moved = self.rows[k]
+        if not self.snapshots:
+            return WalkStep(label, tv, gap, transferred=moved), None
+        if k in self.grids:
+            W = self.grids[k]
+            return WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1])), None
+        first, block, states, order = self.ranges[bisect_right(self.ranges, k, key=lambda r: r[0]) - 1]
+        j = block[k - first]
+        if grids is None:
+            grids = np.concatenate((self.end[:, :, :j], self.grids[self.ranges[0][0] - 1][:, :, j:]), axis=2)
+        grids[:, :, j] = states[:, :, order[k - first]]
+        return WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), moved), grids
+
+    def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> None:
+        """Append a whole-grid step ending at the stacked pair W, which snapshot modes keep.
+
+        A read-only contiguous W is kept as it is; any other is copied, as
+        the walk goes on changing its own grids.
+        """
+        if self.snapshots:
+            if W.flags.writeable or not W.flags.c_contiguous:
+                W = W.copy()
+                W.flags.writeable = False
+            self.grids[len(self)] = W
+        self.rows.append((label, tv, gap, None))
+
+    def extend(self, labels: list[str], totals: np.ndarray, moved: np.ndarray, block: np.ndarray, states, order) -> None:
+        """Append one range's block steps, in trace order: the running tv and gap (`totals`), moved masses and columns.
+
+        Step t's column state is states[:, :, order[t]]; the states are kept
+        only in snapshot modes.
+        """
+        if self.snapshots:
+            self.ranges.append((len(self), block, states, order))
+        self.rows += zip(labels, *totals.tolist(), moved.tolist())
+
+
 class _TraceBuilder:
     """Certifies the walk of a batch of trials from a per-block ledger, and records one trial's steps.
 
@@ -467,16 +544,15 @@ class _TraceBuilder:
     whole-grid measurement (see _measure); tv, gap and mass hold each
     trial's running totals after its last step. Every check is made per
     trial, and the first failing check found raises InvariantViolation.
-    With trace=True (one trial) the steps are recorded as WalkSteps, with
-    snapshots unless mode is "none" (`keep`).
+    With trace=True (one trial) the steps are recorded in `steps` (see
+    _Steps), with snapshots unless mode is "none".
     """
 
     def __init__(
         self, mode: SnapshotMode, ny: int, tv: list[float], gap: list[float], trials: int = 1, trace: bool = False
     ):
         self.mode, self.ny, self.trials = mode, ny, trials
-        self.steps: list[WalkStep] | None = [] if trace else None
-        self.keep = trace and mode != "none"
+        self.steps = _Steps(mode != "none") if trace else None
         self.initial_tv, self.tv, self.gap = tv, tv, gap
 
     def measure(self, label: str, W: np.ndarray) -> None:
@@ -500,11 +576,7 @@ class _TraceBuilder:
             for name, m in zip("pq", masses):
                 if abs(m - 1.0) > MASS_TOL:
                     raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
-        self.record(label, *self.snapshots(W))
-
-    def snapshots(self, W: np.ndarray) -> tuple[JointDistribution | None, JointDistribution | None]:
-        """Read-only copies of the grids of the stacked pair W if the trace keeps snapshots, else (None, None)."""
-        return (_freeze(W[0]), _freeze(W[1])) if self.keep else (None, None)
+        self.record(label, W)
 
     def blocks(self, phases: list[_Phase]) -> None:
         """Certify the block steps of one range's phases in one array pass, and record them when tracing.
@@ -512,9 +584,8 @@ class _TraceBuilder:
         Steps are listed trial by trial and, within a trial, block by block:
         a block's fill, concentrate and transfer (in "all" mode each
         preceded by its single moves). The column states are concatenated
-        once and measured once. Their snapshots replay the states in trace
-        order onto a copy of the last recorded snapshot: the reordered pair,
-        or the last step of the range before.
+        once and measured once; in snapshot modes the trace keeps that
+        concatenation as the range's snapshots.
         """
         # part by part: a phase's single moves ("all" mode only), then its phase
         # steps; a stable sort by column then lists each block's steps in run order
@@ -525,6 +596,7 @@ class _TraceBuilder:
                 parts.append((ph.kind, ph.cols[c], r))
                 moved.append(ph.s[r, c])
                 states.append(st)
+                del st  # held once, in the concatenation below
             parts.append((ph.kind, ph.cols, None))
             moved.append(ph.moved)
             states.append(ph.after)
@@ -541,21 +613,9 @@ class _TraceBuilder:
         ok = _in_range(states, 0.0)
         entries = np.full(block.size, True) if ok else _in_range(states, 0.0, axis=(0, 1))[order]
         totals = self._certify(block[order], terms, entries, parts, order)
-        if self.steps is None:
-            return
-        if self.keep:
-            last = self.steps[-1]
-            R = np.array((last.p.probs, last.q.probs))
-            snapshots = _replay(R, block[order], states, order)
-        else:
-            snapshots = repeat((None, None))
-        del states  # in "none" mode nothing reads the column states again
-        (tvs, gaps), labels = totals.tolist(), _labels(parts, order, self.ny)
-        moved = np.concatenate(moved)[order].tolist()
-        self.steps.extend(
-            WalkStep(label, tv, gap, p, q, s)
-            for label, tv, gap, (p, q), s in zip(labels, tvs, gaps, snapshots, moved)
-        )
+        if self.steps is not None:
+            labels, moved = _labels(parts, order, self.ny), np.concatenate(moved)[order]
+            self.steps.extend(labels, totals, moved, block[order], states, order)
 
     def _certify(self, block: np.ndarray, new: np.ndarray, entries: np.ndarray, parts, order) -> np.ndarray:
         """Check every block step of a range; returns the running tv and gap after each, shape (2, steps).
@@ -622,13 +682,13 @@ class _TraceBuilder:
                     f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})"
                 )
 
-    def record(self, label: str, p: JointDistribution | None, q: JointDistribution | None) -> None:
-        """Append the traced trial's current totals, with the snapshots p and q."""
+    def record(self, label: str, W: np.ndarray) -> None:
+        """Append the traced trial's current totals as a whole-grid step ending at the stacked pair W."""
         if self.steps is not None:
-            self.steps.append(WalkStep(label=label, tv=self.tv[0], gap=self.gap[0], p=p, q=q))
+            self.steps.append(label, self.tv[0], self.gap[0], W)
 
 
-def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", pair: DistributionPair | None = None) -> _TraceBuilder:
+def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", trace: bool = False) -> _TraceBuilder:
     """Run the certified walk on every pair of W, a (2, trials, nx, ny) stack: the p grids, then the q grids.
 
     The trials are laid side by side, trial b in the columns b*ny ...
@@ -636,22 +696,19 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", pair: DistributionPai
     reordered and averaged within its own columns; the kernel and the
     ledger run over all of them, one range of blocks (see _range_blocks)
     at a time, and the final checks run per trial.
-    The first failing check found raises InvariantViolation. With `pair`
-    (the one trial W holds) the steps are recorded in the snapshot mode,
-    and the grids of `pair` are the snapshots of the initial and oriented
-    steps, which do not change them. The returned ledger's `final` is the
-    averaged pair, laid side by side.
+    The first failing check found raises InvariantViolation. With trace=True
+    (W holds one trial) the steps are recorded in the snapshot mode. The
+    returned ledger's `final` is the averaged pair, laid side by side.
     """
     _, trials, nx, ny = W.shape
     W = W.transpose(0, 2, 1, 3).reshape(2, nx, trials * ny)
     # one measurement decides the orientation and gives the initial totals, as oriented
     swap, tv, gap = _orientation(W, trials)
-    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist(), trials, trace=pair is not None)
-    grids = (pair.p, pair.q) if tb.keep else (None, None)
-    tb.record("initial", *grids)
-    tb.record("orient", *(grids[::-1] if swap[0] else grids))
+    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist(), trials, trace)
+    tb.record("initial", W)
     if swap.any():
         W = np.where(np.repeat(swap, ny), W[::-1], W)
+    tb.record("orient", W)
     W = _reorder(W, trials)
     tb.measure("reorder", W)
     size = _range_blocks(nx)
@@ -662,6 +719,8 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", pair: DistributionPai
     if left.size:
         raise InvariantViolation(f"block {left[0] % ny + 1} processed but q still has weight below the top row")
     tb.cross_check(W)
+    if tb.steps is not None:
+        tb.steps.end = W  # the grids the block steps end at
 
     W = _average(W, trials)
     tb.measure("average", W)
@@ -687,10 +746,15 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     records every individual weight move, "none" keeps only labels and the
     measured tv/gap per phase.
 
+    The trace's steps are a read-only sequence, and each WalkStep in it is
+    built when it is read, its snapshots from the step's column state.
     Before it walks, the pair is refused (ValidationError) if it has more
     than MAX_GRID_CELLS cells, or if its snapshots could exceed
-    MAX_TRACE_BYTES: 16*nx*ny bytes per step, over at most 3*ny + 4 steps
-    in "phases" mode and 3*nx*ny + 4 in "all" mode.
+    MAX_TRACE_BYTES: 16*nx*ny bytes for the reordered pair plus 16*nx bytes
+    (one column state) per step, over at most 3*ny + 4 steps in "phases"
+    mode and 3*nx*ny + 4 in "all" mode. A snapshot trace also keeps a few
+    more whole pairs (the given and the oriented pair, the grids before
+    averaging and the averaged pair), which MAX_GRID_CELLS bounds.
 
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within
@@ -706,13 +770,16 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
     nx, ny = pair.nx, pair.ny
     _check_grid_size(nx, ny)
-    size = 16 * nx * ny * {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    steps = {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    size = 16 * nx * (ny + steps) if steps else 0
     if size > MAX_TRACE_BYTES:
         raise ValidationError(
             f"the {snapshots!r} snapshots of the {nx}x{ny} pair may take {size} bytes, over the trace guard {MAX_TRACE_BYTES}"
         )
-    tb = _walk(np.array((pair.p.probs, pair.q.probs))[:, None], snapshots, pair)
+    W = np.array((pair.p.probs, pair.q.probs))
+    W.flags.writeable = False  # the trace keeps it as the initial step's grids
+    tb = _walk(W[:, None], snapshots, trace=True)
     # the averaged pair: the last step's snapshots, or copies when the trace keeps none
     last = tb.steps[-1]
-    final = (last.p, last.q) if tb.keep else (_freeze(tb.final[0]), _freeze(tb.final[1]))
-    return WalkTrace(steps=tuple(tb.steps), final=DistributionPair(*final))
+    final = (last.p, last.q) if tb.steps.snapshots else (_freeze(tb.final[0].copy()), _freeze(tb.final[1].copy()))
+    return WalkTrace(steps=tb.steps, final=DistributionPair(*final))

@@ -292,10 +292,10 @@ def test_exit_validation_on_oversized_grid(argv):
 
 
 def test_walk_refuses_a_trace_past_the_guard(tmp_path):
-    # a 100 x 100 pair: an "all" trace may take about 4.8 GB, so the walk is refused before it runs
+    # a 300 x 300 pair: an "all" trace may take about 1.3 GB, so the walk is refused before it runs
     rng = np.random.default_rng(5)
     p, q = (
-        write_dist(tmp_path / f"{name}.json", JointDistribution(rng.dirichlet(np.ones(100 * 100)).reshape(100, 100)))
+        write_dist(tmp_path / f"{name}.json", JointDistribution(rng.dirichlet(np.ones(300 * 300)).reshape(300, 300)))
         for name in "pq"
     )
     proc = run_cli("walk", p, q, "--snapshots", "all")

@@ -318,19 +318,46 @@ def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
     from equibound import core
 
     pair = _random_pair(np.random.default_rng(100), 100, 100)  # 160 KB per grid
+    big = _random_pair(np.random.default_rng(101), 300, 300)
     real = walk._walk
     monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
-    # an "all" trace may hold 16 * 10^4 bytes per step over 3 * 10^4 + 4 steps, about 4.8 GB
-    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 100x100 pair may take 4800640000 bytes, over the trace guard 1073741824$"):
-        run_walk(pair, snapshots="all")
+    # an "all" trace may hold the reordered pair, 16 * 9 * 10^4 bytes, and one 16 * 300-byte column
+    # state per step over 27 * 10^4 + 4 steps, about 1.3 GB
+    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 300x300 pair may take 1297459200 bytes, over the trace guard 1073741824$"):
+        run_walk(big, snapshots="all")
     monkeypatch.setattr(core, "MAX_GRID_CELLS", 100 * 100 - 1)
     for mode in ("none", "phases", "all"):
         with pytest.raises(ValidationError, match="grid-size guard"):
             run_walk(pair, snapshots=mode)
     monkeypatch.undo()
     assert walk._walk is real
-    # "phases" may hold 16 * 10^4 bytes over 3 * 100 + 4 steps, about 49 MB: admitted
+    # "phases" may hold 16 * 10^4 bytes plus 16 * 100 bytes over 3 * 100 + 4 steps, about 0.6 MB,
+    # and "all" 16 * 10^4 bytes plus 16 * 100 bytes over 3 * 10^4 + 4 steps, about 48 MB: both admitted
     assert len(run_walk(pair, snapshots="phases").steps) <= 304
+    assert len(run_walk(pair, snapshots="all").steps) <= 30004
+
+
+def test_walk_refuses_an_oversized_trace_before_walking(monkeypatch):
+    # "all" at 1000x1000: 16 * 10^6 bytes plus 16 * 1000 bytes over 3 * 10^6 + 4 steps, about 48 GB
+    p = np.full((1000, 1000), 1e-6)
+    pair = DistributionPair(JointDistribution(p), JointDistribution(p))
+    monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
+    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 1000x1000 pair may take 48016064000 bytes, over the trace guard 1073741824$"):
+        run_walk(pair, snapshots="all")
+
+
+def test_walk_admits_a_128x128_all_trace_within_its_memory():
+    # the guard admits 128 x 128 "all": its trace holds a 16 * 128-byte column state per step, and
+    # the walk's peak growth stays under 150 MB
+    pair = _random_pair(np.random.default_rng(128), 128, 128)
+    tracemalloc.start()
+    try:
+        trace = run_walk(pair, snapshots="all")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) <= 3 * 128 * 128 + 4
+    assert peak < 150e6
 
 
 def test_walk_single_outcome_alphabet():
@@ -680,6 +707,61 @@ def test_ledger_chunks_certify_the_same_trace(monkeypatch, mode):
                 (s.label, s.tv.hex(), s.gap.hex(), s.transferred, s.p, s.q) for s in expected.steps
             ]
             assert trace.final == expected.final
+
+
+def _step_key(s):
+    grids = b"-" if s.p is None else s.p.probs.tobytes() + s.q.probs.tobytes()
+    return (s.label, s.tv.hex(), s.gap.hex(), s.transferred, grids)
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_trace_steps_read_in_any_order_match_in_order_iteration(monkeypatch, mode):
+    # the steps are built when read: any index, slice or iterator gives the k-th step of the
+    # in-order iteration, in one range and in ranges of one and two blocks
+    rng = np.random.default_rng(1212)
+    pairs = list(_kernel_pairs(rng, 24)) + list(_tied_pairs(rng, 12))
+    cells = walk._CHUNK_CELLS
+    for blocks_per_range in (None, 1, 2):
+        for pair in pairs:
+            monkeypatch.setattr(walk, "_CHUNK_CELLS", blocks_per_range * pair.nx if blocks_per_range else cells)
+            steps = run_walk(pair, snapshots=mode).steps
+            n = len(steps)
+            forward = [_step_key(s) for s in steps]
+            assert len(forward) == n
+            assert [_step_key(steps[k]) for k in reversed(range(n))] == forward[::-1]
+            assert [_step_key(s) for s in reversed(steps)] == forward[::-1]
+            assert [_step_key(steps[k - n]) for k in range(n)] == forward
+            assert [_step_key(s) for s in steps[1::3]] == forward[1::3]
+            assert [_step_key(s) for s in steps[-3:]] == forward[-3:]
+            assert steps[n:] == ()
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    steps[k]
+            with pytest.raises(TypeError):
+                steps[0] = steps[1]
+            ahead, behind = iter(steps), iter(steps)
+            next(ahead)
+            assert [(_step_key(a), _step_key(b)) for a, b in zip(ahead, behind)] == list(zip(forward[1:], forward))
+
+
+@pytest.mark.parametrize("mode", ["phases", "all"])
+def test_trace_snapshots_read_earlier_keep_their_bytes(monkeypatch, mode):
+    # every read builds its own read-only grids: steps held while later ones are read keep their bytes
+    rng = np.random.default_rng(1313)
+    for blocks_per_range in (None, 1):
+        for pair in _kernel_pairs(rng, 24):
+            if blocks_per_range:
+                monkeypatch.setattr(walk, "_CHUNK_CELLS", blocks_per_range * pair.nx)
+            trace = run_walk(pair, snapshots=mode)
+            forward = [_step_key(s) for s in trace.steps]
+            held = list(trace.steps) + list(reversed(trace.steps))
+            assert [_step_key(s) for s in held] == forward + forward[::-1]
+            for s in held:
+                for J in (s.p, s.q):
+                    assert not J.probs.flags.writeable
+                    with pytest.raises(ValueError):
+                        J.probs[0, 0] = 0.5
+            assert trace.final.p == held[len(forward) - 1].p and trace.final.q == held[len(forward) - 1].q
 
 
 def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):

@@ -1,8 +1,8 @@
 """Digest every walk and campaign result on a fixed input set, to compare two trees bit for bit.
 
-    PYTHONPATH=<tree>/src python tools/walk_digest.py
+    PYTHONPATH=<tree>/src python tools/walk_digest.py [SECTION ...]
 
-prints one SHA-256 per section. Two trees whose digests match give the same
+prints one SHA-256 per section (every section unless some are named). Two trees whose digests match give the same
 bits on these inputs:
 
 - walks: every pair of tests/test_walk.py's `_kernel_pairs(default_rng(20240), 240)`
@@ -21,7 +21,9 @@ bits on these inputs:
   "none" mode, 120 of tests/test_walk.py's `_tied_pairs` (pairs related
   by a block symmetry) in all three modes, hashed like the walks, and one
   200-trial eps = 0 campaign (q = p) at each shape of criterion 1, hashed
-  like the campaigns.
+  like the campaigns;
+- jsonl: the walks section's pairs in all three snapshot modes, each trace
+  written by `cli.write_trace` and hashed byte for byte.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -31,12 +33,14 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+from equibound import cli  # noqa: E402
 from equibound import DistributionPair, JointDistribution, perturb_within_tv, run_walk, sample_joint, verify_trials  # noqa: E402
 from test_walk import _kernel_pairs, _tied_pairs  # noqa: E402
 
@@ -77,9 +81,12 @@ def _walk_digest(runs, h=None) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def _walks_pairs():
+    return list(_kernel_pairs(np.random.default_rng(20240), 240)) + list(_bench_pairs(np.random.default_rng(2001)))
+
+
 def walks() -> tuple[int, str]:
-    pairs = list(_kernel_pairs(np.random.default_rng(20240), 240)) + list(_bench_pairs(np.random.default_rng(2001)))
-    return _walk_digest((pair, ("none", "phases", "all")) for pair in pairs)
+    return _walk_digest((pair, ("none", "phases", "all")) for pair in _walks_pairs())
 
 
 def ranges() -> tuple[int, str]:
@@ -114,7 +121,23 @@ def orientation() -> tuple[int, str]:
     return walked + campaigned, digest
 
 
+def jsonl() -> tuple[int, str]:
+    h, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "trace.jsonl")
+        for pair in _walks_pairs():
+            for mode in ("none", "phases", "all"):
+                cli.write_trace(run_walk(pair, snapshots=mode), path)
+                h.update(Path(path).read_bytes())
+                count += 1
+    return count, h.hexdigest()
+
+
+SECTIONS = {"walks": walks, "campaigns": campaigns, "ranges": ranges, "orientation": orientation, "jsonl": jsonl}
+
 if __name__ == "__main__":
-    for name, section in (("walks", walks), ("campaigns", campaigns), ("ranges", ranges), ("orientation", orientation)):
+    names = sys.argv[1:] or list(SECTIONS)
+    for name in names:
+        section = SECTIONS[name]
         count, digest = section()
         print(f"{name} {count} {digest}")
