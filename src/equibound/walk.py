@@ -738,6 +738,12 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", trace: bool = False) 
     return tb
 
 
+def _snapshot_steps(nx: int, ny: int, snapshots: SnapshotMode) -> int:
+    # the most steps with snapshots a walk records: 3 per block in "phases" mode and 3 per cell
+    # in "all" mode, plus the 4 whole-grid steps; none in "none" mode
+    return {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+
+
 def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> WalkTrace:
     """Run the full walk and return its invariant-checked trace.
 
@@ -770,7 +776,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
     nx, ny = pair.nx, pair.ny
     _check_grid_size(nx, ny)
-    steps = {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    steps = _snapshot_steps(nx, ny, snapshots)
     size = 16 * nx * (ny + steps) if steps else 0
     if size > MAX_TRACE_BYTES:
         raise ValidationError(

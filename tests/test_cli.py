@@ -305,6 +305,25 @@ def test_walk_refuses_a_trace_past_the_guard(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_walk_refuses_a_trace_file_past_the_guard(tmp_path):
+    # a 100 x 100 "all" walk is admitted, but its trace file could hold 16 * 10^4 bytes of grids
+    # over 3 * 10^4 + 4 steps, about 4.8 GB: refused before it runs
+    rng = np.random.default_rng(6)
+    p, q = (
+        write_dist(tmp_path / f"{name}.json", JointDistribution(rng.dirichlet(np.ones(100 * 100)).reshape(100, 100)))
+        for name in "pq"
+    )
+    trace = tmp_path / "trace.jsonl"
+    proc = run_cli("walk", p, q, "--snapshots", "all", "--trace-file", str(trace))
+    assert proc.returncode == 1
+    assert proc.stdout == "" and not trace.exists()
+    assert proc.stderr == (
+        "error: the 'all' trace file of the 100x100 pair may hold 4800640000 bytes of grids, over the trace guard 1073741824\n"
+    )
+    proc = run_cli("walk", p, q, "--snapshots", "all")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["certificate_ok"] is True
+
+
 def test_exit_internal_invariant_violation(monkeypatch, tmp_path, capsys):
     # route an InvariantViolation through main's exit-code mapping in-process
     import equibound.cli as cli
