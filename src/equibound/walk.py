@@ -463,12 +463,13 @@ class _Steps(Sequence):
     Every step has a label, tv, gap and moved mass (None for a whole-grid
     step). When the trace keeps snapshots, a whole-grid step holds its
     stacked pair, read-only, and each range of block steps its column
-    states, once (see _TraceBuilder.blocks). The walk finishes each block before it
-    starts the next, so the grids after a block step are `end` (the stacked
-    pair the block steps end at, before averaging) left of its block, its
-    column state in it, and the reordered pair right of it. A read builds
-    them from these, and iteration writes one column per step onto the
-    grids of the step before; either way each snapshot is a copy of its own.
+    states, once (see _TraceBuilder.blocks). The walk finishes each block
+    before it starts the next, so the grids after a block step are `end`
+    (the stacked pair the block steps end at, before averaging) left of its
+    block, its column state in it, and the reordered pair right of it. A
+    read builds them from these, and iteration writes one column per step
+    onto the grids of the step before; either way a block step's snapshots
+    are copies of their own, while a whole-grid step's share its pair.
     """
 
     def __init__(self, snapshots: bool):
