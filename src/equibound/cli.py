@@ -34,7 +34,6 @@ from typing import Any
 from .bounds import continuity_bound, extremal_pair
 from .core import (
     _COND_FORMULAS,
-    MAX_TRACE_BYTES,
     DistributionPair,
     JointDistribution,
     ValidationError,
@@ -42,7 +41,7 @@ from .core import (
     tv_distance,
 )
 from .verify import grid_search_max_gap, verify_trials
-from .walk import _SNAPSHOT_MODES, InvariantViolation, WalkTrace, _snapshot_steps, run_walk
+from .walk import _SNAPSHOT_MODES, InvariantViolation, WalkTrace, _check_trace_size, run_walk
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -169,13 +168,7 @@ def _cmd_extremal(args) -> dict:
 def _cmd_walk(args) -> dict:
     pair = DistributionPair(_load(args.p_file), _load(args.q_file))
     if args.trace_file:
-        # unlike the trace in memory, the file holds both whole grids of every snapshot step
-        size = 16 * pair.nx * pair.ny * _snapshot_steps(pair.nx, pair.ny, args.snapshots)
-        if size > MAX_TRACE_BYTES:
-            raise ValidationError(
-                f"the {args.snapshots!r} trace file of the {pair.nx}x{pair.ny} pair may hold {size} bytes of grids, "
-                f"over the trace guard {MAX_TRACE_BYTES}"
-            )
+        _check_trace_size(pair.nx, pair.ny, args.snapshots, to_file=True)
     trace = run_walk(pair, snapshots=args.snapshots)
     if args.trace_file:
         write_trace(trace, args.trace_file)

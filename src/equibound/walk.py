@@ -495,6 +495,15 @@ class _Steps(Sequence):
             step, grids = self._step(k, grids)
             yield step
 
+    def __eq__(self, other) -> bool:
+        # step by step, as the tuple of steps compared, with any sequence of steps
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
     def _step(self, k: int, grids: np.ndarray | None) -> tuple[WalkStep, np.ndarray | None]:
         """Step k, and the stacked pair after it if it is a block step; `grids` is that of step k - 1, or None."""
         label, tv, gap, moved = self.rows[k]
@@ -739,10 +748,30 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", trace: bool = False) 
     return tb
 
 
-def _snapshot_steps(nx: int, ny: int, snapshots: SnapshotMode) -> int:
-    # the most steps with snapshots a walk records: 3 per block in "phases" mode and 3 per cell
-    # in "all" mode, plus the 4 whole-grid steps; none in "none" mode
-    return {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+# what a snapshot trace keeps per step besides its column state: the (label, tv, gap, moved) row,
+# its string and floats, and the step's column and order index (280-300 bytes measured)
+_STEP_BYTES = 320
+
+
+def _check_trace_size(nx: int, ny: int, snapshots: SnapshotMode, to_file: bool = False) -> None:
+    """Refuse (ValidationError) a walk whose snapshots could take more than MAX_TRACE_BYTES.
+
+    A walk records at most 3*ny + 4 steps with snapshots in "phases" mode
+    (3 per block, plus the 4 whole-grid steps), 3*nx*ny + 4 in "all" mode
+    and none in "none" mode. In memory the trace holds the reordered pair,
+    16*nx*ny bytes, and per step a 16*nx-byte column state and
+    _STEP_BYTES; a trace file (to_file) holds both whole grids of every
+    step, 16*nx*ny bytes a step.
+    """
+    steps = {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    if to_file:
+        size = 16 * nx * ny * steps
+        text = f"trace file of the {nx}x{ny} pair may hold {size} bytes of grids"
+    else:
+        size = 16 * nx * ny + steps * (16 * nx + _STEP_BYTES) if steps else 0
+        text = f"snapshots of the {nx}x{ny} pair may take {size} bytes"
+    if size > MAX_TRACE_BYTES:
+        raise ValidationError(f"the {snapshots!r} {text}, over the trace guard {MAX_TRACE_BYTES}")
 
 
 def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> WalkTrace:
@@ -757,11 +786,12 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     built when it is read, its snapshots from the step's column state.
     Before it walks, the pair is refused (ValidationError) if it has more
     than MAX_GRID_CELLS cells, or if its snapshots could exceed
-    MAX_TRACE_BYTES: 16*nx*ny bytes for the reordered pair plus 16*nx bytes
-    (one column state) per step, over at most 3*ny + 4 steps in "phases"
-    mode and 3*nx*ny + 4 in "all" mode. A snapshot trace also keeps a few
-    more whole pairs (the given and the oriented pair, the grids before
-    averaging and the averaged pair), which MAX_GRID_CELLS bounds.
+    MAX_TRACE_BYTES: 16*nx*ny bytes for the reordered pair plus, per step,
+    16*nx bytes (one column state) and 320 bytes (its label, tv, gap and
+    moved mass), over at most 3*ny + 4 steps in "phases" mode and
+    3*nx*ny + 4 in "all" mode. A snapshot trace also keeps a few more whole
+    pairs (the given and the oriented pair, the grids before averaging and
+    the averaged pair), which MAX_GRID_CELLS bounds.
 
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within
@@ -777,12 +807,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
         raise ValidationError(f"snapshots must be one of {_SNAPSHOT_MODES}, got {snapshots!r}")
     nx, ny = pair.nx, pair.ny
     _check_grid_size(nx, ny)
-    steps = _snapshot_steps(nx, ny, snapshots)
-    size = 16 * nx * (ny + steps) if steps else 0
-    if size > MAX_TRACE_BYTES:
-        raise ValidationError(
-            f"the {snapshots!r} snapshots of the {nx}x{ny} pair may take {size} bytes, over the trace guard {MAX_TRACE_BYTES}"
-        )
+    _check_trace_size(nx, ny, snapshots)
     W = np.array((pair.p.probs, pair.q.probs))
     W.flags.writeable = False  # the trace keeps it as the initial step's grids
     tb = _walk(W[:, None], snapshots, trace=True)

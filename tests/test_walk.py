@@ -319,36 +319,32 @@ def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
 
     pair = _random_pair(np.random.default_rng(100), 100, 100)  # 160 KB per grid
     big = _random_pair(np.random.default_rng(101), 300, 300)
+    huge = DistributionPair(*[JointDistribution(np.full((1000, 1000), 1e-6))] * 2)
     real = walk._walk
     monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
-    # an "all" trace may hold the reordered pair, 16 * 9 * 10^4 bytes, and one 16 * 300-byte column
-    # state per step over 27 * 10^4 + 4 steps, about 1.3 GB
-    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 300x300 pair may take 1297459200 bytes, over the trace guard 1073741824$"):
-        run_walk(big, snapshots="all")
+    # an "all" trace may hold the reordered pair, 16 * nx * ny bytes, and per step a 16 * nx-byte
+    # column state and a 320-byte row, over 3 * nx * ny + 4 steps: about 1.4 GB at 300x300 and
+    # 49 GB at 1000x1000
+    for refused, size in ((big, 1383860480), (huge, 48976065280)):
+        n = refused.nx
+        message = rf"^the 'all' snapshots of the {n}x{n} pair may take {size} bytes, over the trace guard 1073741824$"
+        with pytest.raises(ValidationError, match=message):
+            run_walk(refused, snapshots="all")
     monkeypatch.setattr(core, "MAX_GRID_CELLS", 100 * 100 - 1)
     for mode in ("none", "phases", "all"):
         with pytest.raises(ValidationError, match="grid-size guard"):
             run_walk(pair, snapshots=mode)
     monkeypatch.undo()
     assert walk._walk is real
-    # "phases" may hold 16 * 10^4 bytes plus 16 * 100 bytes over 3 * 100 + 4 steps, about 0.6 MB,
-    # and "all" 16 * 10^4 bytes plus 16 * 100 bytes over 3 * 10^4 + 4 steps, about 48 MB: both admitted
+    # "phases" may hold 16 * 10^4 bytes plus 16 * 100 + 320 bytes over 3 * 100 + 4 steps, about 0.7 MB,
+    # and "all" 16 * 10^4 bytes plus 16 * 100 + 320 bytes over 3 * 10^4 + 4 steps, about 58 MB: both admitted
     assert len(run_walk(pair, snapshots="phases").steps) <= 304
     assert len(run_walk(pair, snapshots="all").steps) <= 30004
 
 
-def test_walk_refuses_an_oversized_trace_before_walking(monkeypatch):
-    # "all" at 1000x1000: 16 * 10^6 bytes plus 16 * 1000 bytes over 3 * 10^6 + 4 steps, about 48 GB
-    p = np.full((1000, 1000), 1e-6)
-    pair = DistributionPair(JointDistribution(p), JointDistribution(p))
-    monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
-    with pytest.raises(ValidationError, match=r"^the 'all' snapshots of the 1000x1000 pair may take 48016064000 bytes, over the trace guard 1073741824$"):
-        run_walk(pair, snapshots="all")
-
-
 def test_walk_admits_a_128x128_all_trace_within_its_memory():
-    # the guard admits 128 x 128 "all": its trace holds a 16 * 128-byte column state per step, and
-    # the walk's peak growth stays under 150 MB
+    # the guard admits 128 x 128 "all": its trace holds a 16 * 128-byte column state and a row per
+    # step, and the walk's peak growth stays under 150 MB
     pair = _random_pair(np.random.default_rng(128), 128, 128)
     tracemalloc.start()
     try:
@@ -762,6 +758,20 @@ def test_trace_snapshots_read_earlier_keep_their_bytes(monkeypatch, mode):
                     with pytest.raises(ValueError):
                         J.probs[0, 0] = 0.5
             assert trace.final.p == held[len(forward) - 1].p and trace.final.q == held[len(forward) - 1].q
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_traces_of_the_same_pair_compare_equal(mode):
+    # the steps compare step by step, as a tuple of steps does, and show as that tuple
+    rng = np.random.default_rng(1414)
+    pair, other = _random_pair(rng, 3, 2), _random_pair(rng, 3, 2)
+    trace = run_walk(pair, snapshots=mode)
+    assert trace == run_walk(pair, snapshots=mode)
+    assert trace.steps == tuple(trace.steps) and tuple(trace.steps) == trace.steps
+    assert trace != run_walk(other, snapshots=mode)
+    assert trace.steps != tuple(trace.steps)[:-1]
+    assert repr(trace.steps) == repr(tuple(trace.steps))
+    assert repr(trace).startswith("WalkTrace(steps=(WalkStep(label='initial'")
 
 
 def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):

@@ -1,8 +1,8 @@
 """Digest every walk and campaign result on a fixed input set, to compare two trees bit for bit.
 
-    PYTHONPATH=<tree>/src python tools/walk_digest.py [SECTION ...]
+    PYTHONPATH=<tree>/src python tools/walk_digest.py
 
-prints one SHA-256 per section (every section unless some are named). Two trees whose digests match give the same
+prints one SHA-256 per section. Two trees whose digests match give the same
 bits on these inputs:
 
 - walks: every pair of tests/test_walk.py's `_kernel_pairs(default_rng(20240), 240)`
@@ -133,11 +133,9 @@ def jsonl() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-SECTIONS = {"walks": walks, "campaigns": campaigns, "ranges": ranges, "orientation": orientation, "jsonl": jsonl}
-
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(SECTIONS)
-    for name in names:
-        section = SECTIONS[name]
+    for name, section in (
+        ("walks", walks), ("campaigns", campaigns), ("ranges", ranges), ("orientation", orientation), ("jsonl", jsonl)
+    ):
         count, digest = section()
         print(f"{name} {count} {digest}")
