@@ -15,6 +15,9 @@ File formats:
 - distribution file: UTF-8 JSON {"nx": int, "ny": int, "probs": [[real; ny]; nx]}
 - walk trace file: JSON lines, one step per line:
   {"label": str, "tv": real, "gap": real, "p"?: probs, "q"?: probs, "s"?: real}
+  written one step at a time; a step's grids are rendered again only in
+  the cells that changed since the step before, and each line's bytes are
+  those json.dumps gives for the step
 - verify report: the TrialReport fields, in declaration order
 - search result: the GridSearchResult fields, in declaration order
 
@@ -27,9 +30,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
+
+import numpy as np
 
 from .bounds import continuity_bound, extremal_pair
 from .core import (
@@ -121,21 +128,56 @@ def _result_doc(result: Any) -> Any:
     return result
 
 
-def trace_line(step) -> str:
-    obj: dict[str, Any] = {"label": step.label, "tv": step.tv, "gap": step.gap}
-    if step.p is not None:
-        obj["p"] = step.p.to_lists()
-    if step.q is not None:
-        obj["q"] = step.q.to_lists()
-    if step.transferred is not None:
-        obj["s"] = step.transferred
-    return json.dumps(obj)
+class _GridText:
+    """One grid's JSON text as json.dumps writes its to_lists(), re-rendered only in the cells whose bits changed.
+
+    The text is kept as a list of parts, the brackets and separators
+    between the cells' texts (cell i is part 2i + 1), so the grid's text is
+    one join. Cells are compared with the last grid rendered bit by bit,
+    not by value, so a 0.0 that turns into -0.0 is rendered again.
+    """
+
+    def __init__(self) -> None:
+        self.shape: tuple[int, ...] | None = None
+
+    def render(self, a: np.ndarray) -> str:
+        a = np.ascontiguousarray(a)
+        bits = a.view(np.uint64).ravel()
+        if a.shape != self.shape:
+            nx, ny = self.shape = a.shape
+            seps = ([", "] * (ny - 1) + ["], ["]) * nx
+            seps[-1] = "]]"
+            self.parts = ["[["] + [part for sep in seps for part in ("", sep)]
+            changed = np.arange(bits.size)
+        else:
+            changed = (bits != self.bits).nonzero()[0]
+        parts = self.parts
+        for i, x in zip((2 * changed + 1).tolist(), a.ravel()[changed].tolist()):
+            parts[i] = float.__repr__(x)
+        self.bits = bits.copy()
+        return "".join(parts)
 
 
 def write_trace(trace: WalkTrace, path: str) -> None:
+    """Write the trace to `path` as JSON lines, one step at a time.
+
+    Each line is the bytes json.dumps gives for {"label", "tv", "gap",
+    "p"?, "q"?, "s"?} with the grids as to_lists(), but a step's grids are
+    rendered only in the cells that changed since the step before (a block
+    step changes one column). Every value a walk records is certified
+    finite, so json's NaN and Infinity spellings are never needed.
+    """
+    grids = {"p": _GridText(), "q": _GridText()}
     with open(path, "w", encoding="utf-8") as fh:
         for step in trace.steps:
-            fh.write(trace_line(step) + "\n")
+            label, tv, gap = encode_basestring_ascii(step.label), float.__repr__(step.tv), float.__repr__(step.gap)
+            line = f'{{"label": {label}, "tv": {tv}, "gap": {gap}'
+            for key, J in (("p", step.p), ("q", step.q)):
+                if J is not None:
+                    line += f', "{key}": {grids[key].render(J.probs)}'
+            if step.transferred is not None:
+                line += f', "s": {float.__repr__(step.transferred)}'
+            fh.write(line + "}\n")
 
 
 def _load(path: str) -> JointDistribution:
@@ -192,7 +234,9 @@ def _cmd_search(args) -> dict:
     return _result_doc(grid_search_max_gap(args.nx, args.ny, args.epsilon, args.steps))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equibound",
         description="Tight continuity bound for conditional Shannon entropy in total variation distance.",

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from equibound import InvariantViolation, JointDistribution, ValidationError
+from equibound import DistributionPair, InvariantViolation, JointDistribution, ValidationError, run_walk
 from equibound.cli import (
     DistributionParseError,
+    build_parser,
     distribution_doc,
     main,
     parse_distribution,
@@ -161,6 +162,92 @@ def test_walk_snapshots_none_omits_grids(tmp_path):
     for line in trace_path.read_text().splitlines():
         doc = json.loads(line)
         assert "p" not in doc and "q" not in doc
+
+
+def _reference_trace(trace) -> str:
+    """The trace file as json.dumps writes each step whole, with its grids as to_lists()."""
+    lines = []
+    for step in trace.steps:
+        obj = {"label": step.label, "tv": step.tv, "gap": step.gap}
+        if step.p is not None:
+            obj["p"] = step.p.to_lists()
+        if step.q is not None:
+            obj["q"] = step.q.to_lists()
+        if step.transferred is not None:
+            obj["s"] = step.transferred
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
+
+
+def _sparse(nx, ny, rng):
+    # about half the cells exactly zero
+    a = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.5)
+    a[0, 0] += 0.5
+    return (a / a.sum()).tolist()
+
+
+def _trace_file_pairs():
+    rng = np.random.default_rng(20261019)
+
+    def dense(nx, ny):
+        return rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny).tolist()
+
+    return {
+        "1x1": ([[1.0]], [[1.0]]),
+        "1x5": (dense(1, 5), dense(1, 5)),
+        "5x1": (dense(5, 1), dense(5, 1)),
+        "12x12": (dense(12, 12), dense(12, 12)),
+        "6x24": (dense(6, 24), dense(6, 24)),
+        "sparse-6x6": (_sparse(6, 6, rng), _sparse(6, 6, rng)),
+        # a -0.0 cell in the file: a step that turns it into 0.0 differs only in its bits
+        "negative-zero": ([[0.5, -0.0], [0.5, 0.0]], [[0.25, 0.25], [0.25, 0.25]]),
+    }
+
+
+@pytest.mark.parametrize("mode", _SNAPSHOT_MODES)
+@pytest.mark.parametrize("case", list(_trace_file_pairs()))
+def test_trace_file_bytes_are_json_dumps_of_each_step(tmp_path, capsys, case, mode):
+    files = []
+    for side, probs in zip("pq", _trace_file_pairs()[case]):
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps({"nx": len(probs), "ny": len(probs[0]), "probs": probs}))
+        files.append(str(path))
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["walk", *files, "--trace-file", str(trace_path), "--snapshots", mode]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    pair = DistributionPair(*(parse_distribution((tmp_path / f"{side}.json").read_text()) for side in "pq"))
+    expected = _reference_trace(run_walk(pair, snapshots=mode))
+    assert expected.count("\n") == steps
+    assert trace_path.read_bytes() == expected.encode("utf-8")
+    if case == "negative-zero" and mode != "none":
+        assert "-0.0" in expected
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
+    p = write_dist(tmp_path / "p.json", JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
+    q = write_dist(tmp_path / "q.json", JointDistribution([[0.5, 0.5], [0.0, 0.0]]))
+    first_trace = tmp_path / "trace.jsonl"
+    calls = [
+        ["walk", p, q, "--trace-file", str(first_trace), "--snapshots", "all"],
+        ["bound", "--epsilon", "0.2", "--nx", "3"],
+        ["bound", "--epsilon", "0.2"],
+        ["walk", p, q],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+        if argv is calls[0]:
+            first_trace.unlink()  # a later walk that took this --trace-file would write it again
+    assert in_process[2][0] == 2 and "the following arguments are required: --nx" in in_process[2][2]
+    assert not first_trace.exists()
+    for argv, (code, out, err) in zip(calls, in_process):
+        proc = run_cli(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        if code == 2:
+            assert err == proc.stderr
+    assert build_parser() is build_parser()
 
 
 def test_verify_subcommand_mirrors_report():
