@@ -207,15 +207,13 @@ def _trace_file_pairs():
 @pytest.mark.parametrize("mode", _SNAPSHOT_MODES)
 @pytest.mark.parametrize("case", list(_trace_file_pairs()))
 def test_trace_file_bytes_are_json_dumps_of_each_step(tmp_path, capsys, case, mode):
-    files = []
-    for side, probs in zip("pq", _trace_file_pairs()[case]):
-        path = tmp_path / f"{side}.json"
+    paths = [tmp_path / "p.json", tmp_path / "q.json"]
+    for path, probs in zip(paths, _trace_file_pairs()[case]):
         path.write_text(json.dumps({"nx": len(probs), "ny": len(probs[0]), "probs": probs}))
-        files.append(str(path))
     trace_path = tmp_path / "trace.jsonl"
-    assert main(["walk", *files, "--trace-file", str(trace_path), "--snapshots", mode]) == 0
+    assert main(["walk", *map(str, paths), "--trace-file", str(trace_path), "--snapshots", mode]) == 0
     steps = json.loads(capsys.readouterr().out)["steps"]
-    pair = DistributionPair(*(parse_distribution((tmp_path / f"{side}.json").read_text()) for side in "pq"))
+    pair = DistributionPair(*(parse_distribution(path.read_text()) for path in paths))
     expected = _reference_trace(run_walk(pair, snapshots=mode))
     assert expected.count("\n") == steps
     assert trace_path.read_bytes() == expected.encode("utf-8")
