@@ -33,10 +33,12 @@ MASS_TOL = 1e-9   # total-mass tolerance for joint grids
 # block the walk takes as a whole range (Python 3.11, numpy 2.4), so an
 # admitted grid stays under about 0.35 GB.
 MAX_GRID_CELLS = 1_000_000
-# Cap on the snapshots a run_walk trace may hold. A snapshot step holds two
-# float64 grids, 16*nx*ny bytes, and a walk has at most 3*ny + 4 steps in
-# "phases" mode and 3*nx*ny + 4 in "all" mode ("none" keeps no snapshots);
-# run_walk refuses a pair whose bound exceeds the cap before it walks.
+# Cap on the snapshots of a walk trace. A walk has at most 3*ny + 4 steps in
+# "phases" mode and 3*nx*ny + 4 in "all" mode ("none" keeps no snapshots).
+# In memory a trace holds 16*nx*ny bytes plus 16*nx + 320 bytes a step; a
+# trace file holds both whole grids of every step, 16*nx*ny bytes a step.
+# walk._check_trace_size applies both bounds: run_walk and the walk
+# subcommand refuse a pair over the cap before they walk.
 MAX_TRACE_BYTES = 1 << 30
 _LN2 = math.log(2.0)
 

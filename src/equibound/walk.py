@@ -78,7 +78,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -99,7 +99,7 @@ from .core import (
 STEP_TOL = 1e-9  # tolerance for every walk invariant
 
 SnapshotMode = Literal["phases", "all", "none"]
-_SNAPSHOT_MODES = ("phases", "all", "none")
+_SNAPSHOT_MODES = get_args(SnapshotMode)
 
 
 class InvariantViolation(RuntimeError):
@@ -166,7 +166,9 @@ def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
-    return np.take_along_axis(W, rows[None], axis=1)
+    W = np.take_along_axis(W, rows[None], axis=1)
+    W += 0.0  # -0.0 becomes 0.0, so the kernel's exact zeros change no bit (see _to_top)
+    return W
 
 
 def reorder(pair: DistributionPair) -> DistributionPair:
@@ -175,7 +177,8 @@ def reorder(pair: DistributionPair) -> DistributionPair:
     Blocks are sorted so q_Y(j) - p_Y(j) is non-increasing (stable); within
     each block, rows with q >= p come first, each group sorted by q
     non-increasing (stable, ties keep original index order). All moves are
-    block symmetries, so equivocations and TV are unchanged.
+    block symmetries, so equivocations and TV are unchanged. A -0.0 entry
+    becomes 0.0.
     """
     W = _reorder(np.stack((pair.p.probs, pair.q.probs)))
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
@@ -216,7 +219,25 @@ class _Phase:
 
 # Every phase works down the rows of all its columns at once. A row that does
 # not move adds exactly 0.0 to the running sums, so each column's sums are
-# bit-identical to a loop over its moved rows alone.
+# bit-identical to a loop over its moved rows alone (the reordered grids hold
+# no -0.0, which adding 0.0 would turn into 0.0; see _reorder).
+
+
+def _to_top(kind: str, W: np.ndarray, cols: np.ndarray, before, new, move, s) -> _Phase:
+    """Finish concentrate or transfer: each row's weight s goes to the top row, row by row down the columns.
+
+    q's top row gains it, and so does p's in transfer; the top rows' running
+    sums and the moved mass are taken in move order. The phase writes `new`,
+    with those top rows, into W's columns `cols`.
+    """
+    run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
+    if kind == "concentrate":
+        run[0, 1:] = 0.0  # p does not move
+    run[:2, 0] = before[:, 0]
+    np.add.accumulate(run, axis=1, out=run)
+    new[:, 0] = run[:2, -1]
+    W[:, :, cols] = new
+    return _Phase(kind, cols, before, new, move, s, run[:2], run[2, -1])
 
 
 def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
@@ -230,14 +251,7 @@ def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
     move = Q > P
     move[0] = False
     s = np.where(move, Q - P, 0.0)
-    run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
-    run[0, 1:] = 0.0
-    run[:2, 0] = before[:, 0]
-    np.add.accumulate(run, axis=1, out=run)
-    new = np.where(move, P, before)
-    new[1, 0] = run[1, -1]
-    W[:, :, cols] = new
-    return _Phase("concentrate", cols, before, new, move, s, run[:2], run[2, -1])
+    return _to_top("concentrate", W, cols, before, np.where(move, P, before), move, s)
 
 
 def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
@@ -248,17 +262,10 @@ def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
     shrink the entropy difference (x*log2(x) is convex).
     """
     before = W[:, :, cols]
-    Q = before[1]
-    move = Q != 0.0
+    move = before[1] != 0.0
     move[0] = False
-    s = np.where(move, Q, 0.0)
-    run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
-    run[:2, 0] = before[:, 0]
-    np.add.accumulate(run, axis=1, out=run)
-    new = before - s
-    new[:, 0] = run[:2, -1]
-    W[:, :, cols] = new
-    return _Phase("transfer", cols, before, new, move, s, run[:2], run[2, -1])
+    s = np.where(move, before[1], 0.0)
+    return _to_top("transfer", W, cols, before, before - s, move, s)
 
 
 def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
@@ -554,15 +561,13 @@ class _TraceBuilder:
     whole-grid measurement (see _measure); tv, gap and mass hold each
     trial's running totals after its last step. Every check is made per
     trial, and the first failing check found raises InvariantViolation.
-    With trace=True (one trial) the steps are recorded in `steps` (see
-    _Steps), with snapshots unless mode is "none".
+    With a mode (one trial) the steps are recorded in `steps` (see _Steps),
+    with snapshots unless the mode is "none"; with mode None nothing is.
     """
 
-    def __init__(
-        self, mode: SnapshotMode, ny: int, tv: list[float], gap: list[float], trials: int = 1, trace: bool = False
-    ):
-        self.mode, self.ny, self.trials = mode, ny, trials
-        self.steps = _Steps(mode != "none") if trace else None
+    def __init__(self, mode: SnapshotMode | None, ny: int, tv: list[float], gap: list[float]):
+        self.mode, self.ny, self.trials = mode, ny, len(tv)
+        self.steps = None if mode is None else _Steps(mode != "none")
         self.initial_tv, self.tv, self.gap = tv, tv, gap
 
     def measure(self, label: str, W: np.ndarray) -> None:
@@ -698,7 +703,7 @@ class _TraceBuilder:
             self.steps.append(label, self.tv[0], self.gap[0], W)
 
 
-def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", trace: bool = False) -> _TraceBuilder:
+def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder:
     """Run the certified walk on every pair of W, a (2, trials, nx, ny) stack: the p grids, then the q grids.
 
     The trials are laid side by side, trial b in the columns b*ny ...
@@ -706,15 +711,16 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode = "none", trace: bool = False) 
     reordered and averaged within its own columns; the kernel and the
     ledger run over all of them, one range of blocks (see _range_blocks)
     at a time, and the final checks run per trial.
-    The first failing check found raises InvariantViolation. With trace=True
-    (W holds one trial) the steps are recorded in the snapshot mode. The
-    returned ledger's `final` is the averaged pair, laid side by side.
+    The first failing check found raises InvariantViolation. With a
+    snapshot mode (W holds one trial) the steps are recorded in that mode;
+    with None (campaigns) none are. The returned ledger's `final` is the
+    averaged pair, laid side by side.
     """
     _, trials, nx, ny = W.shape
     W = W.transpose(0, 2, 1, 3).reshape(2, nx, trials * ny)
     # one measurement decides the orientation and gives the initial totals, as oriented
     swap, tv, gap = _orientation(W, trials)
-    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist(), trials, trace)
+    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist())
     tb.record("initial", W)
     if swap.any():
         W = np.where(np.repeat(swap, ny), W[::-1], W)
@@ -810,7 +816,7 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     _check_trace_size(nx, ny, snapshots)
     W = np.array((pair.p.probs, pair.q.probs))
     W.flags.writeable = False  # the trace keeps it as the initial step's grids
-    tb = _walk(W[:, None], snapshots, trace=True)
+    tb = _walk(W[:, None], snapshots)
     # the averaged pair: the last step's snapshots, or copies when the trace keeps none
     last = tb.steps[-1]
     final = (last.p, last.q) if tb.steps.snapshots else (_freeze(tb.final[0].copy()), _freeze(tb.final[1].copy()))

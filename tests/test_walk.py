@@ -480,6 +480,14 @@ def _wide_and_tall_pairs(rng):
         yield DistributionPair(p, JointDistribution(rng.dirichlet(np.full(nx * ny, 0.1)).reshape(nx, ny)))
 
 
+def _signed_zero_pairs():
+    """Pairs holding -0.0: two small ones, then _kernel_pairs(default_rng(20240), 240) with every 0.0 made -0.0."""
+    yield _pair([[0.25, 0.25], [0.25, 0.25]], [[1.0, -0.0], [0.0, 0.0]])
+    yield _pair([[0.5, -0.0], [0.5, 0.0]], [[0.25, 0.5], [0.0, 0.25]])
+    for pair in _kernel_pairs(np.random.default_rng(20240), 240):
+        yield DistributionPair(*(JointDistribution(np.where(J.probs == 0.0, -0.0, J.probs)) for J in (pair.p, pair.q)))
+
+
 def _ref_blocks(P, Q):
     """The sequential reference, block after block: per block its phases and its single moves."""
     phases, moves = [], []
@@ -511,7 +519,7 @@ def _kernel_blocks(W):
 def test_kernel_matches_sequential_reference():
     rng = np.random.default_rng(20240)
     switched = stayed = blocks = 0
-    pairs = list(_kernel_pairs(rng, 240)) + list(_wide_and_tall_pairs(rng))
+    pairs = list(_kernel_pairs(rng, 240)) + list(_wide_and_tall_pairs(rng)) + list(_signed_zero_pairs())
     for pair in pairs:
         reordered = reorder(canonical_orient(pair))
         P0, Q0 = np.array(reordered.p.probs), np.array(reordered.q.probs)
@@ -584,6 +592,16 @@ def test_walk_steps_match_full_recompute(mode):
                 gap = abs(gap)
             assert abs(step.tv - tv_distance(step.p, step.q)) <= 1e-12, step.label
             assert abs(step.gap - gap) <= 1e-12, step.label
+
+
+def test_concentrate_leaves_p_as_it_was():
+    # concentrate moves weight in q only, so p's bytes stay those of the step before, -0.0 or not
+    for pair in _signed_zero_pairs():
+        before = None
+        for step in run_walk(pair, snapshots="all").steps:
+            if " concentrate" in step.label:
+                assert step.p.probs.tobytes() == before.p.probs.tobytes(), step.label
+            before = step
 
 
 def test_walk_orient_reuses_initial_measurement():
@@ -762,7 +780,8 @@ def test_trace_snapshots_read_earlier_keep_their_bytes(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["none", "phases", "all"])
 def test_traces_of_the_same_pair_compare_equal(mode):
-    # the steps compare step by step, as a tuple of steps does, and show as that tuple
+    # the steps compare step by step, as a tuple of steps does, unequal to what is not a
+    # sequence, and show as that tuple
     rng = np.random.default_rng(1414)
     pair, other = _random_pair(rng, 3, 2), _random_pair(rng, 3, 2)
     trace = run_walk(pair, snapshots=mode)
@@ -770,6 +789,7 @@ def test_traces_of_the_same_pair_compare_equal(mode):
     assert trace.steps == tuple(trace.steps) and tuple(trace.steps) == trace.steps
     assert trace != run_walk(other, snapshots=mode)
     assert trace.steps != tuple(trace.steps)[:-1]
+    assert trace.steps != 3 and (trace.steps == None) is False  # noqa: E711
     assert repr(trace.steps) == repr(tuple(trace.steps))
     assert repr(trace).startswith("WalkTrace(steps=(WalkStep(label='initial'")
 
@@ -929,7 +949,7 @@ def test_whole_grid_snapshots_are_certified():
     def snapshot(W):
         # a whole-grid measurement certifies the grid before it records the snapshots
         # starting totals that no measurement's tv or gap fails against
-        tb = walk._TraceBuilder("phases", 3, [math.inf], [-math.inf], trace=True)
+        tb = walk._TraceBuilder("phases", 3, [math.inf], [-math.inf])
         tb.measure("average", W)
         (step,) = tb.steps
         return step.p, step.q
