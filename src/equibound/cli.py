@@ -134,11 +134,16 @@ class _GridText:
     The text is kept as a list of parts, the brackets and separators
     between the cells' texts (cell i is part 2i + 1), so the grid's text is
     one join. Cells are compared with the last grid rendered bit by bit,
-    not by value, so a 0.0 that turns into -0.0 is rendered again.
+    not by value, so a 0.0 that turns into -0.0 is rendered again. A
+    changed cell takes its text from `memo`, keyed by its bits, which the
+    grids of one trace share: orienting swaps p and q, reordering permutes
+    cells, and a block step often moves a value some cell held before. The
+    memo is cleared once it holds more than four texts per cell.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, memo: dict[int, str]) -> None:
         self.shape: tuple[int, ...] | None = None
+        self.memo = memo
 
     def render(self, a: np.ndarray) -> str:
         a = np.ascontiguousarray(a)
@@ -151,9 +156,14 @@ class _GridText:
             changed = np.arange(bits.size)
         else:
             changed = (bits != self.bits).nonzero()[0]
-        parts = self.parts
-        for i, x in zip((2 * changed + 1).tolist(), a.ravel()[changed].tolist()):
-            parts[i] = float.__repr__(x)
+        parts, memo = self.parts, self.memo
+        for i, key, x in zip((2 * changed + 1).tolist(), bits[changed].tolist(), a.ravel()[changed].tolist()):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = float.__repr__(x)
+            parts[i] = text
+        if len(memo) > 4 * bits.size:
+            memo.clear()
         self.bits = bits.copy()
         return "".join(parts)
 
@@ -167,7 +177,8 @@ def write_trace(trace: WalkTrace, path: str) -> None:
     step changes one column). Every value a walk records is certified
     finite, so json's NaN and Infinity spellings are never needed.
     """
-    grids = {"p": _GridText(), "q": _GridText()}
+    memo: dict[int, str] = {}
+    grids = {"p": _GridText(memo), "q": _GridText(memo)}
     with open(path, "w", encoding="utf-8") as fh:
         for step in trace.steps:
             label, tv, gap = encode_basestring_ascii(step.label), float.__repr__(step.tv), float.__repr__(step.gap)

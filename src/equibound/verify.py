@@ -10,6 +10,8 @@ searching; it only reports it next to the measured maximum.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +31,27 @@ from .walk import InvariantViolation, _range_blocks, _walk
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1): the search's peak
-# memory grows by about 150 bytes per point, so this keeps it near 0.3 GB
+# memory grows by about 100 bytes per point (a 185 MB tracemalloc peak at
+# 1.9 M points, reached while the compositions are stacked), so this keeps
+# it under 0.2 GB
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
 _SCAN_BLOCK = 8
+# Pruning margin delta of the orbit-pruned pair scan, not a certificate tolerance. A block
+# symmetry g (reorder the blocks, and the rows inside each block) permutes a point's cells,
+# so h(g.x) adds the same table terms as h(x) in another order: the H(XY) sum of at most 6
+# terms x*log2(x), of total magnitude <= log2 6 < 2.6, and the H(Y) sum of m*log2(m) over
+# block masses m, each an ordered add of at most 6 levels. With u = 2^-53, a reordered sum
+# of 6 terms moves by at most 2 * 5u times its magnitude (26u for H(XY)); the masses move by
+# at most 2 * 5u * m, which moves sum m*log2(m) by at most 10u * (H(Y) + 1/ln 2) < 31u; the
+# logs, the 3-term H(Y) sum and the final subtraction add at most 18u. So
+# |h(g.x) - h(x)| < 75u < 1e-14 (the worst measured over every point and symmetry of ten
+# shapes is 1.3e-15), and a point's value, its largest feasible h[b] - h[a], differs from
+# its orbit-mates' by less than 3e-14, far inside delta.
+_ORBIT_MARGIN = 1e-10
+# most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
+# window below pass 1's best, so this many leave part of it free (else every point is scanned)
+_ORBIT_KEEP_MAX = 900
 
 
 @dataclass(frozen=True)
@@ -233,22 +252,166 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def _entropies(counts: np.ndarray, nx: int, ny: int, steps: int) -> np.ndarray:
+    """H(X|Y) of each grid point, given as one row of nx*ny cell counts out of steps."""
+    # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count. Every
+    # sum over cells is an ordered add of gathered columns: the bits of numpy's sums over a
+    # row, which add fewer than 8 terms left to right, without their (points, cells) temporaries.
+    levels = np.arange(steps + 1) / float(steps)
+    terms = _xlog2x_arr(levels)
+    h = terms.take(counts[:, 0])
+    for k in range(1, nx * ny):
+        h += terms.take(counts[:, k])
+    np.negative(h, out=h)
+    h_y = None
+    for y in range(ny):
+        mass = levels.take(counts[:, y])
+        for x in range(1, nx):
+            mass += levels.take(counts[:, x * ny + y])
+        h_y = _xlog2x_arr(mass) if h_y is None else h_y + _xlog2x_arr(mass)
+    h += h_y
+    return h
+
+
+@functools.cache
+def _block_symmetries(nx: int, ny: int) -> np.ndarray:
+    """Every block symmetry of an nx-by-ny grid as a gather of its flat cells, one per row.
+
+    Row g maps a flat grid x to x[g]: block y of the image is block s(y)
+    of x with its rows in the order r_y, for every block order s and every
+    row orders (r_0, ..., r_(ny-1)), (nx!)^ny * ny! rows in all.
+    """
+    cells = np.arange(nx * ny).reshape(nx, ny)
+    gathers = [
+        np.stack([cells[list(rows[y]), s[y]] for y in range(ny)], axis=1).ravel()
+        for s in itertools.permutations(range(ny))
+        for rows in itertools.product(itertools.permutations(range(nx)), repeat=ny)
+    ]
+    table = np.array(gathers)
+    table.flags.writeable = False
+    return table
+
+
+def _composition_index(rows: np.ndarray, total: int) -> np.ndarray:
+    """Each row's position among `_compositions(total, rows.shape[1])`."""
+    parts = rows.shape[1]
+    # ways[m, r]: the compositions of r units into m cells
+    ways = np.array([[math.comb(r + m - 1, m - 1) for r in range(total + 1)] for m in range(1, parts + 1)])
+    index = np.zeros(len(rows), dtype=np.int64)
+    rest = np.full(len(rows), total, dtype=np.int64)
+    for i in range(parts - 1):
+        # the rows before with this prefix have a smaller cell i: all compositions of rest
+        # into the parts - i cells left, but those whose cell i is at least c
+        c = rows[:, i]
+        index += ways[parts - i - 1, rest] - ways[parts - i - 1, rest - c]
+        rest -= c
+    return index
+
+
+def _canonical(columns: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Which points of `columns` (one row per cell) are their orbit's canonical point.
+
+    A point is canonical when its rows are non-increasing within each block
+    and its blocks are in non-increasing lexicographic order; every orbit
+    of the block symmetries holds exactly one.
+    """
+    blocks = [columns[y::ny] for y in range(ny)]
+    mask = np.ones(columns.shape[1], dtype=bool)
+    for rows in blocks:
+        for x in range(nx - 1):
+            mask &= rows[x] >= rows[x + 1]
+    for u, v in zip(blocks, blocks[1:]):
+        at_least = u[-1] >= v[-1]
+        for x in range(nx - 2, -1, -1):
+            at_least = (u[x] > v[x]) | ((u[x] == v[x]) & at_least)
+        mask &= at_least
+    return mask
+
+
+def _scan(ranks: np.ndarray, h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, best: float, margin: float):
+    """The pair scan over the points of `ranks`, ascending, from `best`, pruned against best - margin.
+
+    For each such a in turn, the scan takes the last feasible b among those
+    with h[b] > h[a] + best - margin and records its gap h[b] - h[a]; a gap
+    above best becomes best, with (a, b) as its pair. It stops once no b can
+    beat best - margin. A block of consecutive a of `ranks` has its L1
+    distances to all candidates summed row by row. Returns best, the pair's
+    ranks and the recorded gaps (-inf where none was recorded).
+    """
+    n = len(h_sorted)
+    top_h = float(h_sorted[-1])
+    low = high = 0
+    gaps = np.full(len(ranks), -np.inf)
+    dist = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
+    term = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
+    feasible = np.empty((_SCAN_BLOCK, n), dtype=bool)
+    for r0 in range(0, len(ranks), _SCAN_BLOCK):
+        block = ranks[r0 : r0 + _SCAN_BLOCK]
+        h_block = h_sorted[block].tolist()
+        cut = best - margin
+        if top_h - h_block[0] <= cut:
+            break
+        # every a of the block scans the first a's candidates b >= lo; those below an a's own
+        # candidates have h[b] <= h[a] + cut and are skipped below, so the result is exact
+        lo = int(np.searchsorted(h_sorted, h_block[0] + cut, side="right"))
+        if lo >= n:
+            continue
+        shape = (len(block), n - lo)
+        d = dist[: shape[0], : shape[1]]
+        t = term[: shape[0], : shape[1]]
+        f = feasible[: shape[0], : shape[1]]
+        # position n - 1 - a of a row holds the point of rank a
+        own = columns[:, n - 1 - block]
+        for k, column in enumerate(columns):
+            np.subtract(column[: n - lo], own[k][:, None], out=t)
+            np.abs(t, out=d if k == 0 else t)
+            if k:
+                np.add(d, t, out=d)
+        np.less_equal(d, max_l1, out=f)
+        # the first feasible position is the last feasible b
+        first = np.argmax(f, axis=1)
+        for i, h_a in enumerate(h_block):
+            if top_h - h_a <= cut:
+                break
+            if not f[i, first[i]]:
+                continue
+            b = n - 1 - int(first[i])
+            h_b = float(h_sorted[b])
+            if h_b <= h_a + cut:
+                continue
+            gaps[r0 + i] = gap = h_b - h_a
+            if gap > best:
+                best, low, high = gap, int(block[i]), b
+                cut = best - margin
+    return best, low, high, gaps
+
+
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
     Every grid point is a composition of steps_per_dim into nx*ny cells
     scaled to the simplex; `_compositions` enumerates them as one array.
-    The points are sorted by equivocation, and for each point a, in
-    ascending order, the scan takes the last feasible b among those with
-    h[b] > h[a] + best, and stops once no b can beat the best gap.
-    Feasibility is decided in exact integer arithmetic (L1 distance of the
-    counts), so no pair is lost to float noise. The counts are stored once
-    per cell as a contiguous int16 row, and the distances of a block of
-    consecutive a to all candidates are summed row by row. The search prunes
-    with its own best-so-far gap only; the bound is computed once for the
-    report and never steers the search. Guarded to desk scale: nx*ny <= 6,
-    steps_per_dim <= 101, and at most 2 000 000 grid points, which bounds
-    the search's memory.
+    The points are sorted by equivocation, and the value of a point a is
+    its largest h[b] - h[a] over the feasible b. Feasibility is decided in
+    exact integer arithmetic (L1 distance of the counts), so no pair is
+    lost to float noise. The search returns the same bits as a full scan
+    that, for each a in ascending order, takes the last feasible b among
+    those with h[b] > h[a] + best, keeps a strictly greater gap, and stops
+    once no b can beat the best gap; it visits far fewer points, in two
+    passes of that scan. Reordering the blocks, or the rows inside a block,
+    of both grids of a pair keeps their equivocations and their distance,
+    so a point's value is its whole orbit's up to rounding, which the
+    margin delta = _ORBIT_MARGIN bounds with room to spare. Pass 1 scans
+    only the canonical point of each orbit, pruning against best - 2*delta.
+    Every other point's value is below pass 1's best, itself at most the
+    maximum, so the orbits whose canonical value is within delta of that
+    best hold every point that can reach or tie the maximum. Pass 2 scans
+    all their points (every point, past 900 such orbits) with the full
+    scan's exact rule, and so returns its maximum and argmax pair. The
+    search prunes with its own best-so-far gap only; the
+    bound is computed once for the report and never steers the search.
+    Guarded to desk scale: nx*ny <= 6, steps_per_dim <= 101, and at most
+    2 000 000 grid points, which bounds the search's memory.
     """
     nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
     cells = nx * ny
@@ -264,60 +427,40 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     eps = _check_radius(eps, nx, "epsilon")
 
     counts = _compositions(steps, cells)
-    levels = np.arange(steps + 1) / float(steps)
-    block_mass = levels[counts].reshape(-1, nx, ny).sum(axis=1)
-    # H(X|Y) = H(XY) - H(Y), vectorized over all grid points; a cell's x*log2(x) is looked up by its count
-    h_values = -_xlog2x_arr(levels)[counts].sum(axis=1) + _xlog2x_arr(block_mass).sum(axis=1)
-
+    h_values = _entropies(counts, nx, ny, steps)
     order = np.argsort(h_values, kind="stable")
     h_sorted = h_values[order]
+    del h_values
     # one contiguous row per cell, in descending entropy: the point of ascending rank a sits
     # at position n - 1 - a. Counts are at most 101, so every L1 distance fits in int16.
     n = len(h_sorted)
     columns = np.ascontiguousarray(counts.astype(np.int16)[order[::-1]].T)
+    del counts
+    # the rank of each point, by its position in _compositions' order
+    rank_of = np.empty(n, dtype=np.int32)
+    rank_of[order] = np.arange(n, dtype=np.int32)
+    del order
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
 
-    best = -1.0
-    best_low = best_high = 0
-    top_h = float(h_sorted[-1])
-    dist = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
-    term = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
-    feasible = np.empty((_SCAN_BLOCK, n), dtype=bool)
-    for a0 in range(0, n, _SCAN_BLOCK):
-        if top_h - h_sorted[a0] <= best:
-            break
-        # every a of the block scans a0's candidates b >= lo; those below an a's own
-        # candidates have h[b] <= h[a] + best and are skipped below, so the result is exact
-        lo = int(np.searchsorted(h_sorted, h_sorted[a0] + best, side="right"))
-        if lo >= n:
-            continue
-        a1 = min(a0 + _SCAN_BLOCK, n)
-        shape = (a1 - a0, n - lo)
-        d = dist[: shape[0], : shape[1]]
-        t = term[: shape[0], : shape[1]]
-        f = feasible[: shape[0], : shape[1]]
-        for k, column in enumerate(columns):
-            np.subtract(column[: n - lo], column[n - a1 : n - a0][::-1, None], out=t)
-            np.abs(t, out=d if k == 0 else t)
-            if k:
-                np.add(d, t, out=d)
-        np.less_equal(d, max_l1, out=f)
-        # the first feasible position is the last feasible b
-        first = np.argmax(f, axis=1)
-        h_block = h_sorted[a0:a1].tolist()
-        for i, h_a in enumerate(h_block):
-            if top_h - h_a <= best:
-                break
-            if not f[i, first[i]]:
-                continue
-            b = n - 1 - int(first[i])
-            h_b = float(h_sorted[b])
-            if h_b <= h_a + best:
-                continue
-            gap = h_b - h_a
-            if gap > best:
-                best = gap
-                best_low, best_high = a0 + i, b
+    # pass 1: the canonical point of each orbit, in ascending rank, pruned with room for the orbits' rounding
+    canonical = n - 1 - np.flatnonzero(_canonical(columns, nx, ny))[::-1]
+    best, _, _, gaps = _scan(canonical, h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN)
+    # pass 2: every point of the kept orbits, by the full scan's rule, from below all their values.
+    # Whether that rule takes a point depends on the running best only within 1e-15 below the
+    # point's value. A kept orbit's values lie within 3e-14 of its canonical gap, all others
+    # below best - delta + 3e-14, and the maximum at or above best. While the kept orbits leave
+    # a stretch of (best - delta, best) free of values (each covers at most 1e-13 of it), this
+    # pass and the full scan both take the first point above that stretch and agree from there.
+    kept = canonical[gaps >= best - _ORBIT_MARGIN]
+    if len(kept) <= _ORBIT_KEEP_MAX:
+        images = columns[:, n - 1 - kept].T.astype(np.int64)[:, _block_symmetries(nx, ny)].reshape(-1, cells)
+        orbits = np.zeros(n, dtype=bool)
+        orbits[rank_of[_composition_index(images, steps)]] = True
+        ranks, start = np.flatnonzero(orbits), best - 2.0 * _ORBIT_MARGIN
+    else:
+        # too many near-ties for that argument: every point, from the full scan's start
+        ranks, start = np.arange(n), -1.0
+    best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
 
     def _point(idx: int) -> JointDistribution:
         return JointDistribution(columns[:, n - 1 - idx].reshape(nx, ny) / float(steps))

@@ -221,6 +221,25 @@ def test_trace_file_bytes_are_json_dumps_of_each_step(tmp_path, capsys, case, mo
         assert "-0.0" in expected
 
 
+def test_grid_text_memo_is_shared_and_bounded():
+    from equibound.cli import _GridText
+
+    rng = np.random.default_rng(7)
+    memo: dict[int, str] = {}
+    p, q = _GridText(memo), _GridText(memo)
+    a = rng.random((3, 4))
+    assert p.render(a) == json.dumps(a.tolist())
+    assert len(memo) == a.size
+    # the other grid of the trace, permuted, finds every text in the memo
+    assert q.render(a[::-1].copy()) == json.dumps(a[::-1].tolist())
+    assert len(memo) == a.size
+    for _ in range(40):
+        a = rng.random((3, 4))
+        for grid in (p, q):
+            assert grid.render(a) == json.dumps(a.tolist())
+            assert len(memo) <= 4 * a.size
+
+
 def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
     p = write_dist(tmp_path / "p.json", JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
     q = write_dist(tmp_path / "q.json", JointDistribution([[0.5, 0.5], [0.0, 0.0]]))

@@ -13,7 +13,9 @@ from equibound import (
     DistributionPair,
     InvariantViolation,
     JointDistribution,
+    SymmetryElement,
     ValidationError,
+    apply_symmetry,
     check_bound,
     conditional_entropy,
     continuity_bound,
@@ -700,6 +702,7 @@ def test_compositions_match_the_loop_reference(total, parts):
         (2, 1, 0.05, 100), (2, 1, 0.3, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
         (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1),
         (3, 1, 0.4, 30), (2, 2, 0.3, 20),
+        (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
     ],
 )
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
@@ -708,3 +711,101 @@ def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
     assert result.max_gap == max_gap
     np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
     np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+
+
+# every shape the grid search admits that has a block symmetry to prune with
+ORBIT_SHAPES = [(nx, ny) for nx in range(2, 7) for ny in range(1, 4) if nx * ny <= 6]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(ORBIT_SHAPES),
+    share=st.floats(1e-6, 1.0),
+    steps=st.integers(1, 8),
+)
+def test_grid_search_is_bit_identical_to_the_loop_reference_on_random_configurations(shape, share, steps):
+    nx, ny = shape
+    cfg = (nx, ny, share * (1.0 - 1.0 / nx), steps)
+    max_gap, p, q = _reference_grid_search(*cfg)
+    result = grid_search_max_gap(*cfg)
+    assert result.max_gap == max_gap
+    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
+    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+
+
+@pytest.mark.parametrize("cfg", [(3, 2, 0.3, 10), (6, 1, 0.3, 10), (2, 2, 0.3, 20)])
+def test_grid_search_scans_every_point_past_the_kept_orbit_cap(monkeypatch, cfg):
+    expected = grid_search_max_gap(*cfg)
+    monkeypatch.setattr(verify, "_ORBIT_KEEP_MAX", 0)
+    assert grid_search_max_gap(*cfg) == expected
+    max_gap, p, q = _reference_grid_search(*cfg)
+    assert expected.max_gap == max_gap
+    np.testing.assert_array_equal(expected.argmax_pair.p.probs, p)
+
+
+# ---------------------------------------------------------------- block symmetries of the grid search
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_block_symmetries_are_every_distinct_bijection(nx, ny):
+    table = verify._block_symmetries(nx, ny)
+    cells = nx * ny
+    assert table.shape == (math.factorial(nx) ** ny * math.factorial(ny), cells)
+    assert len({tuple(g) for g in table.tolist()}) == len(table)
+    assert (np.sort(table, axis=1) == np.arange(cells)).all()
+    # the same set as every SymmetryElement, read off a grid whose cells are all distinct
+    J = JointDistribution((np.arange(cells) + 1.0).reshape(nx, ny) / (cells * (cells + 1) / 2))
+    gathers = set()
+    for s in itertools.permutations(range(ny)):
+        for rows in itertools.product(itertools.permutations(range(nx)), repeat=ny):
+            moved = apply_symmetry(J, SymmetryElement(np.array(s), tuple(np.array(r) for r in rows)))
+            gathers.add(tuple(np.searchsorted(J.probs.ravel(), moved.probs.ravel()).tolist()))
+    assert gathers == {tuple(g) for g in table.tolist()}
+
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
+    rng = np.random.default_rng(nx * 10 + ny)
+    table = verify._block_symmetries(nx, ny)
+    for _ in range(5):
+        p, q = rng.dirichlet(np.ones(nx * ny)), rng.dirichlet(np.ones(nx * ny))
+        # entries on a 2^-12 lattice: every TV sum is exact, in any order
+        dp, dq = (rng.multinomial(4096, v) / 4096.0 for v in (p, q))
+        for pair in ((p, q), (dp, dq)):
+            P, Q = (JointDistribution(v.reshape(nx, ny)) for v in pair)
+            h, tv = conditional_entropy(P), tv_distance(P, Q)
+            for g in table:
+                gP, gQ = (JointDistribution(v[g].reshape(nx, ny)) for v in pair)
+                assert abs(conditional_entropy(gP) - h) <= 1e-15
+                if pair[0] is dp:
+                    assert tv_distance(gP, gQ) == tv
+                else:
+                    # a reordered float sum of |p - q| may round differently
+                    assert abs(tv_distance(gP, gQ) - tv) <= 1e-15
+
+
+@pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40)])
+def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
+    counts = _compositions(steps, nx * ny)
+    h = verify._entropies(counts, nx, ny, steps)
+    worst = max(float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in verify._block_symmetries(nx, ny))
+    assert worst <= verify._ORBIT_MARGIN / 1000
+
+
+@pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6)])
+def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
+    counts = _compositions(steps, nx * ny)
+    np.testing.assert_array_equal(verify._composition_index(counts, steps), np.arange(len(counts)))
+    canonical = verify._canonical(np.ascontiguousarray(counts.T), nx, ny)
+    images = verify._composition_index(counts[:, verify._block_symmetries(nx, ny)].reshape(-1, nx * ny), steps)
+    # each point's orbit, as the positions of its images, holds one canonical point (maybe several times)
+    marked = canonical[images].reshape(len(counts), -1)
+    orbit = images.reshape(len(counts), -1)
+    assert marked.any(axis=1).all()
+    assert (np.where(marked, orbit, len(counts)).min(axis=1) == np.where(marked, orbit, -1).max(axis=1)).all()
+
+
+def test_entropies_match_conditional_entropy():
+    counts = _compositions(9, 6)
+    h = verify._entropies(counts, 3, 2, 9)
+    for row, value in zip(counts[::97], h[::97]):
+        assert value == pytest.approx(conditional_entropy(JointDistribution(row.reshape(3, 2) / 9.0)), abs=1e-14)

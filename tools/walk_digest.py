@@ -1,4 +1,4 @@
-"""Digest every walk and campaign result on a fixed input set, to compare two trees bit for bit.
+"""Digest every walk, campaign and grid-search result on a fixed input set, to compare two trees bit for bit.
 
     PYTHONPATH=<tree>/src python tools/walk_digest.py
 
@@ -23,7 +23,10 @@ bits on these inputs:
   200-trial eps = 0 campaign (q = p) at each shape of criterion 1, hashed
   like the campaigns;
 - jsonl: the walks section's pairs in all three snapshot modes, each trace
-  written by `cli.write_trace` and hashed byte for byte.
+  written by `cli.write_trace` and hashed byte for byte;
+- search: `grid_search_max_gap` on the bench `grid_search` oracle set and on
+  the configurations of tests/test_verify.py's bit-identity test against
+  the loop reference: max_gap (float.hex) and the argmax pair's bytes.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -41,13 +44,29 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from equibound import cli  # noqa: E402
-from equibound import DistributionPair, JointDistribution, perturb_within_tv, run_walk, sample_joint, verify_trials  # noqa: E402
+from equibound import (  # noqa: E402
+    DistributionPair,
+    JointDistribution,
+    grid_search_max_gap,
+    perturb_within_tv,
+    run_walk,
+    sample_joint,
+    verify_trials,
+)
 from test_walk import _kernel_pairs, _tied_pairs  # noqa: E402
 
 BENCH_SHAPES = [(48, 48), (16, 144), (144, 16), (12, 12), (6, 24), (24, 6)]
 # (shape, modes) of the walks that span several ranges of blocks
 RANGE_WALKS = [((200, 200), ("none", "phases")), ((1000, 40), ("none", "phases")), ((2, 30000), ("none",)), ((20000, 2), ("none",))]
 CAMPAIGN_SHAPES = [(nx, ny) for nx in range(2, 6) for ny in range(1, 5)]
+# (nx, ny, eps, steps_per_dim): the bench oracle set, then the bit-identity test's configurations
+SEARCH_CONFIGS = [
+    (2, 1, 0.3, 100), (2, 2, 0.3, 40), (3, 2, 0.3, 16), (2, 3, 0.2, 16), (3, 2, 0.3, 22),
+    (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
+    (2, 1, 0.05, 100), (2, 1, 0.3, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
+    (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1), (3, 1, 0.4, 30), (2, 2, 0.3, 20),
+    (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
+]
 
 
 def _hex(x):
@@ -133,9 +152,23 @@ def jsonl() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def search() -> tuple[int, str]:
+    h = hashlib.sha256()
+    for cfg in SEARCH_CONFIGS:
+        result = grid_search_max_gap(*cfg)
+        h.update(f"{result.max_gap.hex()}|".encode())
+        h.update(_grid(result.argmax_pair.p) + _grid(result.argmax_pair.q))
+    return len(SEARCH_CONFIGS), h.hexdigest()
+
+
 if __name__ == "__main__":
     for name, section in (
-        ("walks", walks), ("campaigns", campaigns), ("ranges", ranges), ("orientation", orientation), ("jsonl", jsonl)
+        ("walks", walks),
+        ("campaigns", campaigns),
+        ("ranges", ranges),
+        ("orientation", orientation),
+        ("jsonl", jsonl),
+        ("search", search),
     ):
         count, digest = section()
         print(f"{name} {count} {digest}")
