@@ -45,9 +45,9 @@ _SCAN_BLOCK = 8
 # of 6 terms moves by at most 2 * 5u times its magnitude (26u for H(XY)); the masses move by
 # at most 2 * 5u * m, which moves sum m*log2(m) by at most 10u * (H(Y) + 1/ln 2) < 31u; the
 # logs, the 3-term H(Y) sum and the final subtraction add at most 18u. So
-# |h(g.x) - h(x)| < 75u < 1e-14 (the worst measured over every point and symmetry of ten
-# shapes is 1.3e-15), and a point's value, its largest feasible h[b] - h[a], differs from
-# its orbit-mates' by less than 3e-14, far inside delta.
+# |h(g.x) - h(x)| < 75u < 1e-14 (the worst measured over every point and symmetry of every
+# admitted shape, steps 14 to 50, is 1.3e-15), and a point's value, its largest feasible
+# h[b] - h[a], differs from its orbit-mates' by less than 3e-14, far inside delta.
 _ORBIT_MARGIN = 1e-10
 # most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
 # window below pass 1's best, so this many leave part of it free (else every point is scanned)
@@ -408,10 +408,10 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     best hold every point that can reach or tie the maximum. Pass 2 scans
     all their points (every point, past 900 such orbits) with the full
     scan's exact rule, and so returns its maximum and argmax pair. The
-    search prunes with its own best-so-far gap only; the
-    bound is computed once for the report and never steers the search.
-    Guarded to desk scale: nx*ny <= 6, steps_per_dim <= 101, and at most
-    2 000 000 grid points, which bounds the search's memory.
+    search prunes with its own best-so-far gap only; the bound is computed
+    once for the report and never steers the search. Guarded to desk
+    scale: nx*ny <= 6, steps_per_dim <= 101, and at most 2 000 000 grid
+    points, which bounds the search's memory.
     """
     nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
     cells = nx * ny

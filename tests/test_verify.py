@@ -787,7 +787,9 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
     counts = _compositions(steps, nx * ny)
     h = verify._entropies(counts, nx, ny, steps)
-    worst = max(float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in verify._block_symmetries(nx, ny))
+    worst = max(
+        float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in verify._block_symmetries(nx, ny)
+    )
     assert worst <= verify._ORBIT_MARGIN / 1000
 
 
