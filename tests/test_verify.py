@@ -703,6 +703,7 @@ def test_compositions_match_the_loop_reference(total, parts):
         (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1),
         (3, 1, 0.4, 30), (2, 2, 0.3, 20),
         (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
+        (3, 2, 0.01, 8), (2, 1, 0.004, 100),
     ],
 )
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
@@ -743,29 +744,61 @@ def test_grid_search_scans_every_point_past_the_kept_orbit_cap(monkeypatch, cfg)
     np.testing.assert_array_equal(expected.argmax_pair.p.probs, p)
 
 
+@pytest.mark.parametrize("cfg", [(4, 2, 0.3, 4), (2, 4, 0.25, 4), (8, 1, 0.35, 4), (7, 1, 0.3, 5)])
+def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(monkeypatch, cfg):
+    # every orbit code of an admitted 8-cell grid fits in int64
+    assert (verify.DESK_SCALE_STEPS + 1) ** 8 < 2**63
+    monkeypatch.setattr(verify, "DESK_SCALE_CELLS", 8)
+    max_gap, p, q = _reference_grid_search(*cfg)
+    result = grid_search_max_gap(*cfg)
+    assert result.max_gap == max_gap
+    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
+    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+
+
 # ---------------------------------------------------------------- block symmetries of the grid search
 
-@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
-def test_block_symmetries_are_every_distinct_bijection(nx, ny):
-    table = verify._block_symmetries(nx, ny)
+def _block_symmetries(nx, ny):
+    # every SymmetryElement as a gather of the flat cells, read off a grid whose cells are all distinct
     cells = nx * ny
-    assert table.shape == (math.factorial(nx) ** ny * math.factorial(ny), cells)
-    assert len({tuple(g) for g in table.tolist()}) == len(table)
-    assert (np.sort(table, axis=1) == np.arange(cells)).all()
-    # the same set as every SymmetryElement, read off a grid whose cells are all distinct
     J = JointDistribution((np.arange(cells) + 1.0).reshape(nx, ny) / (cells * (cells + 1) / 2))
-    gathers = set()
+    gathers = []
     for s in itertools.permutations(range(ny)):
         for rows in itertools.product(itertools.permutations(range(nx)), repeat=ny):
             moved = apply_symmetry(J, SymmetryElement(np.array(s), tuple(np.array(r) for r in rows)))
-            gathers.add(tuple(np.searchsorted(J.probs.ravel(), moved.probs.ravel()).tolist()))
-    assert gathers == {tuple(g) for g in table.tolist()}
+            gathers.append(np.searchsorted(J.probs.ravel(), moved.probs.ravel()))
+    return np.array(gathers)
+
+
+def _codes(counts, nx, ny, steps):
+    return verify._orbit_codes(np.ascontiguousarray(counts.T.astype(np.int16)), nx, ny, steps)
+
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_block_symmetries_are_every_distinct_bijection(nx, ny):
+    table = _block_symmetries(nx, ny)
+    assert table.shape == (math.factorial(nx) ** ny * math.factorial(ny), nx * ny)
+    assert len({tuple(g) for g in table.tolist()}) == len(table)
+    assert (np.sort(table, axis=1) == np.arange(nx * ny)).all()
+
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_orbit_codes_name_the_block_symmetry_orbits(nx, ny):
+    steps = 6 if nx * ny <= 4 else 4
+    counts = _compositions(steps, nx * ny)
+    own, orbit = _codes(counts, nx, ny, steps)
+    assert len(np.unique(own)) == len(counts)
+    # a point's orbit, as the smallest of its images under every symmetry read as one number
+    images = counts[:, _block_symmetries(nx, ny)] @ (steps + 1) ** np.arange(nx * ny, dtype=np.int64)
+    key = images.min(axis=1)
+    # two points share an orbit code exactly when they share an orbit
+    assert len(np.unique(orbit)) == len(np.unique(key)) == len(set(zip(orbit.tolist(), key.tolist())))
 
 
 @pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
 def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
     rng = np.random.default_rng(nx * 10 + ny)
-    table = verify._block_symmetries(nx, ny)
+    table = _block_symmetries(nx, ny)
     for _ in range(5):
         p, q = rng.dirichlet(np.ones(nx * ny)), rng.dirichlet(np.ones(nx * ny))
         # entries on a 2^-12 lattice: every TV sum is exact, in any order
@@ -787,23 +820,23 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
     counts = _compositions(steps, nx * ny)
     h = verify._entropies(counts, nx, ny, steps)
-    worst = max(
-        float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in verify._block_symmetries(nx, ny)
-    )
+    worst = max(float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
     assert worst <= verify._ORBIT_MARGIN / 1000
 
 
 @pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6)])
 def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
     counts = _compositions(steps, nx * ny)
-    np.testing.assert_array_equal(verify._composition_index(counts, steps), np.arange(len(counts)))
-    canonical = verify._canonical(np.ascontiguousarray(counts.T), nx, ny)
-    images = verify._composition_index(counts[:, verify._block_symmetries(nx, ny)].reshape(-1, nx * ny), steps)
-    # each point's orbit, as the positions of its images, holds one canonical point (maybe several times)
-    marked = canonical[images].reshape(len(counts), -1)
-    orbit = images.reshape(len(counts), -1)
-    assert marked.any(axis=1).all()
-    assert (np.where(marked, orbit, len(counts)).min(axis=1) == np.where(marked, orbit, -1).max(axis=1)).all()
+    own, orbit = _codes(counts, nx, ny, steps)
+    canonical = own == orbit
+    # each orbit code is held by exactly one point whose two codes agree
+    assert sorted(orbit[canonical].tolist()) == np.unique(orbit).tolist()
+    # and that point is the one with rows non-increasing in each block, blocks in non-increasing order
+    grids = counts.reshape(-1, nx, ny)
+    rows_sorted = (np.diff(grids, axis=1) <= 0).all(axis=(1, 2))
+    blocks = [tuple(b) for b in grids.transpose(0, 2, 1).tolist()]
+    blocks_sorted = np.array([all(u >= v for u, v in zip(g, g[1:])) for g in blocks])
+    np.testing.assert_array_equal(canonical, rows_sorted & blocks_sorted)
 
 
 def test_entropies_match_conditional_entropy():
