@@ -26,6 +26,8 @@ from .core import (
 )
 from .walk import InvariantViolation, _range_blocks, _walk
 
+# the orbit codes read a point's cells as int64 digits in base DESK_SCALE_STEPS + 1, so they
+# need (DESK_SCALE_STEPS + 1)**DESK_SCALE_CELLS < 2**63: at most 9 cells at 101 steps
 DESK_SCALE_CELLS = 6
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1): the search's peak
@@ -308,7 +310,9 @@ def _orbit_codes(columns: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.
     the blocks sorted largest first (by their codes, which order them
     lexicographically). Two points share an orbit code exactly when a block
     symmetry maps one onto the other, and the canonical point is the one
-    whose two codes agree. The sorts are elementwise across the arrays: on
+    whose two codes agree. Both codes are below (steps + 1)**(nx*ny), which
+    fits int64 only up to 9 cells at 101 steps; past that they overflow
+    silently (see DESK_SCALE_CELLS). The sorts are elementwise across the arrays: on
     the int16 rows of a block at 80 730 points that took 0.12 ms, np.sort
     along the short axis 3.5 to 5.8 ms.
     """
@@ -401,13 +405,10 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     best hold every point that can reach or tie the maximum. Pass 2 scans
     all their points, those with a kept orbit code (every point, past 900
     such orbits), with the full scan's exact rule, and so returns its
-    maximum and argmax pair. With eps below 1/(2*steps_per_dim) only b = a
-    is feasible, and the search returns the full scan's answer at once: a
-    gap of 0 at the first point of least equivocation. The search prunes
-    with its own best-so-far gap only; the bound is computed once for the
-    report and never steers the search. Guarded to desk
-    scale: nx*ny <= 6, steps_per_dim <= 101, and at most 2 000 000 grid
-    points, which bounds the search's memory.
+    maximum and argmax pair. The search prunes with its own best-so-far gap
+    only; the bound is computed once for the report and never steers the
+    search. Guarded to desk scale: nx*ny <= 6, steps_per_dim <= 101, and at
+    most 2 000 000 grid points, which bounds the search's memory.
     """
     nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
     cells = nx * ny
@@ -424,16 +425,6 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
 
     counts = _compositions(steps, cells)
     h_values = _entropies(counts, nx, ny, steps)
-    bound = continuity_bound(eps, nx).value
-
-    def _point(cell_counts: np.ndarray) -> JointDistribution:
-        return JointDistribution(cell_counts.reshape(nx, ny) / float(steps))
-
-    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
-    if max_l1 == 0:
-        # only b = a is feasible: every gap is 0, and the full scan keeps the pair (a, a) of its first a
-        least = _point(counts[np.argmin(h_values)])
-        return GridSearchResult(max_gap=0.0, bound=bound, argmax_pair=DistributionPair(p=least, q=least))
     order = np.argsort(h_values, kind="stable")
     h_sorted = h_values[order]
     del h_values
@@ -444,11 +435,13 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     del counts
     columns = columns.take(order[::-1], axis=1)
     del order
+    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
     # both codes of each point, by ascending rank (computed on the contiguous rows, which is faster)
     own, orbit = (code[::-1] for code in _orbit_codes(columns, nx, ny, steps))
 
     # pass 1: the canonical point of each orbit, in ascending rank, pruned with room for the orbits' rounding
     canonical = np.flatnonzero(own == orbit)
+    del own
     best, _, _, gaps = _scan(canonical, h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN)
     # pass 2: every point of the kept orbits, by the full scan's rule, from below all their values.
     # Whether that rule takes a point depends on the running best only within 1e-15 below the
@@ -463,5 +456,9 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         # too many near-ties for that argument: every point, from the full scan's start
         ranks, start = np.arange(n), -1.0
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
-    argmax = DistributionPair(p=_point(columns[:, n - 1 - best_high]), q=_point(columns[:, n - 1 - best_low]))
-    return GridSearchResult(max_gap=best, bound=bound, argmax_pair=argmax)
+
+    def _point(idx: int) -> JointDistribution:
+        return JointDistribution(columns[:, n - 1 - idx].reshape(nx, ny) / float(steps))
+
+    argmax = DistributionPair(p=_point(best_high), q=_point(best_low))
+    return GridSearchResult(max_gap=best, bound=continuity_bound(eps, nx).value, argmax_pair=argmax)
