@@ -28,26 +28,27 @@ from .walk import InvariantViolation, _range_blocks, _walk
 
 # the orbit codes read a point's cells as int64 digits in base DESK_SCALE_STEPS + 1, so they
 # need (DESK_SCALE_STEPS + 1)**DESK_SCALE_CELLS < 2**63: at most 9 cells at 101 steps
-DESK_SCALE_CELLS = 6
+DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
-# cap on the grid points C(steps + cells - 1, cells - 1): the search's peak
-# memory grows by about 90 bytes per point (a 168 MB tracemalloc peak at
-# 1.9 M points, reached while the entropies sum the block masses; the
-# compositions alone peak at 116 MB), so this keeps it under 0.2 GB
+# cap on the grid points C(steps + cells - 1, cells - 1), which bounds the search's peak
+# memory: a 140 MB tracemalloc peak at the largest admitted grids, reached in the pair scan's
+# 8-row buffers (40 bytes a point) at 1.9 M points of six cells, and in the compositions (90
+# bytes a point) at 1.56 M points of eight cells; so this keeps it under 0.2 GB
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
 _SCAN_BLOCK = 8
 # Pruning margin delta of the orbit-pruned pair scan, not a certificate tolerance. A block
 # symmetry g (reorder the blocks, and the rows inside each block) permutes a point's cells,
-# so h(g.x) adds the same table terms as h(x) in another order: the H(XY) sum of at most 6
-# terms x*log2(x), of total magnitude <= log2 6 < 2.6, and the H(Y) sum of m*log2(m) over
-# block masses m, each an ordered add of at most 6 levels. With u = 2^-53, a reordered sum
-# of 6 terms moves by at most 2 * 5u times its magnitude (26u for H(XY)); the masses move by
-# at most 2 * 5u * m, which moves sum m*log2(m) by at most 10u * (H(Y) + 1/ln 2) < 31u; the
-# logs, the 3-term H(Y) sum and the final subtraction add at most 18u. So
-# |h(g.x) - h(x)| < 75u < 1e-14 (the worst measured over every point and symmetry of every
-# admitted shape, steps 14 to 50, is 1.3e-15), and a point's value, its largest feasible
-# h[b] - h[a], differs from its orbit-mates' by less than 3e-14, far inside delta.
+# so h(g.x) adds the same table terms as h(x) in another order: the H(XY) sum of at most 8
+# terms x*log2(x), of total magnitude <= log2 8 = 3, and the H(Y) sum of m*log2(m) over at
+# most 4 block masses m, each an ordered add of at most 8 levels. With u = 2^-53, a reordered
+# sum of 8 terms moves by at most 2 * 7u times its magnitude (42u for H(XY)); the masses move
+# by at most 2 * 7u * m, which moves sum m*log2(m) by at most 14u * (H(Y) + 1/ln 2) < 49u
+# (H(Y) <= log2 4); the logs, the 4-term H(Y) sum and the final subtraction add at most 24u.
+# So |h(g.x) - h(x)| < 115u < 1.3e-14 (the worst measured over every point and symmetry is
+# 1.3e-15: each shape of up to 6 cells at steps 14 to 50, 4x2 and 2x4 at 14 and 20, 7x1 at
+# 10, 8x1 at 8), and a point's value, its largest feasible h[b] - h[a], differs from its
+# orbit-mates' by less than 3e-14, far inside delta.
 _ORBIT_MARGIN = 1e-10
 # most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
 # window below pass 1's best, so this many leave part of it free (else every point is scanned)
@@ -262,22 +263,33 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return rows
 
 
+def _row_sum(table: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+    """numpy's sum over each row of the (points, len(rows)) array table[rows], one gathered row at a time.
+
+    numpy adds fewer than 8 terms left to right, and 8 (the most the search
+    admits) as ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)). These are
+    its bits, without the (points, terms) temporary.
+    """
+    if len(rows) == 8:
+        low, high = (_row_sum(table, rows[k : k + 2]) + _row_sum(table, rows[k + 2 : k + 4]) for k in (0, 4))
+        return low + high
+    total = table.take(rows[0])
+    for row in rows[1:]:
+        total += table.take(row)
+    return total
+
+
 def _entropies(counts: np.ndarray, nx: int, ny: int, steps: int) -> np.ndarray:
     """H(X|Y) of each grid point, given as one row of nx*ny cell counts out of steps."""
-    # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count. Every
-    # sum over cells is an ordered add of gathered columns: the bits of numpy's sums over a
-    # row, which add fewer than 8 terms left to right, without their (points, cells) temporaries.
+    # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count, and each
+    # sum over cells has the bits of numpy's sum over a row. The search passes the transpose of
+    # its contiguous rows, so each gather reads its indices in order.
     levels = np.arange(steps + 1) / float(steps)
-    terms = _xlog2x_arr(levels)
-    h = terms.take(counts[:, 0])
-    for k in range(1, nx * ny):
-        h += terms.take(counts[:, k])
+    h = _row_sum(_xlog2x_arr(levels), [counts[:, k] for k in range(nx * ny)])
     np.negative(h, out=h)
     h_y = None
     for y in range(ny):
-        mass = levels.take(counts[:, y])
-        for x in range(1, nx):
-            mass += levels.take(counts[:, x * ny + y])
+        mass = _row_sum(levels, [counts[:, x * ny + y] for x in range(nx)])
         h_y = _xlog2x_arr(mass) if h_y is None else h_y + _xlog2x_arr(mass)
     h += h_y
     return h
@@ -322,15 +334,20 @@ def _orbit_codes(columns: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.
     return _code([row for rows in blocks for row in rows], base), orbit
 
 
-def _scan(ranks: np.ndarray, h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, best: float, margin: float):
+def _scan(
+    ranks: np.ndarray, h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, best: float, margin: float, hit=None
+):
     """The pair scan over the points of `ranks`, ascending, from `best`, pruned against best - margin.
 
     For each such a in turn, the scan takes the last feasible b among those
     with h[b] > h[a] + best - margin and records its gap h[b] - h[a]; a gap
     above best becomes best, with (a, b) as its pair. It stops once no b can
     beat best - margin. A block of consecutive a of `ranks` has its L1
-    distances to all candidates summed row by row. Returns best, the pair's
-    ranks and the recorded gaps (-inf where none was recorded).
+    distances to all candidates summed row by row. If `hit` is given (one
+    flag per position of `columns`), every feasible b of a block's
+    candidates is flagged there too: a superset of each a's feasible b with
+    h[b] > h[a] + best - margin. Returns best, the pair's ranks and the
+    recorded gaps (-inf where none was recorded).
     """
     n = len(h_sorted)
     top_h = float(h_sorted[-1])
@@ -362,6 +379,8 @@ def _scan(ranks: np.ndarray, h_sorted: np.ndarray, columns: np.ndarray, max_l1: 
             if k:
                 np.add(d, t, out=d)
         np.less_equal(d, max_l1, out=f)
+        if hit is not None:
+            hit[: n - lo] |= f.any(axis=0)
         # the first feasible position is the last feasible b
         first = np.argmax(f, axis=1)
         for i, h_a in enumerate(h_block):
@@ -403,11 +422,19 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     Every other point's value is below pass 1's best, itself at most the
     maximum, so the orbits whose canonical value is within delta of that
     best hold every point that can reach or tie the maximum. Pass 2 scans
-    all their points, those with a kept orbit code (every point, past 900
-    such orbits), with the full scan's exact rule, and so returns its
-    maximum and argmax pair. The search prunes with its own best-so-far gap
+    all their points, those with a kept orbit code, with the full scan's
+    exact rule, but only against the candidates of a subset: the kept
+    orbits and the orbits of their partners, the feasible b' of a kept
+    canonical c with h[b'] > h[c] + best - 3*delta, which one more scan of
+    the kept canonical points flags. A symmetry g maps the feasible points
+    of c onto those of a = g.c and moves h by under 3e-14, so every b the
+    rule can take for a (h[b] > h[a] + best - 2*delta) is g.b' for such a
+    partner b'. So each a's last feasible b over the subset is the one it
+    has over all points, and pass 2 returns the full scan's maximum and
+    argmax pair. Past 900 kept orbits, pass 2 scans every point against
+    all points instead. The search prunes with its own best-so-far gap
     only; the bound is computed once for the report and never steers the
-    search. Guarded to desk scale: nx*ny <= 6, steps_per_dim <= 101, and at
+    search. Guarded to desk scale: nx*ny <= 8, steps_per_dim <= 101, and at
     most 2 000 000 grid points, which bounds the search's memory.
     """
     nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
@@ -423,16 +450,15 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         )
     eps = _check_radius(eps, nx, "epsilon")
 
-    counts = _compositions(steps, cells)
-    h_values = _entropies(counts, nx, ny, steps)
+    # one contiguous row per cell; counts are at most 101, so every L1 distance fits in int16.
+    # The entropies gather each cell's levels through its row.
+    columns = np.ascontiguousarray(_compositions(steps, cells).T, dtype=np.int16)
+    h_values = _entropies(columns.T, nx, ny, steps)
     order = np.argsort(h_values, kind="stable")
     h_sorted = h_values[order]
     del h_values
-    # one contiguous row per cell, in descending entropy: the point of ascending rank a sits
-    # at position n - 1 - a. Counts are at most 101, so every L1 distance fits in int16.
+    # the rows in descending entropy: the point of ascending rank a sits at position n - 1 - a
     n = len(h_sorted)
-    columns = np.ascontiguousarray(counts.T, dtype=np.int16)
-    del counts
     columns = columns.take(order[::-1], axis=1)
     del order
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
@@ -451,14 +477,24 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     # pass and the full scan both take the first point above that stretch and agree from there.
     kept = canonical[gaps >= best - _ORBIT_MARGIN]
     if len(kept) <= _ORBIT_KEEP_MAX:
-        ranks, start = np.flatnonzero(np.isin(orbit, orbit[kept])), best - 2.0 * _ORBIT_MARGIN
+        # its candidates: the kept orbits and their partners' orbits, the partners flagged by a
+        # scan of the kept canonical points (the docstring says why no b the rule takes is lost)
+        hit = np.zeros(n, dtype=bool)
+        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit)
+        kept_codes = orbit[kept]
+        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, orbit[n - 1 - np.flatnonzero(hit)]))))
+        # take, not fancy indexing, keeps the rows contiguous
+        columns = columns.take(n - 1 - subset[::-1], axis=1)
+        h_sorted = h_sorted[subset]
+        ranks, start = np.flatnonzero(np.isin(orbit[subset], kept_codes)), best - 2.0 * _ORBIT_MARGIN
     else:
         # too many near-ties for that argument: every point, from the full scan's start
         ranks, start = np.arange(n), -1.0
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
 
     def _point(idx: int) -> JointDistribution:
-        return JointDistribution(columns[:, n - 1 - idx].reshape(nx, ny) / float(steps))
+        # position -1 - idx, the last but idx, holds the point of rank idx
+        return JointDistribution(columns[:, -1 - idx].reshape(nx, ny) / float(steps))
 
     argmax = DistributionPair(p=_point(best_high), q=_point(best_low))
     return GridSearchResult(max_gap=best, bound=continuity_bound(eps, nx).value, argmax_pair=argmax)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -594,7 +595,7 @@ def test_grid_search_argmax_pair_is_consistent():
 
 def test_grid_search_guards():
     with pytest.raises(ValidationError, match="desk-scale"):
-        grid_search_max_gap(4, 2, 0.3, 10)
+        grid_search_max_gap(3, 3, 0.3, 10)
     with pytest.raises(ValidationError):
         grid_search_max_gap(2, 1, 0.3, 102)
     with pytest.raises(ValidationError):
@@ -704,6 +705,8 @@ def test_compositions_match_the_loop_reference(total, parts):
         (3, 1, 0.4, 30), (2, 2, 0.3, 20),
         (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
         (3, 2, 0.01, 8), (2, 1, 0.004, 100),
+        # ties: many orbits within delta of pass 1's best, or many points at the maximum
+        (2, 3, 0.25, 12), (2, 2, 0.05, 40),
     ],
 )
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
@@ -715,7 +718,7 @@ def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
 
 
 # every shape the grid search admits that has a block symmetry to prune with
-ORBIT_SHAPES = [(nx, ny) for nx in range(2, 7) for ny in range(1, 4) if nx * ny <= 6]
+ORBIT_SHAPES = [(nx, ny) for nx in range(2, 9) for ny in range(1, 5) if nx * ny <= 8]
 
 
 @settings(max_examples=100, deadline=None)
@@ -726,7 +729,8 @@ ORBIT_SHAPES = [(nx, ny) for nx in range(2, 7) for ny in range(1, 4) if nx * ny 
 )
 def test_grid_search_is_bit_identical_to_the_loop_reference_on_random_configurations(shape, share, steps):
     nx, ny = shape
-    cfg = (nx, ny, share * (1.0 - 1.0 / nx), steps)
+    # past six cells the loop reference's C(steps + 7, 7) points cost too much at 8 steps
+    cfg = (nx, ny, share * (1.0 - 1.0 / nx), steps if nx * ny <= 6 else min(steps, 5))
     max_gap, p, q = _reference_grid_search(*cfg)
     result = grid_search_max_gap(*cfg)
     assert result.max_gap == max_gap
@@ -745,10 +749,9 @@ def test_grid_search_scans_every_point_past_the_kept_orbit_cap(monkeypatch, cfg)
 
 
 @pytest.mark.parametrize("cfg", [(4, 2, 0.3, 4), (2, 4, 0.25, 4), (8, 1, 0.35, 4), (7, 1, 0.3, 5)])
-def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(monkeypatch, cfg):
-    # every orbit code of an admitted 8-cell grid fits in int64
-    assert (verify.DESK_SCALE_STEPS + 1) ** 8 < 2**63
-    monkeypatch.setattr(verify, "DESK_SCALE_CELLS", 8)
+def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(cfg):
+    # every orbit code of an admitted grid fits in int64
+    assert (verify.DESK_SCALE_STEPS + 1) ** verify.DESK_SCALE_CELLS < 2**63
     max_gap, p, q = _reference_grid_search(*cfg)
     result = grid_search_max_gap(*cfg)
     assert result.max_gap == max_gap
@@ -756,8 +759,38 @@ def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(monke
     np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
 
 
+def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
+    # many orbits come within delta of pass 1's best here, so pass 2 has points of several orbits to scan
+    cfg = (2, 3, 0.25, 12)
+    calls = []
+
+    def recorder(ranks, h_sorted, *rest):
+        calls.append((len(ranks), len(h_sorted)))
+        return scan(ranks, h_sorted, *rest)
+
+    scan = verify._scan
+    monkeypatch.setattr(verify, "_scan", recorder)
+    result = grid_search_max_gap(*cfg)
+    n = math.comb(12 + 5, 5)
+    # pass 1, the partner scan and pass 2; pass 2 scans several points against a fraction of the grid
+    assert len(calls) == 3
+    assert 8 < calls[-1][0] <= calls[-1][1] < n / 4
+    max_gap, p, q = _reference_grid_search(*cfg)
+    assert result.max_gap == max_gap
+    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
+    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+
+
+@pytest.mark.parametrize("cfg", [(4, 2, 0.3, 10), (2, 4, 0.25, 8), (8, 1, 0.35, 20)])
+def test_grid_search_reaches_the_bound_past_six_cells(cfg):
+    # eps * steps is a whole number of units on these grids, which hold the extremal pair
+    result = grid_search_max_gap(*cfg)
+    assert abs(result.max_gap - result.bound) <= 1e-12
+
+
 # ---------------------------------------------------------------- block symmetries of the grid search
 
+@functools.cache
 def _block_symmetries(nx, ny):
     # every SymmetryElement as a gather of the flat cells, read off a grid whose cells are all distinct
     cells = nx * ny
@@ -789,8 +822,8 @@ def test_orbit_codes_name_the_block_symmetry_orbits(nx, ny):
     own, orbit = _codes(counts, nx, ny, steps)
     assert len(np.unique(own)) == len(counts)
     # a point's orbit, as the smallest of its images under every symmetry read as one number
-    images = counts[:, _block_symmetries(nx, ny)] @ (steps + 1) ** np.arange(nx * ny, dtype=np.int64)
-    key = images.min(axis=1)
+    weights = (steps + 1) ** np.arange(nx * ny, dtype=np.int64)
+    key = functools.reduce(np.minimum, (counts[:, g] @ weights for g in _block_symmetries(nx, ny)))
     # two points share an orbit code exactly when they share an orbit
     assert len(np.unique(orbit)) == len(np.unique(key)) == len(set(zip(orbit.tolist(), key.tolist())))
 
@@ -799,6 +832,9 @@ def test_orbit_codes_name_the_block_symmetry_orbits(nx, ny):
 def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
     rng = np.random.default_rng(nx * 10 + ny)
     table = _block_symmetries(nx, ny)
+    if len(table) > 1152:
+        # 7x1 and 8x1: 1152 symmetries drawn at random, as many as 4x2 has
+        table = table[np.random.default_rng(len(table)).choice(len(table), 1152, replace=False)]
     for _ in range(5):
         p, q = rng.dirichlet(np.ones(nx * ny)), rng.dirichlet(np.ones(nx * ny))
         # entries on a 2^-12 lattice: every TV sum is exact, in any order
@@ -816,7 +852,7 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
                     assert abs(tv_distance(gP, gQ) - tv) <= 1e-15
 
 
-@pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40)])
+@pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40), (4, 2, 8), (2, 4, 8)])
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
     counts = _compositions(steps, nx * ny)
     h = verify._entropies(counts, nx, ny, steps)
@@ -824,7 +860,7 @@ def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
     assert worst <= verify._ORBIT_MARGIN / 1000
 
 
-@pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6)])
+@pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6), (4, 2, 4), (8, 1, 5)])
 def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
     counts = _compositions(steps, nx * ny)
     own, orbit = _codes(counts, nx, ny, steps)
@@ -837,6 +873,17 @@ def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
     blocks = [tuple(b) for b in grids.transpose(0, 2, 1).tolist()]
     blocks_sorted = np.array([all(u >= v for u, v in zip(g, g[1:])) for g in blocks])
     np.testing.assert_array_equal(canonical, rows_sorted & blocks_sorted)
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 2), (2, 3), (7, 1), (4, 2), (2, 4), (8, 1)])
+def test_entropies_have_the_bits_of_the_loop_reference(nx, ny):
+    # numpy sums a row of 8 terms pairwise, not left to right; the entropies follow it
+    counts = _compositions(12, nx * ny)
+    grids = counts.reshape(-1, nx, ny) / 12.0
+    expected = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
+    np.testing.assert_array_equal(verify._entropies(counts, nx, ny, 12), expected)
+    # the search passes its int16 rows, transposed
+    np.testing.assert_array_equal(verify._entropies(np.ascontiguousarray(counts.T, dtype=np.int16).T, nx, ny, 12), expected)
 
 
 def test_entropies_match_conditional_entropy():

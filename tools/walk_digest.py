@@ -26,7 +26,7 @@ bits on these inputs:
   written by `cli.write_trace` and hashed byte for byte;
 - search: `grid_search_max_gap` on the bench `grid_search` oracle set and on
   the configurations of tests/test_verify.py's bit-identity test against
-  the loop reference, each once (22 in all, two of them with eps below
+  the loop reference, each once (24 in all, two of them with eps below
   1/(2*steps_per_dim), where only b = a is feasible): max_gap (float.hex)
   and the argmax pair's bytes.
 
@@ -68,6 +68,7 @@ SEARCH_CONFIGS = [
     (2, 1, 0.05, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
     (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1), (3, 1, 0.4, 30), (2, 2, 0.3, 20),
     (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12), (3, 2, 0.01, 8), (2, 1, 0.004, 100),
+    (2, 3, 0.25, 12), (2, 2, 0.05, 40),
 ]
 
 
