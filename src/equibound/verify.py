@@ -482,7 +482,8 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         hit = np.zeros(n, dtype=bool)
         _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit)
         kept_codes = orbit[kept]
-        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, orbit[n - 1 - np.flatnonzero(hit)]))))
+        # hit flags positions; orbit[::-1] holds the codes by position
+        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, orbit[::-1][hit]))))
         # take, not fancy indexing, keeps the rows contiguous
         columns = columns.take(n - 1 - subset[::-1], axis=1)
         h_sorted = h_sorted[subset]
