@@ -10,6 +10,7 @@ searching; it only reports it next to the measured maximum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +32,16 @@ from .walk import InvariantViolation, _range_blocks, _walk
 DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1), which bounds the search's peak
-# memory: a 140 MB tracemalloc peak at the largest admitted grids, reached in the pair scan's
-# 8-row buffers (40 bytes a point) at 1.9 M points of six cells, and in the compositions (90
-# bytes a point) at 1.56 M points of eight cells; so this keeps it under 0.2 GB
+# memory. Under tracemalloc, at 1.9 M points of six cells: 72 MB at (3,2,0.3,44), reached
+# while the int64 orbit codes are built (about 32 bytes a point), and 108 MB at (2,3,0.2,44),
+# where np.isin sorts every point's code against the 120 kept orbits' and their partners';
+# 62 MB at (4,2,0.3,22), 1.56 M points of eight cells, in the orbit codes. The every-point
+# fallback peaks at 120 MB at 1.9 M points while it ranks them all. So this keeps it under 0.2 GB
 DESK_SCALE_POINTS = 2_000_000
-# consecutive a (ascending entropy) whose L1 distances the pair scan computes in one pass
+# consecutive a (ascending entropy) whose distances the pair scan computes in one pass: at least
+# _SCAN_BLOCK, and more while their distances to all candidates number at most _SCAN_ENTRIES
 _SCAN_BLOCK = 8
+_SCAN_ENTRIES = 2**15
 # Pruning margin delta of the orbit-pruned pair scan, not a certificate tolerance. A block
 # symmetry g (reorder the blocks, and the rows inside each block) permutes a point's cells,
 # so h(g.x) adds the same table terms as h(x) in another order: the H(XY) sum of at most 8
@@ -235,40 +240,35 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All orderings of `total` units into `parts` nonnegative cells, one per row.
+    """All orderings of `total` units into `parts` nonnegative cells: one int8 row per cell, one column per ordering.
 
-    Rows come out in lexicographic order of (c0, c1, ...). They are built by
-    plain extension, one cell at a time: each partial row, with `rest`
-    units still unplaced, is extended by every value 0, 1, ..., rest of its
-    next cell in turn, and the last cell takes what is left. The last
-    extension writes straight into the result, so the earlier cells' columns
-    are never held twice at full length.
+    Orderings come out in lexicographic order of (c0, c1, ...). They are
+    built by plain extension, one cell at a time: each partial ordering,
+    with `rest` units still unplaced, is extended by every value 0, 1, ...,
+    rest of its next cell in turn, and the last cell takes what is left.
+    Counts are at most DESK_SCALE_STEPS = 101, so int8 holds every cell.
     """
-    if parts == 1:
-        return np.full((1, 1), total, dtype=np.int64)
     columns: list[np.ndarray] = []
-    rest = np.array([total], dtype=np.int64)
-    for _ in range(parts - 2):
-        widths = rest + 1
+    rest = np.array([total], dtype=np.int8)
+    for _ in range(parts - 1):
+        widths = rest.astype(np.intp) + 1
         columns = [np.repeat(c, widths) for c in columns]
-        columns.append(np.arange(widths.sum(), dtype=np.int64) - np.repeat(np.cumsum(widths) - widths, widths))
+        # each partial ordering's run counts 0, 1, ..., rest: steps of 1, back to 0 at a run's start
+        step = np.ones(int(widths.sum()), dtype=np.int8)
+        step[np.cumsum(widths[:-1])] = -rest[:-1]
+        step[0] = 0
+        columns.append(np.cumsum(step, dtype=np.int8))
         rest = np.repeat(rest, widths) - columns[-1]
-    widths = rest + 1
-    rows = np.empty((int(widths.sum()), parts), dtype=np.int64)
-    for k, c in enumerate(columns):
-        rows[:, k] = np.repeat(c, widths)
-    rows[:, -2] = np.arange(len(rows))
-    rows[:, -2] -= np.repeat(np.cumsum(widths) - widths, widths)
-    np.subtract(np.repeat(rest, widths), rows[:, -2], out=rows[:, -1])
-    return rows
+    columns.append(rest)
+    return np.stack(columns)
 
 
 def _row_sum(table: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
-    """numpy's sum over each row of the (points, len(rows)) array table[rows], one gathered row at a time.
+    """Each point's sum of its terms table[rows[k]], as numpy sums a row of the (points, len(rows)) array of them.
 
     numpy adds fewer than 8 terms left to right, and 8 (the most the search
     admits) as ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)). These are
-    its bits, without the (points, terms) temporary.
+    its bits, gathered one row at a time, without the (points, terms) temporary.
     """
     if len(rows) == 8:
         low, high = (_row_sum(table, rows[k : k + 2]) + _row_sum(table, rows[k + 2 : k + 4]) for k in (0, 4))
@@ -279,17 +279,17 @@ def _row_sum(table: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _entropies(counts: np.ndarray, nx: int, ny: int, steps: int) -> np.ndarray:
-    """H(X|Y) of each grid point, given as one row of nx*ny cell counts out of steps."""
+def _entropies(rows: np.ndarray, nx: int, ny: int, steps: int) -> np.ndarray:
+    """H(X|Y) of each grid point, given as one column of `rows` (one row of counts out of steps per cell)."""
     # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count, and each
-    # sum over cells has the bits of numpy's sum over a row. The search passes the transpose of
-    # its contiguous rows, so each gather reads its indices in order.
+    # sum over cells has the bits of numpy's sum over a grid's cells. Every step is elementwise,
+    # so a point's entropy has the same bits whichever other points are computed with it.
     levels = np.arange(steps + 1) / float(steps)
-    h = _row_sum(_xlog2x_arr(levels), [counts[:, k] for k in range(nx * ny)])
+    h = _row_sum(_xlog2x_arr(levels), list(rows))
     np.negative(h, out=h)
     h_y = None
     for y in range(ny):
-        mass = _row_sum(levels, [counts[:, x * ny + y] for x in range(nx)])
+        mass = _row_sum(levels, list(rows[y::ny]))
         h_y = _xlog2x_arr(mass) if h_y is None else h_y + _xlog2x_arr(mass)
     h += h_y
     return h
@@ -313,8 +313,8 @@ def _code(digits: list[np.ndarray], base: int) -> np.ndarray:
     return code
 
 
-def _orbit_codes(columns: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's own code and its orbit's code, for the points of `columns` (one row per cell).
+def _orbit_codes(rows: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's own code and its orbit's code, for the points of `rows` (one row per cell).
 
     A point's code reads its counts as digits in base steps + 1, block by
     block and row by row within a block. Its orbit's code is the code of the
@@ -325,39 +325,56 @@ def _orbit_codes(columns: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.
     whose two codes agree. Both codes are below (steps + 1)**(nx*ny), which
     fits int64 only up to 9 cells at 101 steps; past that they overflow
     silently (see DESK_SCALE_CELLS). The sorts are elementwise across the arrays: on
-    the int16 rows of a block at 80 730 points that took 0.12 ms, np.sort
-    along the short axis 3.5 to 5.8 ms.
+    the rows of a block at 80 730 points that took 0.12 ms, np.sort along
+    the short axis 3.5 to 5.8 ms.
     """
     base = steps + 1
-    blocks = [columns[y::ny] for y in range(ny)]
-    orbit = _code(_descending([_code(_descending(rows), base) for rows in blocks]), base**nx)
-    return _code([row for rows in blocks for row in rows], base), orbit
+    blocks = [rows[y::ny] for y in range(ny)]
+    orbit = _code(_descending([_code(_descending(block), base) for block in blocks]), base**nx)
+    return _code([row for block in blocks for row in block], base), orbit
 
 
 def _scan(
-    ranks: np.ndarray, h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, best: float, margin: float, hit=None
+    ranks: np.ndarray,
+    h_sorted: np.ndarray,
+    columns: np.ndarray,
+    max_l1: int,
+    best: float,
+    margin: float,
+    hit=None,
+    blocks: int = 1,
 ):
     """The pair scan over the points of `ranks`, ascending, from `best`, pruned against best - margin.
 
     For each such a in turn, the scan takes the last feasible b among those
     with h[b] > h[a] + best - margin and records its gap h[b] - h[a]; a gap
     above best becomes best, with (a, b) as its pair. It stops once no b can
-    beat best - margin. A block of consecutive a of `ranks` has its L1
-    distances to all candidates summed row by row. If `hit` is given (one
-    flag per position of `columns`), every feasible b of a block's
-    candidates is flagged there too: a superset of each a's feasible b with
-    h[b] > h[a] + best - margin. Returns best, the pair's ranks and the
-    recorded gaps (-inf where none was recorded).
+    beat best - margin. The rows of `columns` fall into `blocks` blocks,
+    block j holding the rows j, j + blocks, ...; b is feasible for a when
+    the least, over the orderings pi of the blocks, of the sum over j of
+    the L1 distance of a's block j to b's block pi(j) is at most max_l1.
+    One block (one ordering) is the plain L1 distance. A block of
+    consecutive a of `ranks` has the distances of each pair of blocks to
+    all candidates summed row by row, then summed per ordering. If `hit` is
+    given (one flag per position of `columns`), every feasible b of a
+    block's candidates is flagged there too: a superset of each a's feasible
+    b with h[b] > h[a] + best - margin. Returns best, the pair's ranks and
+    the recorded gaps (-inf where none was recorded).
     """
     n = len(h_sorted)
     top_h = float(h_sorted[-1])
     low = high = 0
     gaps = np.full(len(ranks), -np.inf)
-    dist = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
-    term = np.empty((_SCAN_BLOCK, n), dtype=np.int16)
-    feasible = np.empty((_SCAN_BLOCK, n), dtype=bool)
-    for r0 in range(0, len(ranks), _SCAN_BLOCK):
-        block = ranks[r0 : r0 + _SCAN_BLOCK]
+    orders = list(itertools.permutations(range(blocks)))
+    size = max(_SCAN_BLOCK, _SCAN_ENTRIES // n)
+    # counts are at most 101: a difference fits int8, and every distance (at most 202) uint8
+    term = np.empty((size, n), dtype=np.int8)
+    pair = np.empty((blocks, blocks, size, n), dtype=np.uint8)
+    # one block's distance is its pair's; more take the least sum over the orderings, each summed in total
+    dist, total = (pair[0, 0], None) if blocks == 1 else np.empty((2, size, n), dtype=np.uint8)
+    feasible = np.empty((size, n), dtype=bool)
+    for r0 in range(0, len(ranks), size):
+        block = ranks[r0 : r0 + size]
         h_block = h_sorted[block].tolist()
         cut = best - margin
         if top_h - h_block[0] <= cut:
@@ -368,16 +385,27 @@ def _scan(
         if lo >= n:
             continue
         shape = (len(block), n - lo)
-        d = dist[: shape[0], : shape[1]]
         t = term[: shape[0], : shape[1]]
+        d = dist[: shape[0], : shape[1]]
         f = feasible[: shape[0], : shape[1]]
+        # pairs[j, k]: the L1 distances of a's block j to b's block k
+        pairs = pair[:, :, : shape[0], : shape[1]]
         # position n - 1 - a of a row holds the point of rank a
         own = columns[:, n - 1 - block]
-        for k, column in enumerate(columns):
-            np.subtract(column[: n - lo], own[k][:, None], out=t)
-            np.abs(t, out=d if k == 0 else t)
-            if k:
-                np.add(d, t, out=d)
+        for j in range(blocks):
+            for k in range(blocks):
+                for x in range(len(columns) // blocks):
+                    np.subtract(columns[x * blocks + k, : n - lo], own[x * blocks + j][:, None], out=t)
+                    np.abs(t, out=pairs[j, k].view(np.int8) if x == 0 else t)
+                    if x:
+                        np.add(pairs[j, k], t.view(np.uint8), out=pairs[j, k])
+        for i, order in enumerate(orders if blocks > 1 else ()):
+            acc = d if i == 0 else total[: shape[0], : shape[1]]
+            np.add(pairs[0, order[0]], pairs[1, order[1]], out=acc)
+            for j in range(2, blocks):
+                np.add(acc, pairs[j, order[j]], out=acc)
+            if i:
+                np.minimum(d, acc, out=d)
         np.less_equal(d, max_l1, out=f)
         if hit is not None:
             hit[: n - lo] |= f.any(axis=0)
@@ -399,43 +427,71 @@ def _scan(
     return best, low, high, gaps
 
 
+def _ranked(rows: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entropies of the points of `rows`, ascending, their rows by descending entropy, and the stable order.
+
+    Position n - 1 - a of each returned row holds the point of rank a, the
+    layout `_scan` reads. Ties keep the order of `rows`.
+    """
+    h = _entropies(rows, nx, ny, steps)
+    order = np.argsort(h, kind="stable")
+    # take, not fancy indexing, keeps the rows contiguous
+    return h[order], rows.take(order[::-1], axis=1), order
+
+
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
     Every grid point is a composition of steps_per_dim into nx*ny cells
     scaled to the simplex; `_compositions` enumerates them as one array.
-    The points are sorted by equivocation, and the value of a point a is
-    its largest h[b] - h[a] over the feasible b. Feasibility is decided in
-    exact integer arithmetic (L1 distance of the counts), so no pair is
-    lost to float noise. The search returns the same bits as a full scan
-    that, for each a in ascending order, takes the last feasible b among
-    those with h[b] > h[a] + best, keeps a strictly greater gap, and stops
-    once no b can beat the best gap; it visits far fewer points, in two
-    passes of that scan. Reordering the blocks, or the rows inside a block,
-    of both grids of a pair keeps their equivocations and their distance,
-    so a point's value is its whole orbit's up to rounding, which the
-    margin delta = _ORBIT_MARGIN bounds with room to spare. Each orbit is
-    named by a code, that of its canonical point (rows sorted largest first
-    in each block, blocks sorted largest first), so no table of the
-    symmetries is built. Pass 1 scans only the canonical points, those
-    whose own code is their orbit's, pruning against best - 2*delta.
-    Every other point's value is below pass 1's best, itself at most the
-    maximum, so the orbits whose canonical value is within delta of that
-    best hold every point that can reach or tie the maximum. Pass 2 scans
-    all their points, those with a kept orbit code, with the full scan's
-    exact rule, but only against the candidates of a subset: the kept
-    orbits and the orbits of their partners, the feasible b' of a kept
-    canonical c with h[b'] > h[c] + best - 3*delta, which one more scan of
-    the kept canonical points flags. A symmetry g maps the feasible points
-    of c onto those of a = g.c and moves h by under 3e-14, so every b the
-    rule can take for a (h[b] > h[a] + best - 2*delta) is g.b' for such a
-    partner b'. So each a's last feasible b over the subset is the one it
-    has over all points, and pass 2 returns the full scan's maximum and
-    argmax pair. Past 900 kept orbits, pass 2 scans every point against
-    all points instead. The search prunes with its own best-so-far gap
-    only; the bound is computed once for the report and never steers the
-    search. Guarded to desk scale: nx*ny <= 8, steps_per_dim <= 101, and at
-    most 2 000 000 grid points, which bounds the search's memory.
+    The value of a point a is its largest h[b] - h[a] over the feasible b.
+    Feasibility is decided in exact integer arithmetic (L1 distance of the
+    counts), so no pair is lost to float noise. The search returns the same
+    bits as a full scan that sorts every point by equivocation (stably, in
+    enumeration order) and, for each a in ascending order, takes the last
+    feasible b among those with h[b] > h[a] + best, keeps a strictly
+    greater gap, and stops once no b can beat the best gap; it visits far
+    fewer points, in two passes of that scan. Reordering the blocks, or the
+    rows inside a block, of both grids of a pair keeps their equivocations
+    and their distance, so a point's value is its whole orbit's up to
+    rounding, which the margin delta = _ORBIT_MARGIN bounds with room to
+    spare. Each orbit is named by a code, that of its canonical point (rows
+    sorted largest first in each block, blocks sorted largest first), so no
+    table of the symmetries is built.
+
+    Pass 1 sorts and scans only the canonical points, those whose own code
+    is their orbit's, against each other at orbit distance: the least L1
+    distance from a to an image g.b of b. Canonical rows are sorted the
+    same way in every block, and for one pairing of the blocks the sorted
+    matching of their rows minimises the sum of the row distances, so that
+    least is the least, over the ny! pairings of the blocks, of the summed
+    L1 distances of the paired blocks: exact, in integers. A canonical
+    point's pass-1 value is thus within 3e-14 of each of its orbit's
+    values, and pass 1, pruning against best - 2*delta, ends with a best
+    within 3e-14 of the maximum. A point outside the orbits whose canonical
+    value is within delta of that best has a value below best - delta +
+    3e-14, so the kept orbits hold every point that can reach or tie the
+    maximum.
+
+    Pass 2 scans all their points, those with a kept orbit code, with the
+    full scan's exact rule, but only against the candidates of a subset:
+    the kept orbits and the orbits of their partners, the canonical b'
+    within orbit distance of a kept canonical c with h[b'] > h[c] + best -
+    3*delta, which one more scan of the kept canonical points flags. A
+    symmetry g maps the feasible points of c onto those of a = g.c and
+    moves h by under 3e-14, so every b the rule can take for a (h[b] > h[a]
+    + best - 2*delta) lies in a partner's orbit. The subset is taken in
+    enumeration order and its entropies have the bits they have among all
+    points, so its stable sort is its subsequence of the full sort, ties
+    included. So each a's last feasible b over the subset is the one it has
+    over all points, and pass 2 returns the full scan's maximum and argmax
+    pair. Past 900 kept orbits, pass 2 sorts every point and scans each
+    against all points instead.
+
+    The search prunes with its own best-so-far gap only; the bound is
+    computed once for the report and never steers the search. Guarded to
+    desk scale: nx*ny <= 8, steps_per_dim <= 101, and at most 2 000 000
+    grid points, which bounds the search's memory.
     """
     nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
     cells = nx * ny
@@ -450,47 +506,43 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         )
     eps = _check_radius(eps, nx, "epsilon")
 
-    # one contiguous row per cell; counts are at most 101, so every L1 distance fits in int16.
-    # The entropies gather each cell's levels through its row.
-    columns = np.ascontiguousarray(_compositions(steps, cells).T, dtype=np.int16)
-    h_values = _entropies(columns.T, nx, ny, steps)
-    order = np.argsort(h_values, kind="stable")
-    h_sorted = h_values[order]
-    del h_values
-    # the rows in descending entropy: the point of ascending rank a sits at position n - 1 - a
-    n = len(h_sorted)
-    columns = columns.take(order[::-1], axis=1)
-    del order
+    # one contiguous int8 row per cell, the points in lexicographic order
+    rows = _compositions(steps, cells)
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
-    # both codes of each point, by ascending rank (computed on the contiguous rows, which is faster)
-    own, orbit = (code[::-1] for code in _orbit_codes(columns, nx, ny, steps))
-
-    # pass 1: the canonical point of each orbit, in ascending rank, pruned with room for the orbits' rounding
+    own, orbit = _orbit_codes(rows, nx, ny, steps)
     canonical = np.flatnonzero(own == orbit)
     del own
-    best, _, _, gaps = _scan(canonical, h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN)
+
+    # pass 1: the canonical point of each orbit, against the canonical points at orbit distance,
+    # pruned with room for the orbits' rounding
+    h_sorted, columns, order = _ranked(rows.take(canonical, axis=1), nx, ny, steps)
+    # the canonical points' orbit codes, by ascending rank
+    codes = orbit[canonical[order]]
+    best, _, _, gaps = _scan(np.arange(len(codes)), h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN, blocks=ny)
     # pass 2: every point of the kept orbits, by the full scan's rule, from below all their values.
     # Whether that rule takes a point depends on the running best only within 1e-15 below the
     # point's value. A kept orbit's values lie within 3e-14 of its canonical gap, all others
-    # below best - delta + 3e-14, and the maximum at or above best. While the kept orbits leave
-    # a stretch of (best - delta, best) free of values (each covers at most 1e-13 of it), this
-    # pass and the full scan both take the first point above that stretch and agree from there.
-    kept = canonical[gaps >= best - _ORBIT_MARGIN]
+    # below best - delta + 3e-14, and the maximum above best - 3e-14. While the kept orbits leave
+    # a stretch of (best - delta + 3e-14, best - 3e-14) free of values (each covers at most 1e-13
+    # of it), this pass and the full scan both take the first point above that stretch and agree
+    # from there.
+    kept = np.flatnonzero(gaps >= best - _ORBIT_MARGIN)
     if len(kept) <= _ORBIT_KEEP_MAX:
         # its candidates: the kept orbits and their partners' orbits, the partners flagged by a
         # scan of the kept canonical points (the docstring says why no b the rule takes is lost)
-        hit = np.zeros(n, dtype=bool)
-        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit)
-        kept_codes = orbit[kept]
-        # hit flags positions; orbit[::-1] holds the codes by position
-        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, orbit[::-1][hit]))))
-        # take, not fancy indexing, keeps the rows contiguous
-        columns = columns.take(n - 1 - subset[::-1], axis=1)
-        h_sorted = h_sorted[subset]
-        ranks, start = np.flatnonzero(np.isin(orbit[subset], kept_codes)), best - 2.0 * _ORBIT_MARGIN
+        hit = np.zeros(len(codes), dtype=bool)
+        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
+        kept_codes = codes[kept]
+        # hit flags positions, in descending rank
+        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, codes[::-1][hit]))))
+        # in enumeration order, so the subset's stable order is its subsequence of the full order
+        h_sorted, columns, order = _ranked(rows.take(subset, axis=1), nx, ny, steps)
+        ranks, start = np.flatnonzero(np.isin(orbit[subset[order]], kept_codes)), best - 2.0 * _ORBIT_MARGIN
     else:
         # too many near-ties for that argument: every point, from the full scan's start
-        ranks, start = np.arange(n), -1.0
+        h_sorted, columns, _ = _ranked(rows, nx, ny, steps)
+        ranks, start = np.arange(len(h_sorted)), -1.0
+    del rows, orbit
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
 
     def _point(idx: int) -> JointDistribution:

@@ -689,11 +689,12 @@ def _reference_grid_search(nx, ny, eps, steps):
 
 @pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2)])
 def test_compositions_match_the_loop_reference(total, parts):
+    # one contiguous int8 row per cell, one column per composition
     rows = _compositions(total, parts)
-    assert rows.dtype == np.int64
-    assert len(rows) == math.comb(total + parts - 1, parts - 1)
-    assert (rows.sum(axis=1) == total).all()
-    np.testing.assert_array_equal(rows, _reference_compositions(total, parts))
+    assert rows.dtype == np.int8 and rows.flags.c_contiguous
+    assert rows.shape == (parts, math.comb(total + parts - 1, parts - 1))
+    assert (rows.sum(axis=0) == total).all()
+    np.testing.assert_array_equal(rows, _reference_compositions(total, parts).T)
 
 
 @pytest.mark.parametrize(
@@ -707,6 +708,9 @@ def test_compositions_match_the_loop_reference(total, parts):
         (3, 2, 0.01, 8), (2, 1, 0.004, 100),
         # ties: many orbits within delta of pass 1's best, or many points at the maximum
         (2, 3, 0.25, 12), (2, 2, 0.05, 40),
+        # counts reach 101 and L1 distances 202, the range edges of the scan's int8 differences and
+        # uint8 distances; at eps 0.1 a distance past 127 read as a signed byte would pass as feasible
+        (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
     ],
 )
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
@@ -764,16 +768,21 @@ def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
     cfg = (2, 3, 0.25, 12)
     calls = []
 
-    def recorder(ranks, h_sorted, *rest):
+    def recorder(ranks, h_sorted, *rest, **options):
         calls.append((len(ranks), len(h_sorted)))
-        return scan(ranks, h_sorted, *rest)
+        return scan(ranks, h_sorted, *rest, **options)
 
     scan = verify._scan
     monkeypatch.setattr(verify, "_scan", recorder)
     result = grid_search_max_gap(*cfg)
-    n = math.comb(12 + 5, 5)
-    # pass 1, the partner scan and pass 2; pass 2 scans several points against a fraction of the grid
+    rows = _compositions(12, 6)
+    n = rows.shape[1]
+    orbits = len(np.unique(verify._orbit_codes(rows, 2, 3, 12)[1]))
+    # pass 1, the partner scan and pass 2; pass 1 scans each orbit's canonical point against the
+    # canonical points only, and pass 2 several points against a fraction of the grid
     assert len(calls) == 3
+    assert calls[0] == (orbits, orbits)
+    assert calls[1][1] == orbits
     assert 8 < calls[-1][0] <= calls[-1][1] < n / 4
     max_gap, p, q = _reference_grid_search(*cfg)
     assert result.max_gap == max_gap
@@ -803,10 +812,6 @@ def _block_symmetries(nx, ny):
     return np.array(gathers)
 
 
-def _codes(counts, nx, ny, steps):
-    return verify._orbit_codes(np.ascontiguousarray(counts.T.astype(np.int16)), nx, ny, steps)
-
-
 @pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
 def test_block_symmetries_are_every_distinct_bijection(nx, ny):
     table = _block_symmetries(nx, ny)
@@ -818,14 +823,39 @@ def test_block_symmetries_are_every_distinct_bijection(nx, ny):
 @pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
 def test_orbit_codes_name_the_block_symmetry_orbits(nx, ny):
     steps = 6 if nx * ny <= 4 else 4
-    counts = _compositions(steps, nx * ny)
-    own, orbit = _codes(counts, nx, ny, steps)
-    assert len(np.unique(own)) == len(counts)
+    rows = _compositions(steps, nx * ny)
+    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
+    assert len(np.unique(own)) == rows.shape[1]
     # a point's orbit, as the smallest of its images under every symmetry read as one number
     weights = (steps + 1) ** np.arange(nx * ny, dtype=np.int64)
-    key = functools.reduce(np.minimum, (counts[:, g] @ weights for g in _block_symmetries(nx, ny)))
+    key = functools.reduce(np.minimum, (weights @ rows[g] for g in _block_symmetries(nx, ny)))
     # two points share an orbit code exactly when they share an orbit
     assert len(np.unique(orbit)) == len(np.unique(key)) == len(set(zip(orbit.tolist(), key.tolist())))
+
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_scan_orbit_distance_is_the_least_distance_to_an_image(nx, ny):
+    # between canonical points, the least over the pairings of the blocks of their summed L1
+    # distances is the least L1 distance from a to any image g.b of b
+    steps = 6 if nx * ny <= 4 else 4
+    rows = _compositions(steps, nx * ny)
+    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
+    canonical = rows[:, own == orbit].astype(np.int64)
+    m = canonical.shape[1]
+    # rank r at position m - 1 - r; h rises with the rank, and a best of -inf makes every point a candidate
+    columns = np.ascontiguousarray(canonical[:, ::-1], dtype=np.int8)
+    h = np.arange(m, dtype=float)
+    images = canonical[_block_symmetries(nx, ny)]
+    rng = np.random.default_rng(nx * 10 + ny)
+    for a in rng.choice(m, min(m, 8), replace=False):
+        expected = np.abs(images - canonical[:, a, None]).sum(axis=1).min(axis=0)
+        # the kernel's distance d is the number of radii 0, 1, ..., 2 * steps below it
+        found = np.zeros(m, dtype=np.int64)
+        for max_l1 in range(2 * steps + 1):
+            hit = np.zeros(m, dtype=bool)
+            verify._scan(np.array([a]), h, columns, max_l1, -np.inf, 0.0, hit, blocks=ny)
+            found += ~hit[::-1]
+        np.testing.assert_array_equal(found, expected)
 
 
 @pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
@@ -854,21 +884,21 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 
 @pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40), (4, 2, 8), (2, 4, 8)])
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
-    counts = _compositions(steps, nx * ny)
-    h = verify._entropies(counts, nx, ny, steps)
-    worst = max(float(np.abs(verify._entropies(counts[:, g], nx, ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
+    rows = _compositions(steps, nx * ny)
+    h = verify._entropies(rows, nx, ny, steps)
+    worst = max(float(np.abs(verify._entropies(rows[g], nx, ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
     assert worst <= verify._ORBIT_MARGIN / 1000
 
 
 @pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6), (4, 2, 4), (8, 1, 5)])
 def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
-    counts = _compositions(steps, nx * ny)
-    own, orbit = _codes(counts, nx, ny, steps)
+    rows = _compositions(steps, nx * ny)
+    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
     canonical = own == orbit
     # each orbit code is held by exactly one point whose two codes agree
     assert sorted(orbit[canonical].tolist()) == np.unique(orbit).tolist()
     # and that point is the one with rows non-increasing in each block, blocks in non-increasing order
-    grids = counts.reshape(-1, nx, ny)
+    grids = rows.T.reshape(-1, nx, ny)
     rows_sorted = (np.diff(grids, axis=1) <= 0).all(axis=(1, 2))
     blocks = [tuple(b) for b in grids.transpose(0, 2, 1).tolist()]
     blocks_sorted = np.array([all(u >= v for u, v in zip(g, g[1:])) for g in blocks])
@@ -878,16 +908,18 @@ def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
 @pytest.mark.parametrize("nx,ny", [(3, 2), (2, 3), (7, 1), (4, 2), (2, 4), (8, 1)])
 def test_entropies_have_the_bits_of_the_loop_reference(nx, ny):
     # numpy sums a row of 8 terms pairwise, not left to right; the entropies follow it
-    counts = _compositions(12, nx * ny)
-    grids = counts.reshape(-1, nx, ny) / 12.0
+    rows = _compositions(12, nx * ny)
+    # the reference sums each point's cells from contiguous grids, as `_reference_grid_search` does
+    grids = np.ascontiguousarray(rows.T).reshape(-1, nx, ny) / 12.0
     expected = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
-    np.testing.assert_array_equal(verify._entropies(counts, nx, ny, 12), expected)
-    # the search passes its int16 rows, transposed
-    np.testing.assert_array_equal(verify._entropies(np.ascontiguousarray(counts.T, dtype=np.int16).T, nx, ny, 12), expected)
+    np.testing.assert_array_equal(verify._entropies(rows, nx, ny, 12), expected)
+    # each point's bits do not depend on the other points: the search computes a subset's entropies on their own
+    subset = np.random.default_rng(nx * 10 + ny).choice(rows.shape[1], 500, replace=False)
+    np.testing.assert_array_equal(verify._entropies(rows.take(subset, axis=1), nx, ny, 12), expected[subset])
 
 
 def test_entropies_match_conditional_entropy():
-    counts = _compositions(9, 6)
-    h = verify._entropies(counts, 3, 2, 9)
-    for row, value in zip(counts[::97], h[::97]):
+    rows = _compositions(9, 6)
+    h = verify._entropies(rows, 3, 2, 9)
+    for row, value in zip(rows.T[::97], h[::97]):
         assert value == pytest.approx(conditional_entropy(JointDistribution(row.reshape(3, 2) / 9.0)), abs=1e-14)

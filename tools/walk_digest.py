@@ -24,11 +24,13 @@ bits on these inputs:
   like the campaigns;
 - jsonl: the walks section's pairs in all three snapshot modes, each trace
   written by `cli.write_trace` and hashed byte for byte;
-- search: `grid_search_max_gap` on the bench `grid_search` oracle set and on
+- search: `grid_search_max_gap` on the bench `grid_search` oracle set, on
   the configurations of tests/test_verify.py's bit-identity test against
-  the loop reference, each once (24 in all, two of them with eps below
-  1/(2*steps_per_dim), where only b = a is feasible): max_gap (float.hex)
-  and the argmax pair's bytes.
+  the loop reference (three of them at 101 steps, where L1 distances
+  reach 202) and on the four grids of 7 and 8 cells the tests search,
+  each once (31 in all, two of them with eps below 1/(2*steps_per_dim),
+  where only b = a is feasible): max_gap (float.hex) and the argmax
+  pair's bytes.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -61,14 +63,16 @@ BENCH_SHAPES = [(48, 48), (16, 144), (144, 16), (12, 12), (6, 24), (24, 6)]
 # (shape, modes) of the walks that span several ranges of blocks
 RANGE_WALKS = [((200, 200), ("none", "phases")), ((1000, 40), ("none", "phases")), ((2, 30000), ("none",)), ((20000, 2), ("none",))]
 CAMPAIGN_SHAPES = [(nx, ny) for nx in range(2, 6) for ny in range(1, 5)]
-# (nx, ny, eps, steps_per_dim): the bench oracle set, then the bit-identity test's configurations
+# (nx, ny, eps, steps_per_dim): the bench oracle set, the bit-identity test's configurations, then
+# the grids of 7 and 8 cells
 SEARCH_CONFIGS = [
     (2, 1, 0.3, 100), (2, 2, 0.3, 40), (3, 2, 0.3, 16), (2, 3, 0.2, 16), (3, 2, 0.3, 22),
     (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
     (2, 1, 0.05, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
     (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1), (3, 1, 0.4, 30), (2, 2, 0.3, 20),
     (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12), (3, 2, 0.01, 8), (2, 1, 0.004, 100),
-    (2, 3, 0.25, 12), (2, 2, 0.05, 40),
+    (2, 3, 0.25, 12), (2, 2, 0.05, 40), (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
+    (4, 2, 0.3, 10), (2, 4, 0.25, 8), (8, 1, 0.35, 20), (7, 1, 0.3, 5),
 ]
 
 
