@@ -279,8 +279,8 @@ def _row_sum(table: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _entropies(rows: np.ndarray, nx: int, ny: int, steps: int) -> np.ndarray:
-    """H(X|Y) of each grid point, given as one column of `rows` (one row of counts out of steps per cell)."""
+def _entropies(rows: np.ndarray, ny: int, steps: int) -> np.ndarray:
+    """H(X|Y) of each grid point, one column of `rows`, whose row x*ny + y counts cell (x, y) out of steps."""
     # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count, and each
     # sum over cells has the bits of numpy's sum over a grid's cells. Every step is elementwise,
     # so a point's entropy has the same bits whichever other points are computed with it.
@@ -427,13 +427,13 @@ def _scan(
     return best, low, high, gaps
 
 
-def _ranked(rows: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entropies of the points of `rows`, ascending, their rows by descending entropy, and the stable order.
 
     Position n - 1 - a of each returned row holds the point of rank a, the
     layout `_scan` reads. Ties keep the order of `rows`.
     """
-    h = _entropies(rows, nx, ny, steps)
+    h = _entropies(rows, ny, steps)
     order = np.argsort(h, kind="stable")
     # take, not fancy indexing, keeps the rows contiguous
     return h[order], rows.take(order[::-1], axis=1), order
@@ -515,7 +515,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
 
     # pass 1: the canonical point of each orbit, against the canonical points at orbit distance,
     # pruned with room for the orbits' rounding
-    h_sorted, columns, order = _ranked(rows.take(canonical, axis=1), nx, ny, steps)
+    h_sorted, columns, order = _ranked(rows.take(canonical, axis=1), ny, steps)
     # the canonical points' orbit codes, by ascending rank
     codes = orbit[canonical[order]]
     best, _, _, gaps = _scan(np.arange(len(codes)), h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN, blocks=ny)
@@ -536,11 +536,11 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         # hit flags positions, in descending rank
         subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, codes[::-1][hit]))))
         # in enumeration order, so the subset's stable order is its subsequence of the full order
-        h_sorted, columns, order = _ranked(rows.take(subset, axis=1), nx, ny, steps)
+        h_sorted, columns, order = _ranked(rows.take(subset, axis=1), ny, steps)
         ranks, start = np.flatnonzero(np.isin(orbit[subset[order]], kept_codes)), best - 2.0 * _ORBIT_MARGIN
     else:
         # too many near-ties for that argument: every point, from the full scan's start
-        h_sorted, columns, _ = _ranked(rows, nx, ny, steps)
+        h_sorted, columns, _ = _ranked(rows, ny, steps)
         ranks, start = np.arange(len(h_sorted)), -1.0
     del rows, orbit
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)

@@ -885,8 +885,8 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 @pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40), (4, 2, 8), (2, 4, 8)])
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
     rows = _compositions(steps, nx * ny)
-    h = verify._entropies(rows, nx, ny, steps)
-    worst = max(float(np.abs(verify._entropies(rows[g], nx, ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
+    h = verify._entropies(rows, ny, steps)
+    worst = max(float(np.abs(verify._entropies(rows[g], ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
     assert worst <= verify._ORBIT_MARGIN / 1000
 
 
@@ -912,14 +912,14 @@ def test_entropies_have_the_bits_of_the_loop_reference(nx, ny):
     # the reference sums each point's cells from contiguous grids, as `_reference_grid_search` does
     grids = np.ascontiguousarray(rows.T).reshape(-1, nx, ny) / 12.0
     expected = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
-    np.testing.assert_array_equal(verify._entropies(rows, nx, ny, 12), expected)
+    np.testing.assert_array_equal(verify._entropies(rows, ny, 12), expected)
     # each point's bits do not depend on the other points: the search computes a subset's entropies on their own
     subset = np.random.default_rng(nx * 10 + ny).choice(rows.shape[1], 500, replace=False)
-    np.testing.assert_array_equal(verify._entropies(rows.take(subset, axis=1), nx, ny, 12), expected[subset])
+    np.testing.assert_array_equal(verify._entropies(rows.take(subset, axis=1), ny, 12), expected[subset])
 
 
 def test_entropies_match_conditional_entropy():
     rows = _compositions(9, 6)
-    h = verify._entropies(rows, 3, 2, 9)
+    h = verify._entropies(rows, 2, 9)
     for row, value in zip(rows.T[::97], h[::97]):
         assert value == pytest.approx(conditional_entropy(JointDistribution(row.reshape(3, 2) / 9.0)), abs=1e-14)
