@@ -41,13 +41,18 @@ InvariantViolation), and after averaging. The reordered and the averaged
 grids are certified the same way in every snapshot mode and in batches:
 entries finite and in [0, 1 + 1e-9], each grid's mass within 1e-9 of 1.
 
-The ledger certifies every step as the walk goes; the trace only keeps what
-it needs to show the steps later. Per step it keeps the label, tv, gap and
-moved mass, and in snapshot modes each block step's (2, nx) column state,
-which the ledger has already concatenated to measure it. A step's
-snapshots are built when the step is read, by writing its column state
-onto the grids around it: read-only copies of this certified state, not
-re-validated grids.
+The ledger certifies every step as the walk goes; the trace only keeps the
+ledger's own arrays, and builds each step's record when the step is read.
+A whole-grid step keeps its label, tv and gap. A range of block steps keeps
+the parts the ledger listed its steps from (each phase's kind, columns and
+moved rows), their trace order, the running tv and gap the ledger summed,
+the moved masses, and in snapshot modes each step's (2, nx) column state,
+which the ledger has already concatenated to measure it. Reading one step
+formats its one label; iterating formats each range's labels in one pass;
+the length and the first and last steps (whole-grid steps) format none.
+A step's snapshots are built when the step is read, by writing its column
+state onto the grids around it: read-only copies of this certified state,
+not re-validated grids.
 
 The initial measurement also decides the orientation, and it is the only
 rule that does: canonical_orient is its one-pair case. Pairs related by a
@@ -166,7 +171,8 @@ def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
-    W = np.take_along_axis(W, rows[None], axis=1)
+    k = rows.shape[1]
+    W = W.reshape(2, -1).take(rows * k + np.arange(k), axis=1)  # C-ordered, as the kernel and ledger expect
     W += 0.0  # -0.0 becomes 0.0, so the kernel's exact zeros change no bit (see _to_top)
     return W
 
@@ -379,7 +385,8 @@ def _average(A: np.ndarray, trials: int = 1) -> np.ndarray:
     # every block (last axis) replaced by the mean over its trial's blocks;
     # a read-only view for one trial
     T = A.reshape(*A.shape[:-1], trials, -1)
-    return np.broadcast_to(T.mean(axis=-1, keepdims=True), T.shape).reshape(A.shape)
+    # the sum divided by the count: np.mean's bits, without its Python-level setup
+    return np.broadcast_to(T.sum(axis=-1, keepdims=True) / T.shape[-1], T.shape).reshape(A.shape)
 
 
 def average_blocks(J: JointDistribution) -> JointDistribution:
@@ -449,58 +456,69 @@ _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 def _labels(parts, order: np.ndarray, ny: int) -> list[str]:
-    """Trace labels of the block steps of `parts` (kind, columns, rows or None), taken in `order`.
+    """Trace labels of the block steps `order` of `parts` (kind, columns, rows or None), in that order.
 
-    A label names the block within its trial: in a batch of trials with ny
-    blocks each, column c is block c % ny + 1.
+    `order` holds positions in the parts' steps laid end to end. A label
+    names the block within its trial: in a batch of trials with ny blocks
+    each, column c is block c % ny + 1.
     """
-    labels = []
+    labels, start = np.empty(order.size, dtype=object), 0
     for kind, cols, rows in parts:
-        blocks = cols % ny + 1
+        at = np.flatnonzero((order >= start) & (order < start + cols.size))
+        n = order[at] - start
+        blocks = (cols[n] % ny + 1).tolist()
         if rows is None:
-            labels += [f"block {j} {kind}" for j in blocks.tolist()]
+            labels[at] = [f"block {j} {kind}" for j in blocks]
         else:
-            labels += [f"block {j} {kind} i={i + 1}" for j, i in zip(blocks.tolist(), rows.tolist())]
-    return np.array(labels, dtype=object)[order].tolist()
+            labels[at] = [f"block {j} {kind} i={i + 1}" for j, i in zip(blocks, rows[n].tolist())]
+        start += cols.size
+    return labels.tolist()
 
 
 class _Steps(Sequence):
-    """The recorded steps of one walk, held column by column: each WalkStep is built when it is read.
+    """The recorded steps of one walk, held as the ledger's arrays: each WalkStep is built when it is read.
 
-    Every step has a label, tv, gap and moved mass (None for a whole-grid
-    step). When the trace keeps snapshots, a whole-grid step holds its
-    stacked pair, read-only, and each range of block steps its column
-    states, once (see _TraceBuilder.blocks). The walk finishes each block
-    before it starts the next, so the grids after a block step are `end`
-    (the stacked pair the block steps end at, before averaging) left of its
-    block, its column state in it, and the reordered pair right of it. A
-    read builds them from these, and iteration writes one column per step
-    onto the grids of the step before; either way a block step's snapshots
-    are copies of their own, while a whole-grid step's share its pair.
+    A whole-grid step keeps its label, tv and gap, and in snapshot modes its
+    stacked pair, read-only. A range of block steps keeps what the ledger
+    made of it (see _TraceBuilder.blocks): its parts, the trace order, the
+    running tv and gap, the moved masses, each step's column and, in
+    snapshot modes, the column states, once. Reading a block step formats
+    its one label (see _labels); iteration formats each range's labels in
+    one call. The walk finishes each block before it starts the next, so
+    the grids after a block step are `end` (the stacked pair the block
+    steps end at, before averaging) left of its block, its column state in
+    it, and the reordered pair right of it. A read builds them from these,
+    and iteration writes one column per step onto the grids of the step
+    before; either way a block step's snapshots are copies of their own,
+    while a whole-grid step's share its pair.
     """
 
-    def __init__(self, snapshots: bool):
-        self.snapshots = snapshots
-        self.rows: list[tuple[str, float, float, float | None]] = []  # each step's label, tv, gap and moved mass
-        self.grids: dict[int, np.ndarray] = {}  # whole-grid step -> its stacked pair, read-only
-        # per range: its first step, and each of its steps' column and index into its states
-        self.ranges: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    def __init__(self, snapshots: bool, ny: int):
+        self.snapshots, self.ny, self.size = snapshots, ny, 0
+        self.whole: dict[int, tuple] = {}  # whole-grid step -> its label, tv, gap and stacked pair (or None)
+        # per range: its first step, parts, order, running tv and gap, moved masses, columns and states
+        self.ranges: list[tuple] = []
         self.end = None  # set by _walk
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.size
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
         k = range(len(self))[k]  # negative from the end; IndexError past it
-        return self._step(k, None)[0]
+        if k in self.whole:
+            return self._whole(k)
+        r = self.ranges[bisect_right(self.ranges, k, key=lambda r: r[0]) - 1]
+        return next(self._block_steps(r, slice(k - r[0], k - r[0] + 1)))
 
     def __iter__(self):
-        grids = None
-        for k in range(len(self)):
-            step, grids = self._step(k, grids)
-            yield step
+        k = 0  # every step outside the ranges is a whole-grid step
+        for r in self.ranges:
+            yield from map(self._whole, range(k, r[0]))
+            yield from self._block_steps(r, slice(None))
+            k = r[0] + r[2].size
+        yield from map(self._whole, range(k, len(self)))
 
     def __eq__(self, other) -> bool:
         # step by step, as the tuple of steps compared, with any sequence of steps
@@ -511,20 +529,26 @@ class _Steps(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def _step(self, k: int, grids: np.ndarray | None) -> tuple[WalkStep, np.ndarray | None]:
-        """Step k, and the stacked pair after it if it is a block step; `grids` is that of step k - 1, or None."""
-        label, tv, gap, moved = self.rows[k]
+    def _whole(self, k: int) -> WalkStep:
+        label, tv, gap, W = self.whole[k]
+        return WalkStep(label, tv, gap) if W is None else WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1]))
+
+    def _block_steps(self, r: tuple, steps: slice):
+        """The WalkSteps of the block steps `steps` (a slice of the range's own steps, in order) of range r."""
+        _, parts, order, totals, moved, block, states = r
+        order = order[steps]
+        rows = zip(_labels(parts, order, self.ny), *totals[:, steps].tolist(), moved[order].tolist())
         if not self.snapshots:
-            return WalkStep(label, tv, gap, transferred=moved), None
-        if k in self.grids:
-            W = self.grids[k]
-            return WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1])), None
-        first, block, states, order = self.ranges[bisect_right(self.ranges, k, key=lambda r: r[0]) - 1]
-        j = block[k - first]
-        if grids is None:
-            grids = np.concatenate((self.end[:, :, :j], self.grids[self.ranges[0][0] - 1][:, :, j:]), axis=2)
-        grids[:, :, j] = states[:, :, order[k - first]]
-        return WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), moved), grids
+            for label, tv, gap, m in rows:
+                yield WalkStep(label, tv, gap, transferred=m)
+            return
+        grids = None
+        for (label, tv, gap, m), j, t in zip(rows, block[steps].tolist(), order.tolist()):
+            if grids is None:
+                reordered = self.whole[self.ranges[0][0] - 1][3]
+                grids = np.concatenate((self.end[:, :, :j], reordered[:, :, j:]), axis=2)
+            grids[:, :, j] = states[:, :, t]
+            yield WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), m)
 
     def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> None:
         """Append a whole-grid step ending at the stacked pair W, which snapshot modes keep.
@@ -532,22 +556,22 @@ class _Steps(Sequence):
         A read-only contiguous W is kept as it is; any other is copied, as
         the walk goes on changing its own grids.
         """
-        if self.snapshots:
-            if W.flags.writeable or not W.flags.c_contiguous:
-                W = W.copy()
-                W.flags.writeable = False
-            self.grids[len(self)] = W
-        self.rows.append((label, tv, gap, None))
+        if self.snapshots and (W.flags.writeable or not W.flags.c_contiguous):
+            W = W.copy()
+            W.flags.writeable = False
+        self.whole[len(self)] = (label, tv, gap, W if self.snapshots else None)
+        self.size += 1
 
-    def extend(self, labels: list[str], totals: np.ndarray, moved: np.ndarray, block: np.ndarray, states, order) -> None:
-        """Append one range's block steps, in trace order: the running tv and gap (`totals`), moved masses and columns.
+    def extend(self, parts, order: np.ndarray, totals: np.ndarray, moved: np.ndarray, block: np.ndarray, states) -> None:
+        """Append one range's block steps: step t is the step order[t] of `parts` (see _labels).
 
-        Step t's column state is states[:, :, order[t]]; the states are kept
-        only in snapshot modes.
+        In trace order, totals holds the running tv and gap, shape (2,
+        steps), and block each step's column; moved holds the parts' moved
+        masses laid end to end, and step t's column state is states[:, :,
+        order[t]]. The states are kept only in snapshot modes.
         """
-        if self.snapshots:
-            self.ranges.append((len(self), block, states, order))
-        self.rows += zip(labels, *totals.tolist(), moved.tolist())
+        self.ranges.append((len(self), parts, order, totals, moved, block, states if self.snapshots else None))
+        self.size += order.size
 
 
 class _TraceBuilder:
@@ -567,7 +591,7 @@ class _TraceBuilder:
 
     def __init__(self, mode: SnapshotMode | None, ny: int, tv: list[float], gap: list[float]):
         self.mode, self.ny, self.trials = mode, ny, len(tv)
-        self.steps = None if mode is None else _Steps(mode != "none")
+        self.steps = None if mode is None else _Steps(mode != "none", ny)
         self.initial_tv, self.tv, self.gap = tv, tv, gap
 
     def measure(self, label: str, W: np.ndarray) -> None:
@@ -618,6 +642,7 @@ class _TraceBuilder:
             ph.after = None  # held once, in the concatenation below
         block = np.concatenate([cols for _, cols, _ in parts])
         order = block.argsort(kind="stable")
+        block = block[order]
         # laid out column by column, so each column's rows are contiguous and summed the same
         # way (pairwise) whatever the range holds
         out = np.empty((block.size, *states[0].shape[:2])).transpose(1, 2, 0)
@@ -627,10 +652,9 @@ class _TraceBuilder:
         # columns, are taken only to name the column that fails
         ok = _in_range(states, 0.0)
         entries = np.full(block.size, True) if ok else _in_range(states, 0.0, axis=(0, 1))[order]
-        totals = self._certify(block[order], terms, entries, parts, order)
+        totals = self._certify(block, terms, entries, parts, order)
         if self.steps is not None:
-            labels, moved = _labels(parts, order, self.ny), np.concatenate(moved)[order]
-            self.steps.extend(labels, totals, moved, block[order], states, order)
+            self.steps.extend(parts, order, totals, np.concatenate(moved), block, states)
 
     def _certify(self, block: np.ndarray, new: np.ndarray, entries: np.ndarray, parts, order) -> np.ndarray:
         """Check every block step of a range; returns the running tv and gap after each, shape (2, steps).
@@ -682,7 +706,7 @@ class _TraceBuilder:
                 f"total mass of p is {mp}, not 1 within {MASS_TOL}",
                 f"total mass of q is {mq}, not 1 within {MASS_TOL}",
             )
-            label = _labels(parts, order, ny)[n]
+            (label,) = _labels(parts, order[n : n + 1], ny)
             raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
         self.tv, self.gap, mp, mq = totals.tolist()
         self.mass = (mp, mq)
@@ -735,8 +759,8 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     if left.size:
         raise InvariantViolation(f"block {left[0] % ny + 1} processed but q still has weight below the top row")
     tb.cross_check(W)
-    if tb.steps is not None:
-        tb.steps.end = W  # the grids the block steps end at
+    if tb.steps is not None and tb.steps.snapshots:
+        tb.steps.end = W  # the grids the block steps end at, which only snapshots are built from
 
     W = _average(W, trials)
     tb.measure("average", W)
@@ -754,27 +778,32 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     return tb
 
 
-# what a snapshot trace keeps per step besides its column state: the (label, tv, gap, moved) row,
-# its string and floats, and the step's column and order index (280-300 bytes measured)
-_STEP_BYTES = 320
+# what a snapshot trace keeps per step besides its column state: the step's column, order index,
+# running tv and gap and moved mass, and its part's column and row (80 bytes measured at
+# 128x128 "all", 61 at 2x30000 "phases")
+_STEP_BYTES = 96
 
 
 def _check_trace_size(nx: int, ny: int, snapshots: SnapshotMode, to_file: bool = False) -> None:
     """Refuse (ValidationError) a walk whose snapshots could take more than MAX_TRACE_BYTES.
 
-    A walk records at most 3*ny + 4 steps with snapshots in "phases" mode
-    (3 per block, plus the 4 whole-grid steps), 3*nx*ny + 4 in "all" mode
-    and none in "none" mode. In memory the trace holds the reordered pair,
-    16*nx*ny bytes, and per step a 16*nx-byte column state and
-    _STEP_BYTES; a trace file (to_file) holds both whole grids of every
-    step, 16*nx*ny bytes a step.
+    A walk records at most 3 steps per block with snapshots in "phases"
+    mode and 3*nx in "all" mode, plus the 4 whole-grid steps, and none in
+    "none" mode. In memory the trace holds the reordered pair, 16*nx*ny
+    bytes, and per step a 16*nx-byte column state and _STEP_BYTES. While
+    the ledger certifies a range (see _range_blocks) it also holds about
+    one more column state per step of that range: the parts it
+    concatenates, then its measurement's temporaries. A trace file
+    (to_file) holds both whole grids of every step, 16*nx*ny bytes a step.
     """
-    steps = {"phases": 3 * ny + 4, "all": 3 * nx * ny + 4, "none": 0}[snapshots]
+    per_block = {"phases": 3, "all": 3 * nx, "none": 0}[snapshots]
+    steps = per_block * ny + 4 if per_block else 0
     if to_file:
         size = 16 * nx * ny * steps
         text = f"trace file of the {nx}x{ny} pair may hold {size} bytes of grids"
     else:
-        size = 16 * nx * ny + steps * (16 * nx + _STEP_BYTES) if steps else 0
+        transient = 16 * nx * per_block * min(ny, _range_blocks(nx))
+        size = 16 * nx * ny + steps * (16 * nx + _STEP_BYTES) + transient if steps else 0
         text = f"snapshots of the {nx}x{ny} pair may take {size} bytes"
     if size > MAX_TRACE_BYTES:
         raise ValidationError(f"the {snapshots!r} {text}, over the trace guard {MAX_TRACE_BYTES}")
@@ -793,11 +822,14 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     Before it walks, the pair is refused (ValidationError) if it has more
     than MAX_GRID_CELLS cells, or if its snapshots could exceed
     MAX_TRACE_BYTES: 16*nx*ny bytes for the reordered pair plus, per step,
-    16*nx bytes (one column state) and 320 bytes (its label, tv, gap and
-    moved mass), over at most 3*ny + 4 steps in "phases" mode and
-    3*nx*ny + 4 in "all" mode. A snapshot trace also keeps a few more whole
-    pairs (the given and the oriented pair, the grids before averaging and
-    the averaged pair), which MAX_GRID_CELLS bounds.
+    16*nx bytes (one column state) and 96 bytes (its column, order index,
+    running tv and gap and moved mass), over at most 3*ny + 4 steps in
+    "phases" mode and 3*nx*ny + 4 in "all" mode, plus one more column
+    state per step of one range, which the ledger holds while it
+    certifies that range (see _check_trace_size). A snapshot trace also
+    keeps a few more whole pairs (the given and the oriented pair, the
+    grids before averaging and the averaged pair), which MAX_GRID_CELLS
+    bounds.
 
     Guarantees on return (each checked, violation raises InvariantViolation):
     per recorded step tv is non-increasing and the gap non-decreasing within

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -323,9 +324,10 @@ def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
     real = walk._walk
     monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: pytest.fail("the pair was walked"))
     # an "all" trace may hold the reordered pair, 16 * nx * ny bytes, and per step a 16 * nx-byte
-    # column state and a 320-byte row, over 3 * nx * ny + 4 steps: about 1.4 GB at 300x300 and
-    # 49 GB at 1000x1000
-    for refused, size in ((big, 1383860480), (huge, 48976065280)):
+    # column state and 96 bytes, over 3 * nx * ny + 4 steps, and while a range is certified one
+    # more column state per step of that range (3 * nx steps for each of its 16384 // nx blocks):
+    # about 1.56 GB at 300x300 and 49 GB at 1000x1000
+    for refused, size in ((big, 1556659584), (huge, 49072064384)):
         n = refused.nx
         message = rf"^the 'all' snapshots of the {n}x{n} pair may take {size} bytes, over the trace guard 1073741824$"
         with pytest.raises(ValidationError, match=message):
@@ -336,16 +338,21 @@ def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
             run_walk(pair, snapshots=mode)
     monkeypatch.undo()
     assert walk._walk is real
-    # "phases" may hold 16 * 10^4 bytes plus 16 * 100 + 320 bytes over 3 * 100 + 4 steps, about 0.7 MB,
-    # and "all" 16 * 10^4 bytes plus 16 * 100 + 320 bytes over 3 * 10^4 + 4 steps, about 58 MB: both admitted
+    # "phases" may hold about 1.2 MB and "all" about 99 MB: both admitted
     assert len(run_walk(pair, snapshots="phases").steps) <= 304
     assert len(run_walk(pair, snapshots="all").steps) <= 30004
 
 
-def test_walk_admits_a_128x128_all_trace_within_its_memory():
-    # the guard admits 128 x 128 "all": its trace holds a 16 * 128-byte column state and a row per
-    # step, and the walk's peak growth stays under 150 MB
+def test_walk_admits_a_128x128_all_trace_within_its_memory(monkeypatch):
+    # the guard admits 128 x 128 "all", and the walk's peak growth, the trace it keeps and the
+    # ledger's transients together, stays below the bytes the guard computes for it
     pair = _random_pair(np.random.default_rng(128), 128, 128)
+    monkeypatch.setattr(walk, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ValidationError) as exc:
+        walk._check_trace_size(128, 128, "all")
+    guarded = int(re.search(r"may take (\d+) bytes", str(exc.value))[1])
+    monkeypatch.undo()
+    assert guarded <= walk.MAX_TRACE_BYTES
     tracemalloc.start()
     try:
         trace = run_walk(pair, snapshots="all")
@@ -353,7 +360,7 @@ def test_walk_admits_a_128x128_all_trace_within_its_memory():
     finally:
         tracemalloc.stop()
     assert len(trace.steps) <= 3 * 128 * 128 + 4
-    assert peak < 150e6
+    assert peak < guarded
 
 
 def test_walk_single_outcome_alphabet():
@@ -797,6 +804,77 @@ def test_traces_of_the_same_pair_compare_equal(mode):
 def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
     monkeypatch.setattr(walk, "_CHUNK_CELLS", 3)  # one block per range
     test_faulty_move_raises_naming_the_block(monkeypatch, "none")
+
+
+# walks whose block steps span several ranges: 2 x 2500 in ranges of 1000 blocks, 200 x 200
+# (81 blocks a range) and a 6 x 12 "all" walk in ranges of 4 blocks
+_MULTI_RANGE_WALKS = [((2, 2500), "none", 2 * 1000), ((200, 200), "phases", None), ((6, 12), "all", 4 * 6)]
+
+
+@pytest.mark.parametrize("shape, mode, cells", _MULTI_RANGE_WALKS)
+def test_trace_rows_of_several_ranges_match_by_iteration_index_and_slice(monkeypatch, shape, mode, cells):
+    # each row is built from its range's arrays when read: every index, positive and negative,
+    # and slices across the ranges' ends give the steps of the in-order iteration
+    if cells:
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(1515)
+    trace = run_walk(_random_pair(rng, *shape), snapshots=mode)
+    steps = trace.steps
+    n, ranges = len(steps), [first for first, *_ in steps.ranges]
+    assert len(ranges) >= 3
+    forward = [_step_key(s) for s in steps]
+    assert len(forward) == n and [s.label for s in steps].count("average") == 1
+    assert [_step_key(steps[k]) for k in range(n)] == forward
+    assert [_step_key(steps[k - n]) for k in range(n)] == forward
+    for first in ranges[1:]:
+        assert [_step_key(s) for s in steps[first - 2 : first + 2]] == forward[first - 2 : first + 2]
+    assert [_step_key(s) for s in steps[::7]] == forward[::7]
+    assert [_step_key(s) for s in steps[-2::-5]] == forward[-2::-5]
+
+
+def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
+    # len and the first and last steps (whole-grid steps) format no label; one full iteration
+    # formats each range's labels in one call
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 2 * 3)  # ranges of two blocks
+    calls = []
+    real = walk._labels
+
+    def counting(parts, order, ny):
+        calls.append(order.size)
+        return real(parts, order, ny)
+
+    monkeypatch.setattr(walk, "_labels", counting)
+    trace = run_walk(_random_pair(np.random.default_rng(1616), 3, 5), snapshots="all")
+    steps = trace.steps
+    assert (len(steps), steps[0].label, steps[-1].label) == (len(steps), "initial", "average")
+    assert trace.initial_tv == steps[0].tv and trace.final_gap == steps[-1].gap
+    assert calls == []
+    labels = [s.label for s in steps]
+    assert len(calls) == len(steps.ranges) == 3
+    assert sum(calls) == len(steps) - 4
+    assert labels[3].startswith("block 1 ") and labels[-2] == "block 5 transfer"
+    calls.clear()
+    assert steps[-2].label == "block 5 transfer" and calls == [1]
+
+
+@pytest.mark.parametrize("mode", ["none", "phases", "all"])
+def test_faulty_move_in_a_late_range_raises_naming_its_block(monkeypatch, mode):
+    # block 11 of 12 is the middle block of the fourth range of three blocks; the failing step
+    # is named with its own label, formatted from that range's parts
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 3 * 3)
+    real = walk._concentrate
+
+    def corrupt(W, cols):
+        phase = real(W, cols)
+        if 10 in cols:
+            W[0, 1, 10] = np.nan
+        return phase
+
+    monkeypatch.setattr(walk, "_concentrate", corrupt)
+    rng = np.random.default_rng(1718)  # block 11 runs fill, then concentrate and transfer
+    pair = DistributionPair(sample_joint(3, 12, rng), sample_joint(3, 12, rng))
+    with pytest.raises(InvariantViolation, match=r"^step 'block 11 concentrate': block 11 has an entry that is not finite"):
+        run_walk(pair, snapshots=mode)
 
 
 def _batch(pairs):
