@@ -430,11 +430,16 @@ def _scan(
 def _member(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Whether each of `values` is one of the (non-empty) `wanted`: np.isin's answer, by binary search.
 
-    Only the few wanted codes are sorted, not `values` with them, so the
-    memory taken is about two int64 arrays the size of `values`.
+    Only the values within the wanted codes' range are looked up, and only
+    the few wanted codes are sorted, not `values` with them, so the memory
+    taken is at most about two int64 arrays the size of `values`.
     """
     wanted = np.sort(wanted)
-    return wanted[np.minimum(np.searchsorted(wanted, values), wanted.size - 1)] == values
+    hit = (values >= wanted[0]) & (values <= wanted[-1])
+    at = np.flatnonzero(hit)
+    inside = values[at]
+    hit[at] = wanted[np.searchsorted(wanted, inside)] == inside
+    return hit
 
 
 def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -455,24 +455,24 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
 _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
-def _labels(parts, order: np.ndarray, ny: int) -> list[str]:
+def _labels(parts, order: np.ndarray, cols: np.ndarray, ny: int) -> list[str]:
     """Trace labels of the block steps `order` of `parts` (kind, columns, rows or None), in that order.
 
-    `order` holds positions in the parts' steps laid end to end. A label
-    names the block within its trial: in a batch of trials with ny blocks
-    each, column c is block c % ny + 1.
+    `order` holds positions in the parts' steps laid end to end, and `cols`
+    those steps' columns. A label names the block within its trial: in a
+    batch of trials with ny blocks each, column c is block c % ny + 1.
     """
-    labels, start = np.empty(order.size, dtype=object), 0
-    for kind, cols, rows in parts:
-        at = np.flatnonzero((order >= start) & (order < start + cols.size))
-        n = order[at] - start
-        blocks = (cols[n] % ny + 1).tolist()
-        if rows is None:
-            labels[at] = [f"block {j} {kind}" for j in blocks]
-        else:
-            labels[at] = [f"block {j} {kind} i={i + 1}" for j, i in zip(blocks, rows[n].tolist())]
-        start += cols.size
-    return labels.tolist()
+    ends = np.add.accumulate([c.size for _, c, _ in parts])
+    row = np.zeros(ends[-1], dtype=np.int64)  # each step's row + 1, or 0 for a phase step
+    for (_, c, rows), end in zip(parts, ends.tolist()):
+        if rows is not None:
+            row[end - c.size : end] = rows + 1
+    kinds = [kind for kind, _, _ in parts]
+    part = ends.searchsorted(order, side="right").tolist()
+    return [
+        f"block {j} {kinds[k]} i={i}" if i else f"block {j} {kinds[k]}"
+        for k, j, i in zip(part, (cols % ny + 1).tolist(), row[order].tolist())
+    ]
 
 
 class _Steps(Sequence):
@@ -537,7 +537,7 @@ class _Steps(Sequence):
         """The WalkSteps of the block steps `steps` (a slice of the range's own steps, in order) of range r."""
         _, parts, order, totals, moved, block, states = r
         order = order[steps]
-        rows = zip(_labels(parts, order, self.ny), *totals[:, steps].tolist(), moved[order].tolist())
+        rows = zip(_labels(parts, order, block[steps], self.ny), *totals[:, steps].tolist(), moved[order].tolist())
         if not self.snapshots:
             for label, tv, gap, m in rows:
                 yield WalkStep(label, tv, gap, transferred=m)
@@ -706,7 +706,7 @@ class _TraceBuilder:
                 f"total mass of p is {mp}, not 1 within {MASS_TOL}",
                 f"total mass of q is {mq}, not 1 within {MASS_TOL}",
             )
-            (label,) = _labels(parts, order[n : n + 1], ny)
+            (label,) = _labels(parts, order[n : n + 1], block[n : n + 1], ny)
             raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
         self.tv, self.gap, mp, mq = totals.tolist()
         self.mass = (mp, mq)

@@ -839,9 +839,9 @@ def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
     calls = []
     real = walk._labels
 
-    def counting(parts, order, ny):
+    def counting(parts, order, cols, ny):
         calls.append(order.size)
-        return real(parts, order, ny)
+        return real(parts, order, cols, ny)
 
     monkeypatch.setattr(walk, "_labels", counting)
     trace = run_walk(_random_pair(np.random.default_rng(1616), 3, 5), snapshots="all")

@@ -1,15 +1,17 @@
 """Time the one-pair walk of two source trees, in fresh interpreters taken in turn.
 
-    python tools/walk_timing.py PARENT_SRC CHANGE_SRC [--rounds 7] [--calls 2000] [--per-shape 40]
+    python tools/walk_timing.py PARENT_SRC CHANGE_SRC [--rounds 15] [--calls 600] [--per-shape 20]
 
 Each round starts one interpreter on PARENT_SRC, then one on CHANGE_SRC (the
 order swaps every round, so drift on a busy host falls on both). Each
 interpreter times `run_walk` on one 3x2 pair in each snapshot mode (the
-median of --calls calls, after a warm-up) and the loop of acceptance
-criterion 5 (sample a pair, walk it in "none" mode, read every step's tv
-and gap, check the final pair) over --per-shape pairs of each of its 16
-shapes, per walk. The output is, per measurement, each tree's median over
-the rounds in microseconds and the ratio change / parent.
+median over batches of 20 calls, the modes taken in turn, --calls calls
+per mode after a warm-up), and the loop of acceptance criterion 5 (sample
+a pair, walk it in "none" mode, read every step's tv and gap, check the
+final pair) over --per-shape pairs of each of its 16 shapes, per walk.
+Times are the process's CPU time, which other processes on the host
+inflate less than wall time. The output is, per measurement, each tree's
+median over the rounds in microseconds and the ratio change / parent.
 """
 
 from __future__ import annotations
@@ -22,25 +24,27 @@ import subprocess
 import sys
 
 CHILD = r"""
-import json, sys, time
+import json, statistics, sys, time
 import numpy as np
 from equibound import DistributionPair, conditional_entropy, continuity_bound, marginal, run_walk, sample_joint
 
 calls, per_shape = int(sys.argv[1]), int(sys.argv[2])
 rng = np.random.default_rng(3)
 pair = DistributionPair(sample_joint(3, 2, rng), sample_joint(3, 2, rng))
-out = {}
-for mode in ("none", "phases", "all"):
-    for _ in range(50):
-        run_walk(pair, mode)
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        run_walk(pair, mode)
-        times.append(time.perf_counter() - t0)
-    out[f"run_walk 3x2 {mode}"] = sorted(times)[calls // 2] * 1e6
+modes = ("none", "phases", "all")
+for mode in modes * 50:
+    run_walk(pair, mode)
+# batches of 20 calls, the modes in turn, so a burst of load on the host falls on all of them
+batches = {mode: [] for mode in modes}
+for _ in range(calls // 20):
+    for mode in modes:
+        t0 = time.process_time()
+        for _ in range(20):
+            run_walk(pair, mode)
+        batches[mode].append((time.process_time() - t0) / 20)
+out = {f"run_walk 3x2 {mode}": statistics.median(b) * 1e6 for mode, b in batches.items()}
 
-t0 = time.perf_counter()
+t0 = time.process_time()
 for nx in (2, 3, 4, 5):
     for ny in (1, 2, 3, 4):
         for t in range(per_shape):
@@ -52,7 +56,7 @@ for nx in (2, 3, 4, 5):
             assert conditional_entropy(trace.final.q) <= 1e-9
             assert abs(marginal(trace.final.q, "x")[0] - 1.0) <= 1e-9
             assert trace.final_gap <= continuity_bound(trace.initial_tv, nx).value + 1e-9
-out["criterion 5, per walk"] = (time.perf_counter() - t0) / (16 * per_shape) * 1e6
+out["criterion 5, per walk"] = (time.process_time() - t0) / (16 * per_shape) * 1e6
 print(json.dumps(out))
 """
 
@@ -61,9 +65,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="src/ directory of the parent tree")
     ap.add_argument("change", help="src/ directory of the changed tree")
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--calls", type=int, default=2000, help="timed run_walk calls per mode and interpreter")
-    ap.add_argument("--per-shape", type=int, default=40, help="criterion-5 pairs per shape and interpreter")
+    ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--calls", type=int, default=600, help="timed run_walk calls per mode and interpreter")
+    ap.add_argument("--per-shape", type=int, default=20, help="criterion-5 pairs per shape and interpreter")
     args = ap.parse_args(argv)
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
