@@ -345,7 +345,7 @@ def test_walk_guards_the_grid_and_the_trace_size(monkeypatch):
 
 def test_walk_admits_a_128x128_all_trace_within_its_memory(monkeypatch):
     # the guard admits 128 x 128 "all", and the walk's peak growth, the trace it keeps and the
-    # ledger's transients together, stays below the bytes the guard computes for it
+    # ledger's transients together, stays under 150 MB and below the bytes the guard computes for it
     pair = _random_pair(np.random.default_rng(128), 128, 128)
     monkeypatch.setattr(walk, "MAX_TRACE_BYTES", 0)
     with pytest.raises(ValidationError) as exc:
@@ -360,6 +360,7 @@ def test_walk_admits_a_128x128_all_trace_within_its_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(trace.steps) <= 3 * 128 * 128 + 4
+    assert peak < 150e6
     assert peak < guarded
 
 
