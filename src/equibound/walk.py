@@ -171,8 +171,7 @@ def _reorder(W: np.ndarray, trials: int = 1) -> np.ndarray:
     P, Q = W
     # per column: rows with q >= p first, each group by q non-increasing (lexsort is stable)
     rows = np.lexsort((-Q, Q < P), axis=0)
-    k = rows.shape[1]
-    W = W.reshape(2, -1).take(rows * k + np.arange(k), axis=1)  # C-ordered, as the kernel and ledger expect
+    W = np.take_along_axis(W, rows[None], axis=1)
     W += 0.0  # -0.0 becomes 0.0, so the kernel's exact zeros change no bit (see _to_top)
     return W
 
