@@ -34,7 +34,7 @@ DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1), which bounds the search's peak
 # memory. Under tracemalloc, at 1.9 M points of six cells: 72 MB at (3,2,0.3,44) and 88 MB at
 # (2,3,0.2,44), each reached while the int64 orbit codes are built (about 32 bytes a point;
-# the lookup of the kept orbits and their partners' codes takes about two int64 arrays a point);
+# the lookup of the kept orbits' and their partners' codes takes a few int64 arrays a point);
 # 62 MB at (4,2,0.3,22), 1.56 M points of eight cells, in the orbit codes. The every-point
 # fallback peaks at 120 MB at 1.9 M points while it ranks them all. So this keeps it under 0.2 GB
 DESK_SCALE_POINTS = 2_000_000
