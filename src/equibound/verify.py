@@ -32,9 +32,9 @@ from .walk import InvariantViolation, _range_blocks, _walk
 DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1), which bounds the search's peak
-# memory. Under tracemalloc, at 1.9 M points of six cells: 72 MB at (3,2,0.3,44) and 88 MB at
-# (2,3,0.2,44), each reached while the int64 orbit codes are built (about 32 bytes a point;
-# the lookup of the kept orbits' and their partners' codes takes a few int64 arrays a point);
+# memory. Under tracemalloc, at 1.9 M points of six cells: 72 MB at (3,2,0.3,44), reached
+# while the int64 orbit codes are built (about 32 bytes a point), and 108 MB at (2,3,0.2,44),
+# where np.isin sorts every point's code against the 120 kept orbits' and their partners';
 # 62 MB at (4,2,0.3,22), 1.56 M points of eight cells, in the orbit codes. The every-point
 # fallback peaks at 120 MB at 1.9 M points while it ranks them all. So this keeps it under 0.2 GB
 DESK_SCALE_POINTS = 2_000_000
@@ -427,26 +427,6 @@ def _scan(
     return best, low, high, gaps
 
 
-def _member(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Whether each of `values` is one of the (non-empty) `wanted`: np.isin's answer, by table and binary search.
-
-    A table of at most 4096 buckets over the wanted codes' range passes on
-    only the values in a bucket that holds a wanted code, and only those are
-    searched for among the sorted wanted codes. Nothing the size of `values`
-    is sorted, so the memory taken is a few int64 arrays the size of `values`.
-    """
-    wanted = np.sort(wanted)
-    off, span = values - wanted[0], int(wanted[-1] - wanted[0])
-    shift = max(span.bit_length() - 12, 0)
-    table = np.zeros((span >> shift) + 1, dtype=bool)
-    table[(wanted - wanted[0]) >> shift] = True
-    at = np.flatnonzero((off >= 0) & (off <= span))
-    at = at[table[off[at] >> shift]]
-    hit = np.zeros(values.size, dtype=bool)
-    hit[at] = wanted[np.searchsorted(wanted, values[at])] == values[at]
-    return hit
-
-
 def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entropies of the points of `rows`, ascending, their rows by descending entropy, and the stable order.
 
@@ -554,10 +534,10 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
         _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
         kept_codes = codes[kept]
         # hit flags positions, in descending rank
-        subset = np.flatnonzero(_member(orbit, np.concatenate((kept_codes, codes[::-1][hit]))))
+        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, codes[::-1][hit]))))
         # in enumeration order, so the subset's stable order is its subsequence of the full order
         h_sorted, columns, order = _ranked(rows.take(subset, axis=1), ny, steps)
-        ranks, start = np.flatnonzero(_member(orbit[subset[order]], kept_codes)), best - 2.0 * _ORBIT_MARGIN
+        ranks, start = np.flatnonzero(np.isin(orbit[subset[order]], kept_codes)), best - 2.0 * _ORBIT_MARGIN
     else:
         # too many near-ties for that argument: every point, from the full scan's start
         h_sorted, columns, _ = _ranked(rows, ny, steps)

@@ -763,18 +763,6 @@ def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(cfg):
     np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
 
 
-def test_member_agrees_with_isin():
-    # the lookup the search's second pass takes its subset by: values below, at and above the
-    # wanted codes' ends, repeated wanted codes, and a single wanted code
-    rng = np.random.default_rng(1818)
-    for size in (1, 2, 7, 300):
-        wanted = rng.integers(10**6, 10**12, size)
-        wanted[-1] = wanted[0]
-        values = np.concatenate((rng.integers(0, 2 * 10**12, 5000), wanted, wanted.min() - 1, wanted.max() + 1), axis=None)
-        rng.shuffle(values)
-        assert np.array_equal(verify._member(values, wanted), np.isin(values, wanted))
-
-
 def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
     # many orbits come within delta of pass 1's best here, so pass 2 has points of several orbits to scan
     cfg = (2, 3, 0.25, 12)
