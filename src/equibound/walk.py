@@ -462,15 +462,17 @@ def _labels(parts, order: np.ndarray, cols: np.ndarray, ny: int) -> list[str]:
     batch of trials with ny blocks each, column c is block c % ny + 1.
     """
     ends = np.add.accumulate([c.size for _, c, _ in parts])
-    row = np.zeros(ends[-1], dtype=np.int64)  # each step's row + 1, or 0 for a phase step
-    for (_, c, rows), end in zip(parts, ends.tolist()):
+    part = ends.searchsorted(order, side="right")
+    row = np.zeros(order.size, dtype=np.int64)  # each step's row + 1, or 0 for a phase step
+    kinds, ks = [kind for kind, _, _ in parts], part.tolist()
+    for k in set(ks):  # only the parts the steps fall in, so one step costs no more than its part's lookup
+        _, c, rows = parts[k]
         if rows is not None:
-            row[end - c.size : end] = rows + 1
-    kinds = [kind for kind, _, _ in parts]
-    part = ends.searchsorted(order, side="right").tolist()
+            at = np.flatnonzero(part == k)
+            row[at] = rows[order[at] - (ends[k] - c.size)] + 1
     return [
         f"block {j} {kinds[k]} i={i}" if i else f"block {j} {kinds[k]}"
-        for k, j, i in zip(part, (cols % ny + 1).tolist(), row[order].tolist())
+        for k, j, i in zip(ks, (cols % ny + 1).tolist(), row.tolist())
     ]
 
 
@@ -709,7 +711,7 @@ class _TraceBuilder:
             raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
         self.tv, self.gap, mp, mq = totals.tolist()
         self.mass = (mp, mq)
-        return after[:2]
+        return after[:2].copy()  # the trace keeps it: not the masses' rows
 
     def cross_check(self, W: np.ndarray) -> None:
         """Compare each trial's running totals with a full measurement of the stacked pair W."""
@@ -778,8 +780,8 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
 
 
 # what a snapshot trace keeps per step besides its column state: the step's column, order index,
-# running tv and gap and moved mass, and its part's column and row (80 bytes measured at
-# 128x128 "all", 61 at 2x30000 "phases")
+# running tv and gap and moved mass, and its part's column and row (64 bytes measured at
+# 128x128 "all", 45 at 2x30000 "phases")
 _STEP_BYTES = 96
 
 

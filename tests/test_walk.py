@@ -858,6 +858,22 @@ def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
     assert steps[-2].label == "block 5 transfer" and calls == [1]
 
 
+def test_one_step_label_takes_memory_of_the_step_not_of_its_range():
+    # a single read (and the ledger's error path) labels one step of a range of 3 million;
+    # nothing the size of the range is built for it
+    n = 10**6
+    cols = np.arange(n)
+    parts = [("fill", cols, np.zeros(n, dtype=np.int64)), ("fill", cols, None), ("concentrate", cols, cols % 7)]
+    tracemalloc.start()
+    try:
+        labels = walk._labels(parts, np.array([2 * n + 12]), np.array([9]), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels == ["block 2 concentrate i=6"]
+    assert peak < 100_000  # a range-sized int64 array alone is 24 MB
+
+
 @pytest.mark.parametrize("mode", ["none", "phases", "all"])
 def test_faulty_move_in_a_late_range_raises_naming_its_block(monkeypatch, mode):
     # block 11 of 12 is the middle block of the fourth range of three blocks; the failing step
