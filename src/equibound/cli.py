@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -94,25 +95,25 @@ def parse_distribution(text: str) -> JointDistribution:
     for key in ("nx", "ny", "probs"):
         if key not in doc:
             raise ValidationError(f"missing required field {key!r}")
-    nx, ny = doc["nx"], doc["ny"]
-    for name, value in (("nx", nx), ("ny", ny)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    probs = doc["probs"]
+    for name in ("nx", "ny"):
+        if type(doc[name]) is not int or doc[name] < 1:  # a JSON bool's type is bool, not int
+            raise ValidationError(f"{name} must be a positive integer, got {doc[name]!r}")
+    nx, ny, probs = doc["nx"], doc["ny"], doc["probs"]
     if not isinstance(probs, list) or len(probs) != nx:
         raise ValidationError(f"probs must be a list of nx={nx} rows, got {len(probs) if isinstance(probs, list) else probs!r}")
     for i, row in enumerate(probs):
         if not isinstance(row, list) or len(row) != ny:
             raise ValidationError(f"probs[{i}] must be a list of ny={ny} numbers")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValidationError(f"probs[{i}][{j}] must be a number, got {x!r}")
-            if isinstance(x, int):
-                try:
-                    float(x)
-                except OverflowError:
-                    raise ValidationError(f"probs[{i}][{j}] is an integer too large for a float") from None
-    return JointDistribution(probs)
+    # JSON values are int, float, bool, str, None, list or dict, and a bool's type is bool:
+    # one pass at C level admits numbers only, and the entries are walked only to name a culprit
+    if not set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}:
+        i, j, x = next((i, j, x) for i, row in enumerate(probs) for j, x in enumerate(row) if type(x) not in (int, float))
+        raise ValidationError(f"probs[{i}][{j}] must be a number, got {x!r}")
+    try:
+        return JointDistribution(probs)
+    except OverflowError:  # float() of an int: from 2**1024 - 2**970 on it would round to infinity
+        i, j = next((i, j) for i, row in enumerate(probs) for j, x in enumerate(row) if type(x) is int and abs(x) >= 2**1024 - 2**970)
+        raise ValidationError(f"probs[{i}][{j}] is an integer too large for a float") from None
 
 
 def distribution_doc(J: JointDistribution) -> dict[str, Any]:

@@ -91,7 +91,9 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     """Draw a joint grid from the flat (Dirichlet-1) measure on the simplex.
 
     `seed` is an int (deterministic: same seed, same draw) or a numpy
-    Generator for callers managing their own stream.
+    Generator for callers managing their own stream. A grid of one row
+    (nx = 1) is admitted, while verify_trials refuses nx = 1: the bound
+    needs nx >= 2.
     """
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:

@@ -44,12 +44,13 @@ entries finite and in [0, 1 + 1e-9], each grid's mass within 1e-9 of 1.
 The ledger certifies every step as the walk goes; the trace only keeps the
 ledger's own arrays, and builds each step's record when the step is read.
 A whole-grid step keeps its label, tv and gap. A range of block steps keeps
-the parts the ledger listed its steps from (each phase's kind, columns and
-moved rows), their trace order, the running tv and gap the ledger summed,
-the moved masses, and in snapshot modes each step's (2, nx) column state,
-which the ledger has already concatenated to measure it. Reading one step
-formats its one label; iterating formats each range's labels in one pass;
-the length and the first and last steps (whole-grid steps) format none.
+the table the ledger certified it from, in trace order (each step's
+column, kind, moved row, moved mass and where its column state sits), the
+running tv and gap the ledger summed, and in snapshot modes each step's
+(2, nx) column state, which the ledger has already concatenated to measure
+it. Reading one step formats its one label; iterating formats each range's
+labels in one pass; the length and the first and last steps (whole-grid
+steps) format none.
 A step's snapshots are built when the step is read, by writing its column
 state onto the grids around it: read-only copies of this certified state,
 not re-validated grids.
@@ -332,7 +333,8 @@ def _walk_blocks(W: np.ndarray, lo: int, hi: int, moves: bool = True) -> list[_P
     order; a phase with no block to run on is left out. Every array a phase
     holds has one column per block it runs on, so a range of blocks bounds
     them. With moves=False the arrays that only single-move replay reads
-    (before, new, tops, s) are dropped, so they do not outlive their phase.
+    (before, new, tops, s) are dropped, so they do not outlive their phase,
+    and the ledger lists no single moves (see _TraceBuilder.blocks).
     """
     phases: list[_Phase] = []
 
@@ -357,13 +359,14 @@ def _walk_blocks(W: np.ndarray, lo: int, hi: int, moves: bool = True) -> list[_P
     return phases
 
 
-def _move_states(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moves(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every single move of a phase, replayed from its arrays.
 
-    Returns (c, r, states): for move n, ph.cols[c[n]] is its block, r[n] the
-    row it took weight from, and states[:, :, n] the block's (2, nx) column
-    state right after it. Moves come column by column, each column's in move
-    order (fill works bottom-up, the other phases top-down).
+    Returns (cols, rows, moved, states): for move n, cols[n] is its block,
+    rows[n] the row it took weight from plus 1, moved[n] that weight, and
+    states[:, :, n] the block's (2, nx) column state right after it. Moves
+    come column by column, each column's in move order (fill works
+    bottom-up, the other phases top-down).
     """
     nx = ph.move.shape[0]
     i = np.arange(nx)[:, None]
@@ -377,7 +380,7 @@ def _move_states(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     states = ph.before[:, :, c]
     np.copyto(states, ph.new[:, :, c], where=done)
     states[:, 0] = ph.tops[:, r, c]
-    return c, r, states
+    return ph.cols[c], r + 1, ph.s[r, c], states
 
 
 def _average(A: np.ndarray, trials: int = 1) -> np.ndarray:
@@ -454,52 +457,45 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
 _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
-def _labels(parts, order: np.ndarray, cols: np.ndarray, ny: int) -> list[str]:
-    """Trace labels of the block steps `order` of `parts` (kind, columns, rows or None), in that order.
+_KINDS = ("fill", "concentrate", "transfer")
 
-    `order` holds positions in the parts' steps laid end to end, and `cols`
-    those steps' columns. A label names the block within its trial: in a
-    batch of trials with ny blocks each, column c is block c % ny + 1.
+
+def _labels(block: np.ndarray, kind: np.ndarray, row: np.ndarray, ny: int) -> list[str]:
+    """Trace labels of block steps, from their columns, kinds (indices into _KINDS) and rows + 1 (0: a phase step).
+
+    A label names the block within its trial: in a batch of trials with ny
+    blocks each, column c is block c % ny + 1.
     """
-    ends = np.add.accumulate([c.size for _, c, _ in parts])
-    part = ends.searchsorted(order, side="right")
-    row = np.zeros(order.size, dtype=np.int64)  # each step's row + 1, or 0 for a phase step
-    kinds, ks = [kind for kind, _, _ in parts], part.tolist()
-    for k in set(ks):  # only the parts the steps fall in, so one step costs no more than its part's lookup
-        _, c, rows = parts[k]
-        if rows is not None:
-            at = np.flatnonzero(part == k)
-            row[at] = rows[order[at] - (ends[k] - c.size)] + 1
     return [
-        f"block {j} {kinds[k]} i={i}" if i else f"block {j} {kinds[k]}"
-        for k, j, i in zip(ks, (cols % ny + 1).tolist(), row.tolist())
+        f"block {j} {_KINDS[k]} i={i}" if i else f"block {j} {_KINDS[k]}"
+        for j, k, i in zip((block % ny + 1).tolist(), kind.tolist(), row.tolist())
     ]
 
 
 class _Steps(Sequence):
     """The recorded steps of one walk, held as the ledger's arrays: each WalkStep is built when it is read.
 
-    A whole-grid step keeps its label, tv and gap, and in snapshot modes its
-    stacked pair, read-only. A range of block steps keeps what the ledger
-    made of it (see _TraceBuilder.blocks): its parts, the trace order, the
-    running tv and gap, the moved masses, each step's column and, in
-    snapshot modes, the column states, once. Reading a block step formats
+    The steps are one list of segments, in step order. A whole-grid step is
+    a segment (label, tv, gap, W): W is its stacked pair, read-only, in
+    snapshot modes and None otherwise. A range of block steps is a segment
+    (table, totals, states), as the ledger certified it (see
+    _TraceBuilder.blocks): the table in trace order, the running tv and gap
+    and, in snapshot modes, the column states. Reading a block step formats
     its one label (see _labels); iteration formats each range's labels in
     one call. The walk finishes each block before it starts the next, so
-    the grids after a block step are `end` (the stacked pair the block
-    steps end at, before averaging) left of its block, its column state in
-    it, and the reordered pair right of it. A read builds them from these,
-    and iteration writes one column per step onto the grids of the step
-    before; either way a block step's snapshots are copies of their own,
-    while a whole-grid step's share its pair.
+    the grids after a block step are `end` (the stacked pair the block steps
+    end at, before averaging) left of its block, its column state in it,
+    and `reordered` (the pair they start from) right of it; _walk sets both.
+    A read builds them from these, and iteration writes one column per step
+    onto the grids of the step before; either way a block step's snapshots
+    are copies of their own, while a whole-grid step's share its pair.
     """
 
     def __init__(self, snapshots: bool, ny: int):
         self.snapshots, self.ny, self.size = snapshots, ny, 0
-        self.whole: dict[int, tuple] = {}  # whole-grid step -> its label, tv, gap and stacked pair (or None)
-        # per range: its first step, parts, order, running tv and gap, moved masses, columns and states
-        self.ranges: list[tuple] = []
-        self.end = None  # set by _walk
+        self.segments: list[tuple] = []
+        self.first: list[int] = []  # each segment's first step
+        self.end = self.reordered = None
 
     def __len__(self) -> int:
         return self.size
@@ -508,18 +504,13 @@ class _Steps(Sequence):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
         k = range(len(self))[k]  # negative from the end; IndexError past it
-        if k in self.whole:
-            return self._whole(k)
-        r = self.ranges[bisect_right(self.ranges, k, key=lambda r: r[0]) - 1]
-        return next(self._block_steps(r, slice(k - r[0], k - r[0] + 1)))
+        n = bisect_right(self.first, k) - 1
+        k -= self.first[n]
+        return next(self._read(self.segments[n], slice(k, k + 1)))
 
     def __iter__(self):
-        k = 0  # every step outside the ranges is a whole-grid step
-        for r in self.ranges:
-            yield from map(self._whole, range(k, r[0]))
-            yield from self._block_steps(r, slice(None))
-            k = r[0] + r[2].size
-        yield from map(self._whole, range(k, len(self)))
+        for segment in self.segments:
+            yield from self._read(segment, slice(None))
 
     def __eq__(self, other) -> bool:
         # step by step, as the tuple of steps compared, with any sequence of steps
@@ -530,29 +521,28 @@ class _Steps(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def _whole(self, k: int) -> WalkStep:
-        label, tv, gap, W = self.whole[k]
-        return WalkStep(label, tv, gap) if W is None else WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1]))
-
-    def _block_steps(self, r: tuple, steps: slice):
-        """The WalkSteps of the block steps `steps` (a slice of the range's own steps, in order) of range r."""
-        _, parts, order, totals, moved, block, states = r
-        order = order[steps]
-        rows = zip(_labels(parts, order, block[steps], self.ny), *totals[:, steps].tolist(), moved[order].tolist())
+    def _read(self, segment: tuple, steps: slice):
+        """The WalkSteps of the steps `steps` (a slice of the segment's own steps, in order) of one segment."""
+        if isinstance(segment[0], str):  # a whole-grid step
+            label, tv, gap, W = segment
+            yield WalkStep(label, tv, gap) if W is None else WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1]))
+            return
+        (block, kind, row, moved, order), totals, states = segment
+        block = block[steps]
+        rows = zip(_labels(block, kind[steps], row[steps], self.ny), *totals[:, steps].tolist(), moved[steps].tolist())
         if not self.snapshots:
             for label, tv, gap, m in rows:
                 yield WalkStep(label, tv, gap, transferred=m)
             return
         grids = None
-        for (label, tv, gap, m), j, t in zip(rows, block[steps].tolist(), order.tolist()):
+        for (label, tv, gap, m), j, t in zip(rows, block.tolist(), order[steps].tolist()):
             if grids is None:
-                reordered = self.whole[self.ranges[0][0] - 1][3]
-                grids = np.concatenate((self.end[:, :, :j], reordered[:, :, j:]), axis=2)
+                grids = np.concatenate((self.end[:, :, :j], self.reordered[:, :, j:]), axis=2)
             grids[:, :, j] = states[:, :, t]
             yield WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), m)
 
-    def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> None:
-        """Append a whole-grid step ending at the stacked pair W, which snapshot modes keep.
+    def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> np.ndarray | None:
+        """Append a whole-grid step ending at the stacked pair W; returns the pair kept, in snapshot modes.
 
         A read-only contiguous W is kept as it is; any other is copied, as
         the walk goes on changing its own grids.
@@ -560,19 +550,20 @@ class _Steps(Sequence):
         if self.snapshots and (W.flags.writeable or not W.flags.c_contiguous):
             W = W.copy()
             W.flags.writeable = False
-        self.whole[len(self)] = (label, tv, gap, W if self.snapshots else None)
+        W = W if self.snapshots else None
+        self.first.append(self.size)
+        self.segments.append((label, tv, gap, W))
         self.size += 1
+        return W
 
-    def extend(self, parts, order: np.ndarray, totals: np.ndarray, moved: np.ndarray, block: np.ndarray, states) -> None:
-        """Append one range's block steps: step t is the step order[t] of `parts` (see _labels).
+    def extend(self, table: tuple, totals: np.ndarray, states: np.ndarray) -> None:
+        """Append one range's block steps: its table and running tv and gap (see _TraceBuilder.blocks) and column states.
 
-        In trace order, totals holds the running tv and gap, shape (2,
-        steps), and block each step's column; moved holds the parts' moved
-        masses laid end to end, and step t's column state is states[:, :,
-        order[t]]. The states are kept only in snapshot modes.
+        The states are kept only in snapshot modes.
         """
-        self.ranges.append((len(self), parts, order, totals, moved, block, states if self.snapshots else None))
-        self.size += order.size
+        self.first.append(self.size)
+        self.segments.append((table, totals, states if self.snapshots else None))
+        self.size += table[0].size
 
 
 class _TraceBuilder:
@@ -582,27 +573,27 @@ class _TraceBuilder:
     owns columns b*ny ... (b+1)*ny - 1. The ledger starts from each trial's
     initial tv and gap, `tv` and `gap` (one float per trial, the gap as
     oriented; see _orientation), which it keeps as `initial_tv` too. `terms`
-    and `sums` hold every block's terms and each trial's sums from the last
-    whole-grid measurement (see _measure); tv, gap and mass hold each
-    trial's running totals after its last step. Every check is made per
-    trial, and the first failing check found raises InvariantViolation.
-    With a mode (one trial) the steps are recorded in `steps` (see _Steps),
-    with snapshots unless the mode is "none"; with mode None nothing is.
+    holds every block's four ledger terms and `sums` each trial's sums from
+    the last whole-grid measurement (see _measure); tv, gap and mass hold
+    each trial's running totals after its last step. Every check is made
+    per trial, and the first failing check found raises InvariantViolation.
+    With `steps` (one trial) the steps are recorded there (see _Steps); with
+    None nothing is.
     """
 
-    def __init__(self, mode: SnapshotMode | None, ny: int, tv: list[float], gap: list[float]):
-        self.mode, self.ny, self.trials = mode, ny, len(tv)
-        self.steps = None if mode is None else _Steps(mode != "none", ny)
+    def __init__(self, steps: _Steps | None, ny: int, tv: list[float], gap: list[float]):
+        self.steps, self.ny, self.trials = steps, ny, len(tv)
         self.initial_tv, self.tv, self.gap = tv, tv, gap
 
-    def measure(self, label: str, W: np.ndarray) -> None:
-        """Measure the whole stacked pair W, certify it and record it.
+    def measure(self, label: str, W: np.ndarray) -> np.ndarray | None:
+        """Measure the whole stacked pair W, certify it and record it; returns what record returns.
 
         Each trial's new totals are checked against its last step; then
         every entry must be finite and in [0, 1 + 1e-9], and each grid's
         measured mass within 1e-9 of 1.
         """
-        self.terms, self.sums = _measure(W, self.trials)
+        terms, self.sums = _measure(W, self.trials)
+        self.terms = terms[:4].copy()  # the rows _certify reads; a copy, so the entropy rows die here
         tv, gap = self.sums[0].tolist(), (self.sums[4] - self.sums[5]).tolist()
         for old_tv, new_tv, old_gap, new_gap in zip(self.tv, tv, self.gap, gap):
             if new_tv > old_tv + STEP_TOL:
@@ -616,34 +607,39 @@ class _TraceBuilder:
             for name, m in zip("pq", masses):
                 if abs(m - 1.0) > MASS_TOL:
                     raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
-        self.record(label, W)
+        return self.record(label, W)
 
     def blocks(self, phases: list[_Phase]) -> None:
         """Certify the block steps of one range's phases in one array pass, and record them when tracing.
 
         Steps are listed trial by trial and, within a trial, block by block:
-        a block's fill, concentrate and transfer (in "all" mode each
-        preceded by its single moves). The column states are concatenated
-        once and measured once; in snapshot modes the trace keeps that
-        concatenation as the range's snapshots.
+        a block's fill, concentrate and transfer, each preceded by its single
+        moves when _walk_blocks kept the phases' move arrays ("all" mode).
+        The steps' table is built once, in trace order: for each step its
+        column (`block`), `kind` (an index into _KINDS), `row` (the row it
+        moved weight from plus 1, or 0 for a phase step), `moved` mass and
+        `order`, where its column state sits in the concatenated states. The
+        column states are concatenated once, in part order, and measured
+        once; in snapshot modes the trace keeps that concatenation as the
+        range's snapshots.
         """
-        # part by part: a phase's single moves ("all" mode only), then its phase
-        # steps; a stable sort by column then lists each block's steps in run order
-        parts, moved, states = [], [], []
+        # part by part: a phase's single moves, then its phase steps; a stable sort by column
+        # then lists each block's steps in run order
+        parts = []  # per part: kind, columns, rows + 1 (0 for a phase step), moved masses, states
         for ph in phases:
-            if self.mode == "all":
-                c, r, st = _move_states(ph)
-                parts.append((ph.kind, ph.cols[c], r))
-                moved.append(ph.s[r, c])
-                states.append(st)
-                del st  # held once, in the concatenation below
-            parts.append((ph.kind, ph.cols, None))
-            moved.append(ph.moved)
-            states.append(ph.after)
-            ph.after = None  # held once, in the concatenation below
-        block = np.concatenate([cols for _, cols, _ in parts])
+            k = _KINDS.index(ph.kind)
+            if ph.s is not None:
+                parts.append((k, *_moves(ph)))
+            parts.append((k, ph.cols, np.zeros(ph.cols.size, dtype=np.intp), ph.moved, ph.after))
+            ph.after = None
+        kinds, cols, rows, moved, states = zip(*parts)
+        del parts  # the states are held once, in the concatenation below
+        block = np.concatenate(cols)
         order = block.argsort(kind="stable")
-        block = block[order]
+        kind = np.array(kinds, dtype=np.int8).repeat([c.size for c in cols])
+        block, kind, row, moved = (a[order] for a in (block, kind, np.concatenate(rows), np.concatenate(moved)))
+        table = (block, kind, row, moved, order)
+        del cols, rows  # what the ledger reads of the parts is in the table now
         # laid out column by column, so each column's rows are contiguous and summed the same
         # way (pairwise) whatever the range holds
         out = np.empty((block.size, *states[0].shape[:2])).transpose(1, 2, 0)
@@ -653,17 +649,17 @@ class _TraceBuilder:
         # columns, are taken only to name the column that fails
         ok = _in_range(states, 0.0)
         entries = np.full(block.size, True) if ok else _in_range(states, 0.0, axis=(0, 1))[order]
-        totals = self._certify(block, terms, entries, parts, order)
+        totals = self._certify(table, terms, entries)
         if self.steps is not None:
-            self.steps.extend(parts, order, totals, np.concatenate(moved), block, states)
+            self.steps.extend(table, totals, states)
 
-    def _certify(self, block: np.ndarray, new: np.ndarray, entries: np.ndarray, parts, order) -> np.ndarray:
+    def _certify(self, table: tuple, new: np.ndarray, entries: np.ndarray) -> np.ndarray:
         """Check every block step of a range; returns the running tv and gap after each, shape (2, steps).
 
-        In trace order, block is each step's column, new the first four
-        terms of its column state (see _block_terms) and entries whether
-        that state's entries are finite and in [0, 1 + 1e-9]; order maps
-        trace order to the steps of `parts`, for the labels. Each step is
+        In trace order, table is the steps' table (see blocks), new the four
+        ledger terms of each step's column state (see _block_terms) and
+        entries whether that state's entries are finite and in [0, 1 + 1e-9].
+        Each step is
         measured against the block's previous step (or its reorder
         measurement: a block lies in one range), and its trial's running
         totals move by the differences: a trial's changes form one row,
@@ -673,19 +669,19 @@ class _TraceBuilder:
         grid's mass within 1e-9 of 1. The first failing step in trace order
         raises.
         """
-        ny = self.ny
+        block, ny = table[0], self.ny
         totals = np.array((self.tv, self.gap, *self.mass))
-        old = self.terms[:4, block]
+        old = self.terms[:, block]
         same = np.flatnonzero(block[1:] == block[:-1]) + 1
         old[:, same] = new[:, same - 1]
         # one row per trial t0 .. t1 - 1 of the range, each step at its position in its trial
         t0, t1 = int(block[0]) // ny, int(block[-1]) // ny + 1
-        row = block // ny - t0
-        pos = np.arange(block.size) - np.searchsorted(row, np.arange(t1 - t0))[row]
+        trial = block // ny - t0
+        pos = np.arange(block.size) - np.searchsorted(trial, np.arange(t1 - t0))[trial]
         delta = np.zeros((4, t1 - t0, int(pos.max()) + 1))
-        delta[:, row, pos] = new - old
+        delta[:, trial, pos] = new - old
         run = _running(totals[:, t0:t1], delta)
-        before, after = run[:, row, pos], run[:, row, pos + 1]
+        before, after = run[:, trial, pos], run[:, trial, pos + 1]
         totals[:, t0:t1] = run[:, :, -1]
         mass = after[2:] - 1.0
         np.abs(mass, out=mass)
@@ -707,7 +703,7 @@ class _TraceBuilder:
                 f"total mass of p is {mp}, not 1 within {MASS_TOL}",
                 f"total mass of q is {mq}, not 1 within {MASS_TOL}",
             )
-            (label,) = _labels(parts, order[n : n + 1], block[n : n + 1], ny)
+            (label,) = _labels(*(a[n : n + 1] for a in table[:3]), ny)
             raise InvariantViolation(f"step {label!r}: {messages[int(bad[:, n].argmax())]}")
         self.tv, self.gap, mp, mq = totals.tolist()
         self.mass = (mp, mq)
@@ -722,10 +718,13 @@ class _TraceBuilder:
                     f"running totals (tv {run_tv}, gap {run_gap}) drifted from the full measurement (tv {tv}, gap {gap})"
                 )
 
-    def record(self, label: str, W: np.ndarray) -> None:
-        """Append the traced trial's current totals as a whole-grid step ending at the stacked pair W."""
+    def record(self, label: str, W: np.ndarray) -> np.ndarray | None:
+        """Append the traced trial's current totals as a whole-grid step ending at the stacked pair W.
+
+        Returns the pair the trace keeps for it (see _Steps.append), or None.
+        """
         if self.steps is not None:
-            self.steps.append(label, self.tv[0], self.gap[0], W)
+            return self.steps.append(label, self.tv[0], self.gap[0], W)
 
 
 def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder:
@@ -745,13 +744,14 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     W = W.transpose(0, 2, 1, 3).reshape(2, nx, trials * ny)
     # one measurement decides the orientation and gives the initial totals, as oriented
     swap, tv, gap = _orientation(W, trials)
-    tb = _TraceBuilder(snapshots, ny, tv.tolist(), gap.tolist())
+    steps = None if snapshots is None else _Steps(snapshots != "none", ny)
+    tb = _TraceBuilder(steps, ny, tv.tolist(), gap.tolist())
     tb.record("initial", W)
     if swap.any():
         W = np.where(np.repeat(swap, ny), W[::-1], W)
     tb.record("orient", W)
     W = _reorder(W, trials)
-    tb.measure("reorder", W)
+    reordered = tb.measure("reorder", W)
     size = _range_blocks(nx)
     for lo in range(0, W.shape[2], size):
         tb.blocks(_walk_blocks(W, lo, lo + size, moves=snapshots == "all"))
@@ -760,8 +760,9 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     if left.size:
         raise InvariantViolation(f"block {left[0] % ny + 1} processed but q still has weight below the top row")
     tb.cross_check(W)
-    if tb.steps is not None and tb.steps.snapshots:
-        tb.steps.end = W  # the grids the block steps end at, which only snapshots are built from
+    if steps is not None and steps.snapshots:
+        # the grids the block steps end at and start from, which only snapshots are built from
+        steps.end, steps.reordered = W, reordered
 
     W = _average(W, trials)
     tb.measure("average", W)
@@ -779,9 +780,9 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     return tb
 
 
-# what a snapshot trace keeps per step besides its column state: the step's column, order index,
-# running tv and gap and moved mass, and its part's column and row (64 bytes measured at
-# 128x128 "all", 45 at 2x30000 "phases")
+# what a snapshot trace keeps per step besides its column state: its row of its range's table
+# (column, kind, row, moved mass and order index) and its running tv and gap (49 bytes measured
+# at 128x128 "all" and at 2x30000 "phases")
 _STEP_BYTES = 96
 
 
@@ -823,8 +824,8 @@ def run_walk(pair: DistributionPair, snapshots: SnapshotMode = "phases") -> Walk
     Before it walks, the pair is refused (ValidationError) if it has more
     than MAX_GRID_CELLS cells, or if its snapshots could exceed
     MAX_TRACE_BYTES: 16*nx*ny bytes for the reordered pair plus, per step,
-    16*nx bytes (one column state) and 96 bytes (its column, order index,
-    running tv and gap and moved mass), over at most 3*ny + 4 steps in
+    16*nx bytes (one column state) and 96 bytes (its row of its range's
+    table, and its running tv and gap), over at most 3*ny + 4 steps in
     "phases" mode and 3*nx*ny + 4 in "all" mode, plus one more column
     state per step of one range, which the ledger holds while it
     certifies that range (see _check_trace_size). A snapshot trace also

@@ -69,10 +69,23 @@ def test_parse_malformed_json_has_position():
         ('{"nx":2,"ny":1,"probs":[[NaN],[0.5]]}', "finite"),
         ('{"nx":2,"ny":1,"probs":[[Infinity],[0.0]]}', "finite"),
         ('{"nx":2,"ny":1,"probs":[[-0.2],[1.2]]}', "negative"),
+        # a bad entry late in the grid is named by its full field path
+        ('{"nx":2,"ny":3,"probs":[[0.5,0,0],[0.5,0,true]]}', r"^probs\[1\]\[2\] must be a number, got True$"),
+        ('{"nx":2,"ny":3,"probs":[[0.5,0,0],[0.5,0,null]]}', r"^probs\[1\]\[2\] must be a number, got None$"),
+        ('{"nx":2,"ny":3,"probs":[[0.5,0,0],[0.5,0,{}]]}', r"^probs\[1\]\[2\] must be a number, got \{\}$"),
+        ('{"nx":2,"ny":3,"probs":[[0.5,0,0],[0.5,0,1' + "0" * 400 + "]]}", r"^probs\[1\]\[2\] is an integer too large for a float$"),
     ],
 )
 def test_parse_rejects_invalid_documents(doc, fragment):
     with pytest.raises(ValidationError, match=fragment):
+        parse_distribution(doc)
+
+
+def test_parse_names_the_first_integer_past_the_float_range():
+    # float() rounds 2**1024 - 2**970 - 1 to the largest float and 2**1024 - 2**970 to infinity
+    edge = 2**1024 - 2**970
+    doc = json.dumps({"nx": 2, "ny": 2, "probs": [[edge - 1, 0], [0, -edge]]})
+    with pytest.raises(ValidationError, match=r"^probs\[1\]\[1\] is an integer too large for a float$"):
         parse_distribution(doc)
 
 

@@ -517,10 +517,10 @@ def _kernel_blocks(W):
     for ph in walk._walk_blocks(W, 0, ny):
         for j0, moved in zip(ph.cols.tolist(), ph.moved.tolist()):
             phases[j0].append((ph.kind, moved))
-        c, r, states = walk._move_states(ph)
-        for n, (j0, i0) in enumerate(zip(ph.cols[c].tolist(), r.tolist())):
+        cols, rows, moved, states = walk._moves(ph)
+        for n, (j0, i, s) in enumerate(zip(cols.tolist(), rows.tolist(), moved.tolist())):
             p, q = states[:, :, n]
-            moves[j0].append((ph.kind, i0 + 1, float(ph.s[i0, c[n]]), p.tobytes(), q.tobytes()))
+            moves[j0].append((ph.kind, i, s, p.tobytes(), q.tobytes()))
     return phases, moves
 
 
@@ -807,6 +807,11 @@ def test_faulty_move_in_a_later_chunk_raises_naming_the_block(monkeypatch):
     test_faulty_move_raises_naming_the_block(monkeypatch, "none")
 
 
+def _range_firsts(steps):
+    """The first step of each range of block steps of a trace."""
+    return [first for first, segment in zip(steps.first, steps.segments) if not isinstance(segment[0], str)]
+
+
 # walks whose block steps span several ranges: 2 x 2500 in ranges of 1000 blocks, 200 x 200
 # (81 blocks a range) and a 6 x 12 "all" walk in ranges of 4 blocks
 _MULTI_RANGE_WALKS = [((2, 2500), "none", 2 * 1000), ((200, 200), "phases", None), ((6, 12), "all", 4 * 6)]
@@ -821,7 +826,7 @@ def test_trace_rows_of_several_ranges_match_by_iteration_index_and_slice(monkeyp
     rng = np.random.default_rng(1515)
     trace = run_walk(_random_pair(rng, *shape), snapshots=mode)
     steps = trace.steps
-    n, ranges = len(steps), [first for first, *_ in steps.ranges]
+    n, ranges = len(steps), _range_firsts(steps)
     assert len(ranges) >= 3
     forward = [_step_key(s) for s in steps]
     assert len(forward) == n and [s.label for s in steps].count("average") == 1
@@ -840,9 +845,9 @@ def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
     calls = []
     real = walk._labels
 
-    def counting(parts, order, cols, ny):
-        calls.append(order.size)
-        return real(parts, order, cols, ny)
+    def counting(block, kind, row, ny):
+        calls.append(block.size)
+        return real(block, kind, row, ny)
 
     monkeypatch.setattr(walk, "_labels", counting)
     trace = run_walk(_random_pair(np.random.default_rng(1616), 3, 5), snapshots="all")
@@ -851,7 +856,7 @@ def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
     assert trace.initial_tv == steps[0].tv and trace.final_gap == steps[-1].gap
     assert calls == []
     labels = [s.label for s in steps]
-    assert len(calls) == len(steps.ranges) == 3
+    assert len(calls) == len(_range_firsts(steps)) == 3
     assert sum(calls) == len(steps) - 4
     assert labels[3].startswith("block 1 ") and labels[-2] == "block 5 transfer"
     calls.clear()
@@ -859,19 +864,23 @@ def test_trace_labels_are_formatted_only_when_block_steps_are_read(monkeypatch):
 
 
 def test_one_step_label_takes_memory_of_the_step_not_of_its_range():
-    # a single read (and the ledger's error path) labels one step of a range of 3 million;
-    # nothing the size of the range is built for it
-    n = 10**6
-    cols = np.arange(n)
-    parts = [("fill", cols, np.zeros(n, dtype=np.int64)), ("fill", cols, None), ("concentrate", cols, cols % 7)]
+    # a single read (and the ledger's error path) labels one step of a range of 3 million from
+    # slices of the range's table; nothing the size of the range is built for it
+    n = 3 * 10**6
+    k = np.arange(n, dtype=np.int32)
+    table = (k // 3, (k % 3).astype(np.int8), k % 7, np.broadcast_to(0.25, n), k)
+    steps = walk._Steps(False, 4)
+    steps.extend(table, np.broadcast_to(0.5, (2, n)), None)
     tracemalloc.start()
     try:
-        labels = walk._labels(parts, np.array([2 * n + 12]), np.array([9]), 4)
+        labels = walk._labels(*(a[2_000_014:2_000_015] for a in table[:3]), 4)
+        step = steps[2_000_014]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert labels == ["block 2 concentrate i=6"]
-    assert peak < 100_000  # a range-sized int64 array alone is 24 MB
+    assert labels == [step.label] == ["block 4 concentrate i=2"]
+    assert (step.tv, step.gap, step.transferred) == (0.5, 0.5, 0.25)
+    assert peak < 100_000  # a range-sized int32 array alone is 12 MB
 
 
 @pytest.mark.parametrize("mode", ["none", "phases", "all"])
@@ -892,6 +901,32 @@ def test_faulty_move_in_a_late_range_raises_naming_its_block(monkeypatch, mode):
     pair = DistributionPair(sample_joint(3, 12, rng), sample_joint(3, 12, rng))
     with pytest.raises(InvariantViolation, match=r"^step 'block 11 concentrate': block 11 has an entry that is not finite"):
         run_walk(pair, snapshots=mode)
+
+
+@pytest.mark.parametrize("cells, j0", [(None, 1), (3 * 3, 10)])
+def test_faulty_single_move_raises_naming_the_move(monkeypatch, cells, j0):
+    # a NaN in the column state right after one single move of an "all" walk: the error names
+    # that move, 'block J <kind> i=R', in the first range and in the fourth range of three blocks
+    if cells:
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(1718)
+    pair = DistributionPair(sample_joint(3, 12, rng), sample_joint(3, 12, rng))
+    labels = [s.label for s in run_walk(pair, snapshots="all").steps]
+    moves = [label for label in labels if label.startswith(f"block {j0 + 1} ") and " i=" in label]
+    assert len(moves) >= 3
+    label = moves[len(moves) // 2]
+    kind, row = label.split()[2], int(label.split("i=")[1])
+    real = walk._moves
+
+    def corrupt(ph):
+        cols, rows, moved, states = real(ph)
+        if ph.kind == kind:
+            states[0, 0, (cols == j0) & (rows == row)] = np.nan
+        return cols, rows, moved, states
+
+    monkeypatch.setattr(walk, "_moves", corrupt)
+    with pytest.raises(InvariantViolation, match=rf"^step '{label}': block {j0 + 1} has an entry that is not finite"):
+        run_walk(pair, snapshots="all")
 
 
 def _batch(pairs):
@@ -950,9 +985,9 @@ def test_batched_ledger_chunks_split_trials(monkeypatch, shape):
     pairs = _pairs_of_shape(np.random.default_rng(909), nx, ny, 12)
     cells, certify, ledgers = walk._CHUNK_CELLS, walk._TraceBuilder._certify, []
 
-    def recording(self, block, *args):
-        result = certify(self, block, *args)
-        ledgers.append((block.size, self.tv, self.gap, self.mass))
+    def recording(self, table, *args):
+        result = certify(self, table, *args)
+        ledgers.append((table[0].size, self.tv, self.gap, self.mass))
         return result
 
     monkeypatch.setattr(walk._TraceBuilder, "_certify", recording)
@@ -1044,7 +1079,7 @@ def test_whole_grid_snapshots_are_certified():
     def snapshot(W):
         # a whole-grid measurement certifies the grid before it records the snapshots
         # starting totals that no measurement's tv or gap fails against
-        tb = walk._TraceBuilder("phases", 3, [math.inf], [-math.inf])
+        tb = walk._TraceBuilder(walk._Steps(True, 3), 3, [math.inf], [-math.inf])
         tb.measure("average", W)
         (step,) = tb.steps
         return step.p, step.q
