@@ -25,6 +25,7 @@ from .core import (
     binary_entropy,
     _as_prob,
     _check_grid_size,
+    _check_int,
     _cond_entropies,
 )
 
@@ -57,20 +58,6 @@ class BoundCheck:
     slack: float
 
 
-def _check_nx(nx: int) -> int:
-    nx = int(nx)
-    if nx < 2:
-        raise ValidationError(f"nx must be >= 2, got {nx}")
-    return nx
-
-
-def _check_ny(ny: int) -> int:
-    ny = int(ny)
-    if ny < 1:
-        raise ValidationError(f"ny must be >= 1, got {ny}")
-    return ny
-
-
 def _check_radius(epsilon: float, nx: int, name: str) -> float:
     """epsilon as a float in (0, 1 - 1/nx], admitting _EDGE_TOL past the upper end."""
     epsilon = float(epsilon)
@@ -88,7 +75,7 @@ def continuity_bound(epsilon: float, nx: int) -> BoundResult:
     formula no longer applies and the trivial envelope log2(nx) is returned
     with clamped = True.
     """
-    nx = _check_nx(nx)
+    nx = _check_int(nx, "nx", 2)
     epsilon = _as_prob(epsilon, "epsilon")
     threshold = 1.0 - 1 / nx
     if epsilon > threshold:
@@ -106,7 +93,7 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
     symmetries). tv(p, q) = epsilon and the equivocation gap equals
     continuity_bound(epsilon, nx).value.
     """
-    nx, ny = _check_nx(nx), _check_ny(ny)
+    nx, ny = _check_int(nx, "nx", 2), _check_int(ny, "ny", 1)
     _check_grid_size(nx, ny)
     epsilon = _check_radius(epsilon, nx, "epsilon")
     q = np.zeros((nx, ny))
@@ -133,7 +120,7 @@ def _check_bounds(P: np.ndarray, Q: np.ndarray) -> list[BoundCheck]:
     core._cond_entropies; each pair's TV is one flat sum). The bound is
     the scalar continuity_bound, once per pair.
     """
-    nx = _check_nx(P.shape[1])
+    nx = _check_int(P.shape[1], "nx", 2)
     tvs = (0.5 * np.abs(P - Q).reshape(len(P), -1).sum(axis=1)).tolist()
     checks = []
     for hp, hq, tv in zip(_cond_entropies(P), _cond_entropies(Q), tvs):

@@ -84,6 +84,16 @@ def binary_entropy(eps: float) -> float:
     return -(t * math.log2(t)) - (1.0 - t) * (math.log1p(-t) / _LN2)
 
 
+def _check_int(value, name: str, lo: int | None = None) -> int:
+    """value as an int: an int or a numpy integer, not a bool, and at least lo if lo is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
 def _check_grid_size(nx: int, ny: int) -> None:
     """Refuse an nx-by-ny grid past MAX_GRID_CELLS before anything is allocated."""
     if nx * ny > MAX_GRID_CELLS:

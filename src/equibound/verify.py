@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SLACK_TOL, _check_bounds, _check_nx, _check_ny, _check_radius, continuity_bound
+from .bounds import SLACK_TOL, _check_bounds, _check_radius, continuity_bound
 from .core import (
     DistributionPair,
     JointDistribution,
     ValidationError,
     _as_prob,
     _check_grid_size,
+    _check_int,
     _xlog2x_arr,
 )
 from .walk import InvariantViolation, _range_blocks, _walk
@@ -87,20 +88,25 @@ def _sample(out: np.ndarray, rng: np.random.Generator) -> None:
     out[:] = rng.dirichlet(np.ones(out.size))
 
 
+def _rng(seed) -> np.random.Generator:
+    """A numpy Generator as it is, or a new one from an int seed >= 0 (see core._check_int)."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_check_int(seed, "seed", 0))
+
+
 def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     """Draw a joint grid from the flat (Dirichlet-1) measure on the simplex.
 
-    `seed` is an int (deterministic: same seed, same draw) or a numpy
+    `seed` is an int >= 0 (deterministic: same seed, same draw) or a numpy
     Generator for callers managing their own stream. A grid of one row
     (nx = 1) is admitted, while verify_trials refuses nx = 1: the bound
     needs nx >= 2.
     """
-    nx, ny = int(nx), int(ny)
+    nx, ny = _check_int(nx, "nx"), _check_int(ny, "ny")
     if nx < 1 or ny < 1:
         raise ValidationError(f"nx and ny must be >= 1, got ({nx}, {ny})")
     _check_grid_size(nx, ny)
     v = np.empty(nx * ny)
-    _sample(v, np.random.default_rng(seed))
+    _sample(v, _rng(seed))
     return JointDistribution(v.reshape(nx, ny))
 
 
@@ -141,10 +147,11 @@ def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistributi
     donors (capped by their current values) and spread over the recipients
     with random weights. `movable` is the chosen donors' total mass, so the
     achieved displacement never exceeds eps (within 1e-12) and is exactly
-    eps whenever the donors carry enough. Deterministic per int seed.
+    eps whenever the donors carry enough. `seed` is an int >= 0
+    (deterministic per seed) or a numpy Generator.
     """
     eps = _as_prob(eps, "eps")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if eps == 0.0 or p.probs.size == 1:
         return p
     flat = p.probs.ravel().copy()
@@ -180,11 +187,8 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     the seed and that trial's number attached (if none fails on its own,
     the batch's violation, with its trials' range).
     """
-    nx, ny, trials, seed = _check_nx(nx), _check_ny(ny), int(trials), int(seed)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    nx, ny = _check_int(nx, "nx", 2), _check_int(ny, "ny", 1)
+    trials, seed = _check_int(trials, "trials", 1), _check_int(seed, "seed", 0)
     if eps is not None:
         eps = _as_prob(eps, "eps")
     _check_grid_size(nx, ny)
@@ -495,7 +499,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     desk scale: nx*ny <= 8, steps_per_dim <= 101, and at most 2 000 000
     grid points, which bounds the search's memory.
     """
-    nx, ny, steps = _check_nx(nx), _check_ny(ny), int(steps_per_dim)
+    nx, ny, steps = _check_int(nx, "nx", 2), _check_int(ny, "ny", 1), _check_int(steps_per_dim, "steps_per_dim")
     cells = nx * ny
     if cells > DESK_SCALE_CELLS:
         raise ValidationError(f"nx*ny = {cells} exceeds the desk-scale guard {DESK_SCALE_CELLS}")

@@ -23,8 +23,11 @@ max(1, _CHUNK_CELLS // nx) blocks, and each phase (fill, concentrate,
 transfer) runs once, as array operations down the rows, over every block of
 the range it applies to. So every pass of the kernel and its ledger works
 on about _CHUNK_CELLS cells of each grid (a whole block when one block is
-taller). The trace still lists the steps block by block (block 1's phases,
-then block 2's, ...), and its grids, moved masses and snapshots are
+taller). Every move of every phase shifts mass within one block onto its
+top row, so the three phases share one fold of the top rows' running sums
+(_to_top), each in its own move order, and hand the ledger their steps as
+each returns. The trace still lists the steps block by block (block 1's
+phases, then block 2's, ...), and its grids, moved masses and snapshots are
 bit-identical to processing the blocks one after another.
 
 The certificate is block-local. TV and H(X|Y) = sum_j p_Y(j) H(X|Y=j) are
@@ -198,17 +201,21 @@ def _running(start: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.add.accumulate(run, axis=-1, out=run)
 
 
+_KINDS = ("fill", "concentrate", "transfer")
+
+
 @dataclass
 class _Phase:
     """One phase run over the columns `cols` of the stacked pair W = [P, Q].
 
-    Arrays are indexed like W's columns: (2, nx, k) for the p and q grids,
-    or (nx, k). `before` is the state the phase started from and `new` the
-    state it wrote; `move` marks the rows a move took weight from, `s` the
-    weight each moved and `tops` the p and q top rows right after that move.
+    `before` is the state the phase started from and `new` the state it
+    wrote, both (2, nx, k) and indexed like W's columns. `move`, `s` (both
+    (nx, k)) and `tops` ((2, nx, k)) list each column's moves in move
+    order: move m takes weight from row order[m] (order[0] is the top row,
+    which gives none). `move` marks the moves that took weight, `s` the
+    weight each moved and `tops` the p and q top rows right after it.
     `moved` is each column's moved mass, summed in move order; `switched`
-    (fill only) is whether the cap bound. `after` is read back from W once
-    the phase has run: it is what the ledger measures.
+    (fill only) holds the columns where the cap bound.
     """
 
     kind: str
@@ -217,10 +224,10 @@ class _Phase:
     new: np.ndarray
     move: np.ndarray
     s: np.ndarray
+    order: np.ndarray
     tops: np.ndarray
     moved: np.ndarray
     switched: np.ndarray | None = None
-    after: np.ndarray | None = None
 
 
 # Every phase works down the rows of all its columns at once. A row that does
@@ -229,25 +236,30 @@ class _Phase:
 # no -0.0, which adding 0.0 would turn into 0.0; see _reorder).
 
 
-def _to_top(kind: str, W: np.ndarray, cols: np.ndarray, before, new, move, s) -> _Phase:
-    """Finish concentrate or transfer: each row's weight s goes to the top row, row by row down the columns.
+def _to_top(kind: str, W: np.ndarray, cols: np.ndarray, before, new, move, s, order, exact=None) -> _Phase:
+    """Finish a phase: each move's weight s goes to the top row, move by move down `order`.
 
-    q's top row gains it, and so does p's in transfer; the top rows' running
-    sums and the moved mass are taken in move order. The phase writes `new`,
-    with those top rows, into W's columns `cols`.
+    move, s and `exact` are in move order (see _Phase). q's top row gains
+    each s, and so does p's in transfer; the top rows' running sums and the
+    moved mass are taken in move order. Where `exact` is set (fill, from
+    the move where the cap binds on) q's top row is p's exactly. The phase
+    writes `new`, with the last top rows, into W's columns `cols`.
     """
     run = np.array((s, s, s))  # p's and q's top rows, and the moved mass
-    if kind == "concentrate":
+    if kind != "transfer":
         run[0, 1:] = 0.0  # p does not move
     run[:2, 0] = before[:, 0]
     np.add.accumulate(run, axis=1, out=run)
+    if exact is not None:
+        np.copyto(run[1], before[0, 0], where=exact)
     new[:, 0] = run[:2, -1]
     W[:, :, cols] = new
-    return _Phase(kind, cols, before, new, move, s, run[:2], run[2, -1])
+    switched = None if exact is None else cols[exact[-1]]
+    return _Phase(kind, cols, before, new, move, s, order, run[:2], run[2, -1], switched)
 
 
 def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
-    """Phase 1: fold q's excess over p (rows below 1 with q > p) into q's top row.
+    """Phase 1: fold q's excess over p (rows below 1 with q > p) into q's top row, top down.
 
     Touches q only. Requires q[0] >= p[0] in every column; afterwards q's
     top row dominates p's and every other row of q is dominated by p's.
@@ -257,11 +269,11 @@ def _concentrate(W: np.ndarray, cols: np.ndarray) -> _Phase:
     move = Q > P
     move[0] = False
     s = np.where(move, Q - P, 0.0)
-    return _to_top("concentrate", W, cols, before, np.where(move, P, before), move, s)
+    return _to_top("concentrate", W, cols, before, np.where(move, P, before), move, s, np.arange(len(move)))
 
 
 def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
-    """Phase 2: move each remaining q weight to the top row of the block, in both grids.
+    """Phase 2: move each remaining q weight to the top row of the block, in both grids, top down.
 
     Requires q[0] >= p[0] and p[i] >= q[i] for i > 0; then each shared move
     of weight s keeps the block's TV contribution constant and cannot
@@ -271,7 +283,7 @@ def _transfer(W: np.ndarray, cols: np.ndarray) -> _Phase:
     move = before[1] != 0.0
     move[0] = False
     s = np.where(move, before[1], 0.0)
-    return _to_top("transfer", W, cols, before, before - s, move, s)
+    return _to_top("transfer", W, cols, before, before - s, move, s, np.arange(len(move)))
 
 
 def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
@@ -282,6 +294,7 @@ def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
     contribution is unchanged. In a column where the cap binds (switched),
     the first source that covers it gives only the cap, q[0] reaches p[0]
     exactly, fill ends there and two-phase processing applies from here.
+    Only the caps are worked out here; _to_top moves the weight.
     """
     before = W[:, :, cols]
     P, Q = before
@@ -290,27 +303,21 @@ def _fill(W: np.ndarray, cols: np.ndarray) -> _Phase:
     # (the map is its own inverse, so x[up] also maps back)
     up = np.concatenate(([0], np.arange(nx - 1, 0, -1)))
     src = Q[up]
-    run = np.add.accumulate(src, axis=0)  # q's top row after consuming each source in full
-    caps = P[0] - run  # caps[m - 1] is the cap source m meets
+    caps = P[0] - np.add.accumulate(src, axis=0)  # caps[m - 1] is the cap source m meets
     hit = np.zeros_like(src, dtype=bool)
     hit[1:] = (src[1:] != 0.0) & (src[1:] >= caps[:-1])
     switched = hit.any(axis=0)
     first = hit.argmax(axis=0)  # 0 where nothing hit
     m = np.arange(nx)[:, None]
-    full = (m >= 1) & (m < np.where(switched, first, nx)) & (src != 0.0)
-    at = m == np.where(switched, first, -1)
+    exact = switched & (m >= first)  # from the source that meets the cap on
+    full = (m >= 1) & ~exact & (src != 0.0)
+    at = exact & (m == first)
     t = caps[first - 1, np.arange(first.size)]
     t = np.where(t > 0.0, t, 0.0)
     s = np.where(full, src, np.where(at, t, 0.0))
     new = before.copy()
     new[1] = np.where(full, 0.0, src - s)[up]
-    new[1, 0] = np.where(switched, P[0], run[-1])
-    W[:, :, cols] = new
-    tops = np.empty_like(before)
-    tops[0] = P[0]
-    tops[1] = np.where(at, P[0], run)[up]
-    moved = np.add.accumulate(s, axis=0)[-1]
-    return _Phase("fill", cols, before, new, (full | at)[up], s[up], tops, moved, switched)
+    return _to_top("fill", W, cols, before, new, full | at, s, up, exact)
 
 
 # grid cells the kernel and its ledger work on at a time, and so the cells of a campaign batch
@@ -323,64 +330,58 @@ def _range_blocks(nx: int) -> int:
     return max(1, _CHUNK_CELLS // nx)
 
 
-def _walk_blocks(W: np.ndarray, lo: int, hi: int, moves: bool = True) -> list[_Phase]:
+def _walk_blocks(W: np.ndarray, lo: int, hi: int, moves: bool) -> list[tuple]:
     """Drive the blocks lo ... hi - 1 of Q to a point mass on their top row, in place, in lockstep.
 
     W = [P, Q] is a reordered stacked pair; the phases work on those columns
     of W and name them by their column in W. Blocks whose top row has q < p
     (an empty in-set) are filled first; those where fill's cap bound, and
-    all others, then run concentrate and transfer. Returns the phases in run
-    order; a phase with no block to run on is left out. Every array a phase
-    holds has one column per block it runs on, so a range of blocks bounds
-    them. With moves=False the arrays that only single-move replay reads
-    (before, new, tops, s) are dropped, so they do not outlive their phase,
-    and the ledger lists no single moves (see _TraceBuilder.blocks).
+    all others, then run concentrate and transfer. Returns the ledger's
+    parts (see _TraceBuilder.blocks) in run order, as each phase hands them
+    over: with moves set its single moves (see _moves), then its phase
+    steps, whose states are read back from W right after the phase. A phase
+    with no block to run on is left out, and no phase outlives its parts.
+    Every array a part holds has one column per step, so a range of blocks
+    bounds them.
     """
-    phases: list[_Phase] = []
+    parts: list[tuple] = []
 
     def run(phase, cols: np.ndarray) -> _Phase:
         ph = phase(W, cols)
-        ph.after = W[:, :, ph.cols]
-        if not moves:
-            ph.before = ph.new = ph.tops = ph.s = None
-        phases.append(ph)
+        k = _KINDS.index(ph.kind)
+        if moves:
+            parts.append((k, *_moves(ph)))
+        parts.append((k, ph.cols, np.zeros(ph.cols.size, dtype=np.intp), ph.moved, W[:, :, ph.cols]))
         return ph
 
     fill = W[1, 0, lo:hi] < W[0, 0, lo:hi]
     rest = ~fill
     cols = fill.nonzero()[0] + lo
     if cols.size:
-        ph = run(_fill, cols)
-        rest[ph.cols[ph.switched] - lo] = True
+        rest[run(_fill, cols).switched - lo] = True
     cols = rest.nonzero()[0] + lo
     if cols.size:
         run(_concentrate, cols)
         run(_transfer, cols)
-    return phases
+    return parts
 
 
 def _moves(ph: _Phase) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every single move of a phase, replayed from its arrays.
+    """Every single move of a phase, replayed from its arrays in move order.
 
     Returns (cols, rows, moved, states): for move n, cols[n] is its block,
     rows[n] the row it took weight from plus 1, moved[n] that weight, and
     states[:, :, n] the block's (2, nx) column state right after it. Moves
     come column by column, each column's in move order (fill works
-    bottom-up, the other phases top-down).
+    bottom-up, the other phases top-down): a state is `new` in the rows
+    whose move came no later, `before` in the others, with the move's top
+    rows.
     """
-    nx = ph.move.shape[0]
-    i = np.arange(nx)[:, None]
-    if ph.kind == "fill":
-        c, r = np.nonzero(ph.move[::-1].T)
-        r = nx - 1 - r
-        done = i >= r
-    else:
-        c, r = np.nonzero(ph.move.T)
-        done = i <= r
+    c, m = np.nonzero(ph.move.T)
     states = ph.before[:, :, c]
-    np.copyto(states, ph.new[:, :, c], where=done)
-    states[:, 0] = ph.tops[:, r, c]
-    return ph.cols[c], r + 1, ph.s[r, c], states
+    np.copyto(states, ph.new[:, :, c], where=ph.order.argsort()[:, None] <= m)
+    states[:, 0] = ph.tops[:, m, c]
+    return ph.cols[c], ph.order[m] + 1, ph.s[m, c], states
 
 
 def _average(A: np.ndarray, trials: int = 1) -> np.ndarray:
@@ -455,9 +456,6 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
 # signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
 # for a block's tv and gap and for the running totals
 _RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-
-
-_KINDS = ("fill", "concentrate", "transfer")
 
 
 def _labels(block: np.ndarray, kind: np.ndarray, row: np.ndarray, ny: int) -> list[str]:
@@ -609,33 +607,26 @@ class _TraceBuilder:
                     raise InvariantViolation(f"step {label!r}: total mass of {name} is {m}, not 1 within {MASS_TOL}")
         return self.record(label, W)
 
-    def blocks(self, phases: list[_Phase]) -> None:
-        """Certify the block steps of one range's phases in one array pass, and record them when tracing.
+    def blocks(self, parts: list[tuple]) -> None:
+        """Certify one range's block steps in one array pass, and record them when tracing.
 
+        `parts` are the range's steps as _walk_blocks hands them over, part
+        by part in run order: per part its kind (an index into _KINDS), the
+        steps' columns, rows (the row a step moved weight from plus 1, or 0
+        for a phase step), moved masses and (2, nx, steps) column states.
         Steps are listed trial by trial and, within a trial, block by block:
         a block's fill, concentrate and transfer, each preceded by its single
-        moves when _walk_blocks kept the phases' move arrays ("all" mode).
-        The steps' table is built once, in trace order: for each step its
-        column (`block`), `kind` (an index into _KINDS), `row` (the row it
-        moved weight from plus 1, or 0 for a phase step), `moved` mass and
+        moves ("all" mode). The steps' table is built once, in trace order:
+        for each step its column (`block`), `kind`, `row`, `moved` mass and
         `order`, where its column state sits in the concatenated states. The
         column states are concatenated once, in part order, and measured
         once; in snapshot modes the trace keeps that concatenation as the
         range's snapshots.
         """
-        # part by part: a phase's single moves, then its phase steps; a stable sort by column
-        # then lists each block's steps in run order
-        parts = []  # per part: kind, columns, rows + 1 (0 for a phase step), moved masses, states
-        for ph in phases:
-            k = _KINDS.index(ph.kind)
-            if ph.s is not None:
-                parts.append((k, *_moves(ph)))
-            parts.append((k, ph.cols, np.zeros(ph.cols.size, dtype=np.intp), ph.moved, ph.after))
-            ph.after = None
         kinds, cols, rows, moved, states = zip(*parts)
-        del parts  # the states are held once, in the concatenation below
+        parts.clear()  # the states are held once, in the concatenation below
         block = np.concatenate(cols)
-        order = block.argsort(kind="stable")
+        order = block.argsort(kind="stable")  # lists each block's steps in run order
         kind = np.array(kinds, dtype=np.int8).repeat([c.size for c in cols])
         block, kind, row, moved = (a[order] for a in (block, kind, np.concatenate(rows), np.concatenate(moved)))
         table = (block, kind, row, moved, order)
@@ -754,7 +745,7 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     reordered = tb.measure("reorder", W)
     size = _range_blocks(nx)
     for lo in range(0, W.shape[2], size):
-        tb.blocks(_walk_blocks(W, lo, lo + size, moves=snapshots == "all"))
+        tb.blocks(_walk_blocks(W, lo, lo + size, snapshots == "all"))
 
     left = np.flatnonzero((W[1, 1:] > 0.0).any(axis=0))
     if left.size:

@@ -428,6 +428,39 @@ def test_trials_validation():
         verify_trials(2, 1, 10, seed=-1)
 
 
+def test_sizes_trials_seeds_and_steps_are_integers():
+    # ints and numpy integers are admitted; floats, strings, bools and negative seeds are refused
+    # as ValidationErrors, not rounded down or left to numpy
+    refused = [
+        (sample_joint, (2.5, 2, 0)),
+        (sample_joint, (2, True, 0)),
+        (sample_joint, (2, 2, -1)),
+        (sample_joint, (2, 2, 1.0)),
+        (perturb_within_tv, (JointDistribution([[0.5, 0.5]]), 0.1, -1)),
+        (verify_trials, (3, 2, 2.7, 0)),
+        (verify_trials, ("3", 2, 1, 0)),
+        (verify_trials, (2, 1, True, 0)),
+        (verify_trials, (2, 1, 1, 0.0)),
+        (grid_search_max_gap, (2, 1, 0.3, 10.5)),
+        (grid_search_max_gap, (2.0, 1, 0.3, 10)),
+        (continuity_bound, (0.1, 3.0)),
+        (bounds.extremal_pair, (0.1, 2, np.True_)),
+    ]
+    for fn, args in refused:
+        with pytest.raises(ValidationError, match="must be an integer|seed must be >= 0, got -1"):
+            fn(*args)
+    assert sample_joint(np.int64(3), np.int32(2), np.uint8(5)) == sample_joint(3, 2, 5)
+    assert verify_trials(np.int64(2), np.int8(1), np.int64(3), np.uint64(4)) == verify_trials(2, 1, 3, 4)
+    assert grid_search_max_gap(np.int64(2), 1, 0.3, np.int16(10)) == grid_search_max_gap(2, 1, 0.3, 10)
+    # out-of-range integers keep their messages
+    with pytest.raises(ValidationError, match=r"^trials must be >= 1, got 0$"):
+        verify_trials(2, 1, np.int64(0), 0)
+    with pytest.raises(ValidationError, match=r"^nx must be >= 2, got 1$"):
+        continuity_bound(0.1, np.int64(1))
+    with pytest.raises(ValidationError, match=r"^nx and ny must be >= 1, got \(0, 2\)$"):
+        sample_joint(0, 2, 1)
+
+
 def test_sampling_guards_the_grid_size():
     with pytest.raises(ValidationError, match="grid-size guard"):
         sample_joint(100_000, 100_000, 0)

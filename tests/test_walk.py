@@ -124,7 +124,7 @@ def _process(pair, j):
     assert reorder(pair) == pair, "example is not in canonical form"
     W = np.stack((pair.p.probs, pair.q.probs))
     block = W[:, :, j - 1 : j].copy()
-    phases = [ph.kind for ph in walk._walk_blocks(block, 0, 1)]
+    phases = [walk._KINDS[part[0]] for part in walk._walk_blocks(block, 0, 1, False)]
     W[:, :, j - 1 : j] = block
     return DistributionPair(JointDistribution(W[0]), JointDistribution(W[1])), phases
 
@@ -195,7 +195,7 @@ def test_block_processing_preserves_block_masses():
         pair = _random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
         reordered = reorder(canonical_orient(pair))
         W = np.stack((reordered.p.probs, reordered.q.probs))
-        walk._walk_blocks(W, 0, W.shape[2])
+        walk._walk_blocks(W, 0, W.shape[2], False)
         out = DistributionPair(JointDistribution(W[0]), JointDistribution(W[1]))
         assert np.allclose(marginal(out.p, "y"), marginal(reordered.p, "y"), atol=1e-12)
         assert np.allclose(marginal(out.q, "y"), marginal(reordered.q, "y"), atol=1e-12)
@@ -514,13 +514,13 @@ def _kernel_blocks(W):
     """The lockstep kernel on W, regrouped per block like _ref_blocks."""
     ny = W.shape[2]
     phases, moves = [[] for _ in range(ny)], [[] for _ in range(ny)]
-    for ph in walk._walk_blocks(W, 0, ny):
-        for j0, moved in zip(ph.cols.tolist(), ph.moved.tolist()):
-            phases[j0].append((ph.kind, moved))
-        cols, rows, moved, states = walk._moves(ph)
+    for kind, cols, rows, moved, states in walk._walk_blocks(W, 0, ny, True):
         for n, (j0, i, s) in enumerate(zip(cols.tolist(), rows.tolist(), moved.tolist())):
-            p, q = states[:, :, n]
-            moves[j0].append((ph.kind, i, s, p.tobytes(), q.tobytes()))
+            if i:
+                p, q = states[:, :, n]
+                moves[j0].append((walk._KINDS[kind], i, s, p.tobytes(), q.tobytes()))
+            else:
+                phases[j0].append((walk._KINDS[kind], s))
     return phases, moves
 
 
@@ -1017,10 +1017,10 @@ def test_walk_takes_its_blocks_a_bounded_range_at_a_time(monkeypatch, shape):
     nx, ny = shape
     real, calls = walk._walk_blocks, []
 
-    def recording(W, lo, hi, moves=True):
-        phases = real(W, lo, hi, moves)
-        calls.append(np.unique(np.concatenate([ph.cols for ph in phases])))
-        return phases
+    def recording(W, lo, hi, moves):
+        parts = real(W, lo, hi, moves)
+        calls.append(np.unique(np.concatenate([cols for _, cols, _, _, _ in parts])))
+        return parts
 
     monkeypatch.setattr(walk, "_walk_blocks", recording)
     rng = np.random.default_rng(31)
