@@ -227,7 +227,7 @@ class _Phase:
     order: np.ndarray
     tops: np.ndarray
     moved: np.ndarray
-    switched: np.ndarray | None = None
+    switched: np.ndarray | None
 
 
 # Every phase works down the rows of all its columns at once. A row that does
