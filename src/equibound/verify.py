@@ -28,16 +28,15 @@ from .core import (
 )
 from .walk import InvariantViolation, _range_blocks, _walk
 
-# the orbit codes read a point's cells as int64 digits in base DESK_SCALE_STEPS + 1, so they
-# need (DESK_SCALE_STEPS + 1)**DESK_SCALE_CELLS < 2**63: at most 9 cells at 101 steps
+# `_row_sum` has numpy's bits for sums of up to 8 terms, and the orbit margin below is derived
+# for at most 8 cells
 DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
-# cap on the grid points C(steps + cells - 1, cells - 1), which bounds the search's peak
-# memory. Under tracemalloc, at 1.9 M points of six cells: 72 MB at (3,2,0.3,44), reached
-# while the int64 orbit codes are built (about 32 bytes a point), and 108 MB at (2,3,0.2,44),
-# where np.isin sorts every point's code against the 120 kept orbits' and their partners';
-# 62 MB at (4,2,0.3,22), 1.56 M points of eight cells, in the orbit codes. The every-point
-# fallback peaks at 120 MB at 1.9 M points while it ranks them all. So this keeps it under 0.2 GB
+# cap on the grid points C(steps + cells - 1, cells - 1). The search builds only the canonical
+# points and the points of the orbits pass 2 reads, so its memory grows with the orbits: under
+# tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M points, 35 858 orbits), 6.9 MB at (2,3,0.2,44)
+# (46 956 orbits), 0.9 MB at (4,2,0.3,22) (1.56 M points of eight cells). The every-point
+# fallback, admitted up to _FALLBACK_POINTS, peaks at 7.2 MB at (4,2,1e-9,13)
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose distances the pair scan computes in one pass: at least
 # _SCAN_BLOCK, and more while their distances to all candidates number at most _SCAN_ENTRIES
@@ -59,6 +58,9 @@ _ORBIT_MARGIN = 1e-10
 # most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
 # window below pass 1's best, so this many leave part of it free (else every point is scanned)
 _ORBIT_KEEP_MAX = 900
+# most grid points the every-point fallback scans, each against every point above it. At radius
+# 0 nothing prunes that scan: (4,2,1e-9,13), 77 520 points, takes about 5 s on a 2-CPU host
+_FALLBACK_POINTS = 80_000
 
 
 @dataclass(frozen=True)
@@ -301,43 +303,85 @@ def _entropies(rows: np.ndarray, ny: int, steps: int) -> np.ndarray:
     return h
 
 
-def _descending(values: list[np.ndarray]) -> list[np.ndarray]:
-    """The arrays of `values` sorted elementwise, largest first, by a network of maximum and minimum."""
-    values = list(values)
-    for end in range(len(values) - 1, 0, -1):
-        for i in range(end):
-            values[i], values[i + 1] = np.maximum(values[i], values[i + 1]), np.minimum(values[i], values[i + 1])
-    return values
+def _orbit_points(total: int, nx: int, ny: int) -> np.ndarray:
+    """The canonical point of each block-symmetry orbit of the grid: one int8 row per cell, one column per orbit.
 
-
-def _code(digits: list[np.ndarray], base: int) -> np.ndarray:
-    """The int64 number whose digits in `base` are `digits`, most significant first, elementwise."""
-    code = digits[0].astype(np.int64)
-    for d in digits[1:]:
-        code *= base
-        code += d
-    return code
-
-
-def _orbit_codes(rows: np.ndarray, nx: int, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's own code and its orbit's code, for the points of `rows` (one row per cell).
-
-    A point's code reads its counts as digits in base steps + 1, block by
-    block and row by row within a block. Its orbit's code is the code of the
-    orbit's canonical point: each block's rows sorted largest first, then
-    the blocks sorted largest first (by their codes, which order them
-    lexicographically). Two points share an orbit code exactly when a block
-    symmetry maps one onto the other, and the canonical point is the one
-    whose two codes agree. Both codes are below (steps + 1)**(nx*ny), which
-    fits int64 only up to 9 cells at 101 steps; past that they overflow
-    silently (see DESK_SCALE_CELLS). The sorts are elementwise across the arrays: on
-    the rows of a block at 80 730 points that took 0.12 ms, np.sort along
-    the short axis 3.5 to 5.8 ms.
+    A canonical point has each block's rows non-increasing and its blocks
+    in non-increasing lexicographic order; every orbit holds exactly one.
+    They are built as `_compositions` builds every point, one cell at a
+    time in the cell order x*ny + y, each partial point extended by every
+    count its next cell may take, in increasing order, so they come out in
+    the order of their points among all compositions. A cell's count is at
+    most the one above it in its block, and at most the same row's count in
+    the block before while the two blocks are tied. It is at least what the
+    later cells, each at most its block's last count, leave unplaced; that
+    is loose where blocks tie, and a partial point that cannot be completed
+    finds no count for a later cell. The last cell takes what is left.
     """
-    base = steps + 1
-    blocks = [rows[y::ny] for y in range(ny)]
-    orbit = _code(_descending([_code(_descending(block), base) for block in blocks]), base**nx)
-    return _code([row for block in blocks for row in block], base), orbit
+    cells = nx * ny
+    cols: list[np.ndarray] = []
+    rest = np.array([total])
+    # tied[y]: block y equals block y - 1 in the rows placed so far (set from row 0's cell on)
+    tied: list = [None] * ny
+    for k in range(cells):
+        x, y = divmod(k, ny)
+        hi = np.minimum(rest, cols[k - ny]) if x else rest
+        if y:
+            hi = np.where(tied[y], np.minimum(hi, cols[k - 1]), hi) if x else np.minimum(hi, cols[k - 1])
+        if k == cells - 1:
+            keep = rest <= hi
+            return np.array([c[keep] for c in cols] + [rest[keep]], dtype=np.int8)
+        # the most the later cells can hold: each block's last count per cell for the blocks before y
+        # (rows after x) and after y (rows x on), and the cell's own count v per cell of block y
+        # and, in row 0, of the blocks not begun. With v they must hold all of rest
+        below = nx - 1 - x
+        held = sum(below * c for c in cols[k - y : k]) + sum((below + 1) * c for c in cols[k - ny + 1 : x * ny])
+        weight = below + (0 if x else nx * (ny - 1 - y))
+        lo = np.maximum(0, (rest - held + weight) // (weight + 1))
+        widths = np.maximum(hi - lo + 1, 0)
+        starts = widths.cumsum() - widths
+        v = np.arange(int(starts[-1] + widths[-1])) - (starts - lo).repeat(widths)
+        cols, tied = [c.repeat(widths) for c in cols], [t if t is None else t.repeat(widths) for t in tied]
+        rest = rest.repeat(widths) - v
+        if y:
+            tied[y] = (v == cols[k - 1]) if not x else tied[y] & (v == cols[k - 1])
+        cols.append(v)
+
+
+def _images(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of the orbits of the canonical `points`, in enumeration order, and the column of its orbit's.
+
+    An orbit's points are its distinct orders of the blocks and, in each
+    block, the distinct orders of its rows. They are built one choice at a
+    time: first which block of the canonical point goes to block 0, 1, ...,
+    then which of its rows goes to row 0, 1, ... of each block. Of equal
+    items (rows, or blocks) only the first not yet taken may be taken, so
+    no point comes twice and no table of the symmetries is built; the last
+    item is the one left. A lexicographic sort over the cells puts the
+    points in enumeration order.
+    """
+    n = points.shape[1]
+    grid = points.reshape(nx, ny, n)
+    # bit t set: item t equals item t - 1, for each block's rows (ny, n) and for the blocks (n,)
+    row_same = ((grid[1:] == grid[:-1]) << np.arange(1, nx)[:, None, None]).sum(axis=0)
+    block_same = ((grid[:, 1:] == grid[:, :-1]).all(axis=0) << np.arange(1, ny)[:, None]).sum(axis=0)
+    # taken[j]: the block that becomes block j; taken[ny + j * nx + x]: the count of cell (x, j)
+    orbit, taken = np.arange(n), []
+    for j in range(-1, ny):
+        k = ny if j < 0 else nx
+        # one bit per item taken
+        used = np.zeros(len(orbit), dtype=np.intp)
+        for i in range(k):
+            if i < k - 1:
+                same = block_same[orbit] if j < 0 else row_same[taken[j], orbit]
+                part, t = ((~used & (~same | used << 1))[:, None] >> np.arange(k) & 1).nonzero()
+                orbit, used, taken = orbit[part], used[part] | 1 << t, [c[part] for c in taken]
+            else:
+                t = np.frexp((1 << k) - 1 - used)[1] - 1
+            taken.append(t if j < 0 else points[t * ny + taken[j], orbit])
+    rows = np.array([taken[ny + j * nx + x] for x in range(nx) for j in range(ny)])
+    order = np.lexsort(rows[::-1])
+    return rows.take(order, axis=1), orbit[order]
 
 
 def _scan(
@@ -449,50 +493,55 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
     Every grid point is a composition of steps_per_dim into nx*ny cells
-    scaled to the simplex; `_compositions` enumerates them as one array.
-    The value of a point a is its largest h[b] - h[a] over the feasible b.
-    Feasibility is decided in exact integer arithmetic (L1 distance of the
-    counts), so no pair is lost to float noise. The search returns the same
-    bits as a full scan that sorts every point by equivocation (stably, in
-    enumeration order) and, for each a in ascending order, takes the last
-    feasible b among those with h[b] > h[a] + best, keeps a strictly
-    greater gap, and stops once no b can beat the best gap; it visits far
-    fewer points, in two passes of that scan. Reordering the blocks, or the
-    rows inside a block, of both grids of a pair keeps their equivocations
-    and their distance, so a point's value is its whole orbit's up to
-    rounding, which the margin delta = _ORBIT_MARGIN bounds with room to
-    spare. Each orbit is named by a code, that of its canonical point (rows
-    sorted largest first in each block, blocks sorted largest first), so no
-    table of the symmetries is built.
+    scaled to the simplex, and the points are ordered lexicographically
+    (the enumeration order of `_compositions`). The value of a point a is
+    its largest h[b] - h[a] over the feasible b. Feasibility is decided in
+    exact integer arithmetic (L1 distance of the counts), so no pair is
+    lost to float noise. The search returns the same bits as a full scan
+    that sorts every point by equivocation (stably, in enumeration order)
+    and, for each a in ascending order, takes the last feasible b among
+    those with h[b] > h[a] + best, keeps a strictly greater gap, and stops
+    once no b can beat the best gap; it visits far fewer points, in two
+    passes of that scan. Reordering the blocks, or the rows inside a block,
+    of both grids of a pair keeps their equivocations and their distance,
+    so a point's value is its whole orbit's up to rounding, which the
+    margin delta = _ORBIT_MARGIN bounds with room to spare. Each orbit has
+    one canonical point (rows non-increasing in each block, blocks in
+    non-increasing lexicographic order), and `_orbit_points` generates
+    these directly, in enumeration order, so the search builds neither
+    every point nor a table of the symmetries.
 
-    Pass 1 sorts and scans only the canonical points, those whose own code
-    is their orbit's, against each other at orbit distance: the least L1
-    distance from a to an image g.b of b. Canonical rows are sorted the
-    same way in every block, and for one pairing of the blocks the sorted
-    matching of their rows minimises the sum of the row distances, so that
-    least is the least, over the ny! pairings of the blocks, of the summed
-    L1 distances of the paired blocks: exact, in integers. A canonical
-    point's pass-1 value is thus within 3e-14 of each of its orbit's
-    values, and pass 1, pruning against best - 2*delta, ends with a best
-    within 3e-14 of the maximum. A point outside the orbits whose canonical
-    value is within delta of that best has a value below best - delta +
-    3e-14, so the kept orbits hold every point that can reach or tie the
-    maximum.
+    Pass 1 sorts and scans only the canonical points against each other at
+    orbit distance: the least L1 distance from a to an image g.b of b.
+    Canonical rows are sorted the same way in every block, and for one
+    pairing of the blocks the sorted matching of their rows minimises the
+    sum of the row distances, so that least is the least, over the ny!
+    pairings of the blocks, of the summed L1 distances of the paired
+    blocks: exact, in integers. A canonical point's pass-1 value is thus
+    within 3e-14 of each of its orbit's values, and pass 1, pruning against
+    best - 2*delta, ends with a best within 3e-14 of the maximum. A point
+    outside the orbits whose canonical value is within delta of that best
+    has a value below best - delta + 3e-14, so the kept orbits hold every
+    point that can reach or tie the maximum.
 
-    Pass 2 scans all their points, those with a kept orbit code, with the
-    full scan's exact rule, but only against the candidates of a subset:
-    the kept orbits and the orbits of their partners, the canonical b'
-    within orbit distance of a kept canonical c with h[b'] > h[c] + best -
-    3*delta, which one more scan of the kept canonical points flags. A
-    symmetry g maps the feasible points of c onto those of a = g.c and
-    moves h by under 3e-14, so every b the rule can take for a (h[b] > h[a]
-    + best - 2*delta) lies in a partner's orbit. The subset is taken in
-    enumeration order and its entropies have the bits they have among all
-    points, so its stable sort is its subsequence of the full sort, ties
-    included. So each a's last feasible b over the subset is the one it has
-    over all points, and pass 2 returns the full scan's maximum and argmax
-    pair. Past 900 kept orbits, pass 2 sorts every point and scans each
-    against all points instead.
+    Pass 2 scans all their points with the full scan's exact rule, but
+    only against the candidates of a subset: the kept orbits and the orbits
+    of their partners, the canonical b' within orbit distance of a kept
+    canonical c with h[b'] > h[c] + best - 3*delta, which one more scan of
+    the kept canonical points flags. A symmetry g maps the feasible points
+    of c onto those of a = g.c and moves h by under 3e-14, so every b the
+    rule can take for a (h[b] > h[a] + best - 2*delta) lies in a partner's
+    orbit. `_images` expands just these orbits into their points, in
+    enumeration order, each with its orbit, and their entropies have the
+    bits they have among all points, so the subset's stable sort is its
+    subsequence of the full sort, ties included. So each a's last feasible
+    b over the subset is the one it has over all points, and pass 2
+    returns the full scan's maximum and argmax pair. Past 900 kept orbits,
+    pass 2 sorts every point and scans each against all points instead;
+    that scan's work grows with the square of the points, so past
+    _FALLBACK_POINTS = 80 000 points it is refused with a ValidationError
+    after pass 1 (every search whose eps is below 1/(2*steps_per_dim), where
+    only b = a is feasible and every orbit ties at 0, takes that path).
 
     The search prunes with its own best-so-far gap only; the bound is
     computed once for the report and never steers the search. Guarded to
@@ -511,20 +560,13 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
             f"{points} grid points (nx*ny = {cells}, steps_per_dim = {steps}) exceed the desk-scale guard {DESK_SCALE_POINTS}"
         )
     eps = _check_radius(eps, nx, "epsilon")
-
-    # one contiguous int8 row per cell, the points in lexicographic order
-    rows = _compositions(steps, cells)
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
-    own, orbit = _orbit_codes(rows, nx, ny, steps)
-    canonical = np.flatnonzero(own == orbit)
-    del own
 
     # pass 1: the canonical point of each orbit, against the canonical points at orbit distance,
     # pruned with room for the orbits' rounding
-    h_sorted, columns, order = _ranked(rows.take(canonical, axis=1), ny, steps)
-    # the canonical points' orbit codes, by ascending rank
-    codes = orbit[canonical[order]]
-    best, _, _, gaps = _scan(np.arange(len(codes)), h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN, blocks=ny)
+    h_sorted, columns, _ = _ranked(_orbit_points(steps, nx, ny), ny, steps)
+    n = len(h_sorted)
+    best, _, _, gaps = _scan(np.arange(n), h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN, blocks=ny)
     # pass 2: every point of the kept orbits, by the full scan's rule, from below all their values.
     # Whether that rule takes a point depends on the running best only within 1e-15 below the
     # point's value. A kept orbit's values lie within 3e-14 of its canonical gap, all others
@@ -536,19 +578,23 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     if len(kept) <= _ORBIT_KEEP_MAX:
         # its candidates: the kept orbits and their partners' orbits, the partners flagged by a
         # scan of the kept canonical points (the docstring says why no b the rule takes is lost)
-        hit = np.zeros(len(codes), dtype=bool)
+        hit = np.zeros(n, dtype=bool)
         _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
-        kept_codes = codes[kept]
-        # hit flags positions, in descending rank
-        subset = np.flatnonzero(np.isin(orbit, np.concatenate((kept_codes, codes[::-1][hit]))))
-        # in enumeration order, so the subset's stable order is its subsequence of the full order
-        h_sorted, columns, order = _ranked(rows.take(subset, axis=1), ny, steps)
-        ranks, start = np.flatnonzero(np.isin(orbit[subset[order]], kept_codes)), best - 2.0 * _ORBIT_MARGIN
+        # the kept orbits too; hit flags positions, in descending rank
+        hit[n - 1 - kept] = True
+        rows, orbit = _images(columns[:, hit], nx, ny)
+        h_sorted, columns, order = _ranked(rows, ny, steps)
+        kept_hit = gaps[::-1][hit] >= best - _ORBIT_MARGIN
+        ranks, start = np.flatnonzero(kept_hit[orbit[order]]), best - 2.0 * _ORBIT_MARGIN
     else:
         # too many near-ties for that argument: every point, from the full scan's start
-        h_sorted, columns, _ = _ranked(rows, ny, steps)
+        if points > _FALLBACK_POINTS:
+            raise ValidationError(
+                f"{len(kept)} orbits (past {_ORBIT_KEEP_MAX}) come within {_ORBIT_MARGIN} of the best gap, so the search "
+                f"would scan all {points} grid points against each other, past the guard {_FALLBACK_POINTS}"
+            )
+        h_sorted, columns, _ = _ranked(_compositions(steps, cells), ny, steps)
         ranks, start = np.arange(len(h_sorted)), -1.0
-    del rows, orbit
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
 
     def _point(idx: int) -> JointDistribution:

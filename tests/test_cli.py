@@ -384,6 +384,14 @@ def test_exit_domain_error_is_validation():
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1
 
 
+def test_search_refuses_a_zero_radius_grid_past_the_fallback_guard():
+    # every orbit ties at gap 0, so the search would scan all 888 030 points against each other
+    proc = run_cli("search", "--nx", "4", "--ny", "2", "--epsilon", "1e-300", "--steps", "20")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "past the guard 80000" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["search", "extremal"])
 def test_a_radius_out_of_range_names_the_epsilon_option(command):
     proc = run_cli(command, "--epsilon", "0", "--nx", "2", "--ny", "1", *(["--steps", "10"] if command == "search" else []))

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -720,6 +721,57 @@ def _reference_grid_search(nx, ny, eps, steps):
     return max(best, 0.0), high, low
 
 
+def _descending(values):
+    # the arrays of `values` sorted elementwise, largest first, by a network of maximum and minimum
+    values = list(values)
+    for end in range(len(values) - 1, 0, -1):
+        for i in range(end):
+            values[i], values[i + 1] = np.maximum(values[i], values[i + 1]), np.minimum(values[i], values[i + 1])
+    return values
+
+
+def _code(digits, base):
+    # the int64 number whose digits in `base` are `digits`, most significant first, elementwise
+    code = digits[0].astype(np.int64)
+    for d in digits[1:]:
+        code *= base
+        code += d
+    return code
+
+
+def _reference_orbit_codes(rows, nx, ny, steps):
+    # each point's own code and its orbit's code, for the points of `rows` (one row per cell), as the
+    # search named orbits before it generated their canonical points: a point's code reads its counts
+    # as digits in base steps + 1, block by block; its orbit's code is that of the orbit's canonical
+    # point (each block's rows sorted largest first, then the blocks sorted largest first by their
+    # codes). Two points share an orbit code exactly when a block symmetry maps one onto the other, and
+    # the canonical point is the one whose two codes agree. Both fit int64 up to 9 cells at 101 steps.
+    base = steps + 1
+    blocks = [rows[y::ny] for y in range(ny)]
+    orbit = _code(_descending([_code(_descending(block), base) for block in blocks]), base**nx)
+    return _code([row for block in blocks for row in block], base), orbit
+
+
+def _reference_pass2_subset(nx, ny, eps, steps):
+    # pass 2's points, in the order the search ranks them, as the search took them from every point by
+    # their orbit codes; None where pass 2 would scan every point
+    rows = _compositions(steps, nx * ny)
+    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
+    canonical = np.flatnonzero(own == orbit)
+    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
+    h_sorted, columns, order = verify._ranked(rows.take(canonical, axis=1), ny, steps)
+    codes = orbit[canonical[order]]
+    delta = verify._ORBIT_MARGIN
+    best, _, _, gaps = verify._scan(np.arange(len(codes)), h_sorted, columns, max_l1, -1.0, 2.0 * delta, blocks=ny)
+    kept = np.flatnonzero(gaps >= best - delta)
+    if len(kept) > verify._ORBIT_KEEP_MAX:
+        return None
+    hit = np.zeros(len(codes), dtype=bool)
+    verify._scan(kept, h_sorted, columns, max_l1, best, 3.0 * delta, hit, blocks=ny)
+    subset = np.flatnonzero(np.isin(orbit, np.concatenate((codes[kept], codes[::-1][hit]))))
+    return rows.take(subset, axis=1)
+
+
 @pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2)])
 def test_compositions_match_the_loop_reference(total, parts):
     # one contiguous int8 row per cell, one column per composition
@@ -730,22 +782,22 @@ def test_compositions_match_the_loop_reference(total, parts):
     np.testing.assert_array_equal(rows, _reference_compositions(total, parts).T)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
-        (2, 1, 0.05, 100), (2, 1, 0.3, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
-        (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1),
-        (3, 1, 0.4, 30), (2, 2, 0.3, 20),
-        (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
-        (3, 2, 0.01, 8), (2, 1, 0.004, 100),
-        # ties: many orbits within delta of pass 1's best, or many points at the maximum
-        (2, 3, 0.25, 12), (2, 2, 0.05, 40),
-        # counts reach 101 and L1 distances 202, the range edges of the scan's int8 differences and
-        # uint8 distances; at eps 0.1 a distance past 127 read as a signed byte would pass as feasible
-        (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
-    ],
-)
+BIT_IDENTITY_CONFIGS = [
+    (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
+    (2, 1, 0.05, 100), (2, 1, 0.3, 100), (2, 1, 0.5, 100), (3, 1, 1.0 - 1.0 / 3, 20),
+    (2, 1, 0.3, 1), (3, 2, 0.3, 1), (2, 3, 0.5, 1),
+    (3, 1, 0.4, 30), (2, 2, 0.3, 20),
+    (3, 2, 0.3, 16), (2, 3, 0.2, 16), (2, 2, 0.3, 40), (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12),
+    (3, 2, 0.01, 8), (2, 1, 0.004, 100),
+    # ties: many orbits within delta of pass 1's best, or many points at the maximum
+    (2, 3, 0.25, 12), (2, 2, 0.05, 40),
+    # counts reach 101 and L1 distances 202, the range edges of the scan's int8 differences and
+    # uint8 distances; at eps 0.1 a distance past 127 read as a signed byte would pass as feasible
+    (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
+]
+
+
+@pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS)
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
     max_gap, p, q = _reference_grid_search(*cfg)
     result = grid_search_max_gap(*cfg)
@@ -787,8 +839,6 @@ def test_grid_search_scans_every_point_past_the_kept_orbit_cap(monkeypatch, cfg)
 
 @pytest.mark.parametrize("cfg", [(4, 2, 0.3, 4), (2, 4, 0.25, 4), (8, 1, 0.35, 4), (7, 1, 0.3, 5)])
 def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(cfg):
-    # every orbit code of an admitted grid fits in int64
-    assert (verify.DESK_SCALE_STEPS + 1) ** verify.DESK_SCALE_CELLS < 2**63
     max_gap, p, q = _reference_grid_search(*cfg)
     result = grid_search_max_gap(*cfg)
     assert result.max_gap == max_gap
@@ -810,7 +860,7 @@ def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
     result = grid_search_max_gap(*cfg)
     rows = _compositions(12, 6)
     n = rows.shape[1]
-    orbits = len(np.unique(verify._orbit_codes(rows, 2, 3, 12)[1]))
+    orbits = len(np.unique(_reference_orbit_codes(rows, 2, 3, 12)[1]))
     # pass 1, the partner scan and pass 2; pass 1 scans each orbit's canonical point against the
     # canonical points only, and pass 2 several points against a fraction of the grid
     assert len(calls) == 3
@@ -821,6 +871,27 @@ def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
     assert result.max_gap == max_gap
     np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
     np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+
+
+def test_grid_search_refuses_the_every_point_fallback_past_its_guard():
+    # at radius 0 every orbit ties at gap 0 and pass 2 would scan all 888 030 points against each
+    # other; the search says so after pass 1, within a fraction of a second
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"would scan all 888030 grid points against each other, past the guard 80000$"):
+        grid_search_max_gap(4, 2, 1e-300, 20)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("cfg", [(2, 3, 0.2, 44), (3, 2, 0.3, 44)])
+def test_grid_search_memory_grows_with_the_orbits_not_the_points(cfg):
+    # 1.9 M grid points, about 47 000 and 36 000 orbits
+    tracemalloc.start()
+    try:
+        grid_search_max_gap(*cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 @pytest.mark.parametrize("cfg", [(4, 2, 0.3, 10), (2, 4, 0.25, 8), (8, 1, 0.35, 20)])
@@ -857,7 +928,7 @@ def test_block_symmetries_are_every_distinct_bijection(nx, ny):
 def test_orbit_codes_name_the_block_symmetry_orbits(nx, ny):
     steps = 6 if nx * ny <= 4 else 4
     rows = _compositions(steps, nx * ny)
-    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
+    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
     assert len(np.unique(own)) == rows.shape[1]
     # a point's orbit, as the smallest of its images under every symmetry read as one number
     weights = (steps + 1) ** np.arange(nx * ny, dtype=np.int64)
@@ -872,7 +943,7 @@ def test_scan_orbit_distance_is_the_least_distance_to_an_image(nx, ny):
     # distances is the least L1 distance from a to any image g.b of b
     steps = 6 if nx * ny <= 4 else 4
     rows = _compositions(steps, nx * ny)
-    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
+    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
     canonical = rows[:, own == orbit].astype(np.int64)
     m = canonical.shape[1]
     # rank r at position m - 1 - r; h rises with the rank, and a best of -inf makes every point a candidate
@@ -926,7 +997,7 @@ def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
 @pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6), (4, 2, 4), (8, 1, 5)])
 def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
     rows = _compositions(steps, nx * ny)
-    own, orbit = verify._orbit_codes(rows, nx, ny, steps)
+    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
     canonical = own == orbit
     # each orbit code is held by exactly one point whose two codes agree
     assert sorted(orbit[canonical].tolist()) == np.unique(orbit).tolist()
@@ -936,6 +1007,55 @@ def test_every_orbit_has_exactly_one_canonical_point(nx, ny, steps):
     blocks = [tuple(b) for b in grids.transpose(0, 2, 1).tolist()]
     blocks_sorted = np.array([all(u >= v for u, v in zip(g, g[1:])) for g in blocks])
     np.testing.assert_array_equal(canonical, rows_sorted & blocks_sorted)
+
+
+# the grid_search bench workload's configurations, as (nx, ny, steps)
+BENCH_GRIDS = [(2, 1, 100), (2, 2, 40), (3, 2, 16), (2, 3, 16), (3, 2, 22)]
+
+
+@pytest.mark.parametrize("nx,ny,steps", [(nx, ny, None) for nx, ny in ORBIT_SHAPES] + BENCH_GRIDS)
+def test_orbit_points_are_the_canonical_points_in_enumeration_order(nx, ny, steps):
+    for total in range(1, 9) if steps is None else [steps]:
+        rows = _compositions(total, nx * ny)
+        own, orbit = _reference_orbit_codes(rows, nx, ny, total)
+        points = verify._orbit_points(total, nx, ny)
+        assert points.dtype == np.int8 and points.flags.c_contiguous
+        np.testing.assert_array_equal(points, rows[:, own == orbit])
+
+
+@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
+def test_images_are_every_point_of_their_orbits_in_enumeration_order(nx, ny):
+    steps = 6 if nx * ny <= 6 else 5
+    rows = _compositions(steps, nx * ny)
+    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
+    codes = orbit[own == orbit]
+    points = verify._orbit_points(steps, nx, ny)
+    rng = np.random.default_rng(nx * 10 + ny)
+    for size in (1, 3, 20):
+        # any set of orbits, given in any order
+        pick = rng.choice(len(codes), min(size, len(codes)), replace=False)
+        images, of = verify._images(points[:, pick], nx, ny)
+        wanted = np.flatnonzero(np.isin(orbit, codes[pick]))
+        np.testing.assert_array_equal(images, rows[:, wanted])
+        np.testing.assert_array_equal(codes[pick][of], orbit[wanted])
+
+
+@pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS)
+def test_pass2_scans_the_subset_the_orbit_codes_give(monkeypatch, cfg):
+    # the points pass 2 ranks, and their order, are those the search took by orbit code from every point
+    ranked = []
+
+    def recorder(rows, *rest):
+        ranked.append(rows)
+        return rank(rows, *rest)
+
+    nx, ny, _, steps = cfg
+    expected = _reference_pass2_subset(*cfg)
+    rank = verify._ranked
+    monkeypatch.setattr(verify, "_ranked", recorder)
+    grid_search_max_gap(*cfg)
+    assert len(ranked) == 2
+    np.testing.assert_array_equal(ranked[1], _compositions(steps, nx * ny) if expected is None else expected)
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 2), (2, 3), (7, 1), (4, 2), (2, 4), (8, 1)])

@@ -27,10 +27,11 @@ bits on these inputs:
 - search: `grid_search_max_gap` on the bench `grid_search` oracle set, on
   the configurations of tests/test_verify.py's bit-identity test against
   the loop reference (three of them at 101 steps, where L1 distances
-  reach 202) and on the four grids of 7 and 8 cells the tests search,
-  each once (31 in all, two of them with eps below 1/(2*steps_per_dim),
-  where only b = a is feasible): max_gap (float.hex) and the argmax
-  pair's bytes.
+  reach 202), on the four grids of 7 and 8 cells the tests search, and on
+  three desk-scale grids with the most orbits or the largest symmetry
+  groups, (3,2,0.3,44), (4,2,0.3,22) and (2,4,0.2,20), each once (34 in
+  all, two of them with eps below 1/(2*steps_per_dim), where only b = a
+  is feasible): max_gap (float.hex) and the argmax pair's bytes.
 
 The pairs are drawn by this tree's tests and the package under PYTHONPATH,
 so run it from one checkout with PYTHONPATH pointing at each tree in turn.
@@ -63,8 +64,8 @@ BENCH_SHAPES = [(48, 48), (16, 144), (144, 16), (12, 12), (6, 24), (24, 6)]
 # (shape, modes) of the walks that span several ranges of blocks
 RANGE_WALKS = [((200, 200), ("none", "phases")), ((1000, 40), ("none", "phases")), ((2, 30000), ("none",)), ((20000, 2), ("none",))]
 CAMPAIGN_SHAPES = [(nx, ny) for nx in range(2, 6) for ny in range(1, 5)]
-# (nx, ny, eps, steps_per_dim): the bench oracle set, the bit-identity test's configurations, then
-# the grids of 7 and 8 cells
+# (nx, ny, eps, steps_per_dim): the bench oracle set, the bit-identity test's configurations, the
+# grids of 7 and 8 cells, then three desk-scale grids
 SEARCH_CONFIGS = [
     (2, 1, 0.3, 100), (2, 2, 0.3, 40), (3, 2, 0.3, 16), (2, 3, 0.2, 16), (3, 2, 0.3, 22),
     (3, 2, 0.3, 10), (3, 2, 0.6, 6), (2, 3, 0.2, 10), (2, 3, 0.5, 6),
@@ -73,6 +74,7 @@ SEARCH_CONFIGS = [
     (6, 1, 0.3, 14), (3, 2, 0.1, 12), (2, 3, 0.33, 12), (3, 2, 0.01, 8), (2, 1, 0.004, 100),
     (2, 3, 0.25, 12), (2, 2, 0.05, 40), (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
     (4, 2, 0.3, 10), (2, 4, 0.25, 8), (8, 1, 0.35, 20), (7, 1, 0.3, 5),
+    (3, 2, 0.3, 44), (4, 2, 0.3, 22), (2, 4, 0.2, 20),
 ]
 
 
