@@ -349,7 +349,7 @@ def _orbit_points(total: int, nx: int, ny: int) -> np.ndarray:
 
 
 def _images(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every point of the orbits of the canonical `points`, in enumeration order, and the column of its orbit's.
+    """Every point of the orbits of the canonical `points`, in enumeration order, and each one's column of `points`.
 
     An orbit's points are its distinct orders of the blocks and, in each
     block, the distinct orders of its rows. They are built one choice at a
@@ -546,7 +546,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     The search prunes with its own best-so-far gap only; the bound is
     computed once for the report and never steers the search. Guarded to
     desk scale: nx*ny <= 8, steps_per_dim <= 101, and at most 2 000 000
-    grid points, which bounds the search's memory.
+    grid points, which bounds the orbits and so the search's memory.
     """
     nx, ny, steps = _check_int(nx, "nx", 2), _check_int(ny, "ny", 1), _check_int(steps_per_dim, "steps_per_dim")
     cells = nx * ny
