@@ -26,6 +26,7 @@ from .core import (
     _as_prob,
     _check_grid_size,
     _check_int,
+    _check_real,
     _cond_entropies,
 )
 
@@ -60,7 +61,7 @@ class BoundCheck:
 
 def _check_radius(epsilon: float, nx: int, name: str) -> float:
     """epsilon as a float in (0, 1 - 1/nx], admitting _EDGE_TOL past the upper end."""
-    epsilon = float(epsilon)
+    epsilon = _check_real(epsilon, name)
     threshold = 1.0 - 1 / nx
     if not (0.0 < epsilon <= threshold + _EDGE_TOL):
         raise ValidationError(f"{name} must be in (0, {threshold}], got {epsilon}")

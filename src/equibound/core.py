@@ -47,9 +47,20 @@ class ValidationError(ValueError):
     """Input violates a domain precondition or a distribution invariant."""
 
 
+def _check_real(x, name: str) -> float:
+    """x as a float, as float() makes it; ValidationError for what float() refuses as a type or a string.
+
+    An int too large for a float still raises float()'s OverflowError.
+    """
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {x!r}") from None
+
+
 def _as_prob(x: float, name: str) -> float:
     """Validate a scalar probability, clamping tolerated excursions into [0, 1]."""
-    x = float(x)
+    x = _check_real(x, name)
     if not np.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     if x < -NEG_TOL or x > 1.0 + UPPER_TOL:
@@ -123,7 +134,11 @@ def _in_range(a: np.ndarray, lo: float, axis=None):
 
 
 def _clean_vector(v, name: str) -> np.ndarray:
-    a = np.array(v, dtype=np.float64)
+    """v as a new float64 array, its entries finite and in [0, 1] within tolerance, tolerated negatives clamped to 0."""
+    try:
+        a = np.array(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of real numbers: {exc}") from None
     if not _in_range(a, -NEG_TOL):
         if not np.isfinite(a).all():
             k = np.argwhere(~np.isfinite(a))[0]
@@ -159,10 +174,9 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.probs, dtype=np.float64)
+        a = _clean_vector(self.probs, "probs")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"probs must be a 2-d grid with positive dimensions, got shape {a.shape}")
-        a = _clean_vector(a, "probs")
         total = float(a.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"total probability mass is {total}, must be 1 within {MASS_TOL}")
@@ -350,7 +364,7 @@ def conditional_entropy(J: JointDistribution, formula: Formula = "mixture") -> f
     """
     try:
         f = _COND_FORMULAS[formula]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable formula
         raise ValidationError(f"unknown formula {formula!r}; expected one of {sorted(_COND_FORMULAS)}") from None
     return f(J.probs)
 

@@ -10,8 +10,10 @@ searching; it only reports it next to the measured maximum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,10 @@ DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1). The search builds only the canonical
 # points and the points of the orbits pass 2 reads, so its memory grows with the orbits: under
-# tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M points, 35 858 orbits), 6.9 MB at (2,3,0.2,44)
-# (46 956 orbits), 0.9 MB at (4,2,0.3,22) (1.56 M points of eight cells). The every-point
-# fallback, admitted up to _FALLBACK_POINTS, peaks at 7.2 MB at (4,2,1e-9,13)
+# tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M points, 35 858 orbits), 6.7 MB at (2,3,0.2,44)
+# (46 956 orbits, 5.3 MB of it in pass 1's scan), 0.9 MB at (4,2,0.3,22) (1.56 M points of
+# eight cells). The every-point fallback, admitted up to _FALLBACK_POINTS, peaks at 7.2 MB at
+# (4,2,1e-9,13)
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose distances the pair scan computes in one pass: at least
 # _SCAN_BLOCK, and more while their distances to all candidates number at most _SCAN_ENTRIES
@@ -384,6 +387,24 @@ def _images(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarra
     return rows.take(order, axis=1), orbit[order]
 
 
+def _distances(candidates: np.ndarray, own: np.ndarray, orders: list[tuple[int, ...]]) -> np.ndarray:
+    """The (a's, b's) array of `_scan`'s distances, each a of `own` to each b of `candidates`, over the block `orders`.
+
+    Both hold rows laid out as `_scan`'s columns, own shaped (rows, a's, 1).
+    The temporaries of one block of a's are freed when this returns, before
+    the next block's are made.
+    """
+    blocks = len(orders[0])
+    # pairs[j, k]: the L1 distances of a's block j to b's block k, summed row by row. Counts are
+    # at most 101: a difference fits int8, and every distance (at most 202) uint8
+    pairs = {}
+    for j, k in itertools.product(range(blocks), repeat=2):
+        diffs = (candidates[x * blocks + k] - own[x * blocks + j] for x in range(len(candidates) // blocks))
+        pairs[j, k] = functools.reduce(operator.iadd, (np.abs(t, out=t).view(np.uint8) for t in diffs))
+    sums = (sum((pairs[j, o[j]] for j in range(1, blocks)), pairs[0, o[0]]) for o in orders)
+    return functools.reduce(np.minimum, sums)
+
+
 def _scan(
     ranks: np.ndarray,
     h_sorted: np.ndarray,
@@ -417,12 +438,6 @@ def _scan(
     gaps = np.full(len(ranks), -np.inf)
     orders = list(itertools.permutations(range(blocks)))
     size = max(_SCAN_BLOCK, _SCAN_ENTRIES // n)
-    # counts are at most 101: a difference fits int8, and every distance (at most 202) uint8
-    term = np.empty((size, n), dtype=np.int8)
-    pair = np.empty((blocks, blocks, size, n), dtype=np.uint8)
-    # one block's distance is its pair's; more take the least sum over the orderings, each summed in total
-    dist, total = (pair[0, 0], None) if blocks == 1 else np.empty((2, size, n), dtype=np.uint8)
-    feasible = np.empty((size, n), dtype=bool)
     for r0 in range(0, len(ranks), size):
         block = ranks[r0 : r0 + size]
         h_block = h_sorted[block].tolist()
@@ -434,29 +449,8 @@ def _scan(
         lo = int(np.searchsorted(h_sorted, h_block[0] + cut, side="right"))
         if lo >= n:
             continue
-        shape = (len(block), n - lo)
-        t = term[: shape[0], : shape[1]]
-        d = dist[: shape[0], : shape[1]]
-        f = feasible[: shape[0], : shape[1]]
-        # pairs[j, k]: the L1 distances of a's block j to b's block k
-        pairs = pair[:, :, : shape[0], : shape[1]]
         # position n - 1 - a of a row holds the point of rank a
-        own = columns[:, n - 1 - block]
-        for j in range(blocks):
-            for k in range(blocks):
-                for x in range(len(columns) // blocks):
-                    np.subtract(columns[x * blocks + k, : n - lo], own[x * blocks + j][:, None], out=t)
-                    np.abs(t, out=pairs[j, k].view(np.int8) if x == 0 else t)
-                    if x:
-                        np.add(pairs[j, k], t.view(np.uint8), out=pairs[j, k])
-        for i, order in enumerate(orders if blocks > 1 else ()):
-            acc = d if i == 0 else total[: shape[0], : shape[1]]
-            np.add(pairs[0, order[0]], pairs[1, order[1]], out=acc)
-            for j in range(2, blocks):
-                np.add(acc, pairs[j, order[j]], out=acc)
-            if i:
-                np.minimum(d, acc, out=d)
-        np.less_equal(d, max_l1, out=f)
+        f = _distances(columns[:, : n - lo], columns[:, n - 1 - block, None], orders) <= max_l1
         if hit is not None:
             hit[: n - lo] |= f.any(axis=0)
         # the first feasible position is the last feasible b

@@ -453,11 +453,6 @@ def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray
     return hq > hp, tv, np.abs(hp - hq)
 
 
-# signs that turn "tv rises" and "gap falls" into one comparison (negation is exact),
-# for a block's tv and gap and for the running totals
-_RISE = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-
-
 def _labels(block: np.ndarray, kind: np.ndarray, row: np.ndarray, ny: int) -> list[str]:
     """Trace labels of block steps, from their columns, kinds (indices into _KINDS) and rows + 1 (0: a phase step).
 
@@ -674,13 +669,10 @@ class _TraceBuilder:
         run = _running(totals[:, t0:t1], delta)
         before, after = run[:, trial, pos], run[:, trial, pos + 1]
         totals[:, t0:t1] = run[:, :, -1]
-        mass = after[2:] - 1.0
-        np.abs(mass, out=mass)
-        # rows: the block's tv rose, its gap fell, the total tv rose, the total gap fell
-        rise = np.concatenate((new[:2], after[:2])) * _RISE
-        bad = rise > np.concatenate((old[:2], before[:2])) * _RISE + STEP_TOL
-        if bad.any() or not (entries.all() and mass.max() <= MASS_TOL):
-            bad = np.concatenate((bad, ~entries[None], ~(mass <= MASS_TOL)))
+        # one row per message below, in its order; a NaN fails every comparison, so ~(m <= MASS_TOL) flags it
+        bad = np.array((new[0] > old[0] + STEP_TOL, new[1] < old[1] - STEP_TOL, after[0] > before[0] + STEP_TOL,
+                        after[1] < before[1] - STEP_TOL, ~entries, *~(np.abs(after[2:] - 1.0) <= MASS_TOL)))
+        if bad.any():
             n = int(bad.any(axis=0).argmax())
             j = int(block[n]) % ny + 1
             (o_tv, o_gap), (n_tv, n_gap) = old[:2, n].tolist(), new[:2, n].tolist()

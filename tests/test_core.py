@@ -14,10 +14,14 @@ from equibound import (
     average_blocks,
     binary_entropy,
     conditional_entropy,
+    continuity_bound,
     entropy,
     extremal_pair,
+    grid_search_max_gap,
     marginal,
+    perturb_within_tv,
     tv_distance,
+    verify_trials,
     xlog2x,
 )
 from equibound.core import _cond_entropies, _xlog2x_arr
@@ -147,6 +151,32 @@ def test_joint_rejects_bad_shape():
         JointDistribution([0.5, 0.5])
     with pytest.raises(ValidationError):
         JointDistribution(np.ones((2, 0)))
+
+
+_HALVES = JointDistribution([[0.5], [0.5]])
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (continuity_bound, ("x", 2)),
+        (extremal_pair, ("x", 2)),
+        (grid_search_max_gap, (2, 1, "x", 10)),
+        (verify_trials, (2, 1, 1, 0, "x")),
+        (xlog2x, ("x",)),
+        (binary_entropy, (None,)),
+        (perturb_within_tv, (_HALVES, None, 0)),
+        (JointDistribution, ([[object()]],)),
+        (conditional_entropy, (_HALVES, [])),
+        (JointDistribution, ([[0.5], [0.25, 0.25]],)),
+        (entropy, ([[0.5], [0.5, 0.0]],)),
+    ],
+)
+def test_non_numbers_raise_validation_errors(fn, args):
+    # a value float() or numpy cannot convert, or an unhashable formula, is refused like any bad
+    # input, not left to escape as numpy's or Python's own ValueError or TypeError
+    with pytest.raises(ValidationError):
+        fn(*args)
 
 
 def test_joint_is_immutable():

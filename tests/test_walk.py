@@ -1034,7 +1034,9 @@ def test_walk_takes_its_blocks_a_bounded_range_at_a_time(monkeypatch, shape):
 @pytest.mark.parametrize("shape", [(300, 300), (2, 50_000)])
 def test_walk_memory_stays_within_a_few_copies_of_the_pair(shape):
     # numpy reports its allocations to tracemalloc; the walk's peak is a few copies of the
-    # stacked pair, since the kernel and its ledger hold one range of blocks at a time
+    # stacked pair, since the kernel and its ledger hold one range of blocks at a time. At
+    # 2 x 50 000 the ledger's check of a range sets it, measured at 5.23 copies
+    copies = {(2, 50_000): 5.6}.get(shape, 8)
     nx, ny = shape
     rng = np.random.default_rng(32)
     W = np.stack((sample_joint(nx, ny, rng).probs, sample_joint(nx, ny, rng).probs))
@@ -1044,7 +1046,7 @@ def test_walk_memory_stays_within_a_few_copies_of_the_pair(shape):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * W.nbytes
+    assert peak < copies * W.nbytes
 
 
 def test_batched_walk_raises_its_first_failing_step(monkeypatch):
