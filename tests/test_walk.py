@@ -1135,6 +1135,37 @@ def test_rising_running_total_is_caught(monkeypatch):
         run_walk(_three_block_pair(), snapshots="none")
 
 
+def test_falling_running_gap_is_caught(monkeypatch):
+    real = walk._running
+
+    def falling(start, s):
+        run = real(start, s)
+        run[1] -= 2e-9 * np.arange(run.shape[-1])  # each step's block checks still pass
+        return run
+
+    monkeypatch.setattr(walk, "_running", falling)
+    with pytest.raises(InvariantViolation, match=r"^step 'block \d [a-z]+': gap decreased from "):
+        run_walk(_three_block_pair(), snapshots="none")
+
+
+def test_rising_block_tv_is_named_before_the_total(monkeypatch):
+    # q's point mass moved from block 2's top row to the row where p is least: the block's tv
+    # rises and its gap stays, and the block's own check comes before the running total's
+    real = walk._transfer
+
+    def misplace(W, cols):
+        phase = real(W, cols)
+        if 1 in cols:
+            low = int(np.argmin(W[0, :, 1]))
+            assert W[0, low, 1] < W[0, 0, 1]
+            W[1, low, 1], W[1, 0, 1] = W[1, 0, 1], 0.0
+        return phase
+
+    monkeypatch.setattr(walk, "_transfer", misplace)
+    with pytest.raises(InvariantViolation, match=r"^step 'block 2 transfer': block 2 tv increased from "):
+        run_walk(_three_block_pair(), snapshots="none")
+
+
 def test_drift_of_running_totals_is_caught(monkeypatch):
     real = walk._running
 
