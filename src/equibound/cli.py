@@ -8,16 +8,18 @@ Exit codes: 0 success; 1 validation error (schema or invariant breach,
 including NaN/infinite/negative entries and bad total mass); 2 usage error
 (bad arguments, unreadable file, a file that is not UTF-8 text, malformed
 JSON); 3 internal invariant violation (a walk certificate failed, which
-signals a bug).
+signals a bug). A reader that closes stdout early (`| head`) does not change
+the code: the rest of the document is dropped, with no traceback.
 
 File formats:
 
 - distribution file: UTF-8 JSON {"nx": int, "ny": int, "probs": [[real; ny]; nx]}
 - walk trace file: JSON lines, one step per line:
   {"label": str, "tv": real, "gap": real, "p"?: probs, "q"?: probs, "s"?: real}
-  written one step at a time; a step's grids are rendered again only in
-  the cells that changed since the step before, and each line's bytes are
-  those json.dumps gives for the step
+  written one step at a time from what the step records and changes: a
+  whole-grid step renders both grids, a block step re-renders only its one
+  column, from the trace's column state, and no snapshot grid is built;
+  each line's bytes are those json.dumps gives for the step
 - verify report: the TrialReport fields, in declaration order
 - search result: the GridSearchResult fields, in declaration order
 
@@ -33,6 +35,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -130,66 +133,85 @@ def _result_doc(result: Any) -> Any:
 
 
 class _GridText:
-    """One grid's JSON text as json.dumps writes its to_lists(), re-rendered only in the cells whose bits changed.
+    """One grid's JSON text as json.dumps writes its to_lists(), kept in parts so that one column can be rendered alone.
 
     The text is kept as a list of parts, the brackets and separators
-    between the cells' texts (cell i is part 2i + 1), so the grid's text is
-    one join. Cells are compared with the last grid rendered bit by bit,
-    not by value, so a 0.0 that turns into -0.0 is rendered again. A
-    changed cell takes its text from `memo`, keyed by its bits, which the
-    grids of one trace share: orienting swaps p and q, reordering permutes
-    cells, and a block step often moves a value some cell held before. The
-    memo is cleared once it holds more than four texts per cell.
+    between the cells' texts (cell (i, j) is part 2(i*ny + j) + 1), so the
+    grid's text is one join. A cell takes its text from `memo`, keyed by its
+    bits (so -0.0 and 0.0 differ), which the grids of one trace share:
+    orienting swaps p and q, reordering permutes cells, and a block step
+    often moves a value some cell held before. The memo is cleared once it
+    holds more than four texts per cell.
     """
 
     def __init__(self, memo: dict[int, str]) -> None:
         self.shape: tuple[int, ...] | None = None
         self.memo = memo
 
+    def _texts(self, a: np.ndarray) -> list[str]:
+        # the texts of a's cells in row-major order; a value is formatted only on a memo miss
+        memo = self.memo
+        keys = a.view(np.uint64).ravel().tolist()
+        texts = list(map(memo.get, keys))
+        if None in texts:
+            values = a.ravel().tolist()
+            for n in [n for n, text in enumerate(texts) if text is None]:
+                key = keys[n]
+                if key not in memo:  # a value a holds twice is formatted once
+                    memo[key] = float.__repr__(values[n])
+                texts[n] = memo[key]
+        if len(memo) > 4 * self.cells:
+            memo.clear()
+        return texts
+
     def render(self, a: np.ndarray) -> str:
-        a = np.ascontiguousarray(a)
-        bits = a.view(np.uint64).ravel()
+        """The text of the whole grid a: every cell is rendered."""
         if a.shape != self.shape:
             nx, ny = self.shape = a.shape
+            self.cells = nx * ny
             seps = ([", "] * (ny - 1) + ["], ["]) * nx
             seps[-1] = "]]"
             self.parts = ["[["] + [part for sep in seps for part in ("", sep)]
-            changed = np.arange(bits.size)
-        else:
-            changed = (bits != self.bits).nonzero()[0]
-        parts, memo = self.parts, self.memo
-        for i, key, x in zip((2 * changed + 1).tolist(), bits[changed].tolist(), a.ravel()[changed].tolist()):
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = float.__repr__(x)
-            parts[i] = text
-        if len(memo) > 4 * bits.size:
-            memo.clear()
-        self.bits = bits.copy()
-        return "".join(parts)
+        self.parts[1::2] = self._texts(a)
+        self.text = "".join(self.parts)
+        return self.text
+
+    def column(self, j: int, col: np.ndarray) -> str:
+        """The text of the grid once its column j holds col: only that column's cells are rendered, and joined when one changed."""
+        texts = self._texts(col)
+        cells = slice(2 * j + 1, None, 2 * self.shape[1])
+        if texts != self.parts[cells]:  # texts differ exactly where bits do: every value is finite
+            self.parts[cells] = texts
+            self.text = "".join(self.parts)
+        return self.text
 
 
 def write_trace(trace: WalkTrace, path: str) -> None:
     """Write the trace to `path` as JSON lines, one step at a time.
 
     Each line is the bytes json.dumps gives for {"label", "tv", "gap",
-    "p"?, "q"?, "s"?} with the grids as to_lists(), but a step's grids are
-    rendered only in the cells that changed since the step before (a block
-    step changes one column). Every value a walk records is certified
-    finite, so json's NaN and Infinity spellings are never needed.
+    "p"?, "q"?, "s"?} with the grids as to_lists(). The lines are rendered
+    from what each step records and changes (see walk._Steps._changes): a
+    whole-grid step renders both grids, and a block step only the nx cells
+    of its column, from its column state, so no snapshot grid is built.
+    Every value a walk records is certified finite, so json's NaN and
+    Infinity spellings are never needed.
     """
     memo: dict[int, str] = {}
-    grids = {"p": _GridText(memo), "q": _GridText(memo)}
+    p, q = _GridText(memo), _GridText(memo)
     with open(path, "w", encoding="utf-8") as fh:
-        for step in trace.steps:
-            label, tv, gap = encode_basestring_ascii(step.label), float.__repr__(step.tv), float.__repr__(step.gap)
-            line = f'{{"label": {label}, "tv": {tv}, "gap": {gap}'
-            for key, J in (("p", step.p), ("q", step.q)):
-                if J is not None:
-                    line += f', "{key}": {grids[key].render(J.probs)}'
-            if step.transferred is not None:
-                line += f', "s": {float.__repr__(step.transferred)}'
-            fh.write(line + "}\n")
+        for label, tv, gap, moved, change in trace.steps._changes():
+            head = f'{{"label": {encode_basestring_ascii(label)}, "tv": {float.__repr__(tv)}, "gap": {float.__repr__(gap)}'
+            tail = "}\n" if moved is None else f', "s": {float.__repr__(moved)}}}\n'
+            if change is None:
+                fh.write(head + tail)
+                continue
+            if moved is None:  # a whole-grid step: its stacked pair
+                texts = p.render(change[0]), q.render(change[1])
+            else:  # a block step: its column and the column's state
+                j, state = change
+                texts = p.column(j, state[0]), q.column(j, state[1])
+            fh.write(f'{head}, "p": {texts[0]}, "q": {texts[1]}{tail}')
 
 
 def _load(path: str) -> JointDistribution:
@@ -321,7 +343,15 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(json.dumps(out))
+    try:
+        print(json.dumps(out))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: the command still succeeded. stdout now points at devnull, so
+        # the flush at interpreter exit neither fails nor reports the bytes left in its buffer
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -56,7 +56,8 @@ labels in one pass; the length and the first and last steps (whole-grid
 steps) format none.
 A step's snapshots are built when the step is read, by writing its column
 state onto the grids around it: read-only copies of this certified state,
-not re-validated grids.
+not re-validated grids. The trace file is written from the column states
+themselves, and builds no snapshot (see cli.write_trace).
 
 The initial measurement also decides the orientation, and it is the only
 rule that does: canonical_orient is its one-pair case. Pairs related by a
@@ -482,6 +483,8 @@ class _Steps(Sequence):
     A read builds them from these, and iteration writes one column per step
     onto the grids of the step before; either way a block step's snapshots
     are copies of their own, while a whole-grid step's share its pair.
+    _changes is the one reader of the segments: the WalkSteps are built on
+    it, and cli.write_trace renders the trace file from it without them.
     """
 
     def __init__(self, snapshots: bool, ny: int):
@@ -499,11 +502,10 @@ class _Steps(Sequence):
         k = range(len(self))[k]  # negative from the end; IndexError past it
         n = bisect_right(self.first, k) - 1
         k -= self.first[n]
-        return next(self._read(self.segments[n], slice(k, k + 1)))
+        return next(self._read(self._changes(self.segments[n : n + 1], slice(k, k + 1))))
 
     def __iter__(self):
-        for segment in self.segments:
-            yield from self._read(segment, slice(None))
+        return self._read(self._changes())
 
     def __eq__(self, other) -> bool:
         # step by step, as the tuple of steps compared, with any sequence of steps
@@ -514,25 +516,48 @@ class _Steps(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def _read(self, segment: tuple, steps: slice):
-        """The WalkSteps of the steps `steps` (a slice of the segment's own steps, in order) of one segment."""
-        if isinstance(segment[0], str):  # a whole-grid step
-            label, tv, gap, W = segment
-            yield WalkStep(label, tv, gap) if W is None else WalkStep(label, tv, gap, _freeze(W[0]), _freeze(W[1]))
-            return
-        (block, kind, row, moved, order), totals, states = segment
-        block = block[steps]
-        rows = zip(_labels(block, kind[steps], row[steps], self.ny), *totals[:, steps].tolist(), moved[steps].tolist())
-        if not self.snapshots:
-            for label, tv, gap, m in rows:
-                yield WalkStep(label, tv, gap, transferred=m)
-            return
+    def _changes(self, segments: list[tuple] | None = None, steps: slice = slice(None)):
+        """What each step of `segments` (all by default) records and changes, in step order.
+
+        Yields per step (label, tv, gap, moved, change), reading the steps
+        `steps` (a slice of a segment's own steps) of each segment. A
+        whole-grid step has no moved mass (None) and its change is its
+        stacked pair, or None; a block step's change is (column, its (2, nx)
+        column state), or None in "none" mode.
+        """
+        for segment in self.segments if segments is None else segments:
+            if isinstance(segment[0], str):  # a whole-grid step
+                yield *segment[:3], None, segment[3]
+                continue
+            (block, kind, row, moved, order), totals, states = segment
+            block = block[steps]
+            rows = zip(_labels(block, kind[steps], row[steps], self.ny), *totals[:, steps].tolist(), moved[steps].tolist())
+            if states is None:
+                for step in rows:
+                    yield *step, None
+            else:
+                for step, j, t in zip(rows, block.tolist(), order[steps].tolist()):
+                    yield *step, (j, states[:, :, t])
+
+    def _read(self, changes):
+        """The WalkSteps of `changes` (see _changes), steps that follow one another in step order.
+
+        The grids of the first block step read are built around its column
+        state; each later block step writes its column onto the grids of the
+        step before, which are the grids it starts from.
+        """
         grids = None
-        for (label, tv, gap, m), j, t in zip(rows, block.tolist(), order[steps].tolist()):
-            if grids is None:
-                grids = np.concatenate((self.end[:, :, :j], self.reordered[:, :, j:]), axis=2)
-            grids[:, :, j] = states[:, :, t]
-            yield WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), m)
+        for label, tv, gap, moved, change in changes:
+            if change is None:
+                yield WalkStep(label, tv, gap, transferred=moved)
+            elif moved is None:
+                yield WalkStep(label, tv, gap, _freeze(change[0]), _freeze(change[1]))
+            else:
+                j, state = change
+                if grids is None:
+                    grids = np.concatenate((self.end[:, :, :j], self.reordered[:, :, j:]), axis=2)
+                grids[:, :, j] = state
+                yield WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), moved)
 
     def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> np.ndarray | None:
         """Append a whole-grid step ending at the stacked pair W; returns the pair kept, in snapshot modes.

@@ -214,11 +214,23 @@ def _trace_file_pairs():
         "sparse-6x6": (_sparse(6, 6, rng), _sparse(6, 6, rng)),
         # a -0.0 cell in the file: a step that turns it into 0.0 differs only in its bits
         "negative-zero": ([[0.5, -0.0], [0.5, 0.0]], [[0.25, 0.25], [0.25, 0.25]]),
+        # tall and wide blocks, each with about half its cells exactly zero
+        "sparse-40x3": (_sparse(40, 3, rng), _sparse(40, 3, rng)),
+        "sparse-3x40": (_sparse(3, 40, rng), _sparse(3, 40, rng)),
+        # two blocks a range (see walk._range_blocks), so the block steps span two ranges; its
+        # "all" trace file would be refused by the trace file guard
+        "8192x3": (dense(8192, 3), dense(8192, 3)),
     }
 
 
-@pytest.mark.parametrize("mode", _SNAPSHOT_MODES)
-@pytest.mark.parametrize("case", list(_trace_file_pairs()))
+_TRACE_FILE_CASES = [
+    pytest.param(case, mode, id=f"{case}-{mode}")
+    for case in _trace_file_pairs()
+    for mode in (("none", "phases") if case == "8192x3" else _SNAPSHOT_MODES)
+]
+
+
+@pytest.mark.parametrize("case, mode", _TRACE_FILE_CASES)
 def test_trace_file_bytes_are_json_dumps_of_each_step(tmp_path, capsys, case, mode):
     paths = [tmp_path / "p.json", tmp_path / "q.json"]
     for path, probs in zip(paths, _trace_file_pairs()[case]):
@@ -251,6 +263,23 @@ def test_grid_text_memo_is_shared_and_bounded():
         for grid in (p, q):
             assert grid.render(a) == json.dumps(a.tolist())
             assert len(memo) <= 4 * a.size
+
+
+def test_closed_stdout_ends_quietly_with_the_commands_exit_code():
+    # the reader takes 10 bytes of a document of megabytes and closes the pipe: the command
+    # exits with its own code, 0, with no traceback and no "Exception ignored" at shutdown
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equibound", "extremal", "--epsilon", "0.5", "--nx", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert head == b'{"p": {"nx'
+    assert err == b""
 
 
 def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
