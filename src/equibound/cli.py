@@ -177,7 +177,7 @@ class _GridText:
         return self.text
 
     def column(self, j: int, col: np.ndarray) -> str:
-        """The text of the grid once its column j holds col: only that column's cells are rendered, and joined when one changed."""
+        """The text of the grid once its column j holds col: only col's cells are rendered, and joined if one changed."""
         texts = self._texts(col)
         cells = slice(2 * j + 1, None, 2 * self.shape[1])
         if texts != self.parts[cells]:  # texts differ exactly where bits do: every value is finite
