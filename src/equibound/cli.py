@@ -16,10 +16,11 @@ File formats:
 - distribution file: UTF-8 JSON {"nx": int, "ny": int, "probs": [[real; ny]; nx]}
 - walk trace file: JSON lines, one step per line:
   {"label": str, "tv": real, "gap": real, "p"?: probs, "q"?: probs, "s"?: real}
-  written one step at a time from what the step records and changes: a
-  whole-grid step renders both grids, a block step re-renders only its one
-  column, from the trace's column state, and no snapshot grid is built;
-  each line's bytes are those json.dumps gives for the step
+  written one step at a time from what the step records and changes, each
+  step in one shape: a whole-grid step renders both grids, a block step
+  re-renders only its one column, from the trace's column state, and no
+  snapshot grid is built; each line's bytes are those json.dumps gives for
+  the step
 - verify report: the TrialReport fields, in declaration order
 - search result: the GridSearchResult fields, in declaration order
 
@@ -137,11 +138,12 @@ class _GridText:
 
     The text is kept as a list of parts, the brackets and separators
     between the cells' texts (cell (i, j) is part 2(i*ny + j) + 1), so the
-    grid's text is one join. A cell takes its text from `memo`, keyed by its
-    bits (so -0.0 and 0.0 differ), which the grids of one trace share:
-    orienting swaps p and q, reordering permutes cells, and a block step
-    often moves a value some cell held before. The memo is cleared once it
-    holds more than four texts per cell.
+    grid's text is one join, made again only when a cell's text changed. A
+    cell takes its text from `memo`, keyed by its bits (so -0.0 and 0.0
+    differ), which the grids of one trace share: orienting swaps p and q,
+    reordering permutes cells, and a block step often moves a value some
+    cell held before. The memo is cleared once it holds more than four
+    texts per cell.
     """
 
     def __init__(self, memo: dict[int, str]) -> None:
@@ -164,22 +166,19 @@ class _GridText:
             memo.clear()
         return texts
 
-    def render(self, a: np.ndarray) -> str:
-        """The text of the whole grid a: every cell is rendered."""
-        if a.shape != self.shape:
-            nx, ny = self.shape = a.shape
-            self.cells = nx * ny
-            seps = ([", "] * (ny - 1) + ["], ["]) * nx
-            seps[-1] = "]]"
-            self.parts = ["[["] + [part for sep in seps for part in ("", sep)]
-        self.parts[1::2] = self._texts(a)
-        self.text = "".join(self.parts)
-        return self.text
-
-    def column(self, j: int, col: np.ndarray) -> str:
-        """The text of the grid once its column j holds col: only col's cells are rendered, and joined if one changed."""
-        texts = self._texts(col)
-        cells = slice(2 * j + 1, None, 2 * self.shape[1])
+    def render(self, a: np.ndarray, j: int | None = None) -> str:
+        """The grid's text once it holds a: a is the whole grid, or with j its column j, the others as last rendered."""
+        if j is None:
+            if a.shape != self.shape:
+                nx, ny = self.shape = a.shape
+                self.cells = nx * ny
+                seps = ([", "] * (ny - 1) + ["], ["]) * nx
+                seps[-1] = "]]"
+                self.parts = ["[["] + [part for sep in seps for part in ("", sep)]
+            cells = slice(1, None, 2)
+        else:
+            cells = slice(2 * j + 1, None, 2 * self.shape[1])
+        texts = self._texts(a)
         if texts != self.parts[cells]:  # texts differ exactly where bits do: every value is finite
             self.parts[cells] = texts
             self.text = "".join(self.parts)
@@ -192,26 +191,20 @@ def write_trace(trace: WalkTrace, path: str) -> None:
     Each line is the bytes json.dumps gives for {"label", "tv", "gap",
     "p"?, "q"?, "s"?} with the grids as to_lists(). The lines are rendered
     from what each step records and changes (see walk._Steps._changes): a
-    whole-grid step renders both grids, and a block step only the nx cells
-    of its column, from its column state, so no snapshot grid is built.
-    Every value a walk records is certified finite, so json's NaN and
-    Infinity spellings are never needed.
+    step with a state has snapshots, a whole-grid step (no column) renders
+    both grids of its stacked pair, and a block step only the nx cells of
+    its column, from its column state, so no snapshot grid is built. Every
+    value a walk records is certified finite, so json's NaN and Infinity
+    spellings are never needed.
     """
     memo: dict[int, str] = {}
     p, q = _GridText(memo), _GridText(memo)
     with open(path, "w", encoding="utf-8") as fh:
-        for label, tv, gap, moved, change in trace.steps._changes():
-            head = f'{{"label": {encode_basestring_ascii(label)}, "tv": {float.__repr__(tv)}, "gap": {float.__repr__(gap)}'
-            tail = "}\n" if moved is None else f', "s": {float.__repr__(moved)}}}\n'
-            if change is None:
-                fh.write(head + tail)
-                continue
-            if moved is None:  # a whole-grid step: its stacked pair
-                texts = p.render(change[0]), q.render(change[1])
-            else:  # a block step: its column and the column's state
-                j, state = change
-                texts = p.column(j, state[0]), q.column(j, state[1])
-            fh.write(f'{head}, "p": {texts[0]}, "q": {texts[1]}{tail}')
+        for label, tv, gap, moved, j, state in trace.steps._changes():
+            line = f'{{"label": {encode_basestring_ascii(label)}, "tv": {float.__repr__(tv)}, "gap": {float.__repr__(gap)}'
+            if state is not None:
+                line += f', "p": {p.render(state[0], j)}, "q": {q.render(state[1], j)}'
+            fh.write(line + ("}\n" if moved is None else f', "s": {float.__repr__(moved)}}}\n'))
 
 
 def _load(path: str) -> JointDistribution:

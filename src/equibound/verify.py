@@ -38,8 +38,9 @@ DESK_SCALE_STEPS = 101
 # points and the points of the orbits pass 2 reads, so its memory grows with the orbits: under
 # tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M points, 35 858 orbits), 6.7 MB at (2,3,0.2,44)
 # (46 956 orbits, 5.3 MB of it in pass 1's scan), 0.9 MB at (4,2,0.3,22) (1.56 M points of
-# eight cells). The every-point fallback, admitted up to _FALLBACK_POINTS, peaks at 7.2 MB at
-# (4,2,1e-9,13)
+# eight cells). A pass 2 that keeps all its orbits, admitted up to _FALLBACK_POINTS points, peaks
+# at 5.1 MB at (2,3,1e-9,20) (every orbit expanded: 1 582 orbits, 53 130 points) and at 7.2 MB at
+# (4,2,1e-9,13) (475 orbits, 77 520 points)
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose distances the pair scan computes in one pass: at least
 # _SCAN_BLOCK, and more while their distances to all candidates number at most _SCAN_ENTRIES
@@ -59,10 +60,12 @@ _SCAN_ENTRIES = 2**15
 # orbit-mates' by less than 3e-14, far inside delta.
 _ORBIT_MARGIN = 1e-10
 # most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
-# window below pass 1's best, so this many leave part of it free (else every point is scanned)
+# window below pass 1's best, so this many leave part of it free (else every orbit is kept)
 _ORBIT_KEEP_MAX = 900
-# most grid points the every-point fallback scans, each against every point above it. At radius
-# 0 nothing prunes that scan: (4,2,1e-9,13), 77 520 points, takes about 5 s on a 2-CPU host
+# most points of the kept orbits pass 2 scans, each against every candidate above it; counted
+# before any orbit is expanded. At radius 0 every orbit is kept and nothing prunes that scan:
+# (2,3,1e-9,20), 53 130 points, takes about 1.6 s on a 2-CPU host and (4,2,1e-9,13), 77 520
+# points, about 4.5 s
 _FALLBACK_POINTS = 80_000
 
 
@@ -157,8 +160,6 @@ def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistributi
     """
     eps = _as_prob(eps, "eps")
     rng = _rng(seed)
-    if eps == 0.0 or p.probs.size == 1:
-        return p
     flat = p.probs.ravel().copy()
     _perturb(flat, eps, rng)
     return JointDistribution(flat.reshape(p.probs.shape))
@@ -258,6 +259,9 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     with `rest` units still unplaced, is extended by every value 0, 1, ...,
     rest of its next cell in turn, and the last cell takes what is left.
     Counts are at most DESK_SCALE_STEPS = 101, so int8 holds every cell.
+    The search builds no point this way: this order is the one its
+    canonical points and `_images` follow, and the reference they are
+    tested against.
     """
     columns: list[np.ndarray] = []
     rest = np.array([total], dtype=np.int8)
@@ -385,6 +389,25 @@ def _images(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarra
     rows = np.array([taken[ny + j * nx + x] for x in range(nx) for j in range(ny)])
     order = np.lexsort(rows[::-1])
     return rows.take(order, axis=1), orbit[order]
+
+
+def _orbit_sizes(points: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """The number of points in the orbit of each canonical point of `points` (one row per cell, one column per point).
+
+    The block symmetries number ny!*(nx!)^ny; those that fix a point are
+    k! for each run of k equal rows in a block times k! for each run of k
+    equal blocks, and in a canonical point equal items lie next to each
+    other. At most 8 cells the count is at most 8! = 40 320.
+    """
+    grid = points.reshape(nx, ny, -1)
+    fixing = np.ones(grid.shape[2], dtype=np.int64)
+    # each block's rows, (nx - 1, ny, points), then the blocks as one sequence, (ny - 1, 1, points)
+    for same in (grid[1:] == grid[:-1], (grid[:, 1:] == grid[:, :-1]).all(axis=0)[:, None]):
+        run = 1
+        for equal in same:  # the k-th item of a run of equal items contributes k
+            run = np.where(equal, run + 1, 1)
+            fixing *= run.prod(axis=0)
+    return math.factorial(ny) * math.factorial(nx) ** ny // fixing
 
 
 def _distances(candidates: np.ndarray, own: np.ndarray, orders: list[tuple[int, ...]]) -> np.ndarray:
@@ -531,11 +554,14 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     subsequence of the full sort, ties included. So each a's last feasible
     b over the subset is the one it has over all points, and pass 2
     returns the full scan's maximum and argmax pair. Past 900 kept orbits,
-    pass 2 sorts every point and scans each against all points instead;
-    that scan's work grows with the square of the points, so past
-    _FALLBACK_POINTS = 80 000 points it is refused with a ValidationError
-    after pass 1 (every search whose eps is below 1/(2*steps_per_dim), where
-    only b = a is feasible and every orbit ties at 0, takes that path).
+    pass 2 keeps every orbit instead: `_images` expands them all, and it
+    scans every point from the full scan's start, with no partner scan.
+    Either way its work grows with the square of the kept orbits' points,
+    so before it expands anything pass 2 counts them (see _orbit_sizes),
+    and past _FALLBACK_POINTS = 80 000 it is refused with a ValidationError.
+    A search whose eps is below 1/(2*steps_per_dim), where only b = a is
+    feasible, keeps every orbit, all tied at 0: it takes the every-orbit
+    path past 900 orbits only, and the guard refuses it past 80 000 points.
 
     The search prunes with its own best-so-far gap only; the bound is
     computed once for the report and never steers the search. Guarded to
@@ -569,26 +595,29 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     # of it), this pass and the full scan both take the first point above that stretch and agree
     # from there.
     kept = np.flatnonzero(gaps >= best - _ORBIT_MARGIN)
-    if len(kept) <= _ORBIT_KEEP_MAX:
-        # its candidates: the kept orbits and their partners' orbits, the partners flagged by a
-        # scan of the kept canonical points (the docstring says why no b the rule takes is lost)
-        hit = np.zeros(n, dtype=bool)
-        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
-        # the kept orbits too; hit flags positions, in descending rank
-        hit[n - 1 - kept] = True
-        rows, orbit = _images(columns[:, hit], nx, ny)
-        h_sorted, columns, order = _ranked(rows, ny, steps)
-        kept_hit = gaps[::-1][hit] >= best - _ORBIT_MARGIN
-        ranks, start = np.flatnonzero(kept_hit[orbit[order]]), best - 2.0 * _ORBIT_MARGIN
-    else:
-        # too many near-ties for that argument: every point, from the full scan's start
-        if points > _FALLBACK_POINTS:
+    # past _ORBIT_KEEP_MAX kept orbits that stretch may be covered: every orbit is kept, and every
+    # point scanned from the full scan's start
+    every = len(kept) > _ORBIT_KEEP_MAX
+    scanned = np.arange(n) if every else kept
+    if len(scanned) * math.factorial(ny) * math.factorial(nx) ** ny > _FALLBACK_POINTS:
+        count = int(_orbit_sizes(columns[:, n - 1 - scanned], nx, ny).sum())
+        if count > _FALLBACK_POINTS:
             raise ValidationError(
-                f"{len(kept)} orbits (past {_ORBIT_KEEP_MAX}) come within {_ORBIT_MARGIN} of the best gap, so the search "
-                f"would scan all {points} grid points against each other, past the guard {_FALLBACK_POINTS}"
+                f"{len(kept)} orbits come within {_ORBIT_MARGIN} of the best gap, so the search "
+                f"would scan all {count} grid points against each other, past the guard {_FALLBACK_POINTS}"
             )
-        h_sorted, columns, _ = _ranked(_compositions(steps, cells), ny, steps)
-        ranks, start = np.arange(len(h_sorted)), -1.0
+    # the candidates: the kept orbits and their partners' orbits, the partners flagged by a scan of
+    # the kept canonical points (the docstring says why no b the rule takes is lost); hit flags
+    # positions, in descending rank
+    hit = np.full(n, every)
+    if not every:
+        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
+        hit[n - 1 - kept] = True
+    kept_hit = (gaps[::-1][hit] >= best - _ORBIT_MARGIN) | every
+    rows, orbit = _images(columns[:, hit], nx, ny)
+    h_sorted, columns, order = _ranked(rows, ny, steps)
+    ranks = np.flatnonzero(kept_hit[orbit[order]])
+    start = -1.0 if every else best - 2.0 * _ORBIT_MARGIN
     best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
 
     def _point(idx: int) -> JointDistribution:

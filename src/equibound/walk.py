@@ -483,8 +483,9 @@ class _Steps(Sequence):
     A read builds them from these, and iteration writes one column per step
     onto the grids of the step before; either way a block step's snapshots
     are copies of their own, while a whole-grid step's share its pair.
-    _changes is the one reader of the segments: the WalkSteps are built on
-    it, and cli.write_trace renders the trace file from it without them.
+    _changes is the one reader of the segments, and it gives every step in
+    one shape: the WalkSteps are built on it, and cli.write_trace renders
+    the trace file from it without them.
     """
 
     def __init__(self, snapshots: bool, ny: int):
@@ -519,45 +520,41 @@ class _Steps(Sequence):
     def _changes(self, segments: list[tuple] | None = None, steps: slice = slice(None)):
         """What each step of `segments` (all by default) records and changes, in step order.
 
-        Yields per step (label, tv, gap, moved, change), reading the steps
-        `steps` (a slice of a segment's own steps) of each segment. A
-        whole-grid step has no moved mass (None) and its change is its
-        stacked pair, or None; a block step's change is (column, its (2, nx)
-        column state), or None in "none" mode.
+        Yields per step (label, tv, gap, moved, column, state), reading the
+        steps `steps` (a slice of a segment's own steps) of each segment. A
+        whole-grid step has no moved mass and no column (both None), and its
+        state is its stacked pair; a block step's state is its (2, nx)
+        column state. In "none" mode every state is None.
         """
         for segment in self.segments if segments is None else segments:
             if isinstance(segment[0], str):  # a whole-grid step
-                yield *segment[:3], None, segment[3]
+                yield *segment[:3], None, None, segment[3]
                 continue
             (block, kind, row, moved, order), totals, states = segment
             block = block[steps]
             rows = zip(_labels(block, kind[steps], row[steps], self.ny), *totals[:, steps].tolist(), moved[steps].tolist())
-            if states is None:
-                for step in rows:
-                    yield *step, None
-            else:
-                for step, j, t in zip(rows, block.tolist(), order[steps].tolist()):
-                    yield *step, (j, states[:, :, t])
+            for step, j, t in zip(rows, block.tolist(), order[steps].tolist()):
+                yield *step, j, None if states is None else states[:, :, t]
 
     def _read(self, changes):
         """The WalkSteps of `changes` (see _changes), steps that follow one another in step order.
 
-        The grids of the first block step read are built around its column
-        state; each later block step writes its column onto the grids of the
-        step before, which are the grids it starts from.
+        A whole-grid step's snapshots are its stacked pair. The grids of the
+        first block step read are built around its column state; each later
+        block step writes its column onto the grids of the step before,
+        which are the grids it starts from.
         """
         grids = None
-        for label, tv, gap, moved, change in changes:
-            if change is None:
+        for label, tv, gap, moved, j, state in changes:
+            if state is None:
                 yield WalkStep(label, tv, gap, transferred=moved)
-            elif moved is None:
-                yield WalkStep(label, tv, gap, _freeze(change[0]), _freeze(change[1]))
-            else:
-                j, state = change
+                continue
+            if j is not None:
                 if grids is None:
                     grids = np.concatenate((self.end[:, :, :j], self.reordered[:, :, j:]), axis=2)
                 grids[:, :, j] = state
-                yield WalkStep(label, tv, gap, _freeze(grids[0].copy()), _freeze(grids[1].copy()), moved)
+                state = grids[0].copy(), grids[1].copy()
+            yield WalkStep(label, tv, gap, _freeze(state[0]), _freeze(state[1]), moved)
 
     def append(self, label: str, tv: float, gap: float, W: np.ndarray) -> np.ndarray | None:
         """Append a whole-grid step ending at the stacked pair W; returns the pair kept, in snapshot modes.

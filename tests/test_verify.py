@@ -794,6 +794,9 @@ BIT_IDENTITY_CONFIGS = [
     # counts reach 101 and L1 distances 202, the range edges of the scan's int8 differences and
     # uint8 distances; at eps 0.1 a distance past 127 read as a signed byte would pass as feasible
     (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
+    # radius 0: all 969 orbits tie at gap 0, past the kept-orbit cap, so pass 2 keeps every orbit
+    # with no patch (7 140 points)
+    (2, 2, 1e-9, 33),
 ]
 
 
@@ -873,13 +876,26 @@ def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
     np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
 
 
-def test_grid_search_refuses_the_every_point_fallback_past_its_guard():
+@pytest.mark.parametrize("cfg", [(4, 2, 1e-300, 20), (8, 1, 1e-9, 20)])
+def test_grid_search_refuses_the_every_point_fallback_past_its_guard(cfg):
     # at radius 0 every orbit ties at gap 0 and pass 2 would scan all 888 030 points against each
-    # other; the search says so after pass 1, within a fraction of a second
+    # other: at (4,2) its 3 354 orbits are past the kept-orbit cap, at (8,1) its 434 are not. The
+    # search counts the points after pass 1, before it expands any, and says so within a fraction
+    # of a second
     start = time.perf_counter()
     with pytest.raises(ValidationError, match=r"would scan all 888030 grid points against each other, past the guard 80000$"):
-        grid_search_max_gap(4, 2, 1e-300, 20)
+        grid_search_max_gap(*cfg)
     assert time.perf_counter() - start < 5.0
+
+
+def test_scan_skips_a_block_whose_candidates_rounding_leaves_empty():
+    # top_h - h_a = 0.20000000000000004 beats best = 0.2, so the block is scanned, but h_a + best
+    # rounds up to top_h, so no b lies above it: the block has no candidates and records no gap
+    h_sorted = np.array([0.1, 0.30000000000000004])
+    columns = np.zeros((1, 2), dtype=np.int8)
+    best, low, high, gaps = verify._scan(np.array([0]), h_sorted, columns, 0, 0.2, 0.0)
+    assert (best, low, high) == (0.2, 0, 0)
+    np.testing.assert_array_equal(gaps, [-np.inf])
 
 
 @pytest.mark.parametrize("cfg", [(2, 3, 0.2, 44), (3, 2, 0.3, 44)])
