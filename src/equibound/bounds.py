@@ -27,7 +27,7 @@ from .core import (
     _check_grid_size,
     _check_int,
     _check_real,
-    _cond_entropies,
+    _orientation,
 )
 
 SLACK_TOL = 1e-9  # absorbs accumulated float error in entropy sums
@@ -105,28 +105,21 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
     return DistributionPair(JointDistribution(p), JointDistribution(q))
 
 
+def _verdict(gap: float, tv: float, nx: int) -> BoundCheck:
+    """A pair's measured gap and tv against the bound at that tv: it holds when slack >= -SLACK_TOL."""
+    bound_at_tv = continuity_bound(tv, nx).value
+    slack = bound_at_tv - gap
+    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack)
+
+
 def check_bound(pair: DistributionPair) -> BoundCheck:
     """Measure a pair's equivocation gap against the bound at its measured TV.
 
-    slack = bound_at_tv - gap; the pair `holds` when slack >= -1e-9.
+    slack = bound_at_tv - gap; the pair `holds` when slack >= -1e-9. The gap
+    and tv are the walk's initial measurement of the pair (see
+    core._measure), so they equal run_walk(pair).initial_gap and
+    initial_tv bit for bit.
     """
-    return _check_bounds(pair.p.probs[None], pair.q.probs[None])[0]
-
-
-def _check_bounds(P: np.ndarray, Q: np.ndarray) -> list[BoundCheck]:
-    """check_bound on every pair (P[b], Q[b]) of two (B, nx, ny) stacks of grids.
-
-    The gaps and TVs are computed for the whole stack at once, and a pair's
-    values do not depend on the pairs stacked with it (see
-    core._cond_entropies; each pair's TV is one flat sum). The bound is
-    the scalar continuity_bound, once per pair.
-    """
-    nx = _check_int(P.shape[1], "nx", 2)
-    tvs = (0.5 * np.abs(P - Q).reshape(len(P), -1).sum(axis=1)).tolist()
-    checks = []
-    for hp, hq, tv in zip(_cond_entropies(P), _cond_entropies(Q), tvs):
-        gap = abs(hp - hq)
-        bound_at_tv = continuity_bound(tv, nx).value
-        slack = bound_at_tv - gap
-        checks.append(BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack))
-    return checks
+    nx = _check_int(pair.nx, "nx", 2)
+    _, (tv,), (gap,) = _orientation(np.array((pair.p.probs, pair.q.probs)))
+    return _verdict(float(gap), float(tv), nx)

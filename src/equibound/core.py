@@ -310,28 +310,12 @@ def _cond_entropy_difference(P: np.ndarray) -> float:
 
 
 def _cond_entropy_mixture(P: np.ndarray) -> float:
-    # sum_j p_Y(j) * H(X | Y=j); zero-mass blocks contribute 0
-    return _cond_entropies(P[None])[0]
-
-
-def _cond_entropies(P: np.ndarray) -> list[float]:
-    """The mixture formula on every grid of a (B, nx, ny) stack.
-
-    Each block's conditional entropy sums the block's rows pairwise, as
-    contiguous rows of a (B, ny, nx) stack; the closing dot products are
-    numpy's 1-d dot for each grid (a stack of (1, ny) @ (ny, 1) products
-    takes it too), over the blocks with mass. So a grid's value does not
-    depend on the grids stacked with it.
-    """
-    my = P.sum(axis=1)
+    # sum_j p_Y(j) * H(X | Y=j) over the blocks with mass; zero-mass blocks contribute 0. Each
+    # block's rows are summed pairwise, as contiguous rows of the transposed grid
+    my = P.sum(axis=0)
     pos = my > 0.0
-    cond = P.transpose(0, 2, 1).copy()  # a C-ordered copy, divided in place
-    np.divide(cond, my[:, :, None], out=cond, where=pos[:, :, None])
-    block_h = -_xlog2x_arr(cond).sum(axis=2)
-    h = np.matmul(my[:, None, :], block_h[:, :, None])[:, 0, 0].tolist()
-    for b in np.flatnonzero(~pos.all(axis=1)).tolist():
-        h[b] = float(my[b, pos[b]] @ block_h[b, pos[b]])
-    return h
+    block_h = -_xlog2x_arr(P.T[pos] / my[pos, None]).sum(axis=1)
+    return float(my[pos] @ block_h)
 
 
 def _cond_entropy_direct(P: np.ndarray) -> float:
@@ -356,11 +340,11 @@ def conditional_entropy(J: JointDistribution, formula: Formula = "mixture") -> f
     Three equivalent evaluation routes are kept as mutual cross-checks:
 
     - "difference": H(XY) - H(Y);
-    - "mixture": sum_j p_Y(j) * H(X | Y=j), the default (the block-local
-      route the simplex walk reasons with);
+    - "mixture": sum_j p_Y(j) * H(X | Y=j), the default;
     - "direct": -sum_{i,j} p(i,j) * log2(p(i,j) / p_Y(j)).
 
-    All three agree within 1e-10 on valid grids.
+    All three agree within 1e-10 on valid grids. check_bound and the walk
+    measure a pair with none of them but per block (see _block_terms).
     """
     try:
         f = _COND_FORMULAS[formula]
@@ -374,6 +358,64 @@ def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
     if p.probs.shape != q.probs.shape:
         raise ValidationError(f"shape mismatch {p.probs.shape} vs {q.probs.shape}")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
+
+
+def _block_terms(W: np.ndarray) -> np.ndarray:
+    """Per column of the stacked pair W = [P, Q], shape (2, ..., nx, k): a (6, ..., k) array of terms.
+
+    The first four rows are the ones the walk's ledger tracks: the TV share,
+    the gap (P's equivocation term minus Q's), and the masses of P and of Q.
+    The last two are the equivocation terms of P and of Q. The equivocation
+    term of a block is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j)
+    log2 p(i,j). Summed over all blocks the terms give tv(P, Q) and H(X|Y)
+    of P and Q.
+
+    The sums down the rows are numpy's, and their order follows the memory
+    layout: the rows of a row-major grid of several columns are added in
+    order, but a column whose rows are contiguous (a lone column, or one
+    gathered by fancy indexing) is summed pairwise, which differs once there
+    are 8 or more rows. A batch keeps each trial's columns in the layout its
+    own walk measures them in.
+    """
+    m = W.sum(axis=-2)
+    h = _xlog2x_arr(m) - _xlog2x_arr(W).sum(axis=-2)
+    tv = 0.5 * np.abs(W[0] - W[1]).sum(axis=-2)
+    return np.concatenate((tv[None], (h[0] - h[1])[None], m, h))
+
+
+def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's terms of the stacked pair W of `trials` pairs (see _block_terms), and each trial's sums.
+
+    This is the one measurement of a pair's gap and TV. W has shape
+    (2, nx, trials * ny), trial b in the columns b*ny ... (b+1)*ny - 1.
+    check_bound measures one pair with it, and the walk measures its whole
+    grids with it: the initial measurement, which orients each trial (see
+    _orientation) and gives a campaign trial's verdict its gap and tv, the
+    reorder and average measurements and the cross-check. The sums of a
+    trial are its tv, its gap as the sum of its blocks' gap terms, its
+    masses and its two equivocations. The ny columns of each trial are
+    measured together, unless every trial is a single block: then each
+    column is summed on its own, as a lone column is, whatever the batch
+    holds. So a trial measures the same in a batch as on its own.
+    """
+    if W.shape[2] == trials:
+        terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
+    else:
+        terms = _block_terms(W)
+    # (6, trials * ny) block terms -> (6, trials): each trial's blocks summed
+    return terms, terms.reshape(len(terms), trials, -1).sum(axis=2)
+
+
+def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's tv and gap as oriented.
+
+    A trial is swapped when its q has the larger measured equivocation
+    (see _measure); ties are left as they are. Swapping changes no tv, and
+    the oriented gap is |H(p) - H(q)|: for a swapped trial that is exactly
+    H(q) - H(p), since a - b is exactly -(b - a).
+    """
+    _, (tv, _, _, _, hp, hq) = _measure(W, trials)
+    return hq > hp, tv, np.abs(hp - hq)
 
 
 def apply_symmetry(J: JointDistribution, g: SymmetryElement) -> JointDistribution:

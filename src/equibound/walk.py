@@ -59,13 +59,16 @@ state onto the grids around it: read-only copies of this certified state,
 not re-validated grids. The trace file is written from the column states
 themselves, and builds no snapshot (see cli.write_trace).
 
-The initial measurement also decides the orientation, and it is the only
-rule that does: canonical_orient is its one-pair case. Pairs related by a
-block symmetry have equal equivocations, but float sums taken in different
-orders may split such a tie either way; one rule splits it the same way
-everywhere. Orienting changes no tv and only the sign of the gap, so the
-ledger starts from the measured tv and |H(p) - H(q)|, whichever way the
-pair was given.
+Every whole-grid measurement is core._measure, the one measurement of a
+pair's gap and TV. The initial one also decides the orientation, and it is
+the only rule that does: canonical_orient is its one-pair case. Pairs
+related by a block symmetry have equal equivocations, but float sums taken
+in different orders may split such a tie either way; one rule splits it
+the same way everywhere. Orienting changes no tv and only the sign of the
+gap, so the ledger starts from the measured tv and |H(p) - H(q)|, whichever
+way the pair was given. These are the gap and tv that check_bound reports
+for the pair, bit for bit, and that a campaign's verdict reads for each of
+its trials.
 
 Because the blocks are independent, the columns of many pairs placed side
 by side form one valid input too. The walk takes a stack of trials, shape
@@ -100,10 +103,12 @@ from .core import (
     DistributionPair,
     JointDistribution,
     ValidationError,
+    _block_terms,
     _check_grid_size,
     _freeze,
     _in_range,
-    _xlog2x_arr,
+    _measure,
+    _orientation,
 )
 
 STEP_TOL = 1e-9  # tolerance for every walk invariant
@@ -403,57 +408,6 @@ def average_blocks(J: JointDistribution) -> JointDistribution:
     return JointDistribution(_average(J.probs))
 
 
-def _block_terms(W: np.ndarray) -> np.ndarray:
-    """Per column of the stacked pair W = [P, Q], shape (2, ..., nx, k): a (6, ..., k) array of terms.
-
-    The first four rows are the ones the walk's ledger tracks: the TV share,
-    the gap (P's equivocation term minus Q's), and the masses of P and of Q.
-    The last two are the equivocation terms of P and of Q. The equivocation
-    term of a block is p_Y(j) H(X|Y=j) = p_Y(j) log2 p_Y(j) - sum_i p(i,j)
-    log2 p(i,j). Summed over all blocks the terms give tv(P, Q) and H(X|Y)
-    of P and Q.
-
-    The sums down the rows are numpy's, and their order follows the memory
-    layout: the rows of a row-major grid of several columns are added in
-    order, but a column whose rows are contiguous (a lone column, or one
-    gathered by fancy indexing) is summed pairwise, which differs once there
-    are 8 or more rows. A batch keeps each trial's columns in the layout its
-    own walk measures them in.
-    """
-    m = W.sum(axis=-2)
-    h = _xlog2x_arr(m) - _xlog2x_arr(W).sum(axis=-2)
-    tv = 0.5 * np.abs(W[0] - W[1]).sum(axis=-2)
-    return np.concatenate((tv[None], (h[0] - h[1])[None], m, h))
-
-
-def _measure(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Every block's terms of the stacked pair W of `trials` pairs (see _block_terms), and each trial's sums.
-
-    The ny columns of each trial are measured together, unless every trial
-    is a single block: then each column is summed on its own, as a lone
-    column is, whatever the batch holds. So a trial measures the same in a
-    batch as on its own.
-    """
-    if W.shape[2] == trials:
-        terms = _block_terms(np.ascontiguousarray(W.transpose(0, 2, 1))[..., None])[..., 0]
-    else:
-        terms = _block_terms(W)
-    # (6, trials * ny) block terms -> (6, trials): each trial's blocks summed
-    return terms, terms.reshape(len(terms), trials, -1).sum(axis=2)
-
-
-def _orientation(W: np.ndarray, trials: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which of the `trials` pairs in the stacked pair W the walk swaps, and each trial's tv and gap as oriented.
-
-    A trial is swapped when its q has the larger measured equivocation
-    (see _measure); ties are left as they are. Swapping changes no tv, and
-    the oriented gap is |H(p) - H(q)|: for a swapped trial that is exactly
-    H(q) - H(p), since a - b is exactly -(b - a).
-    """
-    _, (tv, _, _, _, hp, hq) = _measure(W, trials)
-    return hq > hp, tv, np.abs(hp - hq)
-
-
 def _labels(block: np.ndarray, kind: np.ndarray, row: np.ndarray, ny: int) -> list[str]:
     """Trace labels of block steps, from their columns, kinds (indices into _KINDS) and rows + 1 (0: a phase step).
 
@@ -587,7 +541,8 @@ class _TraceBuilder:
     The stacked pair W = [P, Q] holds `trials` pairs side by side: trial b
     owns columns b*ny ... (b+1)*ny - 1. The ledger starts from each trial's
     initial tv and gap, `tv` and `gap` (one float per trial, the gap as
-    oriented; see _orientation), which it keeps as `initial_tv` too. `terms`
+    oriented; see _orientation), which it keeps as `initial_tv` and
+    `initial_gap` too, the gap and tv of a campaign trial's verdict. `terms`
     holds every block's four ledger terms and `sums` each trial's sums from
     the last whole-grid measurement (see _measure); tv, gap and mass hold
     each trial's running totals after its last step. Every check is made
@@ -598,7 +553,7 @@ class _TraceBuilder:
 
     def __init__(self, steps: _Steps | None, ny: int, tv: list[float], gap: list[float]):
         self.steps, self.ny, self.trials = steps, ny, len(tv)
-        self.initial_tv, self.tv, self.gap = tv, tv, gap
+        self.initial_tv, self.initial_gap, self.tv, self.gap = tv, gap, tv, gap
 
     def measure(self, label: str, W: np.ndarray) -> np.ndarray | None:
         """Measure the whole stacked pair W, certify it and record it; returns what record returns.

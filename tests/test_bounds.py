@@ -12,9 +12,11 @@ from equibound import (
     conditional_entropy,
     continuity_bound,
     extremal_pair,
+    run_walk,
     tv_distance,
 )
-from equibound.bounds import BoundCheck, _check_bounds
+from equibound.bounds import _verdict
+from test_walk_properties import _grid
 
 # frozen from a 60-digit mpmath evaluation
 BOUND_QUARTER_4 = 1.207518749639422   # 0.25*log2(3) + h(0.25)
@@ -187,29 +189,32 @@ def test_check_bound_holds_on_random_pairs():
         assert check_bound(DistributionPair(p, q)).holds
 
 
-def _reference_check(p, q):
-    # check_bound as it was computed one pair at a time, before stacks
-    gap = abs(conditional_entropy(p) - conditional_entropy(q))
-    tv = tv_distance(p, q)
-    bound_at_tv = continuity_bound(tv, p.nx).value
-    slack = bound_at_tv - gap
-    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -1e-9), slack=slack)
-
-
-def test_stacked_checks_match_the_per_pair_formula():
-    # bit for bit, whatever else is stacked, including tall blocks, single blocks and zero-mass blocks
+def test_check_bound_is_the_walks_initial_measurement():
+    # one number per pair: check_bound's gap and tv are run_walk's initial gap and tv, bit for bit, on the
+    # walk property tests' kinds and on Dirichlet pairs, including tall blocks, single blocks and zero-mass blocks
     rng = np.random.default_rng(77)
-    for nx in (2, 3, 5, 8, 9, 30):
+    kinds = ("sparse", "quantized", "tiny")
+    grids = []
+    for nx in (2, 3, 8, 9, 30):
         for ny in (1, 2, 4, 9):
-            for count in (1, 2, 7):
-                P, Q = rng.dirichlet(np.ones(nx * ny), size=(2, count)).reshape(2, count, nx, ny)
-                if ny > 1:
-                    P[0, :, 0] = 0.0  # a zero-mass block
-                    P[0] /= P[0].sum()
-                pairs = [DistributionPair(JointDistribution(p), JointDistribution(q)) for p, q in zip(P, Q)]
-                expected = [_reference_check(pair.p, pair.q) for pair in pairs]
-                assert _check_bounds(P, Q) == expected
-                assert [check_bound(pair) for pair in pairs] == expected
+            grids += [(_grid(a, nx, ny, rng), _grid(b, nx, ny, rng)) for a in kinds for b in kinds]
+            P, Q = rng.dirichlet(np.ones(nx * ny), size=2).reshape(2, nx, ny)
+            if ny > 1:
+                P[:, 0] = 0.0  # a zero-mass block
+                P /= P.sum()
+            grids.append((P, Q))
+    for p, q in grids:
+        pair = DistributionPair(JointDistribution(p), JointDistribution(q))
+        result, trace = check_bound(pair), run_walk(pair, "none")
+        assert (result.gap.hex(), result.tv.hex()) == (trace.initial_gap.hex(), trace.initial_tv.hex())
+
+
+def test_verdict_tolerance_at_literal_gaps():
+    # the literals, not the tolerance constant: a gap 2e-9 past the bound is a violation, one 5e-10 past it is not
+    bound = continuity_bound(0.3, 3).value
+    over = _verdict(bound + 2e-9, 0.3, 3)
+    assert over.bound_at_tv == bound and not over.holds
+    assert _verdict(bound + 5e-10, 0.3, 3).holds
 
 
 def test_check_bound_requires_two_outcomes():

@@ -1112,6 +1112,13 @@ def test_bad_entry_left_by_reorder_raises_at_reorder(monkeypatch, mode):
         run_walk(extremal_pair(0.3, 3, 2), snapshots=mode)
 
 
+def test_mass_past_tolerance_raises_at_reorder():
+    # the literal, not the tolerance constant: a raw stack whose p holds 2e-9 of excess mass
+    W = np.array([[[[0.5], [0.5 + 2e-9]]], [[[0.5], [0.5]]]])
+    with pytest.raises(InvariantViolation, match=r"^step 'reorder': total mass of p is 1.000000002"):
+        walk._walk(W)
+
+
 def test_unprocessed_block_raises_naming_the_block(monkeypatch):
     def skipping(real):
         return lambda W, cols: real(W, cols[cols != 2])
