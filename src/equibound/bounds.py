@@ -68,21 +68,26 @@ def _check_radius(epsilon: float, nx: int, name: str) -> float:
     return epsilon
 
 
+def _bound(epsilon: float, nx: int) -> float:
+    """continuity_bound's value, unchecked: epsilon a float in [0, 1], nx an int >= 2."""
+    if epsilon > 1.0 - 1 / nx:
+        return math.log2(nx)
+    return epsilon * math.log2(nx - 1) + binary_entropy(epsilon)
+
+
 def continuity_bound(epsilon: float, nx: int) -> BoundResult:
     """Largest possible equivocation gap at TV radius epsilon for an X alphabet of size nx.
 
     Returns epsilon * log2(nx - 1) + h(epsilon) for epsilon in [0, 1 - 1/nx]
     (the value at 0 is defined by continuity); beyond that radius the
     formula no longer applies and the trivial envelope log2(nx) is returned
-    with clamped = True.
+    with clamped = True. The arguments are validated here; the value is
+    `_bound`'s, the one formula, which the verdict and the walk's final
+    check call on values already checked.
     """
     nx = _check_int(nx, "nx", 2)
     epsilon = _as_prob(epsilon, "epsilon")
-    threshold = 1.0 - 1 / nx
-    if epsilon > threshold:
-        return BoundResult(epsilon=epsilon, nx=nx, value=math.log2(nx), clamped=True)
-    value = epsilon * math.log2(nx - 1) + binary_entropy(epsilon)
-    return BoundResult(epsilon=epsilon, nx=nx, value=value, clamped=False)
+    return BoundResult(epsilon=epsilon, nx=nx, value=_bound(epsilon, nx), clamped=epsilon > 1.0 - 1 / nx)
 
 
 def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
@@ -106,8 +111,12 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
 
 
 def _verdict(gap: float, tv: float, nx: int) -> BoundCheck:
-    """A pair's measured gap and tv against the bound at that tv: it holds when slack >= -SLACK_TOL."""
-    bound_at_tv = continuity_bound(tv, nx).value
+    """A pair's measured gap and tv against the bound at that tv: it holds when slack >= -SLACK_TOL.
+
+    tv is validated and clamped as continuity_bound's epsilon, then the bound is `_bound`'s, looked
+    up here at each call.
+    """
+    bound_at_tv = _bound(_as_prob(tv, "epsilon"), nx)
     slack = bound_at_tv - gap
     return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack)
 

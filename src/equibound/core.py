@@ -61,7 +61,7 @@ def _check_real(x, name: str) -> float:
 def _as_prob(x: float, name: str) -> float:
     """Validate a scalar probability, clamping tolerated excursions into [0, 1]."""
     x = _check_real(x, name)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x!r}")
     if x < -NEG_TOL or x > 1.0 + UPPER_TOL:
         raise ValidationError(f"{name} must be in [0, 1], got {x}")

@@ -91,9 +91,17 @@ class GridSearchResult:
     argmax_pair: DistributionPair
 
 
-def _sample(out: np.ndarray, rng: np.random.Generator) -> None:
-    """One Dirichlet-1 draw from rng, written into the flat array out."""
-    out[:] = rng.dirichlet(np.ones(out.size))
+def _flat(e: np.ndarray) -> np.ndarray:
+    """Standard exponentials e made Dirichlet-1 draws, one per row along the last axis: scaled in place and returned.
+
+    Exponentials divided by their sum are uniform on the simplex. numpy's
+    dirichlet at alpha = 1 draws the same exponentials, in the same order,
+    and multiplies them by 1.0 / their left-to-right sum, so a row that
+    standard_exponential fills has its bytes, and leaves the stream where
+    it leaves it.
+    """
+    e *= 1.0 / np.add.accumulate(e, axis=-1)[..., -1:]
+    return e
 
 
 def _rng(seed) -> np.random.Generator:
@@ -104,7 +112,8 @@ def _rng(seed) -> np.random.Generator:
 def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     """Draw a joint grid from the flat (Dirichlet-1) measure on the simplex.
 
-    `seed` is an int >= 0 (deterministic: same seed, same draw) or a numpy
+    The grid has the bytes of `rng.dirichlet(np.ones(nx * ny))` and leaves
+    the generator where that call leaves it (see _flat). `seed` is an int >= 0 (deterministic: same seed, same draw) or a numpy
     Generator for callers managing their own stream. A grid of one row
     (nx = 1) is admitted, while verify_trials refuses nx = 1: the bound
     needs nx >= 2.
@@ -113,13 +122,15 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     if nx < 1 or ny < 1:
         raise ValidationError(f"nx and ny must be >= 1, got ({nx}, {ny})")
     _check_grid_size(nx, ny)
-    v = np.empty(nx * ny)
-    _sample(v, _rng(seed))
-    return JointDistribution(v.reshape(nx, ny))
+    return JointDistribution(_flat(_rng(seed).standard_exponential(nx * ny)).reshape(nx, ny))
 
 
 def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
-    """perturb_within_tv on the flat grid `flat`, in place; eps is a probability already checked."""
+    """perturb_within_tv on the flat grid `flat`, in place; eps is a probability already checked.
+
+    The recipients' weights are one Dirichlet-1 draw in the exponential form
+    of _flat, numpy dirichlet's bytes, scaled by the mass moved.
+    """
     ncells = flat.size
     if eps == 0.0 or ncells == 1:
         return
@@ -141,7 +152,7 @@ def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
         take = min(v, remaining)
         flat[c] = v - take
         remaining -= take
-    adds = target * rng.dirichlet(np.ones(len(recipients)))
+    adds = target * _flat(rng.standard_exponential(len(recipients)))
     # the last recipient takes the exact remainder, so the added mass is target
     adds[-1] = max(0.0, target - float(adds[:-1].sum()))
     flat[recipients] += adds
@@ -176,12 +187,16 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 
     Each trial t draws from its own stream default_rng([seed, t]): p, then
     q (an independent sample when eps is None, a TV-eps perturbation of p
-    otherwise), with the draws of sample_joint and perturb_within_tv.
+    otherwise), the bytes of sample_joint and perturb_within_tv.
     Campaigns at different seeds share no trial, and results do not depend
     on execution order. The trials run in batches that fill one range of
     the walk's blocks, 2^14 grid cells (one trial per batch on larger
     grids, whose walk takes several ranges). A batch is drawn straight into
-    one (2, trials, nx*ny) array, which, as a (2, trials, nx, ny) stack, is
+    one (2, trials, nx*ny) array: each trial fills both its grids (p alone
+    at an eps) with one standard_exponential call, the batch is made
+    Dirichlet-1 draws at once (see _flat), and the eps trials then perturb
+    p's copy in trial order, each with its own generator, so every stream
+    is read in the order of those functions. The array, as a (2, trials, nx, ny) stack, is
     certified by one pass of the invariant-checked walk. Each trial is then
     checked against the bound at the gap and tv of the walk's initial
     measurement of it, which are check_bound's, bit for bit. The
@@ -207,14 +222,16 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     for t0 in range(0, trials, size):
         t1 = min(t0 + size, trials)
         batch = np.empty((2, t1 - t0, nx * ny))
-        for b in range(t1 - t0):
-            rng = np.random.default_rng([seed, t0 + b])
-            p, q = batch[:, b]
-            _sample(p, rng)
-            if eps is None:
-                _sample(q, rng)
-            else:
-                q[:] = p
+        if eps is None:
+            for b in range(t1 - t0):
+                batch[:, b] = np.random.default_rng([seed, t0 + b]).standard_exponential((2, nx * ny))
+            _flat(batch)
+        else:
+            rngs = [np.random.default_rng([seed, t]) for t in range(t0, t1)]
+            for p, rng in zip(batch[0], rngs):
+                rng.standard_exponential(out=p)
+            batch[1] = _flat(batch[0])
+            for q, rng in zip(batch[1], rngs):
                 _perturb(q, eps, rng)
         grids = batch.reshape(2, t1 - t0, nx, ny)
         try:

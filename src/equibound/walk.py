@@ -95,7 +95,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .bounds import continuity_bound
+from .bounds import _bound
 from .core import (
     MASS_TOL,
     MAX_TRACE_BYTES,
@@ -734,7 +734,7 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
             raise InvariantViolation(f"final q has conditional entropy {h} > {STEP_TOL}")
         if abs(top - 1.0) > STEP_TOL:
             raise InvariantViolation(f"final q_X(1) = {top}, expected 1")
-        chain_cap = continuity_bound(initial_tv, nx).value if nx >= 2 else 0.0
+        chain_cap = _bound(initial_tv, nx) if nx >= 2 else 0.0
         if final_gap > chain_cap + STEP_TOL:
             raise InvariantViolation(f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}")
     return tb

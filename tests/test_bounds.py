@@ -15,7 +15,8 @@ from equibound import (
     run_walk,
     tv_distance,
 )
-from equibound.bounds import _verdict
+from equibound import bounds
+from equibound.bounds import _bound, _verdict
 from test_walk_properties import _grid
 
 # frozen from a 60-digit mpmath evaluation
@@ -87,6 +88,34 @@ def test_bound_on_an_alphabet_past_the_float_range():
     # 1 / nx is correctly rounded for any int nx, where 1.0 / nx overflows
     result = continuity_bound(0.5, 10**400)
     assert (result.value, result.clamped) == (665.3856189774725, False)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 10, 10**6, 10**400], ids=["2", "3", "10", "1e6", "1e400"])
+def test_bound_core_is_the_checked_bounds_value(nx):
+    # the unchecked core the verdict and the walk's final check call has continuity_bound's bits,
+    # from the smallest subnormal through the edge 1 - 1/nx to the clamp past it
+    edge = 1.0 - 1 / nx
+    for eps in (0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.5, edge, edge + 1e-13, 1.0):
+        assert _bound(eps, nx).hex() == continuity_bound(eps, nx).value.hex(), eps
+    # past the edge the envelope, where 1 / nx is not below float resolution
+    assert continuity_bound(edge + 1e-13, nx).clamped == (edge < 1.0)
+
+
+@pytest.mark.parametrize("tv", [1.0 + 2e-9, math.nan, math.inf, -1e-9])
+def test_verdict_refuses_a_tv_outside_the_probabilities(monkeypatch, tv):
+    # the verdict validates the tv it is given before the unchecked core sees it, and check_bound
+    # raises with it
+    with pytest.raises(ValidationError, match="epsilon must be"):
+        _verdict(0.1, tv, 3)
+    monkeypatch.setattr(bounds, "_orientation", lambda W: (False, (tv,), (0.1,)))
+    J = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="epsilon must be"):
+        check_bound(DistributionPair(J, J))
+
+
+def test_verdict_clamps_a_tv_within_the_tolerance():
+    # a tv up to 1e-9 past 1 is 1, as continuity_bound clamps it
+    assert _verdict(0.1, 1.0 + 5e-10, 3).bound_at_tv == continuity_bound(1.0, 3).value == math.log2(3)
 
 
 # ---------------------------------------------------------------- extremal_pair
