@@ -91,7 +91,7 @@ class GridSearchResult:
     argmax_pair: DistributionPair
 
 
-def _flat(e: np.ndarray) -> np.ndarray:
+def _dirichlet(e: np.ndarray) -> np.ndarray:
     """Standard exponentials e made Dirichlet-1 draws, one per row along the last axis: scaled in place and returned.
 
     Exponentials divided by their sum are uniform on the simplex. numpy's
@@ -113,23 +113,23 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     """Draw a joint grid from the flat (Dirichlet-1) measure on the simplex.
 
     The grid has the bytes of `rng.dirichlet(np.ones(nx * ny))` and leaves
-    the generator where that call leaves it (see _flat). `seed` is an int >= 0 (deterministic: same seed, same draw) or a numpy
-    Generator for callers managing their own stream. A grid of one row
-    (nx = 1) is admitted, while verify_trials refuses nx = 1: the bound
-    needs nx >= 2.
+    the generator where that call leaves it (see _dirichlet). `seed` is an int
+    >= 0 (deterministic: same seed, same draw) or a numpy Generator for
+    callers managing their own stream. A grid of one row (nx = 1) is
+    admitted, while verify_trials refuses nx = 1: the bound needs nx >= 2.
     """
     nx, ny = _check_int(nx, "nx"), _check_int(ny, "ny")
     if nx < 1 or ny < 1:
         raise ValidationError(f"nx and ny must be >= 1, got ({nx}, {ny})")
     _check_grid_size(nx, ny)
-    return JointDistribution(_flat(_rng(seed).standard_exponential(nx * ny)).reshape(nx, ny))
+    return JointDistribution(_dirichlet(_rng(seed).standard_exponential(nx * ny)).reshape(nx, ny))
 
 
 def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
     """perturb_within_tv on the flat grid `flat`, in place; eps is a probability already checked.
 
     The recipients' weights are one Dirichlet-1 draw in the exponential form
-    of _flat, numpy dirichlet's bytes, scaled by the mass moved.
+    of _dirichlet, numpy dirichlet's bytes, scaled by the mass moved.
     """
     ncells = flat.size
     if eps == 0.0 or ncells == 1:
@@ -152,7 +152,7 @@ def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
         take = min(v, remaining)
         flat[c] = v - take
         remaining -= take
-    adds = target * _flat(rng.standard_exponential(len(recipients)))
+    adds = target * _dirichlet(rng.standard_exponential(len(recipients)))
     # the last recipient takes the exact remainder, so the added mass is target
     adds[-1] = max(0.0, target - float(adds[:-1].sum()))
     flat[recipients] += adds
@@ -194,14 +194,14 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     grids, whose walk takes several ranges). A batch is drawn straight into
     one (2, trials, nx*ny) array: each trial fills both its grids (p alone
     at an eps) with one standard_exponential call, the batch is made
-    Dirichlet-1 draws at once (see _flat), and the eps trials then perturb
-    p's copy in trial order, each with its own generator, so every stream
-    is read in the order of those functions. The array, as a (2, trials, nx, ny) stack, is
-    certified by one pass of the invariant-checked walk. Each trial is then
-    checked against the bound at the gap and tv of the walk's initial
-    measurement of it, which are check_bound's, bit for bit. The
-    drawn grids are not JointDistributions: what that validation checks
-    (entries finite and in range, each grid's mass within 1e-9 of 1) the
+    Dirichlet-1 draws at once (see _dirichlet), and the eps trials then
+    perturb p's copy in trial order, each with its own generator, so every
+    stream is read in the order of those functions. The array, as a (2,
+    trials, nx, ny) stack, is certified by one pass of the invariant-checked
+    walk. Each trial is then checked against the bound at the gap and tv of
+    the walk's initial measurement of it, which are check_bound's, bit for
+    bit. The drawn grids are not JointDistributions: what that validation
+    checks (entries finite and in range, each grid's mass within 1e-9 of 1) the
     walk certifies at its reorder and average measurements, before
     anything is reported. Only the worst pair becomes JointDistributions,
     at the end. If a batch's walk fails, its trials are walked again one
@@ -225,12 +225,12 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
         if eps is None:
             for b in range(t1 - t0):
                 batch[:, b] = np.random.default_rng([seed, t0 + b]).standard_exponential((2, nx * ny))
-            _flat(batch)
+            _dirichlet(batch)
         else:
             rngs = [np.random.default_rng([seed, t]) for t in range(t0, t1)]
             for p, rng in zip(batch[0], rngs):
                 rng.standard_exponential(out=p)
-            batch[1] = _flat(batch[0])
+            batch[1] = _dirichlet(batch[0])
             for q, rng in zip(batch[1], rngs):
                 _perturb(q, eps, rng)
         grids = batch.reshape(2, t1 - t0, nx, ny)
