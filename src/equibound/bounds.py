@@ -110,21 +110,32 @@ def extremal_pair(epsilon: float, nx: int, ny: int = 1) -> DistributionPair:
     return DistributionPair(JointDistribution(p), JointDistribution(q))
 
 
+def _holds(slack):
+    """The one verdict rule: a gap holds against its bound when slack = bound - gap >= -SLACK_TOL.
+
+    slack is a float (check_bound) or an array of them (a campaign's batch);
+    a NaN slack does not hold.
+    """
+    return slack >= -SLACK_TOL
+
+
 def _verdict(gap: float, tv: float, nx: int) -> BoundCheck:
-    """A pair's measured gap and tv against the bound at that tv: it holds when slack >= -SLACK_TOL.
+    """A pair's measured gap and tv against the bound at that tv, by the rule of `_holds`.
 
     tv is validated and clamped as continuity_bound's epsilon, then the bound is `_bound`'s, looked
-    up here at each call.
+    up here at each call. A campaign applies the same rule to a whole batch, with the bound the
+    walk's chain cap computed at the same tv.
     """
     bound_at_tv = _bound(_as_prob(tv, "epsilon"), nx)
     slack = bound_at_tv - gap
-    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(slack >= -SLACK_TOL), slack=slack)
+    return BoundCheck(gap=gap, tv=tv, bound_at_tv=bound_at_tv, holds=bool(_holds(slack)), slack=slack)
 
 
 def check_bound(pair: DistributionPair) -> BoundCheck:
     """Measure a pair's equivocation gap against the bound at its measured TV.
 
-    slack = bound_at_tv - gap; the pair `holds` when slack >= -1e-9. The gap
+    slack = bound_at_tv - gap; the pair `holds` when slack >= -1e-9, the one
+    rule (`_holds`) that verify_trials applies to its trials too. The gap
     and tv are the walk's initial measurement of the pair (see
     core._measure), so they equal run_walk(pair).initial_gap and
     initial_tv bit for bit.

@@ -209,7 +209,8 @@ def _freeze(a: np.ndarray) -> JointDistribution:
     For grids whose caller has certified them and that nothing writes
     afterwards: the walk's ledger checks the entries of every column a step
     moves and the total mass, so its snapshots skip the whole-grid
-    re-validation. Its bytes are those of JointDistribution(a) for a grid
+    re-validation, and so does a campaign's worst pair, which the walk
+    certified before it is reported. Its bytes are those of JointDistribution(a) for a grid
     that passes validation without clamping.
     """
     a.flags.writeable = False

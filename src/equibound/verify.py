@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_radius, _verdict, continuity_bound
+from .bounds import _check_radius, _holds, continuity_bound
 from .core import (
     DistributionPair,
     JointDistribution,
@@ -26,6 +26,8 @@ from .core import (
     _as_prob,
     _check_grid_size,
     _check_int,
+    _freeze,
+    _in_range,
     _xlog2x_arr,
 )
 from .walk import InvariantViolation, _range_blocks, _walk
@@ -176,10 +178,59 @@ def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistributi
     return JointDistribution(flat.reshape(p.probs.shape))
 
 
-def _ratio(gap: float, bound: float) -> float:
-    if bound > 0.0:
-        return gap / bound
-    return 0.0 if gap <= 1e-12 else math.inf
+def _ratio(gap, bound):
+    """gap / bound, elementwise; where the bound is 0, 0.0 for a gap of at most 1e-12 and inf otherwise.
+
+    Arrays give an array, floats a float (numpy's float64).
+    """
+    # [()] takes a 0-d result's scalar and leaves an array as it is
+    return np.divide(gap, bound, out=np.where(gap <= 1e-12, 0.0, np.inf), where=np.greater(bound, 0.0))[()]
+
+
+# most trials a campaign draws at once, and so most generators alive at once
+_DRAW_TRIALS = 256
+
+
+def _words(n: int) -> list[int]:
+    # n's little-endian 32-bit words, at least one: the words numpy's SeedSequence takes an int >= 0 to
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_rows(seed: int, t0: int, t1: int):
+    """For each trial t of t0 ... t1 - 1 in turn, the uint32 row SeedSequence makes of [seed, t]: seed's words, then t's.
+
+    default_rng of the row gives default_rng([seed, t])'s stream, without
+    coercing the list. The trials whose words above the lowest are t0's
+    come first, each t0's row plus its offset in t's lowest word, then the
+    others (t1 - t0 is far below 2**32) in the same way from the first of
+    them, which may take one word more.
+    """
+    s, cut = len(_words(seed)), min(t1, (t0 | 0xFFFFFFFF) + 1)
+    for a, b in ((t0, cut), (cut, t1)):
+        run = np.array(_words(seed) + _words(a), dtype=np.uint32)[None].repeat(b - a, axis=0)
+        run[:, s] += np.arange(b - a, dtype=np.uint32)
+        yield from run
+
+
+def _draw(draws: np.ndarray, seed: int, t0: int, eps: float | None) -> None:
+    """Draw trials t0, t0 + 1, ... of the campaign at `seed` into `draws`, shape (trials, 2, nx*ny), in place.
+
+    Each trial draws from a generator on its row of words (see _seed_rows).
+    Trial by trial a trial's grids, p and q (p alone at an eps), are one
+    contiguous standard_exponential fill, and these are made Dirichlet-1
+    draws at once (see _dirichlet). At an eps, q then starts as p and each
+    trial perturbs it with its own generator, in trial order. The
+    generators die when this returns.
+    """
+    k = 2 if eps is None else 1
+    rngs = list(map(np.random.default_rng, _seed_rows(seed, t0, t0 + len(draws))))
+    for d, rng in zip(draws, rngs):
+        rng.standard_exponential(out=d[:k])
+    _dirichlet(draws[:, :k])
+    if eps is not None:
+        draws[:, 1] = draws[:, 0]
+        for d, rng in zip(draws, rngs):
+            _perturb(d[1], eps, rng)
 
 
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
@@ -187,27 +238,34 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 
     Each trial t draws from its own stream default_rng([seed, t]): p, then
     q (an independent sample when eps is None, a TV-eps perturbation of p
-    otherwise), the bytes of sample_joint and perturb_within_tv.
-    Campaigns at different seeds share no trial, and results do not depend
-    on execution order. The trials run in batches that fill one range of
-    the walk's blocks, 2^14 grid cells (one trial per batch on larger
-    grids, whose walk takes several ranges). A batch is drawn straight into
-    one (2, trials, nx*ny) array: each trial fills both its grids (p alone
-    at an eps) with one standard_exponential call, the batch is made
-    Dirichlet-1 draws at once (see _dirichlet), and the eps trials then
-    perturb p's copy in trial order, each with its own generator, so every
-    stream is read in the order of those functions. The array, as a (2,
-    trials, nx, ny) stack, is certified by one pass of the invariant-checked
-    walk. Each trial is then checked against the bound at the gap and tv of
-    the walk's initial measurement of it, which are check_bound's, bit for
-    bit. The drawn grids are not JointDistributions: what that validation
-    checks (entries finite and in range, each grid's mass within 1e-9 of 1) the
-    walk certifies at its reorder and average measurements, before
-    anything is reported. Only the worst pair becomes JointDistributions,
-    at the end. If a batch's walk fails, its trials are walked again one
-    at a time, and the first failing trial's violation propagates, with
-    the seed and that trial's number attached (if none fails on its own,
-    the batch's violation, with its trials' range).
+    otherwise), the bytes of sample_joint and perturb_within_tv. The
+    generator is built from the uint32 row SeedSequence makes of [seed, t]
+    (see _seed_rows), which gives the same stream. Campaigns at different
+    seeds share no trial, and results do not depend on execution order.
+    The trials run in batches that fill one range of the walk's blocks,
+    2^14 grid cells (one trial per batch on larger grids, whose walk takes
+    several ranges). A batch is drawn straight into one (trials, 2, nx*ny)
+    array, at most 256 trials (and generators) at a time: each trial fills
+    both its grids (p alone at an eps) with one standard_exponential call,
+    those trials are made Dirichlet-1 draws at once (see _dirichlet), and
+    the eps trials then perturb p's copy in trial order, each with its own
+    generator, so every stream is read in the order of those functions. The
+    array, as a (2, trials, nx, ny) stack, is certified by one pass of the
+    invariant-checked walk. Each trial is then checked against the bound at
+    the gap and tv of the walk's initial measurement of it, which are
+    check_bound's, bit for bit, with the bound the walk's final check
+    computed there (its chain cap, `_bound` at that tv) and check_bound's
+    rule (see bounds._holds), over the whole batch at once; a tv that
+    check_bound would refuse is refused with its message. The drawn grids
+    are not JointDistributions: what that validation checks (entries finite
+    and in range, each grid's mass within 1e-9 of 1) the walk certifies at
+    its reorder and average measurements, before anything is reported. Only
+    the worst pair (the first trial of the largest ratio) becomes
+    JointDistributions, at the end, copied and not validated again. If a
+    batch's walk fails, its trials are walked again one at a time, and the
+    first failing trial's violation propagates, with the seed and that
+    trial's number attached (if none fails on its own, the batch's
+    violation, with its trials' range).
     """
     nx, ny = _check_int(nx, "nx", 2), _check_int(ny, "ny", 1)
     trials, seed = _check_int(trials, "trials", 1), _check_int(seed, "seed", 0)
@@ -215,25 +273,14 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
         eps = _as_prob(eps, "eps")
     _check_grid_size(nx, ny)
 
-    violations = 0
-    max_ratio = 0.0
-    worst: np.ndarray | None = None
+    violations, max_ratio, worst = 0, 0.0, None
     size = min(trials, max(1, _range_blocks(nx) // ny))
     for t0 in range(0, trials, size):
         t1 = min(t0 + size, trials)
-        batch = np.empty((2, t1 - t0, nx * ny))
-        if eps is None:
-            for b in range(t1 - t0):
-                batch[:, b] = np.random.default_rng([seed, t0 + b]).standard_exponential((2, nx * ny))
-            _dirichlet(batch)
-        else:
-            rngs = [np.random.default_rng([seed, t]) for t in range(t0, t1)]
-            for p, rng in zip(batch[0], rngs):
-                rng.standard_exponential(out=p)
-            batch[1] = _dirichlet(batch[0])
-            for q, rng in zip(batch[1], rngs):
-                _perturb(q, eps, rng)
-        grids = batch.reshape(2, t1 - t0, nx, ny)
+        draws = np.empty((t1 - t0, 2, nx * ny))
+        for s0 in range(0, t1 - t0, _DRAW_TRIALS):
+            _draw(draws[s0 : s0 + _DRAW_TRIALS], seed, t0 + s0, eps)
+        grids = draws.reshape(t1 - t0, 2, nx, ny).swapaxes(0, 1)
         try:
             tb = _walk(grids)
         except InvariantViolation as exc:
@@ -250,19 +297,24 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
             raise InvariantViolation(
                 f"{exc} [seed {seed}, trials {t0}-{t1 - 1}, nx={nx}, ny={ny}, eps={eps}]"
             ) from exc
-        for b, (tv, gap) in enumerate(zip(tb.initial_tv, tb.initial_gap)):
-            result = _verdict(gap, tv, nx)
-            violations += not result.holds
-            ratio = _ratio(result.gap, result.bound_at_tv)
-            if worst is None or ratio > max_ratio:
-                max_ratio = ratio
-                # a view, which keeps its batch alive until the report is built
-                worst = grids[:, b]
+        # each chain cap is _verdict's bound at its trial's tv (a tv is never negative); a tv _verdict
+        # refuses (not finite, or past 1 + 1e-9) is refused with its message, at the first such trial
+        if not _in_range(np.array(tb.initial_tv), 0.0):
+            for tv in tb.initial_tv:
+                _as_prob(tv, "epsilon")
+        gap, bound = np.array(tb.initial_gap), np.array(tb.bound)
+        violations += int(np.count_nonzero(~_holds(bound - gap)))
+        ratio = _ratio(gap, bound)
+        b = int(ratio.argmax())  # the first of the largest
+        if worst is None or ratio[b] > max_ratio:
+            # a view, which keeps its batch alive until the report is built
+            max_ratio, worst = float(ratio[b]), grids[:, b]
     return TrialReport(
         trials=trials,
         violations=violations,
         max_gap_over_bound_ratio=max_ratio,
-        worst_pair=DistributionPair(JointDistribution(worst[0]), JointDistribution(worst[1])),
+        # certified by the walk, so copied, not validated again
+        worst_pair=DistributionPair(_freeze(worst[0].copy()), _freeze(worst[1].copy())),
         seed=seed,
         nx=nx,
         ny=ny,

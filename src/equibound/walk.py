@@ -68,7 +68,7 @@ the same way everywhere. Orienting changes no tv and only the sign of the
 gap, so the ledger starts from the measured tv and |H(p) - H(q)|, whichever
 way the pair was given. These are the gap and tv that check_bound reports
 for the pair, bit for bit, and that a campaign's verdict reads for each of
-its trials.
+its trials, with the bound the final check computes at that tv.
 
 Because the blocks are independent, the columns of many pairs placed side
 by side form one valid input too. The walk takes a stack of trials, shape
@@ -548,7 +548,9 @@ class _TraceBuilder:
     each trial's running totals after its last step. Every check is made
     per trial, and the first failing check found raises InvariantViolation.
     With `steps` (one trial) the steps are recorded there (see _Steps); with
-    None nothing is.
+    None nothing is. Once the walk has passed its final checks, `bound`
+    holds each trial's chain cap, the bound at its initial tv (`_bound`),
+    which a campaign trial's verdict reads as its bound.
     """
 
     def __init__(self, steps: _Steps | None, ny: int, tv: list[float], gap: list[float]):
@@ -698,7 +700,8 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     The first failing check found raises InvariantViolation. With a
     snapshot mode (W holds one trial) the steps are recorded in that mode;
     with None (campaigns) none are. The returned ledger's `final` is the
-    averaged pair, laid side by side.
+    averaged pair, laid side by side, and its `bound` the chain cap each
+    trial's final gap was checked against, in trial order.
     """
     _, trials, nx, ny = W.shape
     W = W.transpose(0, 2, 1, 3).reshape(2, nx, trials * ny)
@@ -729,12 +732,14 @@ def _walk(W: np.ndarray, snapshots: SnapshotMode | None = None) -> _TraceBuilder
     tb.final = W
 
     q_x_top = W[1, 0].reshape(trials, ny).sum(axis=1).tolist()
+    tb.bound = []
     for h, top, initial_tv, final_gap in zip(tb.sums[5].tolist(), q_x_top, tb.initial_tv, tb.gap):
         if h > STEP_TOL:
             raise InvariantViolation(f"final q has conditional entropy {h} > {STEP_TOL}")
         if abs(top - 1.0) > STEP_TOL:
             raise InvariantViolation(f"final q_X(1) = {top}, expected 1")
         chain_cap = _bound(initial_tv, nx) if nx >= 2 else 0.0
+        tb.bound.append(chain_cap)
         if final_gap > chain_cap + STEP_TOL:
             raise InvariantViolation(f"final gap {final_gap} exceeds the bound {chain_cap} at the initial tv {initial_tv}")
     return tb

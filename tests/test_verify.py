@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -533,10 +534,11 @@ def _assert_same_report(report, reference):
 
 @pytest.mark.parametrize("eps", [None, 0.1, 0.0])
 def test_batched_campaign_matches_the_per_trial_loop(monkeypatch, eps):
-    # batches of BATCH trials, and campaigns of 1, B - 1, B, B + 1 and 2B + 3 trials, on every campaign shape
-    for nx, ny in CAMPAIGN_SHAPES:
+    # batches of BATCH trials, and campaigns of 1, B - 1, B, B + 1 and 2B + 3 trials, on every campaign
+    # shape, and on a few shapes at seeds of two and three 32-bit words
+    cases = [(nx, ny, 1000 + 10 * nx + ny) for nx, ny in CAMPAIGN_SHAPES]
+    for nx, ny, seed in cases + [(2, 1, 2**32), (3, 2, 2**40 + 5), (5, 4, 2**64 + 3)]:
         monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * nx * ny)
-        seed = 1000 + 10 * nx + ny
         reference = _reference_trials(nx, ny, 2 * BATCH + 3, seed, eps)
         for trials in (1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3):
             _assert_same_report(verify_trials(nx, ny, trials, seed, eps=eps), _reference_report(reference[:trials]))
@@ -568,16 +570,111 @@ def test_campaign_walks_the_public_draws(monkeypatch, eps):
 
 
 def test_violation_counts_match_the_per_trial_loop(monkeypatch):
-    # a bound shrunk to a third of its value is violated by some trials, and the routes count the same ones
-    # check_bound and the campaign both reach bounds._bound through the verdict; the walk's final
-    # check imports it by name, so its chain cap keeps the true bound
-    real = bounds._bound
+    # a bound shrunk to a third of its value is violated by some trials, and the routes count the same ones.
+    # check_bound reaches bounds._bound through the verdict; the campaign reads each trial's chain cap
+    # from the ledger, which the walk's final check computed with the true bound (it imports _bound by
+    # name), and a third of it is taken once the walk has returned
+    real, real_walk = bounds._bound, verify._walk
     monkeypatch.setattr(bounds, "_bound", lambda epsilon, nx: real(epsilon, nx) / 3)
+
+    def shrunk(W, *args):
+        tb = real_walk(W, *args)
+        tb.bound = [cap / 3 for cap in tb.bound]
+        return tb
+
+    monkeypatch.setattr(verify, "_walk", shrunk)
     monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * 6)
     for eps in (None, 0.1):
         reference = _reference_report(_reference_trials(3, 2, 2 * BATCH + 3, 77, eps))
         assert 0 < reference[0] < 2 * BATCH + 3
         _assert_same_report(verify_trials(3, 2, 2 * BATCH + 3, 77, eps=eps), reference)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 12345678901234567890123]
+TRIALS = [0, 1, 7, 2**32 - 1, 2**32, 2**33 + 1]
+
+
+def _same_stream(a, b):
+    assert a.random(5).tobytes() == b.random(5).tobytes()
+    assert a.integers(2**62) == b.integers(2**62)
+
+
+def test_seed_rows_give_the_streams_of_seed_and_trial():
+    # a generator on trial t's row of words draws what default_rng([seed, t]) draws
+    for seed, t in itertools.product(SEEDS, TRIALS):
+        (row,) = verify._seed_rows(seed, t, t + 1)
+        assert row.dtype == np.uint32
+        _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
+    # the words numpy's SeedSequence takes both to: little-endian, at least one per int
+    (row,) = verify._seed_rows(2**32, 2**33 + 1, 2**33 + 2)
+    assert row.tolist() == [0, 1, 1, 2]
+    assert next(verify._seed_rows(0, 0, 1)).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("seed", [7, 2**40 + 5])
+def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
+    # trials 2**32 - 3 ... 2**32 + 1 take one word, then two: each row is the row of its trial alone
+    t0, t1 = 2**32 - 3, 2**32 + 2
+    rows = list(verify._seed_rows(seed, t0, t1))
+    assert len(rows) == t1 - t0
+    for t, row in zip(range(t0, t1), rows):
+        assert row.tolist() == next(verify._seed_rows(seed, t, t + 1)).tolist()
+        _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
+    assert [len(row) for row in rows] == [len(rows[0])] * 3 + [len(rows[0]) + 1] * 2
+
+
+@pytest.mark.parametrize("tv, message", [(math.nan, "epsilon must be finite, got nan"), (1.0 + 2e-9, "epsilon must be in [0, 1], got 1.000000002"), (1.0 + 5e-10, None)])
+def test_campaign_refuses_a_tv_the_verdict_refuses(monkeypatch, tv, message):
+    # a ledger reporting trial 12's tv as `tv`: the campaign raises the verdict's refusal, and a tv
+    # the verdict clamps changes nothing
+    real = verify._walk
+
+    def faulty(W, *args):
+        tb = real(W, *args)
+        if W.shape[1] > 2:
+            tb.initial_tv = tb.initial_tv[:2] + [tv] + tb.initial_tv[3:]
+        return tb
+
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 10 * 6)
+    expected = verify_trials(3, 2, 25, seed=11)
+    monkeypatch.setattr(verify, "_walk", faulty)
+    if message is None:
+        assert bounds._verdict(0.1, tv, 3).holds
+        assert verify_trials(3, 2, 25, seed=11) == expected
+        return
+    with pytest.raises(ValidationError) as own:
+        bounds._verdict(0.1, tv, 3)
+    assert str(own.value) == message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        verify_trials(3, 2, 25, seed=11)
+
+
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
+    # a 2 x 1 campaign of 1 000 trials is one batch; each trial's generator is counted while it lives
+    real = np.random.default_rng
+    live, peak, made = [0], [0], [0]
+
+    class Counted(np.random.Generator):  # numpy's Generator takes no weak reference; a subclass does
+        pass
+
+    def release():
+        live[0] -= 1
+
+    def counted(seed):
+        rng = Counted(real(seed).bit_generator)
+        made[0] += 1
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(rng, release)
+        return rng
+
+    expected = verify_trials(2, 1, 1000, 3, eps=eps)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    assert verify_trials(2, 1, 1000, 3, eps=eps) == expected
+    assert made[0] == 1000
+    assert live[0] == 0
+    assert 1 <= peak[0] <= 256
 
 
 def test_batch_size_follows_the_cell_budget(monkeypatch):

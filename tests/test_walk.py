@@ -1184,3 +1184,79 @@ def test_drift_of_running_totals_is_caught(monkeypatch):
     monkeypatch.setattr(walk, "_running", drifting)
     with pytest.raises(InvariantViolation, match="drifted from the full measurement"):
         run_walk(_three_block_pair(), snapshots="none")
+
+
+# ---------------------------------------------------------------- the final checks at literal excursions
+#
+# Each check of the whole walk is pinned at a literal excursion, not at the tolerance constant:
+# 2e-9 past what it checks must raise and 5e-10 must pass. The excursion is added to a whole-grid
+# measurement of the walk (the reorder measurement is the walk's first, the cross-check its
+# second and the averaged pair's its third), or to the averaged grids.
+
+
+def _shift_measurement(monkeypatch, call, change):
+    """Apply change(sums) to each trial's sums of the walk's `call`-th whole-grid measurement (0-based)."""
+    real, calls = walk._measure, []
+
+    def measure(W, trials=1):
+        terms, sums = real(W, trials)
+        if len(calls) == call:
+            change(sums)
+        calls.append(call)
+        return terms, sums
+
+    monkeypatch.setattr(walk, "_measure", measure)
+
+
+def _raise_rows(rows, x):
+    """A change that adds x to the given rows of the sums: 0 tv, 4 and 5 p's and q's equivocations."""
+
+    def change(sums):
+        sums[rows] += x
+
+    return change
+
+
+def _q_top_short(monkeypatch, x):
+    # x of the averaged q's top row moved to the row below it in block 1 (the mass stays 1), and q's
+    # measured equivocation read as 0.0, which it is without the move: only q_X(1) is off
+    real = walk._average
+
+    def average(A, trials=1):
+        out = np.array(real(A, trials))
+        out[1, 0, 0] -= x
+        out[1, 1, 0] += x
+        return out
+
+    monkeypatch.setattr(walk, "_average", average)
+    _shift_measurement(monkeypatch, 2, lambda sums: sums.__setitem__(5, 0.0))
+
+
+def _identical_pair():
+    p = sample_joint(3, 2, np.random.default_rng(5))
+    return DistributionPair(p, p)
+
+
+# case: (the pair, how x is put in, the message at 2e-9)
+FINAL_CHECKS = {
+    # p's and q's equivocations both up by x: the gap stays, q's equivocation is x
+    "final_q_entropy": (_three_block_pair, lambda m, x: _shift_measurement(m, 2, _raise_rows([4, 5], x)), r"final q has conditional entropy 2e-09 > "),
+    "final_q_top": (_three_block_pair, _q_top_short, r"final q_X\(1\) = 0\.99999999[78]\d*, expected 1"),
+    # an identical pair: tv 0, bound 0, and a final gap of x
+    "final_bound": (_identical_pair, lambda m, x: _shift_measurement(m, 2, _raise_rows([4], x)), r"final gap 2e-09 exceeds the bound 0\.0 at the initial tv 0\.0"),
+    "cross_check_tv": (_three_block_pair, lambda m, x: _shift_measurement(m, 1, _raise_rows([0], x)), r"running totals \(tv \S+, gap \S+\) drifted from the full measurement"),
+    "cross_check_gap": (_three_block_pair, lambda m, x: _shift_measurement(m, 1, _raise_rows([4], x)), r"running totals \(tv \S+, gap \S+\) drifted from the full measurement"),
+}
+
+
+@pytest.mark.parametrize("check", FINAL_CHECKS)
+def test_final_checks_raise_at_literal_excursions(monkeypatch, check):
+    make_pair, inject, message = FINAL_CHECKS[check]
+    pair = make_pair()
+    with monkeypatch.context() as m:
+        inject(m, 5e-10)
+        run_walk(pair, snapshots="none")
+    with monkeypatch.context() as m:
+        inject(m, 2e-9)
+        with pytest.raises(InvariantViolation, match=f"^{message}"):
+            run_walk(pair, snapshots="none")

@@ -8,9 +8,12 @@ both. Each times `run_walk` on one 3x2 pair in each snapshot mode (median
 over batches of 20 calls, the modes in turn, CALLS calls a mode after a
 warm-up) and the loop of acceptance criterion 5 (sample a pair, walk it in
 "none" mode, read every step's tv and gap, check the final pair) over
-PER_SHAPE pairs of each of its 16 shapes. Times are the process's CPU
-time, which load on the host inflates less than wall time. The output is
-each tree's median over the rounds in microseconds, and change / parent.
+PER_SHAPE pairs of each of its 16 shapes, and then the campaign
+`verify_trials(3, 2, 2000, 5)` per trial, without and with eps = 0.1
+(median of CAMPAIGNS runs each, after a warm-up). Times are the process's
+CPU time, which load on the host inflates less than wall time. The output
+is each tree's median over the rounds in microseconds, and change /
+parent.
 """
 
 import argparse
@@ -20,14 +23,14 @@ import statistics
 import subprocess
 import sys
 
-ROUNDS, CALLS, PER_SHAPE = 15, 600, 20  # CALLS: a multiple of 20
+ROUNDS, CALLS, PER_SHAPE, CAMPAIGNS = 15, 600, 20, 5  # CALLS: a multiple of 20
 
 CHILD = r"""
 import json, statistics, sys, time
 import numpy as np
-from equibound import DistributionPair, conditional_entropy, continuity_bound, marginal, run_walk, sample_joint
+from equibound import DistributionPair, conditional_entropy, continuity_bound, marginal, run_walk, sample_joint, verify_trials
 
-calls, per_shape = int(sys.argv[1]), int(sys.argv[2])
+calls, per_shape, campaigns = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(3)
 pair = DistributionPair(sample_joint(3, 2, rng), sample_joint(3, 2, rng))
 modes = ("none", "phases", "all")
@@ -55,6 +58,15 @@ for nx, ny in [(nx, ny) for nx in (2, 3, 4, 5) for ny in (1, 2, 3, 4)]:
         assert abs(marginal(trace.final.q, "x")[0] - 1.0) <= 1e-9
         assert trace.final_gap <= continuity_bound(trace.initial_tv, nx).value + 1e-9
 out["criterion 5, per walk"] = (time.process_time() - t0) / (16 * per_shape) * 1e6
+
+for eps in (None, 0.1):
+    verify_trials(3, 2, 200, 5, eps=eps)
+    runs = []
+    for _ in range(campaigns):
+        t0 = time.process_time()
+        verify_trials(3, 2, 2000, 5, eps=eps)
+        runs.append(time.process_time() - t0)
+    out[f"verify_trials 3x2 eps={eps}, per trial"] = statistics.median(runs) / 2000 * 1e6
 print(json.dumps(out))
 """
 
@@ -68,12 +80,12 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for r in range(ROUNDS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            cmd = [sys.executable, "-c", CHILD, str(CALLS), str(PER_SHAPE)]
+            cmd = [sys.executable, "-c", CHILD, str(CALLS), str(PER_SHAPE), str(CAMPAIGNS)]
             done = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": getattr(args, side)}, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(done.stdout))
     for name in runs["parent"][0]:
         p, c = (statistics.median(run[name] for run in runs[side]) for side in ("parent", "change"))
-        print(f"{name:24s} parent {p:9.1f} us  change {c:9.1f} us  ratio {c / p:.3f}")
+        print(f"{name:38s} parent {p:9.1f} us  change {c:9.1f} us  ratio {c / p:.3f}")
     return 0
 
 
