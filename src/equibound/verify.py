@@ -191,9 +191,9 @@ def _ratio(gap, bound):
 _DRAW_TRIALS = 256
 
 
-def _words(n: int) -> list[int]:
+def _words(n: int) -> bytes:
     # n's little-endian 32-bit words, at least one: the words numpy's SeedSequence takes an int >= 0 to
-    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+    return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
 
 
 def _seed_rows(seed: int, t0: int, t1: int):
@@ -201,14 +201,14 @@ def _seed_rows(seed: int, t0: int, t1: int):
 
     default_rng of the row gives default_rng([seed, t])'s stream, without
     coercing the list. The trials whose words above the lowest are t0's
-    come first, each t0's row plus its offset in t's lowest word, then the
-    others (t1 - t0 is far below 2**32) in the same way from the first of
-    them, which may take one word more.
+    come first, each t0's row plus its offset in t's lowest word, then, if
+    the trials reach the next multiple of 2**32, the others in the same way
+    from the first of them (t1 - t0 is far below 2**32).
     """
-    s, cut = len(_words(seed)), min(t1, (t0 | 0xFFFFFFFF) + 1)
-    for a, b in ((t0, cut), (cut, t1)):
-        run = np.array(_words(seed) + _words(a), dtype=np.uint32)[None].repeat(b - a, axis=0)
-        run[:, s] += np.arange(b - a, dtype=np.uint32)
+    head, cut = _words(seed), min(t1, (t0 | 0xFFFFFFFF) + 1)
+    for a, b in ((t0, cut), (cut, t1)) if cut < t1 else ((t0, t1),):
+        run = np.frombuffer(head + _words(a), dtype="<u4")[None].repeat(b - a, axis=0)
+        run[:, len(head) // 4] += np.arange(b - a, dtype=np.uint32)
         yield from run
 
 

@@ -625,8 +625,8 @@ def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
 
 @pytest.mark.parametrize("tv, message", [(math.nan, "epsilon must be finite, got nan"), (1.0 + 2e-9, "epsilon must be in [0, 1], got 1.000000002"), (1.0 + 5e-10, None)])
 def test_campaign_refuses_a_tv_the_verdict_refuses(monkeypatch, tv, message):
-    # a ledger reporting trial 12's tv as `tv`: the campaign raises the verdict's refusal, and a tv
-    # the verdict clamps changes nothing
+    # ledgers reporting the third trial's tv of each batch of 10 as `tv`: the campaign raises the
+    # verdict's refusal, and a tv the verdict clamps changes nothing
     real = verify._walk
 
     def faulty(W, *args):
