@@ -22,8 +22,8 @@ from .core import (
     DistributionPair,
     JointDistribution,
     ValidationError,
-    binary_entropy,
     _as_prob,
+    _binary_entropy,
     _check_grid_size,
     _check_int,
     _check_real,
@@ -72,7 +72,7 @@ def _bound(epsilon: float, nx: int) -> float:
     """continuity_bound's value, unchecked: epsilon a float in [0, 1], nx an int >= 2."""
     if epsilon > 1.0 - 1 / nx:
         return math.log2(nx)
-    return epsilon * math.log2(nx - 1) + binary_entropy(epsilon)
+    return epsilon * math.log2(nx - 1) + _binary_entropy(epsilon)
 
 
 def continuity_bound(epsilon: float, nx: int) -> BoundResult:

@@ -88,7 +88,11 @@ def binary_entropy(eps: float) -> float:
     so the relative error stays at rounding level for tiny eps, where
     log2(1 - eps) would lose the digits of eps that 1 - eps cannot hold.
     """
-    eps = _as_prob(eps, "eps")
+    return _binary_entropy(_as_prob(eps, "eps"))
+
+
+def _binary_entropy(eps: float) -> float:
+    """binary_entropy's value, unchecked: eps a float in [0, 1]."""
     t = min(eps, 1.0 - eps)
     if t == 0.0:
         return 0.0

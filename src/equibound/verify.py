@@ -196,26 +196,146 @@ def _words(n: int) -> bytes:
     return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
 
 
-def _seed_rows(seed: int, t0: int, t1: int):
-    """For each trial t of t0 ... t1 - 1 in turn, the uint32 row SeedSequence makes of [seed, t]: seed's words, then t's.
+def _seed_runs(seed: int, t0: int, t1: int):
+    """The uint32 rows SeedSequence makes of [seed, t] for t = t0 ... t1 - 1 (seed's words, then t's), as runs of equal length.
 
-    default_rng of the row gives default_rng([seed, t])'s stream, without
-    coercing the list. The trials whose words above the lowest are t0's
-    come first, each t0's row plus its offset in t's lowest word, then, if
-    the trials reach the next multiple of 2**32, the others in the same way
-    from the first of them (t1 - t0 is far below 2**32).
+    The trials whose words above the lowest are t0's come first, as one
+    (trials, words) array of t0's row plus each trial's offset in t's lowest
+    word, then, if the trials reach the next multiple of 2**32, the others
+    in the same way from the first of them (t1 - t0 is far below 2**32).
     """
     head, cut = _words(seed), min(t1, (t0 | 0xFFFFFFFF) + 1)
     for a, b in ((t0, cut), (cut, t1)) if cut < t1 else ((t0, t1),):
         run = np.frombuffer(head + _words(a), dtype="<u4")[None].repeat(b - a, axis=0)
         run[:, len(head) // 4] += np.arange(b - a, dtype=np.uint32)
+        yield run
+
+
+def _seed_rows(seed: int, t0: int, t1: int):
+    """Each trial's row of _seed_runs in turn: default_rng of it gives default_rng([seed, t])'s stream."""
+    for run in _seed_runs(seed, t0, t1):
         yield from run
+
+
+# numpy's SeedSequence, its port of O'Neill's seed_seq_fe: the pool's size, the hash constants and the shift
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 16
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    # init * mult**k mod 2**32 for k = 0 ... n - 1, as uint32: masked Python ints, which do not overflow
+    return np.array([init * pow(mult, k, 2**32) & 0xFFFFFFFF for k in range(n)], dtype=np.uint32)
+
+
+# generate_state's constants, a column each: the pool, read twice, hashed into 8 words
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)[:, None]
+
+
+@functools.cache
+def _mix_constants(words: int):
+    """The xor and multiply constants of mix_entropy's hash calls on rows of `words` words: (stages, 4, 1) each.
+
+    The calls take INIT_A * MULT_A**k in turn, each xoring with its own
+    and multiplying by the next. Stage 0 hashes the pool's 4 words; stage
+    1 + s mixes word s into the pool: for s < 4 into the other 3 (its own
+    slot's constants are unused), past the pool into all 4.
+    """
+    ks, k = [range(_POOL)], _POOL
+    for s in range(max(words, _POOL)):
+        if s < _POOL:  # the other 3 words take 3 constants; s's own slot repeats the first
+            ks.append([k + d - (d > s) if d != s else k for d in range(_POOL)])
+            k += _POOL - 1
+        else:
+            ks.append(range(k, k + _POOL))
+            k += _POOL
+    a = _hash_constants(_INIT_A, _MULT_A, k + 1)
+    ks = np.array(ks)
+    xor, mul = a[ks][..., None], a[ks + 1][..., None]
+    xor.flags.writeable = mul.flags.writeable = False  # cached, so shared by every call
+    return xor, mul
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # in place on both: x is returned
+    x *= _MIX_MULT_L
+    y *= _MIX_MULT_R
+    x -= y
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _seed_states(rows: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each row of `rows`, (trials, words) uint32, in one pass.
+
+    numpy's mix_entropy and generate_state, the same uint32 arithmetic on
+    every trial at once (uint32 arrays wrap without a warning): the row's
+    first 4 words (0 past its end) are hashed into the pool, each pool word
+    is mixed into the other 3 and each word past the pool into all 4, and
+    the pool, read twice, is hashed into 8 words, read as 4 little-endian
+    uint64. Returns (trials, 4) uint64.
+    """
+    trials, words = rows.shape
+    xor, mul = _mix_constants(words)
+    pool = np.zeros((_POOL, trials), dtype=np.uint32)
+    pool[: min(words, _POOL)] = rows[:, :_POOL].T
+    pool = _hashmix(pool, xor[0], mul[0])
+    for s in range(max(words, _POOL)):
+        if s < _POOL:
+            own = pool[s].copy()
+            pool = _mix(pool, _hashmix(own, xor[1 + s], mul[1 + s]))
+            pool[s] = own
+        else:
+            pool = _mix(pool, _hashmix(rows[:, s], xor[1 + s], mul[1 + s]))
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_HASH[:-1], _STATE_HASH[1:])
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_state():
+    """The class of a seed sequence whose state is already computed, made at first use.
+
+    PCG64 takes an instance's state as its generate_state(4, np.uint64).
+    numpy imports numpy.random at first use too, so importing equibound
+    does not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
+
+
+def _generators(seed: int, t0: int, t1: int) -> list:
+    """Generators for trials t0 ... t1 - 1 of the campaign at `seed`, each in default_rng([seed, t])'s state.
+
+    The state words of a run of rows (see _seed_runs) come from one pass
+    (see _seed_states), and each trial's PCG64 takes its words as they are.
+    """
+    seed_state = _seed_state()
+    return [
+        np.random.Generator(np.random.PCG64(seed_state(state)))
+        for run in _seed_runs(seed, t0, t1)
+        for state in _seed_states(run)
+    ]
 
 
 def _draw(draws: np.ndarray, seed: int, t0: int, eps: float | None) -> None:
     """Draw trials t0, t0 + 1, ... of the campaign at `seed` into `draws`, shape (trials, 2, nx*ny), in place.
 
-    Each trial draws from a generator on its row of words (see _seed_rows).
+    Each trial draws from its own generator (see _generators).
     Trial by trial a trial's grids, p and q (p alone at an eps), are one
     contiguous standard_exponential fill, and these are made Dirichlet-1
     draws at once (see _dirichlet). At an eps, q then starts as p and each
@@ -223,7 +343,7 @@ def _draw(draws: np.ndarray, seed: int, t0: int, eps: float | None) -> None:
     generators die when this returns.
     """
     k = 2 if eps is None else 1
-    rngs = list(map(np.random.default_rng, _seed_rows(seed, t0, t0 + len(draws))))
+    rngs = _generators(seed, t0, t0 + len(draws))
     for d, rng in zip(draws, rngs):
         rng.standard_exponential(out=d[:k])
     _dirichlet(draws[:, :k])
@@ -239,8 +359,9 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     Each trial t draws from its own stream default_rng([seed, t]): p, then
     q (an independent sample when eps is None, a TV-eps perturbation of p
     otherwise), the bytes of sample_joint and perturb_within_tv. The
-    generator is built from the uint32 row SeedSequence makes of [seed, t]
-    (see _seed_rows), which gives the same stream. Campaigns at different
+    generator is a PCG64 on the state words SeedSequence([seed, t]) gives
+    it, computed for a run of trials at once (see _generators), which gives
+    the same stream. Campaigns at different
     seeds share no trial, and results do not depend on execution order.
     The trials run in batches that fill one range of the walk's blocks,
     2^14 grid cells (one trial per batch on larger grids, whose walk takes

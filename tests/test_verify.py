@@ -623,6 +623,28 @@ def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
     assert [len(row) for row in rows] == [len(rows[0])] * 3 + [len(rows[0]) + 1] * 2
 
 
+def test_seed_states_are_numpys():
+    # the one-pass state words of a run of trials are SeedSequence's, and each trial's generator
+    # starts where default_rng([seed, t]) does: SEEDS take rows of 2 to 5 words, and seeds of 4 and
+    # 8 words take mix_entropy's loop over the words past its pool
+    def check(seed, t0, t1):
+        rows = list(verify._seed_rows(seed, t0, t1))
+        states = np.concatenate([verify._seed_states(run) for run in verify._seed_runs(seed, t0, t1)])
+        assert states.dtype == np.uint64 and states.shape == (t1 - t0, 4)
+        for t, row, state, rng in zip(range(t0, t1), rows, states, verify._generators(seed, t0, t1), strict=True):
+            assert state.tolist() == np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
+            assert rng.bit_generator.state == np.random.default_rng([seed, t]).bit_generator.state
+
+    long_seeds = [2**96 + 5, 2**200 + 7]
+    assert [len(next(verify._seed_rows(seed, 0, 1))) for seed in long_seeds] == [5, 8]
+    for seed, t in itertools.product(SEEDS + long_seeds, TRIALS):
+        check(seed, t, t + 1)
+    # a run of trials whose rows grow by a word, and a chunk of 256 trials
+    for seed in [7, 2**40 + 5] + long_seeds:
+        check(seed, 2**32 - 3, 2**32 + 2)
+    check(12345, 1000, 1256)
+
+
 @pytest.mark.parametrize("tv, message", [(math.nan, "epsilon must be finite, got nan"), (1.0 + 2e-9, "epsilon must be in [0, 1], got 1.000000002"), (1.0 + 5e-10, None)])
 def test_campaign_refuses_a_tv_the_verdict_refuses(monkeypatch, tv, message):
     # ledgers reporting the third trial's tv of each batch of 10 as `tv`: the campaign raises the
@@ -652,7 +674,6 @@ def test_campaign_refuses_a_tv_the_verdict_refuses(monkeypatch, tv, message):
 @pytest.mark.parametrize("eps", [None, 0.1])
 def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
     # a 2 x 1 campaign of 1 000 trials is one batch; each trial's generator is counted while it lives
-    real = np.random.default_rng
     live, peak, made = [0], [0], [0]
 
     class Counted(np.random.Generator):  # numpy's Generator takes no weak reference; a subclass does
@@ -661,8 +682,8 @@ def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
     def release():
         live[0] -= 1
 
-    def counted(seed):
-        rng = Counted(real(seed).bit_generator)
+    def counted(bit_generator):
+        rng = Counted(bit_generator)
         made[0] += 1
         live[0] += 1
         peak[0] = max(peak[0], live[0])
@@ -670,7 +691,7 @@ def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
         return rng
 
     expected = verify_trials(2, 1, 1000, 3, eps=eps)
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    monkeypatch.setattr(np.random, "Generator", counted)
     assert verify_trials(2, 1, 1000, 3, eps=eps) == expected
     assert made[0] == 1000
     assert live[0] == 0

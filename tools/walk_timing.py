@@ -9,11 +9,12 @@ over batches of 20 calls, the modes in turn, CALLS calls a mode after a
 warm-up) and the loop of acceptance criterion 5 (sample a pair, walk it in
 "none" mode, read every step's tv and gap, check the final pair) over
 PER_SHAPE pairs of each of its 16 shapes, and then the campaign
-`verify_trials(3, 2, 2000, 5)` per trial, without and with eps = 0.1
-(median of CAMPAIGNS runs each, after a warm-up). Times are the process's
-CPU time, which load on the host inflates less than wall time. The output
-is each tree's median over the rounds in microseconds, and change /
-parent.
+`verify_trials(3, 2, 2000, 5)` and `verify_trials(3, 2, 20, 5)`, the
+bench's batch size, per trial, without and with eps = 0.1 (median of
+CAMPAIGNS runs each, after a warm-up; a run of the 20-trial campaign is
+100 calls). Times are the process's CPU time, which load on the host
+inflates less than wall time. The output is each tree's median over the
+rounds in microseconds, and change / parent.
 """
 
 import argparse
@@ -67,6 +68,14 @@ for eps in (None, 0.1):
         verify_trials(3, 2, 2000, 5, eps=eps)
         runs.append(time.process_time() - t0)
     out[f"verify_trials 3x2 eps={eps}, per trial"] = statistics.median(runs) / 2000 * 1e6
+    # the bench's batch of 20 trials, 100 campaigns a run
+    runs = []
+    for _ in range(campaigns):
+        t0 = time.process_time()
+        for _ in range(100):
+            verify_trials(3, 2, 20, 5, eps=eps)
+        runs.append(time.process_time() - t0)
+    out[f"verify_trials 3x2x20 eps={eps}, per trial"] = statistics.median(runs) / 2000 * 1e6
 print(json.dumps(out))
 """
 
