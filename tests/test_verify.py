@@ -626,7 +626,7 @@ def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
 def test_seed_states_are_numpys():
     # the one-pass state words of a run of trials are SeedSequence's, and each trial's generator
     # starts where default_rng([seed, t]) does: SEEDS take rows of 2 to 5 words, and seeds of 4 and
-    # 8 words take mix_entropy's loop over the words past its pool
+    # 7 words rows of 5 to 9, which take mix_entropy's loop over the words past its pool of 4
     def check(seed, t0, t1):
         rows = list(verify._seed_rows(seed, t0, t1))
         states = np.concatenate([verify._seed_states(run) for run in verify._seed_runs(seed, t0, t1)])

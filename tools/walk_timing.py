@@ -94,7 +94,7 @@ def main(argv=None) -> int:
             runs[side].append(json.loads(done.stdout))
     for name in runs["parent"][0]:
         p, c = (statistics.median(run[name] for run in runs[side]) for side in ("parent", "change"))
-        print(f"{name:38s} parent {p:9.1f} us  change {c:9.1f} us  ratio {c / p:.3f}")
+        print(f"{name:40s} parent {p:9.1f} us  change {c:9.1f} us  ratio {c / p:.3f}")
     return 0
 
 
