@@ -187,7 +187,8 @@ def _ratio(gap, bound):
     return np.divide(gap, bound, out=np.where(gap <= 1e-12, 0.0, np.inf), where=np.greater(bound, 0.0))[()]
 
 
-# most trials a campaign draws at once, and so most generators alive at once
+# most trials a campaign draws at once, and so most generators alive at once; a divisor of 2**32,
+# at whose multiples the draw windows are cut
 _DRAW_TRIALS = 256
 
 
@@ -196,25 +197,18 @@ def _words(n: int) -> bytes:
     return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
 
 
-def _seed_runs(seed: int, t0: int, t1: int):
-    """The uint32 rows SeedSequence makes of [seed, t] for t = t0 ... t1 - 1 (seed's words, then t's), as runs of equal length.
+def _seed_rows(seed: int, t0: int, t1: int) -> np.ndarray:
+    """The uint32 rows SeedSequence makes of [seed, t] for t = t0 ... t1 - 1 (seed's words, then t's), as one (trials, words) array.
 
-    The trials whose words above the lowest are t0's come first, as one
-    (trials, words) array of t0's row plus each trial's offset in t's lowest
-    word, then, if the trials reach the next multiple of 2**32, the others
-    in the same way from the first of them (t1 - t0 is far below 2**32).
+    The trials must share every word of t but the lowest, as a draw window's
+    do (see verify_trials): the rows are t0's, with each trial's offset
+    added to t's lowest word. default_rng of a row gives the stream of
+    default_rng([seed, t]).
     """
-    head, cut = _words(seed), min(t1, (t0 | 0xFFFFFFFF) + 1)
-    for a, b in ((t0, cut), (cut, t1)) if cut < t1 else ((t0, t1),):
-        run = np.frombuffer(head + _words(a), dtype="<u4")[None].repeat(b - a, axis=0)
-        run[:, len(head) // 4] += np.arange(b - a, dtype=np.uint32)
-        yield run
-
-
-def _seed_rows(seed: int, t0: int, t1: int):
-    """Each trial's row of _seed_runs in turn: default_rng of it gives default_rng([seed, t])'s stream."""
-    for run in _seed_runs(seed, t0, t1):
-        yield from run
+    head = _words(seed)
+    rows = np.frombuffer(head + _words(t0), dtype="<u4")[None].repeat(t1 - t0, axis=0)
+    rows[:, len(head) // 4] += np.arange(t1 - t0, dtype=np.uint32)
+    return rows
 
 
 # numpy's SeedSequence, its port of O'Neill's seed_seq_fe: the pool's size, the hash constants and the shift
@@ -319,17 +313,13 @@ def _seed_state():
 
 
 def _generators(seed: int, t0: int, t1: int) -> list:
-    """Generators for trials t0 ... t1 - 1 of the campaign at `seed`, each in default_rng([seed, t])'s state.
+    """Generators for the trials t0 ... t1 - 1 of a draw window of the campaign at `seed`, each in default_rng([seed, t])'s state.
 
-    The state words of a run of rows (see _seed_runs) come from one pass
+    The state words of the trials' rows (see _seed_rows) come from one pass
     (see _seed_states), and each trial's PCG64 takes its words as they are.
     """
     seed_state = _seed_state()
-    return [
-        np.random.Generator(np.random.PCG64(seed_state(state)))
-        for run in _seed_runs(seed, t0, t1)
-        for state in _seed_states(run)
-    ]
+    return [np.random.Generator(np.random.PCG64(seed_state(state))) for state in _seed_states(_seed_rows(seed, t0, t1))]
 
 
 def _draw(draws: np.ndarray, seed: int, t0: int, eps: float | None) -> None:
@@ -360,14 +350,16 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     q (an independent sample when eps is None, a TV-eps perturbation of p
     otherwise), the bytes of sample_joint and perturb_within_tv. The
     generator is a PCG64 on the state words SeedSequence([seed, t]) gives
-    it, computed for a run of trials at once (see _generators), which gives
-    the same stream. Campaigns at different
+    it, computed for a window of trials at once (see _generators), which
+    gives the same stream. Campaigns at different
     seeds share no trial, and results do not depend on execution order.
     The trials run in batches that fill one range of the walk's blocks,
     2^14 grid cells (one trial per batch on larger grids, whose walk takes
     several ranges). A batch is drawn straight into one (trials, 2, nx*ny)
-    array, at most 256 trials (and generators) at a time: each trial fills
-    both its grids (p alone at an eps) with one standard_exponential call,
+    array, a window at a time, cut at the multiples of 256 (so at most 256
+    trials and generators at a time, whose t share all words but the
+    lowest): each trial fills both its grids (p alone at an eps) with one
+    standard_exponential call,
     those trials are made Dirichlet-1 draws at once (see _dirichlet), and
     the eps trials then perturb p's copy in trial order, each with its own
     generator, so every stream is read in the order of those functions. The
@@ -399,8 +391,10 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     for t0 in range(0, trials, size):
         t1 = min(t0 + size, trials)
         draws = np.empty((t1 - t0, 2, nx * ny))
-        for s0 in range(0, t1 - t0, _DRAW_TRIALS):
-            _draw(draws[s0 : s0 + _DRAW_TRIALS], seed, t0 + s0, eps)
+        # a window per block of _DRAW_TRIALS trials met by the batch: its trials share t's words but the lowest
+        for c in range(t0 - t0 % _DRAW_TRIALS, t1, _DRAW_TRIALS):
+            a = max(c, t0)
+            _draw(draws[a - t0 : c + _DRAW_TRIALS - t0], seed, a, eps)
         grids = draws.reshape(t1 - t0, 2, nx, ny).swapaxes(0, 1)
         try:
             tb = _walk(grids)

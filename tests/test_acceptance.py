@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion runs at its stated tolerance.
 
 Each test prints one `[PASS]`/`[FAIL]` line (visible with `pytest -s`).
-The module takes about 20 s on a 2-CPU host, most of it in the 100 000-pair
-bound-validity campaign (about 7-8 s) and the 10 000 walk certificates.
+The module takes about 9-12 s on a 2-CPU host, most of it in the 10 000
+walk certificates (about 5.5-7.5 s); the 100 000-pair bound-validity
+campaign takes about 1-1.5 s.
 """
 
 import json

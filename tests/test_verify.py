@@ -606,43 +606,67 @@ def test_seed_rows_give_the_streams_of_seed_and_trial():
         assert row.dtype == np.uint32
         _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
     # the words numpy's SeedSequence takes both to: little-endian, at least one per int
-    (row,) = verify._seed_rows(2**32, 2**33 + 1, 2**33 + 2)
-    assert row.tolist() == [0, 1, 1, 2]
-    assert next(verify._seed_rows(0, 0, 1)).tolist() == [0, 0]
+    assert verify._seed_rows(2**32, 2**33 + 1, 2**33 + 2).tolist() == [[0, 1, 1, 2]]
+    assert verify._seed_rows(0, 0, 1).tolist() == [[0, 0]]
+
+
+# the trials 2**32 - 3 ... 2**32 + 1 take one word of t, then two: two windows, cut at 2**32
+WORD_WINDOWS = [(2**32 - 3, 2**32), (2**32, 2**32 + 2)]
 
 
 @pytest.mark.parametrize("seed", [7, 2**40 + 5])
 def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
-    # trials 2**32 - 3 ... 2**32 + 1 take one word, then two: each row is the row of its trial alone
-    t0, t1 = 2**32 - 3, 2**32 + 2
-    rows = list(verify._seed_rows(seed, t0, t1))
-    assert len(rows) == t1 - t0
-    for t, row in zip(range(t0, t1), rows):
-        assert row.tolist() == next(verify._seed_rows(seed, t, t + 1)).tolist()
-        _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
-    assert [len(row) for row in rows] == [len(rows[0])] * 3 + [len(rows[0]) + 1] * 2
+    # each row of a window is the row of its trial alone
+    lengths = []
+    for t0, t1 in WORD_WINDOWS:
+        rows = verify._seed_rows(seed, t0, t1)
+        assert rows.shape[0] == t1 - t0
+        for t, row in zip(range(t0, t1), rows):
+            assert row.tolist() == verify._seed_rows(seed, t, t + 1)[0].tolist()
+            _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
+        lengths += [rows.shape[1]] * len(rows)
+    assert lengths == [lengths[0]] * 3 + [lengths[0] + 1] * 2
 
 
 def test_seed_states_are_numpys():
-    # the one-pass state words of a run of trials are SeedSequence's, and each trial's generator
+    # the one-pass state words of a window of trials are SeedSequence's, and each trial's generator
     # starts where default_rng([seed, t]) does: SEEDS take rows of 2 to 5 words, and seeds of 4 and
     # 7 words rows of 5 to 9, which take mix_entropy's loop over the words past its pool of 4
     def check(seed, t0, t1):
-        rows = list(verify._seed_rows(seed, t0, t1))
-        states = np.concatenate([verify._seed_states(run) for run in verify._seed_runs(seed, t0, t1)])
+        rows = verify._seed_rows(seed, t0, t1)
+        states = verify._seed_states(rows)
         assert states.dtype == np.uint64 and states.shape == (t1 - t0, 4)
         for t, row, state, rng in zip(range(t0, t1), rows, states, verify._generators(seed, t0, t1), strict=True):
             assert state.tolist() == np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
             assert rng.bit_generator.state == np.random.default_rng([seed, t]).bit_generator.state
 
     long_seeds = [2**96 + 5, 2**200 + 7]
-    assert [len(next(verify._seed_rows(seed, 0, 1))) for seed in long_seeds] == [5, 8]
+    assert [verify._seed_rows(seed, 0, 1).shape[1] for seed in long_seeds] == [5, 8]
     for seed, t in itertools.product(SEEDS + long_seeds, TRIALS):
         check(seed, t, t + 1)
-    # a run of trials whose rows grow by a word, and a chunk of 256 trials
+    # windows on either side of the word t's rows grow by, and a window of 256 trials
     for seed in [7, 2**40 + 5] + long_seeds:
-        check(seed, 2**32 - 3, 2**32 + 2)
+        for t0, t1 in WORD_WINDOWS:
+            check(seed, t0, t1)
     check(12345, 1000, 1256)
+
+
+def test_draw_windows_are_cut_at_multiples_of_the_window(monkeypatch):
+    # the windows of a 3 x 2 campaign of 3000 trials, batches of 2730 and 270: each lies inside one
+    # block of _DRAW_TRIALS trials, which divides 2**32, so its trials' t differ in the lowest word only
+    assert 2**32 % verify._DRAW_TRIALS == 0
+    windows, real = [], verify._draw
+
+    def recording(draws, seed, t0, eps):
+        windows.append((t0, len(draws)))
+        real(draws, seed, t0, eps)
+
+    monkeypatch.setattr(verify, "_draw", recording)
+    verify_trials(3, 2, 3000, 402)
+    blocks = [(t0 + k) // verify._DRAW_TRIALS for t0, n in windows for k in (0, n - 1)]
+    assert blocks[::2] == blocks[1::2]
+    assert windows[:10] == [(256 * k, 256) for k in range(10)]
+    assert windows[10:] == [(2560, 170), (2730, 86), (2816, 184)]
 
 
 @pytest.mark.parametrize("tv, message", [(math.nan, "epsilon must be finite, got nan"), (1.0 + 2e-9, "epsilon must be in [0, 1], got 1.000000002"), (1.0 + 5e-10, None)])

@@ -1129,30 +1129,35 @@ def test_unprocessed_block_raises_naming_the_block(monkeypatch):
         run_walk(_three_block_pair())
 
 
-def test_rising_running_total_is_caught(monkeypatch):
+def _bump_running(monkeypatch, row, x):
+    # x added to row `row` of the running totals after a range's first step, and taken off at the next
     real = walk._running
 
-    def rising(start, s):
+    def bumped(start, s):
         run = real(start, s)
-        run[0] += 2e-9 * np.arange(run.shape[-1])  # each step's block checks still pass
+        run[row, :, 1] += x  # each step's block checks still pass
         return run
 
-    monkeypatch.setattr(walk, "_running", rising)
-    with pytest.raises(InvariantViolation, match=r"'block 1 [a-z]+': tv increased from "):
-        run_walk(_three_block_pair(), snapshots="none")
+    monkeypatch.setattr(walk, "_running", bumped)
+
+
+def test_rising_running_total_is_caught(monkeypatch):
+    # an identical pair, whose steps move no total: 2e-9 of rise in the running tv must raise, 5e-10 must pass
+    with monkeypatch.context() as m:
+        _bump_running(m, 0, 5e-10)
+        run_walk(_identical_pair(), snapshots="none")
+    _bump_running(monkeypatch, 0, 2e-9)
+    with pytest.raises(InvariantViolation, match=r"^step 'block 1 concentrate': tv increased from 0\.0 to 2e-09$"):
+        run_walk(_identical_pair(), snapshots="none")
 
 
 def test_falling_running_gap_is_caught(monkeypatch):
-    real = walk._running
-
-    def falling(start, s):
-        run = real(start, s)
-        run[1] -= 2e-9 * np.arange(run.shape[-1])  # each step's block checks still pass
-        return run
-
-    monkeypatch.setattr(walk, "_running", falling)
-    with pytest.raises(InvariantViolation, match=r"^step 'block \d [a-z]+': gap decreased from "):
-        run_walk(_three_block_pair(), snapshots="none")
+    with monkeypatch.context() as m:
+        _bump_running(m, 1, -5e-10)
+        run_walk(_identical_pair(), snapshots="none")
+    _bump_running(monkeypatch, 1, -2e-9)
+    with pytest.raises(InvariantViolation, match=r"^step 'block 1 concentrate': gap decreased from 0\.0 to -2e-09$"):
+        run_walk(_identical_pair(), snapshots="none")
 
 
 def test_rising_block_tv_is_named_before_the_total(monkeypatch):
@@ -1186,12 +1191,13 @@ def test_drift_of_running_totals_is_caught(monkeypatch):
         run_walk(_three_block_pair(), snapshots="none")
 
 
-# ---------------------------------------------------------------- the final checks at literal excursions
+# ---------------------------------------------------------------- the ledger's checks at literal excursions
 #
-# Each check of the whole walk is pinned at a literal excursion, not at the tolerance constant:
-# 2e-9 past what it checks must raise and 5e-10 must pass. The excursion is added to a whole-grid
-# measurement of the walk (the reorder measurement is the walk's first, the cross-check its
-# second and the averaged pair's its third), or to the averaged grids.
+# Each check of the whole walk, and each per-step check of tv and gap, is pinned at a literal
+# excursion, not at the tolerance constant: 2e-9 past what it checks must raise and 5e-10 must
+# pass. The excursion is added to a whole-grid measurement of the walk (the reorder measurement
+# is the walk's first, the cross-check its second and the averaged pair's its third), to the
+# averaged grids, or to the ledger terms of a block step.
 
 
 def _shift_measurement(monkeypatch, call, change):
@@ -1259,4 +1265,43 @@ def test_final_checks_raise_at_literal_excursions(monkeypatch, check):
     with monkeypatch.context() as m:
         inject(m, 2e-9)
         with pytest.raises(InvariantViolation, match=f"^{message}"):
+            run_walk(pair, snapshots="none")
+
+
+def _shift_first_step(monkeypatch, row, x):
+    """Add x to row `row` of the ledger terms of each range's first block step: 0 its block's tv, 1 its gap."""
+    real = walk._block_terms
+
+    def block_terms(states):
+        terms = real(states)
+        terms[row, 0] += x
+        return terms
+
+    monkeypatch.setattr(walk, "_block_terms", block_terms)
+
+
+# case: how x is put in, and the message at 2e-9. The pair is identical, so that no step moves its
+# tv or gap (0.0 at every measurement and step) and the excursion alone is measured; the step after
+# a shifted block step moves the block back, which these checks allow
+STEP_CHECKS = {
+    "block_tv": (lambda m, x: _shift_first_step(m, 0, x), r"step 'block 1 concentrate': block 1 tv increased from 0\.0 to 2e-09"),
+    "block_gap": (lambda m, x: _shift_first_step(m, 1, -x), r"step 'block 1 concentrate': block 1 gap decreased from 0\.0 to -2e-09"),
+    "reorder_tv": (lambda m, x: _shift_measurement(m, 0, _raise_rows([0], x)), r"step 'reorder': tv increased from 0\.0 to 2e-09"),
+    # p's equivocation is not 0.0 at the reorder measurement, so x taken from it is rounded
+    "reorder_gap": (lambda m, x: _shift_measurement(m, 0, _raise_rows([4], -x)), r"step 'reorder': gap decreased from 0\.0 to -(?:1\.9999\d*|2\.0000\d*)e-09"),
+    "average_tv": (lambda m, x: _shift_measurement(m, 2, _raise_rows([0], x)), r"step 'average': tv increased from 0\.0 to 2e-09"),
+    "average_gap": (lambda m, x: _shift_measurement(m, 2, _raise_rows([4], -x)), r"step 'average': gap decreased from 0\.0 to -2e-09"),
+}
+
+
+@pytest.mark.parametrize("check", STEP_CHECKS)
+def test_step_checks_raise_at_literal_excursions(monkeypatch, check):
+    inject, message = STEP_CHECKS[check]
+    pair = _identical_pair()
+    with monkeypatch.context() as m:
+        inject(m, 5e-10)
+        run_walk(pair, snapshots="none")
+    with monkeypatch.context() as m:
+        inject(m, 2e-9)
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
             run_walk(pair, snapshots="none")
