@@ -644,7 +644,7 @@ def test_seed_states_are_numpys():
     assert [verify._seed_rows(seed, 0, 1).shape[1] for seed in long_seeds] == [5, 8]
     for seed, t in itertools.product(SEEDS + long_seeds, TRIALS):
         check(seed, t, t + 1)
-    # windows on either side of the word t's rows grow by, and a window of 256 trials
+    # the two windows around 2**32, where t's rows grow by a word, and a window of 256 trials
     for seed in [7, 2**40 + 5] + long_seeds:
         for t0, t1 in WORD_WINDOWS:
             check(seed, t0, t1)
