@@ -32,43 +32,18 @@ from .core import (
 )
 from .walk import InvariantViolation, _range_blocks, _walk
 
-# `_row_sum` has numpy's bits for sums of up to 8 terms, and the orbit margin below is derived
-# for at most 8 cells
+# `_row_sum` has numpy's bits for sums of up to 8 terms
 DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1). The search builds only the canonical
-# points and the points of the orbits pass 2 reads, so its memory grows with the orbits: under
-# tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M points, 35 858 orbits), 6.7 MB at (2,3,0.2,44)
-# (46 956 orbits, 5.3 MB of it in pass 1's scan), 0.9 MB at (4,2,0.3,22) (1.56 M points of
-# eight cells). A pass 2 that keeps all its orbits, admitted up to _FALLBACK_POINTS points, peaks
-# at 5.1 MB at (2,3,1e-9,20) (every orbit expanded: 1 582 orbits, 53 130 points) and at 7.2 MB at
-# (4,2,1e-9,13) (475 orbits, 77 520 points)
+# points, so its memory grows with the orbits: under tracemalloc, 4.5 MB at (3,2,0.3,44) (1.9 M
+# points, 35 858 orbits), 6.0 MB at (2,3,0.2,44) (46 956 orbits), 0.9 MB at (4,2,0.3,22) (1.56 M
+# points of eight cells, 5 343 orbits)
 DESK_SCALE_POINTS = 2_000_000
 # consecutive a (ascending entropy) whose distances the pair scan computes in one pass: at least
 # _SCAN_BLOCK, and more while their distances to all candidates number at most _SCAN_ENTRIES
 _SCAN_BLOCK = 8
 _SCAN_ENTRIES = 2**15
-# Pruning margin delta of the orbit-pruned pair scan, not a certificate tolerance. A block
-# symmetry g (reorder the blocks, and the rows inside each block) permutes a point's cells,
-# so h(g.x) adds the same table terms as h(x) in another order: the H(XY) sum of at most 8
-# terms x*log2(x), of total magnitude <= log2 8 = 3, and the H(Y) sum of m*log2(m) over at
-# most 4 block masses m, each an ordered add of at most 8 levels. With u = 2^-53, a reordered
-# sum of 8 terms moves by at most 2 * 7u times its magnitude (42u for H(XY)); the masses move
-# by at most 2 * 7u * m, which moves sum m*log2(m) by at most 14u * (H(Y) + 1/ln 2) < 49u
-# (H(Y) <= log2 4); the logs, the 4-term H(Y) sum and the final subtraction add at most 24u.
-# So |h(g.x) - h(x)| < 115u < 1.3e-14 (the worst measured over every point and symmetry is
-# 1.3e-15: each shape of up to 6 cells at steps 14 to 50, 4x2 and 2x4 at 14 and 20, 7x1 at
-# 10, 8x1 at 8), and a point's value, its largest feasible h[b] - h[a], differs from its
-# orbit-mates' by less than 3e-14, far inside delta.
-_ORBIT_MARGIN = 1e-10
-# most orbits kept for the search's second pass: each covers at most 1e-13 of the width-delta
-# window below pass 1's best, so this many leave part of it free (else every orbit is kept)
-_ORBIT_KEEP_MAX = 900
-# most points of the kept orbits pass 2 scans, each against every candidate above it; counted
-# before any orbit is expanded. At radius 0 every orbit is kept and nothing prunes that scan:
-# (2,3,1e-9,20), 53 130 points, takes about 1.6 s on a 2-CPU host and (4,2,1e-9,13), 77 520
-# points, about 4.5 s
-_FALLBACK_POINTS = 80_000
 
 
 @dataclass(frozen=True)
@@ -445,8 +420,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     rest of its next cell in turn, and the last cell takes what is left.
     Counts are at most DESK_SCALE_STEPS = 101, so int8 holds every cell.
     The search builds no point this way: this order is the one its
-    canonical points and `_images` follow, and the reference they are
-    tested against.
+    canonical points follow, and the reference they are tested against.
     """
     columns: list[np.ndarray] = []
     rest = np.array([total], dtype=np.int8)
@@ -540,61 +514,6 @@ def _orbit_points(total: int, nx: int, ny: int) -> np.ndarray:
         cols.append(v)
 
 
-def _images(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every point of the orbits of the canonical `points`, in enumeration order, and each one's column of `points`.
-
-    An orbit's points are its distinct orders of the blocks and, in each
-    block, the distinct orders of its rows. They are built one choice at a
-    time: first which block of the canonical point goes to block 0, 1, ...,
-    then which of its rows goes to row 0, 1, ... of each block. Of equal
-    items (rows, or blocks) only the first not yet taken may be taken, so
-    no point comes twice and no table of the symmetries is built; the last
-    item is the one left. A lexicographic sort over the cells puts the
-    points in enumeration order.
-    """
-    n = points.shape[1]
-    grid = points.reshape(nx, ny, n)
-    # bit t set: item t equals item t - 1, for each block's rows (ny, n) and for the blocks (n,)
-    row_same = ((grid[1:] == grid[:-1]) << np.arange(1, nx)[:, None, None]).sum(axis=0)
-    block_same = ((grid[:, 1:] == grid[:, :-1]).all(axis=0) << np.arange(1, ny)[:, None]).sum(axis=0)
-    # taken[j]: the block that becomes block j; taken[ny + j * nx + x]: the count of cell (x, j)
-    orbit, taken = np.arange(n), []
-    for j in range(-1, ny):
-        k = ny if j < 0 else nx
-        # one bit per item taken
-        used = np.zeros(len(orbit), dtype=np.intp)
-        for i in range(k):
-            if i < k - 1:
-                same = block_same[orbit] if j < 0 else row_same[taken[j], orbit]
-                part, t = ((~used & (~same | used << 1))[:, None] >> np.arange(k) & 1).nonzero()
-                orbit, used, taken = orbit[part], used[part] | 1 << t, [c[part] for c in taken]
-            else:
-                t = np.frexp((1 << k) - 1 - used)[1] - 1
-            taken.append(t if j < 0 else points[t * ny + taken[j], orbit])
-    rows = np.array([taken[ny + j * nx + x] for x in range(nx) for j in range(ny)])
-    order = np.lexsort(rows[::-1])
-    return rows.take(order, axis=1), orbit[order]
-
-
-def _orbit_sizes(points: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """The number of points in the orbit of each canonical point of `points` (one row per cell, one column per point).
-
-    The block symmetries number ny!*(nx!)^ny; those that fix a point are
-    k! for each run of k equal rows in a block times k! for each run of k
-    equal blocks, and in a canonical point equal items lie next to each
-    other. At most 8 cells the count is at most 8! = 40 320.
-    """
-    grid = points.reshape(nx, ny, -1)
-    fixing = np.ones(grid.shape[2], dtype=np.int64)
-    # each block's rows, (nx - 1, ny, points), then the blocks as one sequence, (ny - 1, 1, points)
-    for same in (grid[1:] == grid[:-1], (grid[:, 1:] == grid[:, :-1]).all(axis=0)[:, None]):
-        run = 1
-        for equal in same:  # the k-th item of a run of equal items contributes k
-            run = np.where(equal, run + 1, 1)
-            fixing *= run.prod(axis=0)
-    return math.factorial(ny) * math.factorial(nx) ** ny // fixing
-
-
 def _distances(candidates: np.ndarray, own: np.ndarray, orders: list[tuple[int, ...]]) -> np.ndarray:
     """The (a's, b's) array of `_scan`'s distances, each a of `own` to each b of `candidates`, over the block `orders`.
 
@@ -613,74 +532,55 @@ def _distances(candidates: np.ndarray, own: np.ndarray, orders: list[tuple[int, 
     return functools.reduce(np.minimum, sums)
 
 
-def _scan(
-    ranks: np.ndarray,
-    h_sorted: np.ndarray,
-    columns: np.ndarray,
-    max_l1: int,
-    best: float,
-    margin: float,
-    hit=None,
-    blocks: int = 1,
-):
-    """The pair scan over the points of `ranks`, ascending, from `best`, pruned against best - margin.
+def _scan(h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, blocks: int) -> tuple[float, int, int]:
+    """The pair scan over every point, ascending, from a best of -1.0: the largest feasible gap and the pair's ranks.
 
-    For each such a in turn, the scan takes the last feasible b among those
-    with h[b] > h[a] + best - margin and records its gap h[b] - h[a]; a gap
-    above best becomes best, with (a, b) as its pair. It stops once no b can
-    beat best - margin. The rows of `columns` fall into `blocks` blocks,
-    block j holding the rows j, j + blocks, ...; b is feasible for a when
-    the least, over the orderings pi of the blocks, of the sum over j of
-    the L1 distance of a's block j to b's block pi(j) is at most max_l1.
-    One block (one ordering) is the plain L1 distance. A block of
-    consecutive a of `ranks` has the distances of each pair of blocks to
-    all candidates summed row by row, then summed per ordering. If `hit` is
-    given (one flag per position of `columns`), every feasible b of a
-    block's candidates is flagged there too: a superset of each a's feasible
-    b with h[b] > h[a] + best - margin. Returns best, the pair's ranks and
-    the recorded gaps (-inf where none was recorded).
+    For each a in turn, the scan takes the last feasible b among those
+    with h[b] > h[a] + best and its gap h[b] - h[a]; a gap above best
+    becomes best, with (a, b) as its pair. It stops once no b can beat
+    best. The rows of `columns` fall into `blocks` blocks, block j holding
+    the rows j, j + blocks, ...; b is feasible for a when the least, over
+    the orderings pi of the blocks, of the sum over j of the L1 distance of
+    a's block j to b's block pi(j) is at most max_l1. One block (one
+    ordering) is the plain L1 distance. A block of consecutive a has the
+    distances of each pair of blocks to all candidates summed row by row,
+    then summed per ordering. Returns best, a's rank and b's rank.
     """
     n = len(h_sorted)
     top_h = float(h_sorted[-1])
-    low = high = 0
-    gaps = np.full(len(ranks), -np.inf)
+    best, low, high = -1.0, 0, 0
     orders = list(itertools.permutations(range(blocks)))
     size = max(_SCAN_BLOCK, _SCAN_ENTRIES // n)
-    for r0 in range(0, len(ranks), size):
-        block = ranks[r0 : r0 + size]
+    for r0 in range(0, n, size):
+        block = np.arange(r0, min(r0 + size, n))
         h_block = h_sorted[block].tolist()
-        cut = best - margin
-        if top_h - h_block[0] <= cut:
+        if top_h - h_block[0] <= best:
             break
         # every a of the block scans the first a's candidates b >= lo; those below an a's own
-        # candidates have h[b] <= h[a] + cut and are skipped below, so the result is exact
-        lo = int(np.searchsorted(h_sorted, h_block[0] + cut, side="right"))
+        # candidates have h[b] <= h[a] + best and are skipped below, so the result is exact
+        lo = int(np.searchsorted(h_sorted, h_block[0] + best, side="right"))
         if lo >= n:
             continue
         # position n - 1 - a of a row holds the point of rank a
         f = _distances(columns[:, : n - lo], columns[:, n - 1 - block, None], orders) <= max_l1
-        if hit is not None:
-            hit[: n - lo] |= f.any(axis=0)
         # the first feasible position is the last feasible b
         first = np.argmax(f, axis=1)
         for i, h_a in enumerate(h_block):
-            if top_h - h_a <= cut:
+            if top_h - h_a <= best:
                 break
             if not f[i, first[i]]:
                 continue
             b = n - 1 - int(first[i])
             h_b = float(h_sorted[b])
-            if h_b <= h_a + cut:
+            if h_b <= h_a + best:
                 continue
-            gaps[r0 + i] = gap = h_b - h_a
-            if gap > best:
-                best, low, high = gap, int(block[i]), b
-                cut = best - margin
-    return best, low, high, gaps
+            if h_b - h_a > best:
+                best, low, high = h_b - h_a, r0 + i, b
+    return best, low, high
 
 
-def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entropies of the points of `rows`, ascending, their rows by descending entropy, and the stable order.
+def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entropies of the points of `rows`, ascending, and their rows by descending entropy.
 
     Position n - 1 - a of each returned row holds the point of rank a, the
     layout `_scan` reads. Ties keep the order of `rows`.
@@ -688,65 +588,40 @@ def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarr
     h = _entropies(rows, ny, steps)
     order = np.argsort(h, kind="stable")
     # take, not fancy indexing, keeps the rows contiguous
-    return h[order], rows.take(order[::-1], axis=1), order
+    return h[order], rows.take(order[::-1], axis=1)
 
 
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
     Every grid point is a composition of steps_per_dim into nx*ny cells
-    scaled to the simplex, and the points are ordered lexicographically
-    (the enumeration order of `_compositions`). The value of a point a is
-    its largest h[b] - h[a] over the feasible b. Feasibility is decided in
-    exact integer arithmetic (L1 distance of the counts), so no pair is
-    lost to float noise. The search returns the same bits as a full scan
-    that sorts every point by equivocation (stably, in enumeration order)
-    and, for each a in ascending order, takes the last feasible b among
-    those with h[b] > h[a] + best, keeps a strictly greater gap, and stops
-    once no b can beat the best gap; it visits far fewer points, in two
-    passes of that scan. Reordering the blocks, or the rows inside a block,
-    of both grids of a pair keeps their equivocations and their distance,
-    so a point's value is its whole orbit's up to rounding, which the
-    margin delta = _ORBIT_MARGIN bounds with room to spare. Each orbit has
-    one canonical point (rows non-increasing in each block, blocks in
-    non-increasing lexicographic order), and `_orbit_points` generates
-    these directly, in enumeration order, so the search builds neither
-    every point nor a table of the symmetries.
+    scaled to the simplex. Reordering the blocks, or the rows inside a
+    block, of both grids of a pair keeps their equivocations and their
+    distance. Each such orbit has one canonical point (rows non-increasing
+    in each block, blocks in non-increasing lexicographic order), which
+    `_orbit_points` generates directly, in lexicographic order, so the
+    search builds neither every point nor a table of the symmetries. The
+    entropy h of a point is its canonical point's (`_entropies`): orbit-mates
+    tie exactly, where their own float sums could differ by an ulp or two
+    (1.3e-15 at most, measured). Feasibility is decided in exact integer
+    arithmetic (L1 distance of the counts), so no pair is lost to float
+    noise. The search returns the largest h[b] - h[a] over the feasible
+    pairs of points, with the bits of a full scan over every point.
 
-    Pass 1 sorts and scans only the canonical points against each other at
-    orbit distance: the least L1 distance from a to an image g.b of b.
-    Canonical rows are sorted the same way in every block, and for one
-    pairing of the blocks the sorted matching of their rows minimises the
-    sum of the row distances, so that least is the least, over the ny!
-    pairings of the blocks, of the summed L1 distances of the paired
-    blocks: exact, in integers. A canonical point's pass-1 value is thus
-    within 3e-14 of each of its orbit's values, and pass 1, pruning against
-    best - 2*delta, ends with a best within 3e-14 of the maximum. A point
-    outside the orbits whose canonical value is within delta of that best
-    has a value below best - delta + 3e-14, so the kept orbits hold every
-    point that can reach or tie the maximum.
-
-    Pass 2 scans all their points with the full scan's exact rule, but
-    only against the candidates of a subset: the kept orbits and the orbits
-    of their partners, the canonical b' within orbit distance of a kept
-    canonical c with h[b'] > h[c] + best - 3*delta, which one more scan of
-    the kept canonical points flags. A symmetry g maps the feasible points
-    of c onto those of a = g.c and moves h by under 3e-14, so every b the
-    rule can take for a (h[b] > h[a] + best - 2*delta) lies in a partner's
-    orbit. `_images` expands just these orbits into their points, in
-    enumeration order, each with its orbit, and their entropies have the
-    bits they have among all points, so the subset's stable sort is its
-    subsequence of the full sort, ties included. So each a's last feasible
-    b over the subset is the one it has over all points, and pass 2
-    returns the full scan's maximum and argmax pair. Past 900 kept orbits,
-    pass 2 keeps every orbit instead: `_images` expands them all, and it
-    scans every point from the full scan's start, with no partner scan.
-    Either way its work grows with the square of the kept orbits' points,
-    so before it expands anything pass 2 counts them (see _orbit_sizes),
-    and past _FALLBACK_POINTS = 80 000 it is refused with a ValidationError.
-    A search whose eps is below 1/(2*steps_per_dim), where only b = a is
-    feasible, keeps every orbit, all tied at 0: it takes the every-orbit
-    path past 900 orbits only, and the guard refuses it past 80 000 points.
+    It sorts the canonical points by h (stably, in lexicographic order) and
+    scans them against each other at orbit distance: the least L1 distance
+    from a to an image g.b of b. Canonical rows are sorted the same way in
+    every block, and for one pairing of the blocks the sorted matching of
+    their rows minimises the sum of the row distances, so that least is the
+    least, over the ny! pairings of the blocks, of the summed L1 distances
+    of the paired blocks: exact, in integers. For each a in ascending order
+    the scan takes the last feasible b among those with h[b] > h[a] + best,
+    keeps a strictly greater gap, and stops once no b can beat the best gap.
+    Orbit-mates share h and their sets of feasible orbits, so this is the
+    maximum over all pairs of points. The argmax pair's q is a's canonical
+    point and its p is b's with its blocks reordered by the pairing that
+    attains the orbit distance, so their TV is at most eps; their own
+    `conditional_entropy` values may differ from max_gap by a few ulps.
 
     The search prunes with its own best-so-far gap only; the bound is
     computed once for the report and never steers the search. Guarded to
@@ -767,47 +642,11 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     eps = _check_radius(eps, nx, "epsilon")
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
 
-    # pass 1: the canonical point of each orbit, against the canonical points at orbit distance,
-    # pruned with room for the orbits' rounding
-    h_sorted, columns, _ = _ranked(_orbit_points(steps, nx, ny), ny, steps)
-    n = len(h_sorted)
-    best, _, _, gaps = _scan(np.arange(n), h_sorted, columns, max_l1, -1.0, 2.0 * _ORBIT_MARGIN, blocks=ny)
-    # pass 2: every point of the kept orbits, by the full scan's rule, from below all their values.
-    # Whether that rule takes a point depends on the running best only within 1e-15 below the
-    # point's value. A kept orbit's values lie within 3e-14 of its canonical gap, all others
-    # below best - delta + 3e-14, and the maximum above best - 3e-14. While the kept orbits leave
-    # a stretch of (best - delta + 3e-14, best - 3e-14) free of values (each covers at most 1e-13
-    # of it), this pass and the full scan both take the first point above that stretch and agree
-    # from there.
-    kept = np.flatnonzero(gaps >= best - _ORBIT_MARGIN)
-    # past _ORBIT_KEEP_MAX kept orbits that stretch may be covered: every orbit is kept, and every
-    # point scanned from the full scan's start
-    every = len(kept) > _ORBIT_KEEP_MAX
-    scanned = np.arange(n) if every else kept
-    if len(scanned) * math.factorial(ny) * math.factorial(nx) ** ny > _FALLBACK_POINTS:
-        count = int(_orbit_sizes(columns[:, n - 1 - scanned], nx, ny).sum())
-        if count > _FALLBACK_POINTS:
-            raise ValidationError(
-                f"{len(kept)} orbits come within {_ORBIT_MARGIN} of the best gap, so the search "
-                f"would scan all {count} grid points against each other, past the guard {_FALLBACK_POINTS}"
-            )
-    # the candidates: the kept orbits and their partners' orbits, the partners flagged by a scan of
-    # the kept canonical points (the docstring says why no b the rule takes is lost); hit flags
-    # positions, in descending rank
-    hit = np.full(n, every)
-    if not every:
-        _scan(kept, h_sorted, columns, max_l1, best, 3.0 * _ORBIT_MARGIN, hit, blocks=ny)
-        hit[n - 1 - kept] = True
-    kept_hit = (gaps[::-1][hit] >= best - _ORBIT_MARGIN) | every
-    rows, orbit = _images(columns[:, hit], nx, ny)
-    h_sorted, columns, order = _ranked(rows, ny, steps)
-    ranks = np.flatnonzero(kept_hit[orbit[order]])
-    start = -1.0 if every else best - 2.0 * _ORBIT_MARGIN
-    best, best_low, best_high, _ = _scan(ranks, h_sorted, columns, max_l1, start, 0.0)
-
-    def _point(idx: int) -> JointDistribution:
-        # position -1 - idx, the last but idx, holds the point of rank idx
-        return JointDistribution(columns[:, -1 - idx].reshape(nx, ny) / float(steps))
-
-    argmax = DistributionPair(p=_point(best_high), q=_point(best_low))
+    h_sorted, columns = _ranked(_orbit_points(steps, nx, ny), ny, steps)
+    best, low, high = _scan(h_sorted, columns, max_l1, ny)
+    # position -1 - rank holds the canonical point of that rank; b's blocks are paired with a's as
+    # the orbit distance pairs them, and the rows of paired blocks, both sorted, match in order
+    q, b = (columns[:, -1 - r].reshape(nx, ny) for r in (low, high))
+    pairing = min(itertools.permutations(range(ny)), key=lambda o: int(np.abs(b[:, o] - q).sum()))
+    argmax = DistributionPair(p=JointDistribution(b[:, pairing] / float(steps)), q=JointDistribution(q / float(steps)))
     return GridSearchResult(max_gap=best, bound=continuity_bound(eps, nx).value, argmax_pair=argmax)

@@ -413,12 +413,12 @@ def test_exit_domain_error_is_validation():
     assert run_cli("extremal", "--epsilon", "0.9", "--nx", "2").returncode == 1
 
 
-def test_search_refuses_a_zero_radius_grid_past_the_fallback_guard():
-    # every orbit ties at gap 0, so the search would scan all 888 030 points against each other
+def test_search_at_zero_radius_reports_a_zero_gap():
+    # every one of the 3 354 orbits (888 030 points) ties at gap 0; one scan of their canonical points
     proc = run_cli("search", "--nx", "4", "--ny", "2", "--epsilon", "1e-300", "--steps", "20")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "past the guard 80000" in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["max_gap"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["search", "extremal"])
@@ -443,6 +443,13 @@ def test_exit_validation_on_oversized_grid(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "grid-size guard" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_refuses_a_grid_one_cell_past_a_million():
+    proc = run_cli("verify", "--nx", "1000001", "--ny", "1", "--trials", "1", "--seed", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: nx*ny = 1000001 exceeds the grid-size guard ")
 
 
 def test_walk_refuses_a_trace_past_the_guard(tmp_path):

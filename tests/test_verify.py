@@ -524,6 +524,10 @@ def _reference_report(per_trial):
     return violations, max_ratio, worst
 
 
+def test_ratio_at_a_zero_bound_is_inf_past_1e_12_and_0_below():
+    np.testing.assert_array_equal(_ratio(np.array([2e-12, 5e-13]), np.array([0.0, 0.0])), [np.inf, 0.0])
+
+
 def _assert_same_report(report, reference):
     violations, ratio, worst = reference
     assert report.violations == violations
@@ -842,19 +846,19 @@ def _reference_compositions(total, parts):
     return np.array(rows, dtype=np.int64)
 
 
-def _reference_grid_search(nx, ny, eps, steps):
-    # the row-major int64 pair scan the column scan replaced; returns (max_gap, p grid, q grid)
-    counts = _reference_compositions(steps, nx * ny)
+def _reference_entropies(counts, nx, ny, steps):
+    # each point's H(X|Y) by numpy sums over its contiguous grid, one point per row of `counts`
     grids = counts.reshape(-1, nx, ny) / float(steps)
-    block_mass = grids.sum(axis=1)
-    h_values = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(block_mass).sum(axis=1)
+    return -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
+
+
+def _reference_scan(h_values, counts, max_l1):
+    # the row-major int64 pair scan the column scan replaced, over every point: the largest gap
     order = np.argsort(h_values, kind="stable")
     h_sorted = h_values[order]
     counts_sorted = counts[order]
     n = len(h_sorted)
-    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
     best = -1.0
-    best_low = best_high = 0
     top_h = h_sorted[-1]
     for a in range(n):
         if top_h - h_sorted[a] <= best:
@@ -866,13 +870,23 @@ def _reference_grid_search(nx, ny, eps, steps):
         feasible = np.flatnonzero(l1 <= max_l1)
         if len(feasible) == 0:
             continue
-        b = lo + int(feasible[-1])
-        gap = float(h_sorted[b] - h_sorted[a])
+        gap = float(h_sorted[lo + int(feasible[-1])] - h_sorted[a])
         if gap > best:
             best = gap
-            best_low, best_high = a, b
-    high, low = (counts_sorted[idx].reshape(nx, ny) / float(steps) for idx in (best_high, best_low))
-    return max(best, 0.0), high, low
+    return max(best, 0.0)
+
+
+def _reference_grid_search(nx, ny, eps, steps):
+    # the loop scan over every point, with each point's entropy its canonical point's (the search's
+    # definition) and with its own (the definition before it): (orbit-valued, point-valued) maxima
+    counts = _reference_compositions(steps, nx * ny)
+    h = _reference_entropies(counts, nx, ny, steps)
+    own, orbit = _reference_orbit_codes(counts.T, nx, ny, steps)
+    canonical = own == orbit
+    h_of = dict(zip(own[canonical].tolist(), h[canonical].tolist()))
+    h_orbit = np.array([h_of[code] for code in orbit.tolist()])
+    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
+    return _reference_scan(h_orbit, counts, max_l1), _reference_scan(h, counts, max_l1)
 
 
 def _descending(values):
@@ -906,26 +920,6 @@ def _reference_orbit_codes(rows, nx, ny, steps):
     return _code([row for block in blocks for row in block], base), orbit
 
 
-def _reference_pass2_subset(nx, ny, eps, steps):
-    # pass 2's points, in the order the search ranks them, as the search took them from every point by
-    # their orbit codes; None where pass 2 would scan every point
-    rows = _compositions(steps, nx * ny)
-    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
-    canonical = np.flatnonzero(own == orbit)
-    max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
-    h_sorted, columns, order = verify._ranked(rows.take(canonical, axis=1), ny, steps)
-    codes = orbit[canonical[order]]
-    delta = verify._ORBIT_MARGIN
-    best, _, _, gaps = verify._scan(np.arange(len(codes)), h_sorted, columns, max_l1, -1.0, 2.0 * delta, blocks=ny)
-    kept = np.flatnonzero(gaps >= best - delta)
-    if len(kept) > verify._ORBIT_KEEP_MAX:
-        return None
-    hit = np.zeros(len(codes), dtype=bool)
-    verify._scan(kept, h_sorted, columns, max_l1, best, 3.0 * delta, hit, blocks=ny)
-    subset = np.flatnonzero(np.isin(orbit, np.concatenate((codes[kept], codes[::-1][hit]))))
-    return rows.take(subset, axis=1)
-
-
 @pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2)])
 def test_compositions_match_the_loop_reference(total, parts):
     # one contiguous int8 row per cell, one column per composition
@@ -948,19 +942,42 @@ BIT_IDENTITY_CONFIGS = [
     # counts reach 101 and L1 distances 202, the range edges of the scan's int8 differences and
     # uint8 distances; at eps 0.1 a distance past 127 read as a signed byte would pass as feasible
     (2, 1, 0.5, 101), (3, 1, 1.0 - 1.0 / 3, 101), (3, 1, 0.1, 101),
-    # radius 0: all 969 orbits tie at gap 0, past the kept-orbit cap, so pass 2 keeps every orbit
-    # with no patch (7 140 points)
+    # radius 0: all 969 orbits (7 140 points) tie at gap 0
     (2, 2, 1e-9, 33),
 ]
+# the most the search's max_gap may differ from the maximum over the points' own float entropies
+POINT_VALUED_MARGIN = 1e-13
+
+
+def _canonical(counts):
+    # the canonical point of the orbit of an (nx, ny) grid of counts: each block's rows largest
+    # first, then the blocks largest first
+    return np.array(sorted((sorted(block, reverse=True) for block in counts.T.tolist()), reverse=True)).T
+
+
+def _assert_argmax_attains(result, cfg):
+    # the argmax pair lies within the radius in L1, its q is a canonical point, and the entropies of
+    # the canonical points of p and q differ by exactly max_gap
+    nx, ny, eps, steps = cfg
+    p, q = (np.rint(g.probs * steps).astype(np.int64) for g in (result.argmax_pair.p, result.argmax_pair.q))
+    assert p.sum() == q.sum() == steps
+    assert np.abs(p - q).sum() <= math.floor(2.0 * eps * steps + 1e-9)
+    np.testing.assert_array_equal(_canonical(q), q)
+    h_p, h_q = verify._entropies(np.stack((_canonical(p).ravel(), q.ravel()), axis=1), ny, steps)
+    assert h_p - h_q == result.max_gap
+
+
+def _assert_matches_the_loop_references(cfg):
+    orbit_valued, point_valued = _reference_grid_search(*cfg)
+    result = grid_search_max_gap(*cfg)
+    assert result.max_gap == orbit_valued
+    assert abs(result.max_gap - point_valued) <= POINT_VALUED_MARGIN
+    _assert_argmax_attains(result, cfg)
 
 
 @pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS)
 def test_grid_search_is_bit_identical_to_the_loop_reference(cfg):
-    max_gap, p, q = _reference_grid_search(*cfg)
-    result = grid_search_max_gap(*cfg)
-    assert result.max_gap == max_gap
-    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
-    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+    _assert_matches_the_loop_references(cfg)
 
 
 # every shape the grid search admits that has a block symmetry to prune with
@@ -976,80 +993,70 @@ ORBIT_SHAPES = [(nx, ny) for nx in range(2, 9) for ny in range(1, 5) if nx * ny 
 def test_grid_search_is_bit_identical_to_the_loop_reference_on_random_configurations(shape, share, steps):
     nx, ny = shape
     # past six cells, at most 5 steps (792 points at 8 cells) keep the loop reference fast
-    cfg = (nx, ny, share * (1.0 - 1.0 / nx), steps if nx * ny <= 6 else min(steps, 5))
-    max_gap, p, q = _reference_grid_search(*cfg)
-    result = grid_search_max_gap(*cfg)
-    assert result.max_gap == max_gap
-    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
-    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
-
-
-@pytest.mark.parametrize("cfg", [(3, 2, 0.3, 10), (6, 1, 0.3, 10), (2, 2, 0.3, 20)])
-def test_grid_search_scans_every_point_past_the_kept_orbit_cap(monkeypatch, cfg):
-    expected = grid_search_max_gap(*cfg)
-    monkeypatch.setattr(verify, "_ORBIT_KEEP_MAX", 0)
-    assert grid_search_max_gap(*cfg) == expected
-    max_gap, p, q = _reference_grid_search(*cfg)
-    assert expected.max_gap == max_gap
-    np.testing.assert_array_equal(expected.argmax_pair.p.probs, p)
+    _assert_matches_the_loop_references((nx, ny, share * (1.0 - 1.0 / nx), steps if nx * ny <= 6 else min(steps, 5)))
 
 
 @pytest.mark.parametrize("cfg", [(4, 2, 0.3, 4), (2, 4, 0.25, 4), (8, 1, 0.35, 4), (7, 1, 0.3, 5)])
 def test_grid_search_is_bit_identical_to_the_loop_reference_past_six_cells(cfg):
-    max_gap, p, q = _reference_grid_search(*cfg)
-    result = grid_search_max_gap(*cfg)
-    assert result.max_gap == max_gap
-    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
-    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+    _assert_matches_the_loop_references(cfg)
 
 
-def test_grid_search_scans_only_the_kept_orbits_and_their_partners(monkeypatch):
-    # many orbits come within delta of pass 1's best here, so pass 2 has points of several orbits to scan
-    cfg = (2, 3, 0.25, 12)
+def test_grid_search_scans_the_canonical_points_once(monkeypatch):
     calls = []
 
-    def recorder(ranks, h_sorted, *rest, **options):
-        calls.append((len(ranks), len(h_sorted)))
-        return scan(ranks, h_sorted, *rest, **options)
+    def recorder(h_sorted, columns, *rest):
+        calls.append(columns.copy())
+        return scan(h_sorted, columns, *rest)
 
     scan = verify._scan
     monkeypatch.setattr(verify, "_scan", recorder)
-    result = grid_search_max_gap(*cfg)
+    grid_search_max_gap(2, 3, 0.25, 12)
     rows = _compositions(12, 6)
-    n = rows.shape[1]
-    orbits = len(np.unique(_reference_orbit_codes(rows, 2, 3, 12)[1]))
-    # pass 1, the partner scan and pass 2; pass 1 scans each orbit's canonical point against the
-    # canonical points only, and pass 2 several points against a fraction of the grid
-    assert len(calls) == 3
-    assert calls[0] == (orbits, orbits)
-    assert calls[1][1] == orbits
-    assert 8 < calls[-1][0] <= calls[-1][1] < n / 4
-    max_gap, p, q = _reference_grid_search(*cfg)
-    assert result.max_gap == max_gap
-    np.testing.assert_array_equal(result.argmax_pair.p.probs, p)
-    np.testing.assert_array_equal(result.argmax_pair.q.probs, q)
+    own, orbit = _reference_orbit_codes(rows, 2, 3, 12)
+    # one scan, of each orbit's canonical point against the canonical points only
+    assert len(calls) == 1
+    np.testing.assert_array_equal(np.unique(calls[0], axis=1), np.unique(rows[:, own == orbit], axis=1))
+    assert calls[0].shape[1] == np.count_nonzero(own == orbit)
 
 
-@pytest.mark.parametrize("cfg", [(4, 2, 1e-300, 20), (8, 1, 1e-9, 20)])
-def test_grid_search_refuses_the_every_point_fallback_past_its_guard(cfg):
-    # at radius 0 every orbit ties at gap 0 and pass 2 would scan all 888 030 points against each
-    # other: at (4,2) its 3 354 orbits are past the kept-orbit cap, at (8,1) its 434 are not. The
-    # search counts the points after pass 1, before it expands any, and says so within a fraction
-    # of a second
+def test_grid_search_pairs_the_argmax_blocks_as_the_orbit_distance_does(monkeypatch):
+    # canonical q with blocks (4, 0), (3, 3) and b with blocks (3, 3), (2, 2), out of 10: their blocks
+    # in order lie 6 apart in L1, swapped 4 apart. The scan is made to name them, and p is b swapped
+    q, b = np.array([[4, 3], [0, 3]]), np.array([[3, 2], [3, 2]])
+
+    def scan(h_sorted, columns, *rest):
+        # position n - 1 - a holds the point of rank a
+        position = {tuple(c): k for k, c in enumerate(columns.T.tolist())}
+        low, high = (len(h_sorted) - 1 - position[tuple(g.ravel().tolist())] for g in (q, b))
+        return float(h_sorted[high] - h_sorted[low]), low, high
+
+    monkeypatch.setattr(verify, "_scan", scan)
+    pair = grid_search_max_gap(2, 2, 0.2, 10).argmax_pair
+    np.testing.assert_array_equal(pair.q.probs, q / 10.0)
+    np.testing.assert_array_equal(pair.p.probs, b[:, ::-1] / 10.0)
+
+
+@pytest.mark.parametrize("cfg", [(2, 3, 1e-9, 20), (4, 2, 1e-9, 13), (4, 2, 1e-300, 20), (8, 1, 1e-9, 20)])
+def test_grid_search_at_zero_radius_returns_zero_within_a_second(cfg):
+    # below 1/(2*steps_per_dim) only b = a is feasible, so every orbit ties at gap 0: 1 582, 475,
+    # 3 354 and 434 orbits of 53 130, 77 520, 888 030 and 888 030 points, scanned as canonical points
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match=r"would scan all 888030 grid points against each other, past the guard 80000$"):
-        grid_search_max_gap(*cfg)
-    assert time.perf_counter() - start < 5.0
+    result = grid_search_max_gap(*cfg)
+    assert time.perf_counter() - start < 1.0
+    assert result.max_gap == 0.0
+    _assert_argmax_attains(result, cfg)
 
 
 def test_scan_skips_a_block_whose_candidates_rounding_leaves_empty():
-    # top_h - h_a = 0.20000000000000004 beats best = 0.2, so the block is scanned, but h_a + best
-    # rounds up to top_h, so no b lies above it: the block has no candidates and records no gap
-    h_sorted = np.array([0.1, 0.30000000000000004])
-    columns = np.zeros((1, 2), dtype=np.int8)
-    best, low, high, gaps = verify._scan(np.array([0]), h_sorted, columns, 0, 0.2, 0.0)
-    assert (best, low, high) == (0.2, 0, 0)
-    np.testing.assert_array_equal(gaps, [-np.inf])
+    # 200 points, scanned _SCAN_ENTRIES // 200 = 163 a's at a time. Rank 0 (h = 0.0) and rank 198
+    # (h = 0.2) are the only distinct points at distance 0, so the first block ends at best = 0.2.
+    # The second block opens at h_a = 0.1: top_h - h_a = 0.20000000000000004 beats best, but
+    # h_a + best rounds up to top_h, so no b lies above it, and the block has no candidates
+    h_sorted = np.array([0.0] * 163 + [0.1] * 35 + [0.2, 0.30000000000000004])
+    counts = np.array([divmod(r, 100) for r in range(200)], dtype=np.int8)
+    counts[198] = counts[0]
+    # position n - 1 - a holds the point of rank a
+    assert verify._scan(h_sorted, np.ascontiguousarray(counts[::-1].T), 0, 1) == (0.2, 0, 198)
 
 
 @pytest.mark.parametrize("cfg", [(2, 3, 0.2, 44), (3, 2, 0.3, 44)])
@@ -1115,21 +1122,13 @@ def test_scan_orbit_distance_is_the_least_distance_to_an_image(nx, ny):
     rows = _compositions(steps, nx * ny)
     own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
     canonical = rows[:, own == orbit].astype(np.int64)
-    m = canonical.shape[1]
-    # rank r at position m - 1 - r; h rises with the rank, and a best of -inf makes every point a candidate
-    columns = np.ascontiguousarray(canonical[:, ::-1], dtype=np.int8)
-    h = np.arange(m, dtype=float)
+    columns = np.ascontiguousarray(canonical, dtype=np.int8)
+    orders = list(itertools.permutations(range(ny)))
     images = canonical[_block_symmetries(nx, ny)]
     rng = np.random.default_rng(nx * 10 + ny)
-    for a in rng.choice(m, min(m, 8), replace=False):
+    for a in rng.choice(canonical.shape[1], min(canonical.shape[1], 8), replace=False):
         expected = np.abs(images - canonical[:, a, None]).sum(axis=1).min(axis=0)
-        # the kernel's distance d is the number of radii 0, 1, ..., 2 * steps below it
-        found = np.zeros(m, dtype=np.int64)
-        for max_l1 in range(2 * steps + 1):
-            hit = np.zeros(m, dtype=bool)
-            verify._scan(np.array([a]), h, columns, max_l1, -np.inf, 0.0, hit, blocks=ny)
-            found += ~hit[::-1]
-        np.testing.assert_array_equal(found, expected)
+        np.testing.assert_array_equal(verify._distances(columns, columns[:, [a], None], orders)[0], expected)
 
 
 @pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
@@ -1158,10 +1157,12 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 
 @pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40), (4, 2, 8), (2, 4, 8)])
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
+    # orbit-mates' own entropies differ by rounding only (1.3e-15 at most here); a gap between two
+    # points moves by at most twice that, and an ulp, when each takes its canonical point's entropy
     rows = _compositions(steps, nx * ny)
     h = verify._entropies(rows, ny, steps)
     worst = max(float(np.abs(verify._entropies(rows[g], ny, steps) - h).max()) for g in _block_symmetries(nx, ny))
-    assert worst <= verify._ORBIT_MARGIN / 1000
+    assert 2.0 * worst <= POINT_VALUED_MARGIN / 10
 
 
 @pytest.mark.parametrize("nx,ny,steps", [(2, 1, 7), (3, 2, 5), (2, 3, 4), (6, 1, 4), (2, 2, 6), (4, 2, 4), (8, 1, 5)])
@@ -1191,41 +1192,6 @@ def test_orbit_points_are_the_canonical_points_in_enumeration_order(nx, ny, step
         points = verify._orbit_points(total, nx, ny)
         assert points.dtype == np.int8 and points.flags.c_contiguous
         np.testing.assert_array_equal(points, rows[:, own == orbit])
-
-
-@pytest.mark.parametrize("nx,ny", ORBIT_SHAPES)
-def test_images_are_every_point_of_their_orbits_in_enumeration_order(nx, ny):
-    steps = 6 if nx * ny <= 6 else 5
-    rows = _compositions(steps, nx * ny)
-    own, orbit = _reference_orbit_codes(rows, nx, ny, steps)
-    codes = orbit[own == orbit]
-    points = verify._orbit_points(steps, nx, ny)
-    rng = np.random.default_rng(nx * 10 + ny)
-    for size in (1, 3, 20):
-        # any set of orbits, given in any order
-        pick = rng.choice(len(codes), min(size, len(codes)), replace=False)
-        images, of = verify._images(points[:, pick], nx, ny)
-        wanted = np.flatnonzero(np.isin(orbit, codes[pick]))
-        np.testing.assert_array_equal(images, rows[:, wanted])
-        np.testing.assert_array_equal(codes[pick][of], orbit[wanted])
-
-
-@pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS)
-def test_pass2_scans_the_subset_the_orbit_codes_give(monkeypatch, cfg):
-    # the points pass 2 ranks, and their order, are those the search took by orbit code from every point
-    ranked = []
-
-    def recorder(rows, *rest):
-        ranked.append(rows)
-        return rank(rows, *rest)
-
-    nx, ny, _, steps = cfg
-    expected = _reference_pass2_subset(*cfg)
-    rank = verify._ranked
-    monkeypatch.setattr(verify, "_ranked", recorder)
-    grid_search_max_gap(*cfg)
-    assert len(ranked) == 2
-    np.testing.assert_array_equal(ranked[1], _compositions(steps, nx * ny) if expected is None else expected)
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 2), (2, 3), (7, 1), (4, 2), (2, 4), (8, 1)])
