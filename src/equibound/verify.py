@@ -102,37 +102,53 @@ def sample_joint(nx: int, ny: int, seed) -> JointDistribution:
     return JointDistribution(_dirichlet(_rng(seed).standard_exponential(nx * ny)).reshape(nx, ny))
 
 
-def _perturb(flat: np.ndarray, eps: float, rng: np.random.Generator) -> None:
-    """perturb_within_tv on the flat grid `flat`, in place; eps is a probability already checked.
+def _before(v: np.ndarray) -> np.ndarray:
+    """Each entry's sum of the entries before it in its row, added left to right (0.0 for the first)."""
+    out = np.zeros_like(v)
+    np.cumsum(v[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
-    The recipients' weights are one Dirichlet-1 draw in the exponential form
-    of _dirichlet, numpy dirichlet's bytes, scaled by the mass moved.
+
+def _perturb(rows: np.ndarray, eps: float, keys: np.ndarray, weights: np.ndarray) -> None:
+    """perturb_within_tv on each row of `rows` (trials, cells >= 2), in place; eps > 0 is a probability already checked.
+
+    A row's draws are its keys (2, cells + 1), uniforms on [0, 1), and its
+    weights (cells), standard exponentials. The positive cells, sorted by
+    keys[0], are the donor order, and its first 1 + floor(keys[0, -1] *
+    most) are the donors (most: the positive cells, or cells - 1 if all are
+    positive). The other cells, sorted by keys[1], are the recipient order,
+    and its first 1 + floor(keys[1, -1] * their number) are the recipients.
+    The moved mass is target = min(eps, the donors' mass, added in donor
+    order); each donor in turn gives min(its value, what target leaves
+    after the donors before it). Recipient k takes weights[k] of the mass,
+    a Dirichlet-1 draw in the form of _dirichlet scaled by target, and the
+    last recipient the exact remainder, so the added mass is target. Every
+    sum is added left to right, so a row's bytes do not depend on the
+    other rows.
     """
-    ncells = flat.size
-    if eps == 0.0 or ncells == 1:
-        return
-    positive = rng.permutation(np.flatnonzero(flat > 0.0))
-    n_donors_max = len(positive) if len(positive) < ncells else ncells - 1
-    n_donors = int(rng.integers(1, n_donors_max + 1))
-    donors = positive[:n_donors]
-    pool = np.ones(ncells, dtype=bool)
-    pool[donors] = False
-    others = rng.permutation(np.flatnonzero(pool))
-    recipients = others[: int(rng.integers(1, len(others) + 1))]
+    trials, n = rows.shape
+    row, rank = np.arange(trials)[:, None], np.arange(n)
+    positive = rows > 0.0
+    most = np.minimum(np.count_nonzero(positive, axis=1), n - 1)
+    donors = (keys[:, 0, n] * most).astype(np.intp) + 1
+    # keys lie in [0, 1), so a key of 2.0 sorts a cell past every candidate
+    order = np.argsort(np.where(positive, keys[:, 0, :n], 2.0), axis=1, kind="stable")
+    donor = rank < donors[:, None]
+    held = rows[row, order]
+    v = np.where(donor, held, 0.0)
+    before = _before(v)
+    target = np.minimum(eps, before[:, -1] + v[:, -1])
+    rows[row, order] = held - np.minimum(v, np.maximum(target[:, None] - before, 0.0))
 
-    held = flat[donors]
-    target = min(eps, float(held.sum()))
-    remaining = target
-    for c, v in zip(donors.tolist(), held.tolist()):
-        if remaining <= 0.0:
-            break
-        take = min(v, remaining)
-        flat[c] = v - take
-        remaining -= take
-    adds = target * _dirichlet(rng.standard_exponential(len(recipients)))
+    is_donor = np.empty_like(donor)
+    is_donor[row, order] = donor
+    order = np.argsort(np.where(is_donor, 2.0, keys[:, 1, :n]), axis=1, kind="stable")
+    last = (keys[:, 1, n] * (n - donors)).astype(np.intp)
+    adds = _dirichlet(np.where(rank <= last[:, None], weights, 0.0))
+    adds *= target[:, None]
     # the last recipient takes the exact remainder, so the added mass is target
-    adds[-1] = max(0.0, target - float(adds[:-1].sum()))
-    flat[recipients] += adds
+    adds[row[:, 0], last] = np.maximum(0.0, target - _before(adds)[row[:, 0], last])
+    rows[row, order] += adds
 
 
 def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistribution:
@@ -144,13 +160,19 @@ def perturb_within_tv(p: JointDistribution, eps: float, seed) -> JointDistributi
     with random weights. `movable` is the chosen donors' total mass, so the
     achieved displacement never exceeds eps (within 1e-12) and is exactly
     eps whenever the donors carry enough. `seed` is an int >= 0
-    (deterministic per seed) or a numpy Generator.
+    (deterministic per seed) or a numpy Generator. The draws are the
+    generator's random((1, 2, cells + 1)), the keys, then its
+    standard_exponential((1, cells)), the weights, and this is the one-row
+    case of the campaigns' perturbation (see _perturb). At eps = 0, or on
+    one cell, q is p and nothing is drawn.
     """
     eps = _as_prob(eps, "eps")
     rng = _rng(seed)
-    flat = p.probs.ravel().copy()
-    _perturb(flat, eps, rng)
-    return JointDistribution(flat.reshape(p.probs.shape))
+    rows = p.probs.reshape(1, -1).copy()
+    n = rows.shape[1]
+    if eps > 0.0 and n > 1:
+        _perturb(rows, eps, rng.random((1, 2, n + 1)), rng.standard_exponential((1, n)))
+    return JointDistribution(rows.reshape(p.probs.shape))
 
 
 def _ratio(gap, bound):
@@ -162,184 +184,54 @@ def _ratio(gap, bound):
     return np.divide(gap, bound, out=np.where(gap <= 1e-12, 0.0, np.inf), where=np.greater(bound, 0.0))[()]
 
 
-# most trials a campaign draws at once, and so most generators alive at once; a divisor of 2**32,
-# at whose multiples the draw windows are cut
-_DRAW_TRIALS = 256
+# most trials a draw window holds (see verify_trials)
+_WINDOW = 256
 
 
-def _words(n: int) -> bytes:
-    # n's little-endian 32-bit words, at least one: the words numpy's SeedSequence takes an int >= 0 to
-    return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+def _draw(draws: np.ndarray, seed: int, w: int, eps: float | None) -> None:
+    """Draw the first len(draws) trials of window w of the campaign at `seed` into `draws`, shape (trials, 2, nx*ny), in place.
 
-
-def _seed_rows(seed: int, t0: int, t1: int) -> np.ndarray:
-    """The uint32 rows SeedSequence makes of [seed, t] for t = t0 ... t1 - 1 (seed's words, then t's), as one (trials, words) array.
-
-    The trials must share every word of t but the lowest, as a draw window's
-    do (see verify_trials): the rows are t0's, with each trial's offset
-    added to t's lowest word. default_rng of a row gives the stream of
-    default_rng([seed, t]).
+    The window's streams are the children of SeedSequence([seed, w]), a
+    PCG64 each: the first fills the array with standard exponentials, a
+    trial's row p then q, and the second (at an eps > 0) draws the
+    perturbation's keys, one (trials, 2, nx*ny + 1) array. Each is one
+    row-major call, so a window's first m trials are the same whatever m
+    is. Without an eps both grids are made Dirichlet-1 draws (see
+    _dirichlet); at an eps p is, and q's exponentials are the perturbation's
+    weights before q becomes p perturbed (see _perturb). The generators die
+    when this returns.
     """
-    head = _words(seed)
-    rows = np.frombuffer(head + _words(t0), dtype="<u4")[None].repeat(t1 - t0, axis=0)
-    rows[:, len(head) // 4] += np.arange(t1 - t0, dtype=np.uint32)
-    return rows
-
-
-# numpy's SeedSequence, its port of O'Neill's seed_seq_fe: the pool's size, the hash constants and the shift
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 16
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    # init * mult**k mod 2**32 for k = 0 ... n - 1, as uint32: masked Python ints, which do not overflow
-    return np.array([init * pow(mult, k, 2**32) & 0xFFFFFFFF for k in range(n)], dtype=np.uint32)
-
-
-# generate_state's constants, a column each: the pool, read twice, hashed into 8 words
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)[:, None]
-
-
-@functools.cache
-def _mix_constants(words: int):
-    """The xor and multiply constants of mix_entropy's hash calls on rows of `words` words: (stages, 4, 1) each.
-
-    The calls take INIT_A * MULT_A**k in turn, each xoring with its own
-    and multiplying by the next. Stage 0 hashes the pool's 4 words; stage
-    1 + s mixes word s into the pool: for s < 4 into the other 3 (its own
-    slot's constants are unused), past the pool into all 4.
-    """
-    ks, k = [range(_POOL)], _POOL
-    for s in range(max(words, _POOL)):
-        if s < _POOL:  # the other 3 words take 3 constants; s's own slot repeats the first
-            ks.append([k + d - (d > s) if d != s else k for d in range(_POOL)])
-            k += _POOL - 1
-        else:
-            ks.append(range(k, k + _POOL))
-            k += _POOL
-    a = _hash_constants(_INIT_A, _MULT_A, k + 1)
-    ks = np.array(ks)
-    xor, mul = a[ks][..., None], a[ks + 1][..., None]
-    xor.flags.writeable = mul.flags.writeable = False  # cached, so shared by every call
-    return xor, mul
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = v ^ xor
-    v *= mul
-    v ^= v >> _XSHIFT
-    return v
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # in place on both: x is returned
-    x *= _MIX_MULT_L
-    y *= _MIX_MULT_R
-    x -= y
-    x ^= x >> _XSHIFT
-    return x
-
-
-def _seed_states(rows: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(4, np.uint64) for each row of `rows`, (trials, words) uint32, in one pass.
-
-    numpy's mix_entropy and generate_state, the same uint32 arithmetic on
-    every trial at once (uint32 arrays wrap without a warning): the row's
-    first 4 words (0 past its end) are hashed into the pool, each pool word
-    is mixed into the other 3 and each word past the pool into all 4, and
-    the pool, read twice, is hashed into 8 words, read as 4 little-endian
-    uint64. Returns (trials, 4) uint64.
-    """
-    trials, words = rows.shape
-    xor, mul = _mix_constants(words)
-    pool = np.zeros((_POOL, trials), dtype=np.uint32)
-    pool[: min(words, _POOL)] = rows[:, :_POOL].T
-    pool = _hashmix(pool, xor[0], mul[0])
-    for s in range(max(words, _POOL)):
-        if s < _POOL:
-            own = pool[s].copy()
-            pool = _mix(pool, _hashmix(own, xor[1 + s], mul[1 + s]))
-            pool[s] = own
-        else:
-            pool = _mix(pool, _hashmix(rows[:, s], xor[1 + s], mul[1 + s]))
-    state = _hashmix(np.concatenate((pool, pool)), _STATE_HASH[:-1], _STATE_HASH[1:])
-    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _seed_state():
-    """The class of a seed sequence whose state is already computed, made at first use.
-
-    PCG64 takes an instance's state as its generate_state(4, np.uint64).
-    numpy imports numpy.random at first use too, so importing equibound
-    does not.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return SeedState
-
-
-def _generators(seed: int, t0: int, t1: int) -> list:
-    """Generators for the trials t0 ... t1 - 1 of a draw window of the campaign at `seed`, each in default_rng([seed, t])'s state.
-
-    The state words of the trials' rows (see _seed_rows) come from one pass
-    (see _seed_states), and each trial's PCG64 takes its words as they are.
-    """
-    seed_state = _seed_state()
-    return [np.random.Generator(np.random.PCG64(seed_state(state))) for state in _seed_states(_seed_rows(seed, t0, t1))]
-
-
-def _draw(draws: np.ndarray, seed: int, t0: int, eps: float | None) -> None:
-    """Draw trials t0, t0 + 1, ... of the campaign at `seed` into `draws`, shape (trials, 2, nx*ny), in place.
-
-    Each trial draws from its own generator (see _generators).
-    Trial by trial a trial's grids, p and q (p alone at an eps), are one
-    contiguous standard_exponential fill, and these are made Dirichlet-1
-    draws at once (see _dirichlet). At an eps, q then starts as p and each
-    trial perturbs it with its own generator, in trial order. The
-    generators die when this returns.
-    """
-    k = 2 if eps is None else 1
-    rngs = _generators(seed, t0, t0 + len(draws))
-    for d, rng in zip(draws, rngs):
-        rng.standard_exponential(out=d[:k])
-    _dirichlet(draws[:, :k])
-    if eps is not None:
-        draws[:, 1] = draws[:, 0]
-        for d, rng in zip(draws, rngs):
-            _perturb(d[1], eps, rng)
+    streams = np.random.SeedSequence([seed, w]).spawn(2 if eps else 1)
+    grids, *keys = (np.random.Generator(np.random.PCG64(s)) for s in streams)
+    grids.standard_exponential(out=draws)
+    if eps is None:
+        _dirichlet(draws)
+        return
+    _dirichlet(draws[:, 0])
+    weights = draws[:, 1].copy()
+    draws[:, 1] = draws[:, 0]
+    if eps:
+        _perturb(draws[:, 1], eps, keys[0].random((len(draws), 2, draws.shape[2] + 1)), weights)
 
 
 def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = None) -> TrialReport:
     """Run a seeded campaign of independent bound checks plus walk certificates.
 
-    Each trial t draws from its own stream default_rng([seed, t]): p, then
-    q (an independent sample when eps is None, a TV-eps perturbation of p
-    otherwise), the bytes of sample_joint and perturb_within_tv. The
-    generator is a PCG64 on the state words SeedSequence([seed, t]) gives
-    it, computed for a window of trials at once (see _generators), which
-    gives the same stream. Campaigns at different
-    seeds share no trial, and results do not depend on execution order.
-    The trials run in batches that fill one range of the walk's blocks,
-    2^14 grid cells (one trial per batch on larger grids, whose walk takes
-    several ranges). A batch is drawn straight into one (trials, 2, nx*ny)
-    array, a window at a time, cut at the multiples of 256 (so at most 256
-    trials and generators at a time, whose t share all words but the
-    lowest): each trial fills both its grids (p alone at an eps) with one
-    standard_exponential call,
-    those trials are made Dirichlet-1 draws at once (see _dirichlet), and
-    the eps trials then perturb p's copy in trial order, each with its own
-    generator, so every stream is read in the order of those functions. The
-    array, as a (2, trials, nx, ny) stack, is certified by one pass of the
-    invariant-checked walk. Each trial is then checked against the bound at
+    Each trial draws p, then q: an independent sample when eps is None, a
+    TV-eps perturbation of p otherwise, with the arithmetic of sample_joint
+    and perturb_within_tv. The trials are drawn in windows of W consecutive
+    trials, W the largest power of two up to 256 that fits in a batch
+    (below), so W depends on the shape alone. Window w draws from its own
+    streams, the children of SeedSequence([seed, w]), each array one
+    row-major call over the window's trials (see _draw), so trial t's bytes
+    depend on seed and t alone, not on how many trials run or how they are
+    batched. Campaigns at different seeds share no trial, and results do
+    not depend on execution order. The trials run in batches that fill one
+    range of the walk's blocks, 2^14 grid cells (one trial per batch on
+    larger grids, whose walk takes several ranges), cut down to whole
+    windows. A batch is drawn straight into one (trials, 2, nx*ny) array, a
+    window at a time. The array, as a (2, trials, nx, ny) stack, is
+    certified by one pass of the invariant-checked walk. Each trial is then checked against the bound at
     the gap and tv of the walk's initial measurement of it, which are
     check_bound's, bit for bit, with the bound the walk's final check
     computed there (its chain cap, `_bound` at that tv) and check_bound's
@@ -362,14 +254,15 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     _check_grid_size(nx, ny)
 
     violations, max_ratio, worst = 0, 0.0, None
-    size = min(trials, max(1, _range_blocks(nx) // ny))
+    blocks = max(1, _range_blocks(nx) // ny)
+    window = min(_WINDOW, 1 << (blocks.bit_length() - 1))
+    # whole windows, so every batch starts at a window's first trial
+    size = min(trials, blocks - blocks % window)
     for t0 in range(0, trials, size):
         t1 = min(t0 + size, trials)
         draws = np.empty((t1 - t0, 2, nx * ny))
-        # a window per block of _DRAW_TRIALS trials met by the batch: its trials share t's words but the lowest
-        for c in range(t0 - t0 % _DRAW_TRIALS, t1, _DRAW_TRIALS):
-            a = max(c, t0)
-            _draw(draws[a - t0 : c + _DRAW_TRIALS - t0], seed, a, eps)
+        for a in range(t0, t1, window):
+            _draw(draws[a - t0 : a - t0 + window], seed, a // window, eps)
         grids = draws.reshape(t1 - t0, 2, nx, ny).swapaxes(0, 1)
         try:
             tb = _walk(grids)

@@ -122,43 +122,90 @@ def test_perturb_domain_error():
         perturb_within_tv(JointDistribution([[1.0]]), 1.5, 0)
 
 
-def _reference_perturb_within_tv(p, eps, seed):
-    # perturb_within_tv as it was, with the recipient pool from np.setdiff1d
-    rng = np.random.default_rng(seed)
-    flat = np.array(p.probs).ravel()
-    ncells = flat.size
-    if eps == 0.0 or ncells == 1:
-        return p
-    positive = rng.permutation(np.flatnonzero(flat > 0.0))
-    n_donors_max = len(positive) if len(positive) < ncells else ncells - 1
-    n_donors = int(rng.integers(1, n_donors_max + 1))
-    donors = positive[:n_donors]
-    others = rng.permutation(np.setdiff1d(np.arange(ncells), donors))
-    recipients = others[: int(rng.integers(1, len(others) + 1))]
-    target = min(eps, float(flat[donors].sum()))
-    remaining = target
+def _reference_perturb_row(p, eps, keys, weights):
+    """The perturbation of one flat row p, a plain loop over its cells: (the new row, the donors, the moved mass).
+
+    keys (2, cells + 1) are uniforms and weights (cells) standard exponentials.
+    Donors are the positive cells in the order of keys[0], the first
+    1 + floor(keys[0][-1] * most) of them; recipients are the other cells
+    (np.setdiff1d) in the order of keys[1], the first 1 + floor(keys[1][-1] *
+    their number). Sums run left to right, as Python adds floats.
+    """
+    flat = [float(x) for x in p]
+    n = len(flat)
+    if eps == 0.0 or n == 1:
+        return np.array(flat), [], 0.0
+    positive = [c for c in range(n) if flat[c] > 0.0]
+    most = len(positive) if len(positive) < n else n - 1
+    donors = sorted(positive, key=lambda c: keys[0][c])[: 1 + int(keys[0][n] * most)]
+    mass = 0.0
     for c in donors:
-        if remaining <= 0.0:
-            break
-        take = min(float(flat[c]), remaining)
-        flat[c] -= take
-        remaining -= take
-    adds = target * rng.dirichlet(np.ones(len(recipients)))
-    adds[-1] = max(0.0, target - float(adds[:-1].sum()))
-    flat[recipients] += adds
-    return JointDistribution(flat.reshape(p.probs.shape))
+        mass += flat[c]
+    target = min(eps, mass)
+    taken = 0.0  # the donors' mass before the current one
+    for c in donors:
+        v = flat[c]
+        flat[c] = v - min(v, max(target - taken, 0.0))
+        taken += v
+    others = sorted(np.setdiff1d(np.arange(n), donors).tolist(), key=lambda c: keys[1][c])
+    recipients = others[: 1 + int(keys[1][n] * len(others))]
+    w = [float(weights[k]) for k in range(len(recipients))]
+    total = 0.0
+    for x in w:
+        total += x
+    adds = [target * (x * (1.0 / total)) for x in w]
+    before = 0.0
+    for a in adds[:-1]:
+        before += a
+    adds[-1] = max(0.0, target - before)
+    for c, a in zip(recipients, adds):
+        flat[c] += a
+    return np.array(flat), donors, target
+
+
+def _reference_perturb_within_tv(p, eps, seed):
+    # perturb_within_tv from numpy's public draws: the keys, then the weights, and the loop above
+    rng = np.random.default_rng(seed)
+    n = p.probs.size
+    if eps == 0.0 or n == 1:
+        return p
+    keys = rng.random((2, n + 1))
+    row, _, _ = _reference_perturb_row(p.probs.ravel(), eps, keys, rng.standard_exponential(n))
+    return JointDistribution(row.reshape(p.probs.shape))
+
+
+def _assert_perturbed(p, q, eps, donors, target):
+    # the moved mass is min(eps, the donors' mass), and no donor is a zero cell or any entry negative
+    p, q = np.asarray(p).ravel(), np.asarray(q).ravel()
+    assert all(p[c] > 0.0 for c in donors)
+    mass = 0.0
+    for c in donors:
+        mass += float(p[c])
+    assert target == min(eps, mass)
+    tv = tv_distance(JointDistribution(p.reshape(1, -1)), JointDistribution(q.reshape(1, -1)))
+    assert tv == pytest.approx(target, abs=1e-12)
+    assert tv <= eps + 1e-12
+    assert (q >= 0.0).all()
 
 
 def test_perturb_matches_the_setdiff1d_reference():
-    # the boolean-mask recipient pool is the same sorted array, so the draws and the bytes are the same;
-    # 500 seeds on each of the 16 campaign shapes, the three eps taken in turn
-    for seed in range(500):
-        for k, (nx, ny) in enumerate((nx, ny) for nx in range(2, 6) for ny in range(1, 5)):
-            eps = (0.05, 0.1, 0.9)[(seed + k) % 3]
-            p = sample_joint(nx, ny, np.random.default_rng([seed, nx, ny]))
-            q = perturb_within_tv(p, eps, np.random.default_rng([seed, 1]))
-            ref = _reference_perturb_within_tv(p, eps, np.random.default_rng([seed, 1]))
-            assert q.probs.tobytes() == ref.probs.tobytes()
+    # on each campaign shape, the array core over 64 rows at once gives each row the bytes of the loop
+    # reference, and perturb_within_tv, its one-row case, gives the reference's bytes from the same seed
+    for (nx, ny), eps in itertools.product(CAMPAIGN_SHAPES, (0.05, 0.1, 0.5, 0.9)):
+        n = nx * ny
+        rng = np.random.default_rng([nx, ny, int(eps * 100)])
+        P = rng.dirichlet(np.ones(n), size=64)
+        keys, weights = rng.random((64, 2, n + 1)), rng.standard_exponential((64, n))
+        rows = P.copy()
+        verify._perturb(rows, eps, keys, weights.copy())
+        for p, q, k, w in zip(P, rows, keys, weights):
+            ref, donors, target = _reference_perturb_row(p, eps, k, w)
+            assert q.tobytes() == ref.tobytes()
+            _assert_perturbed(p, q, eps, donors, target)
+        for seed in range(10):
+            p = JointDistribution(P[seed].reshape(nx, ny))
+            q = perturb_within_tv(p, eps, seed)
+            assert q.probs.tobytes() == _reference_perturb_within_tv(p, eps, seed).probs.tobytes()
 
 
 @st.composite
@@ -174,17 +221,24 @@ def perturbations(draw):
 @settings(max_examples=300, deadline=None)
 @given(perturbations())
 def test_perturb_core_matches_the_public_and_reference_draws(case):
-    # the in-place core gives the bytes of perturb_within_tv and of the numpy reference
-    # above, and leaves the generator where they leave it
+    # perturb_within_tv gives the reference's bytes and leaves the generator where the reference
+    # leaves it; the array core gives three rows of the grid, each under its own keys and weights,
+    # the reference's bytes
     p, eps, seed = case
-    flat = p.probs.ravel().copy()
+    ours, other = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert perturb_within_tv(p, eps, ours).probs.tobytes() == _reference_perturb_within_tv(p, eps, other).probs.tobytes()
+    assert ours.random() == other.random()
+    n = p.probs.size
+    if eps == 0.0 or n == 1:
+        return
     rng = np.random.default_rng(seed)
-    verify._perturb(flat, eps, rng)
-    after = rng.random()
-    for perturb in (perturb_within_tv, _reference_perturb_within_tv):
-        other = np.random.default_rng(seed)
-        assert perturb(p, eps, other).probs.tobytes() == flat.tobytes()
-        assert other.random() == after
+    keys, weights = rng.random((3, 2, n + 1)), rng.standard_exponential((3, n))
+    rows = np.repeat(p.probs.reshape(1, n), 3, axis=0)
+    verify._perturb(rows, eps, keys, weights.copy())
+    for q, k, w in zip(rows, keys, weights):
+        ref, donors, target = _reference_perturb_row(p.probs.ravel(), eps, k, w)
+        assert q.tobytes() == ref.tobytes()
+        _assert_perturbed(p.probs, q, eps, donors, target)
 
 
 # ---------------------------------------------------------------- verify_trials
@@ -241,15 +295,31 @@ def test_campaigns_at_neighbouring_seeds_share_no_trial(monkeypatch):
     assert sampled(7) == at_7
 
 
+def _window(nx, ny):
+    """The campaign's window: the largest power of two, up to 256, within a batch of the walk's blocks."""
+    blocks, w = max(1, walk._range_blocks(nx) // ny), 1
+    while 2 * w <= min(256, blocks):
+        w *= 2
+    return w
+
+
 def _trial_pair(nx, ny, seed, t, eps=None):
-    # trial t's pair drawn by numpy's dirichlet and the reference perturbation, not the package's draws
-    rng = np.random.default_rng([seed, t])
+    """Trial t's pair from numpy's public API, not the package's draws.
 
-    def grid():
-        return JointDistribution(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny))
-
-    p = grid()
-    return DistributionPair(p, grid() if eps is None else _reference_perturb_within_tv(p, eps, rng))
+    Trial t is row r of window w = t // W, whose streams are the children of
+    SeedSequence([seed, w]): the first's fill of (trials, 2, cells) standard
+    exponentials gives p and q by numpy's dirichlet, or p and the weights at
+    an eps, and the second's (trials, 2, cells + 1) uniforms the keys of the
+    loop reference perturbation.
+    """
+    w, r = divmod(t, _window(nx, ny))
+    n = nx * ny
+    grids, keys = np.random.SeedSequence([seed, w]).spawn(2)
+    p, q = np.random.default_rng(grids).dirichlet(np.ones(n), size=(r + 1, 2))[r]
+    if eps is not None:
+        weights = np.random.default_rng(grids).standard_exponential((r + 1, 2, n))[r, 1]
+        q, _, _ = _reference_perturb_row(p, eps, np.random.default_rng(keys).random((r + 1, 2, n + 1))[r], weights)
+    return DistributionPair(JointDistribution(p.reshape(nx, ny)), JointDistribution(q.reshape(nx, ny)))
 
 
 def _column_states(monkeypatch, name, pair):
@@ -589,88 +659,82 @@ def test_violation_counts_match_the_per_trial_loop(monkeypatch):
     monkeypatch.setattr(verify, "_walk", shrunk)
     monkeypatch.setattr(walk, "_CHUNK_CELLS", BATCH * 6)
     for eps in (None, 0.1):
-        reference = _reference_report(_reference_trials(3, 2, 2 * BATCH + 3, 77, eps))
+        reference = _reference_report(_reference_trials(3, 2, 2 * BATCH + 3, 78, eps))
         assert 0 < reference[0] < 2 * BATCH + 3
-        _assert_same_report(verify_trials(3, 2, 2 * BATCH + 3, 77, eps=eps), reference)
+        _assert_same_report(verify_trials(3, 2, 2 * BATCH + 3, 78, eps=eps), reference)
 
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 12345678901234567890123]
-TRIALS = [0, 1, 7, 2**32 - 1, 2**32, 2**33 + 1]
+def _walked(monkeypatch, *args, **kwargs):
+    """The (2, trials, nx, ny) stack of every trial a campaign walks, in trial order, and its batches' sizes."""
+    stacks = []
+    real = verify._walk
+
+    def recording(W, *more):
+        stacks.append(W.copy())
+        return real(W, *more)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_walk", recording)
+        verify_trials(*args, **kwargs)
+    return np.concatenate(stacks, axis=1), [W.shape[1] for W in stacks]
 
 
-def _same_stream(a, b):
-    assert a.random(5).tobytes() == b.random(5).tobytes()
-    assert a.integers(2**62) == b.integers(2**62)
+@pytest.mark.parametrize("eps", [None, 0.1, 0.0])
+def test_a_windows_first_trials_are_the_same_whatever_their_number(eps):
+    # a window drawn in full and its first m trials drawn alone agree byte for byte; the next
+    # window, and the same window at the next seed, share none of its trials
+    for nx, ny in [(2, 1), (3, 2), (5, 4)]:
+        full = np.empty((256, 2, nx * ny))
+        verify._draw(full, 41, 3, eps)
+        for m in (1, 2, 7, 20, 255):
+            part = np.empty((m, 2, nx * ny))
+            verify._draw(part, 41, 3, eps)
+            assert part.tobytes() == full[:m].tobytes()
+        for seed, w in ((41, 4), (42, 3)):
+            other = np.empty_like(full)
+            verify._draw(other, seed, w, eps)
+            assert not {p.tobytes() for p in full[:, 0]} & {p.tobytes() for p in other[:, 0]}
 
 
-def test_seed_rows_give_the_streams_of_seed_and_trial():
-    # a generator on trial t's row of words draws what default_rng([seed, t]) draws
-    for seed, t in itertools.product(SEEDS, TRIALS):
-        (row,) = verify._seed_rows(seed, t, t + 1)
-        assert row.dtype == np.uint32
-        _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
-    # the words numpy's SeedSequence takes both to: little-endian, at least one per int
-    assert verify._seed_rows(2**32, 2**33 + 1, 2**33 + 2).tolist() == [[0, 1, 1, 2]]
-    assert verify._seed_rows(0, 0, 1).tolist() == [[0, 0]]
-
-
-# the trials 2**32 - 3 ... 2**32 + 1 take one word of t, then two: two windows, cut at 2**32
-WORD_WINDOWS = [(2**32 - 3, 2**32), (2**32, 2**32 + 2)]
-
-
-@pytest.mark.parametrize("seed", [7, 2**40 + 5])
-def test_seed_rows_of_a_run_of_trials_past_a_word(seed):
-    # each row of a window is the row of its trial alone
-    lengths = []
-    for t0, t1 in WORD_WINDOWS:
-        rows = verify._seed_rows(seed, t0, t1)
-        assert rows.shape[0] == t1 - t0
-        for t, row in zip(range(t0, t1), rows):
-            assert row.tolist() == verify._seed_rows(seed, t, t + 1)[0].tolist()
-            _same_stream(np.random.default_rng(row), np.random.default_rng([seed, t]))
-        lengths += [rows.shape[1]] * len(rows)
-    assert lengths == [lengths[0]] * 3 + [lengths[0] + 1] * 2
-
-
-def test_seed_states_are_numpys():
-    # the one-pass state words of a window of trials are SeedSequence's, and each trial's generator
-    # starts where default_rng([seed, t]) does: SEEDS take rows of 2 to 5 words, and seeds of 4 and
-    # 7 words rows of 5 to 9, which take mix_entropy's loop over the words past its pool of 4
-    def check(seed, t0, t1):
-        rows = verify._seed_rows(seed, t0, t1)
-        states = verify._seed_states(rows)
-        assert states.dtype == np.uint64 and states.shape == (t1 - t0, 4)
-        for t, row, state, rng in zip(range(t0, t1), rows, states, verify._generators(seed, t0, t1), strict=True):
-            assert state.tolist() == np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
-            assert rng.bit_generator.state == np.random.default_rng([seed, t]).bit_generator.state
-
-    long_seeds = [2**96 + 5, 2**200 + 7]
-    assert [verify._seed_rows(seed, 0, 1).shape[1] for seed in long_seeds] == [5, 8]
-    for seed, t in itertools.product(SEEDS + long_seeds, TRIALS):
-        check(seed, t, t + 1)
-    # the two windows around 2**32, where t's rows grow by a word, and a window of 256 trials
-    for seed in [7, 2**40 + 5] + long_seeds:
-        for t0, t1 in WORD_WINDOWS:
-            check(seed, t0, t1)
-    check(12345, 1000, 1256)
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_a_trials_bytes_depend_on_seed_and_trial_alone(monkeypatch, eps):
+    # 3 x 2 trials in campaigns of 1, 300 and 700 trials, and 700 in batches of 256 and of 512 (the
+    # window stays 256): every trial is the same pair, and the pair of the public-API reference
+    full, sizes = _walked(monkeypatch, 3, 2, 700, 52, eps=eps)
+    assert sizes == [700]
+    assert _walked(monkeypatch, 3, 2, 1, 52, eps=eps)[0].tobytes() == full[:, :1].tobytes()
+    assert _walked(monkeypatch, 3, 2, 300, 52, eps=eps)[0].tobytes() == full[:, :300].tobytes()
+    for blocks, expected in ((256, [256, 256, 188]), (767, [512, 188])):
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", 6 * blocks)
+        walked, sizes = _walked(monkeypatch, 3, 2, 700, 52, eps=eps)
+        assert sizes == expected
+        assert walked.tobytes() == full.tobytes()
+    for t in (0, 255, 256, 699):
+        pair = _trial_pair(3, 2, 52, t, eps)
+        assert full[0, t].tobytes() == pair.p.probs.tobytes()
+        assert full[1, t].tobytes() == pair.q.probs.tobytes()
 
 
 def test_draw_windows_are_cut_at_multiples_of_the_window(monkeypatch):
-    # the windows of a 3 x 2 campaign of 3000 trials, batches of 2730 and 270: each lies inside one
-    # block of _DRAW_TRIALS trials, which divides 2**32, so its trials' t differ in the lowest word only
-    assert 2**32 % verify._DRAW_TRIALS == 0
+    # every batch is whole windows, and every window starts at a multiple of its size: 3 x 2 campaigns
+    # of 3000 trials in batches of 2560 (the walk's 2730 blocks cut to ten windows of 256), and of 25
+    # trials in batches of 8 (10 blocks, windows of 8), the last window cut short by the campaign's end
     windows, real = [], verify._draw
 
-    def recording(draws, seed, t0, eps):
-        windows.append((t0, len(draws)))
-        real(draws, seed, t0, eps)
+    def recording(draws, seed, w, eps):
+        windows.append((w, len(draws)))
+        real(draws, seed, w, eps)
 
     monkeypatch.setattr(verify, "_draw", recording)
-    verify_trials(3, 2, 3000, 402)
-    blocks = [(t0 + k) // verify._DRAW_TRIALS for t0, n in windows for k in (0, n - 1)]
-    assert blocks[::2] == blocks[1::2]
-    assert windows[:10] == [(256 * k, 256) for k in range(10)]
-    assert windows[10:] == [(2560, 170), (2730, 86), (2816, 184)]
+    for chunk, trials, window, batches in ((1 << 14, 3000, 256, [2560, 440]), (10 * 6, 25, 8, [8, 8, 8, 1])):
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", chunk)
+        windows.clear()
+        _, sizes = _walked(monkeypatch, 3, 2, trials, 402)
+        assert sizes == batches
+        full, last = divmod(trials, window)
+        assert windows == [(w, window) for w in range(full)] + [(full, last)]
+        starts = np.cumsum([0] + sizes[:-1])
+        assert all(start % window == 0 for start in starts)
 
 
 @pytest.mark.parametrize("tv, message", [(math.nan, "epsilon must be finite, got nan"), (1.0 + 2e-9, "epsilon must be in [0, 1], got 1.000000002"), (1.0 + 5e-10, None)])
@@ -701,7 +765,8 @@ def test_campaign_refuses_a_tv_the_verdict_refuses(monkeypatch, tv, message):
 
 @pytest.mark.parametrize("eps", [None, 0.1])
 def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
-    # a 2 x 1 campaign of 1 000 trials is one batch; each trial's generator is counted while it lives
+    # a 2 x 1 campaign of 1 000 trials is one batch of four windows; each window's generators (one
+    # stream, and a second for the perturbation's keys at an eps) are counted while they live
     live, peak, made = [0], [0], [0]
 
     class Counted(np.random.Generator):  # numpy's Generator takes no weak reference; a subclass does
@@ -721,9 +786,10 @@ def test_a_campaign_keeps_at_most_256_generators_alive(monkeypatch, eps):
     expected = verify_trials(2, 1, 1000, 3, eps=eps)
     monkeypatch.setattr(np.random, "Generator", counted)
     assert verify_trials(2, 1, 1000, 3, eps=eps) == expected
-    assert made[0] == 1000
+    streams = 1 if eps is None else 2
+    assert made[0] == 4 * streams
     assert live[0] == 0
-    assert 1 <= peak[0] <= 256
+    assert peak[0] == streams
 
 
 def test_batch_size_follows_the_cell_budget(monkeypatch):
@@ -743,8 +809,8 @@ def test_batch_size_follows_the_cell_budget(monkeypatch):
 
     assert batches(3, 2, 1, seed=1) == [1]
     assert batches(3, 2, 25, seed=1) == [25]
-    monkeypatch.setattr(walk, "_CHUNK_CELLS", 10 * 6)
-    assert batches(3, 2, 25, seed=1) == [10, 10, 5]
+    monkeypatch.setattr(walk, "_CHUNK_CELLS", 10 * 6)  # 10 blocks: whole windows of 8
+    assert batches(3, 2, 25, seed=1) == [8, 8, 8, 1]
     assert batches(3, 2, 1, seed=1) == [1]
     monkeypatch.setattr(walk, "_CHUNK_CELLS", 5)  # a grid past the budget is a batch of one
     assert batches(3, 2, 3, seed=1, eps=0.2) == [1, 1, 1]

@@ -372,7 +372,7 @@ def test_walk_single_outcome_alphabet():
 
 
 def test_walk_seeded_campaign_matches_verify_route():
-    # same trial stream derivation as verify_trials (seed 900, trials 0..49), exercised directly
+    # independent pairs from the streams default_rng([900, t]), t = 0..49, each walked on its own
     for t in range(50):
         rng = np.random.default_rng([900, t])
         p = sample_joint(3, 3, rng)
