@@ -231,8 +231,9 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
     larger grids, whose walk takes several ranges), cut down to whole
     windows. A batch is drawn straight into one (trials, 2, nx*ny) array, a
     window at a time. The array, as a (2, trials, nx, ny) stack, is
-    certified by one pass of the invariant-checked walk. Each trial is then checked against the bound at
-    the gap and tv of the walk's initial measurement of it, which are
+    certified by one pass of the invariant-checked walk. Each trial is then
+    checked against the bound at the gap and tv of the walk's initial
+    measurement of it, which are
     check_bound's, bit for bit, with the bound the walk's final check
     computed there (its chain cap, `_bound` at that tv) and check_bound's
     rule (see bounds._holds), over the whole batch at once; a tv that
