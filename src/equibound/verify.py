@@ -32,7 +32,7 @@ from .core import (
 )
 from .walk import InvariantViolation, _range_blocks, _walk
 
-# `_row_sum` has numpy's bits for sums of up to 8 terms
+# the pair scan's ny! block pairings and a point cap that does not bound the orbits' work hold it here
 DESK_SCALE_CELLS = 8
 DESK_SCALE_STEPS = 101
 # cap on the grid points C(steps + cells - 1, cells - 1). The search builds only the canonical
@@ -308,58 +308,35 @@ def verify_trials(nx: int, ny: int, trials: int, seed: int, eps: float | None = 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All orderings of `total` units into `parts` nonnegative cells: one int8 row per cell, one column per ordering.
 
-    Orderings come out in lexicographic order of (c0, c1, ...). They are
-    built by plain extension, one cell at a time: each partial ordering,
-    with `rest` units still unplaced, is extended by every value 0, 1, ...,
-    rest of its next cell in turn, and the last cell takes what is left.
-    Counts are at most DESK_SCALE_STEPS = 101, so int8 holds every cell.
-    The search builds no point this way: this order is the one its
-    canonical points follow, and the reference they are tested against.
+    Stars and bars: each choice of parts - 1 bar positions among total +
+    parts - 1 slots is one ordering, its cells the runs of units between
+    the bars. itertools gives the choices in lexicographic order, and so the
+    orderings in lexicographic order of (c0, c1, ...), the order the
+    search's canonical points follow. Counts are at most DESK_SCALE_STEPS =
+    101, so int8 holds every cell. The search builds no point this way: it
+    is the reference its canonical points are tested against.
     """
-    columns: list[np.ndarray] = []
-    rest = np.array([total], dtype=np.int8)
-    for _ in range(parts - 1):
-        widths = rest.astype(np.intp) + 1
-        columns = [np.repeat(c, widths) for c in columns]
-        # each partial ordering's run counts 0, 1, ..., rest: steps of 1, back to 0 at a run's start
-        step = np.ones(int(widths.sum()), dtype=np.int8)
-        step[np.cumsum(widths[:-1])] = -rest[:-1]
-        step[0] = 0
-        columns.append(np.cumsum(step, dtype=np.int8))
-        rest = np.repeat(rest, widths) - columns[-1]
-    columns.append(rest)
-    return np.stack(columns)
-
-
-def _row_sum(table: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
-    """Each point's sum of its terms table[rows[k]], as numpy sums a row of the (points, len(rows)) array of them.
-
-    numpy adds fewer than 8 terms left to right, and 8 (the most the search
-    admits) as ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)). These are
-    its bits, gathered one row at a time, without the (points, terms) temporary.
-    """
-    if len(rows) == 8:
-        low, high = (_row_sum(table, rows[k : k + 2]) + _row_sum(table, rows[k + 2 : k + 4]) for k in (0, 4))
-        return low + high
-    total = table.take(rows[0])
-    for row in rows[1:]:
-        total += table.take(row)
-    return total
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.intp)
+    edges = np.pad(bars.T, ((1, 1), (0, 0)), constant_values=((-1, slots), (0, 0)))
+    return np.ascontiguousarray((np.diff(edges, axis=0) - 1).astype(np.int8))
 
 
 def _entropies(rows: np.ndarray, ny: int, steps: int) -> np.ndarray:
     """H(X|Y) of each grid point, one column of `rows`, whose row x*ny + y counts cell (x, y) out of steps."""
-    # H(X|Y) = H(XY) - H(Y); a cell's level and x*log2(x) are looked up by its count, and each
-    # sum over cells has the bits of numpy's sum over a grid's cells. Every step is elementwise,
-    # so a point's entropy has the same bits whichever other points are computed with it.
-    levels = np.arange(steps + 1) / float(steps)
-    h = _row_sum(_xlog2x_arr(levels), list(rows))
-    np.negative(h, out=h)
-    h_y = None
+    # per block, as core._block_terms measures one: x*log2(x) of the block's mass minus its cells'
+    # terms added down the rows, and the blocks' terms added in order. Cell terms and block masses are
+    # looked up by their integer counts, so a block whose mass sits in one cell adds exactly 0.0.
+    # Every step is elementwise, so a point's entropy has the same bits whichever other points are
+    # computed with it.
+    table = _xlog2x_arr(np.arange(steps + 1) / float(steps))
+    h = np.zeros(rows.shape[1])
     for y in range(ny):
-        mass = _row_sum(levels, list(rows[y::ny]))
-        h_y = _xlog2x_arr(mass) if h_y is None else h_y + _xlog2x_arr(mass)
-    h += h_y
+        block = rows[y::ny]
+        cells = table.take(block[0])
+        for row in block[1:]:
+            cells += table.take(row)
+        h += table.take(block.sum(axis=0)) - cells
     return h
 
 
@@ -368,10 +345,10 @@ def _orbit_points(total: int, nx: int, ny: int) -> np.ndarray:
 
     A canonical point has each block's rows non-increasing and its blocks
     in non-increasing lexicographic order; every orbit holds exactly one.
-    They are built as `_compositions` builds every point, one cell at a
-    time in the cell order x*ny + y, each partial point extended by every
-    count its next cell may take, in increasing order, so they come out in
-    the order of their points among all compositions. A cell's count is at
+    They are built one cell at a time in the cell order x*ny + y, each
+    partial point extended by every count its next cell may take, in
+    increasing order, so they come out in lexicographic order, the order of
+    their points among all compositions. A cell's count is at
     most the one above it in its block, and at most the same row's count in
     the block before while the two blocks are tied. It is at least what the
     later cells, each at most its block's last count, leave unplaced; that
@@ -497,7 +474,7 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     search builds neither every point nor a table of the symmetries. The
     entropy h of a point is its canonical point's (`_entropies`): orbit-mates
     tie exactly, where their own float sums could differ by an ulp or two
-    (1.3e-15 at most, measured). Feasibility is decided in exact integer
+    (8.9e-16 at most, measured). Feasibility is decided in exact integer
     arithmetic (L1 distance of the counts), so no pair is lost to float
     noise. The search returns the largest h[b] - h[a] over the feasible
     pairs of points, with the bits of a full scan over every point.

@@ -913,9 +913,13 @@ def _reference_compositions(total, parts):
 
 
 def _reference_entropies(counts, nx, ny, steps):
-    # each point's H(X|Y) by numpy sums over its contiguous grid, one point per row of `counts`
-    grids = counts.reshape(-1, nx, ny) / float(steps)
-    return -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
+    # each point's H(X|Y) block by block, one point per row of `counts`: x*log2(x) of a block's mass,
+    # its summed count over steps, minus its cells' terms added down the rows, and the blocks' terms
+    # added in order; add.accumulate adds strictly left to right, whatever the number of terms
+    grids = counts.reshape(-1, nx, ny).astype(np.int64)
+    cells = np.add.accumulate(_xlog2x_arr(grids / float(steps)), axis=1)[:, -1]
+    terms = _xlog2x_arr(grids.sum(axis=1) / float(steps)) - cells
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _reference_scan(h_values, counts, max_l1):
@@ -986,7 +990,7 @@ def _reference_orbit_codes(rows, nx, ny, steps):
     return _code([row for block in blocks for row in block], base), orbit
 
 
-@pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2)])
+@pytest.mark.parametrize("total,parts", [(0, 3), (1, 1), (3, 1), (5, 3), (16, 6), (100, 2), (12, 8), (22, 6)])
 def test_compositions_match_the_loop_reference(total, parts):
     # one contiguous int8 row per cell, one column per composition
     rows = _compositions(total, parts)
@@ -1223,7 +1227,7 @@ def test_block_symmetries_keep_equivocation_and_distance(nx, ny):
 
 @pytest.mark.parametrize("nx,ny,steps", [(3, 2, 16), (2, 3, 16), (2, 2, 40), (4, 2, 8), (2, 4, 8)])
 def test_orbit_rounding_is_far_inside_the_margin(nx, ny, steps):
-    # orbit-mates' own entropies differ by rounding only (1.3e-15 at most here); a gap between two
+    # orbit-mates' own entropies differ by rounding only (4.4e-16 at most here); a gap between two
     # points moves by at most twice that, and an ulp, when each takes its canonical point's entropy
     rows = _compositions(steps, nx * ny)
     h = verify._entropies(rows, ny, steps)
@@ -1262,15 +1266,27 @@ def test_orbit_points_are_the_canonical_points_in_enumeration_order(nx, ny, step
 
 @pytest.mark.parametrize("nx,ny", [(3, 2), (2, 3), (7, 1), (4, 2), (2, 4), (8, 1)])
 def test_entropies_have_the_bits_of_the_loop_reference(nx, ny):
-    # numpy sums a row of 8 terms pairwise, not left to right; the entropies follow it
     rows = _compositions(12, nx * ny)
-    # the reference sums each point's cells from contiguous grids, as `_reference_grid_search` does
-    grids = np.ascontiguousarray(rows.T).reshape(-1, nx, ny) / 12.0
-    expected = -_xlog2x_arr(grids).sum(axis=(1, 2)) + _xlog2x_arr(grids.sum(axis=1)).sum(axis=1)
+    expected = _reference_entropies(rows.T, nx, ny, 12)
     np.testing.assert_array_equal(verify._entropies(rows, ny, 12), expected)
     # each point's bits do not depend on the other points: the search computes a subset's entropies on their own
     subset = np.random.default_rng(nx * 10 + ny).choice(rows.shape[1], 500, replace=False)
     np.testing.assert_array_equal(verify._entropies(rows.take(subset, axis=1), ny, 12), expected[subset])
+
+
+@pytest.mark.parametrize("nx,ny,steps", [(3, 3, 6), (5, 2, 5), (2, 5, 5), (4, 3, 4), (2, 6, 5), (12, 1, 5)])
+def test_entropies_past_eight_cells(nx, ny, steps):
+    # the search stops at 8 cells; its entropies do not: each point has the loop reference's bits and
+    # is within 1e-14 of conditional_entropy, and a point whose every block holds its mass in one cell
+    # gets exactly 0.0 (every other point a positive value)
+    assert nx * ny > verify.DESK_SCALE_CELLS == 8
+    rows = _compositions(steps, nx * ny)
+    h = verify._entropies(rows, ny, steps)
+    np.testing.assert_array_equal(h, _reference_entropies(rows.T, nx, ny, steps))
+    for row, value in zip(rows.T, h.tolist()):
+        assert abs(value - conditional_entropy(JointDistribution(row.reshape(nx, ny) / float(steps)))) <= 1e-14
+    one_cell = (np.count_nonzero(rows.reshape(nx, ny, -1), axis=0) <= 1).all(axis=0)
+    assert one_cell.any() and (h[one_cell] == 0.0).all() and (h[~one_cell] > 0.0).all()
 
 
 def test_entropies_match_conditional_entropy():
