@@ -897,7 +897,7 @@ def test_grid_search_guards_the_number_of_grid_points():
 # ---------------------------------------------------------------- array oracle vs the loop reference
 
 def _reference_compositions(total, parts):
-    # the itertools enumeration the array form replaced
+    # every composition by its bar positions, each turned into its runs of units in a plain loop
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
     rows = []
