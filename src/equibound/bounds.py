@@ -9,6 +9,11 @@ differing by at most
 with h the binary entropy. The bound is saturated by a point mass paired
 against a distribution spreading eps uniformly over the other nx - 1
 outcomes of the same block.
+
+check_bound measures a pair with the walk's own initial measurement, one
+pass of per-Y-block terms (core._measure), so its gap and tv equal
+run_walk(pair).initial_gap and .initial_tv bit for bit; verify_trials
+judges its trials by check_bound's rule (_holds).
 """
 
 from __future__ import annotations

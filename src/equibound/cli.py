@@ -346,7 +346,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -431,9 +431,5 @@ def apply_symmetry(J: JointDistribution, g: SymmetryElement) -> JointDistributio
     """
     if (g.nx, g.ny) != (J.nx, J.ny):
         raise ValidationError(f"symmetry is {g.nx}x{g.ny} but grid is {J.nx}x{J.ny}")
-    inv_block = np.argsort(g.block_perm)
-    out = np.empty_like(J.probs)
-    for j in range(J.ny):
-        inv_within = np.argsort(g.within_perms[j])
-        out[:, j] = J.probs[inv_within, inv_block[j]]
-    return JointDistribution(out)
+    rows = np.argsort(np.array(g.within_perms), axis=1)
+    return JointDistribution(J.probs[rows.T, np.argsort(g.block_perm)])

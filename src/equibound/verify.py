@@ -6,6 +6,44 @@ the invariant-checked walk on it, and an exhaustive simplex grid search
 (`grid_search_max_gap`) that serves as the brute-force oracle for
 tightness. The grid search never consults the bound formula while
 searching; it only reports it next to the measured maximum.
+
+Campaigns. A campaign runs in batches that fill one range of the walk's
+blocks, 2^14 grid cells (one trial per batch on larger grids, whose walk
+takes several ranges), and draws its trials in windows of W consecutive
+trials, W the largest power of two up to 256 that fits in a batch, each
+batch cut down to whole windows. Window w of the campaign at seed s draws
+from its own PCG64 streams, the children of SeedSequence([s, w]):
+standard exponentials for the grids and, at an eps > 0, uniform keys for
+the perturbation, each one row-major call over the window (see _draw). A
+Dirichlet-1 grid is a row of exponentials times 1/their left-to-right
+sum, numpy dirichlet's own arithmetic (see _dirichlet), and the
+perturbation is one pass over the window's rows (see _perturb), of which
+perturb_within_tv is the one-row case. A batch's pairs, side by side,
+run through one pass of the walk's kernel and ledger, which keeps the
+running totals per trial; each trial's verdict reads the gap and tv of
+the walk's initial measurement of it and the bound the walk's final
+check computed at that tv, so each pair is measured once and its bound
+computed once. The drawn grids are not JointDistributions: the walk
+certifies their entries and masses at its reorder and average
+measurements, and only the worst pair is built, once, from copies,
+without validating it again. If a batch's walk fails, its trials are
+walked again one at a time, without a trace.
+
+Search. Grid points are held as one contiguous int8 row per cell (counts
+are at most 101), and only the canonical point of each block-symmetry
+orbit is generated, cell by cell in lexicographic order (see
+_orbit_points): no table of every point or of the symmetries is built,
+and no orbit is named by a number, so no integer width limits the
+search. A point's equivocation is computed block by block from its
+integer counts, as the walk measures a block, with the block's mass
+looked up exactly by its summed count, so a block whose mass sits in one
+cell adds exactly 0.0 (see _entropies). The pair scan (see _scan) sums
+the distances of a block of points to all candidates row by row, in int8
+differences and uint8 distances (at most 202), in new arrays for each
+block, and its maximum has the bits of a pair-at-a-time scan of every
+point. With eps below 1/(2*steps_per_dim) only b = a is feasible, and
+the search returns 0.0 in milliseconds: (4, 2, 1e-300, 20) scans the
+3 354 canonical points of its 888 030 points.
 """
 
 from __future__ import annotations
@@ -450,18 +488,6 @@ def _scan(h_sorted: np.ndarray, columns: np.ndarray, max_l1: int, blocks: int) -
     return best, low, high
 
 
-def _ranked(rows: np.ndarray, ny: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entropies of the points of `rows`, ascending, and their rows by descending entropy.
-
-    Position n - 1 - a of each returned row holds the point of rank a, the
-    layout `_scan` reads. Ties keep the order of `rows`.
-    """
-    h = _entropies(rows, ny, steps)
-    order = np.argsort(h, kind="stable")
-    # take, not fancy indexing, keeps the rows contiguous
-    return h[order], rows.take(order[::-1], axis=1)
-
-
 def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> GridSearchResult:
     """Exhaustively maximize the equivocation gap over grid pairs within TV <= eps.
 
@@ -513,8 +539,13 @@ def grid_search_max_gap(nx: int, ny: int, eps: float, steps_per_dim: int) -> Gri
     eps = _check_radius(eps, nx, "epsilon")
     max_l1 = int(math.floor(2.0 * eps * steps + 1e-9))
 
-    h_sorted, columns = _ranked(_orbit_points(steps, nx, ny), ny, steps)
-    best, low, high = _scan(h_sorted, columns, max_l1, ny)
+    rows = _orbit_points(steps, nx, ny)
+    h = _entropies(rows, ny, steps)
+    order = np.argsort(h, kind="stable")
+    # position n - 1 - a of each row of columns holds the point of rank a, the layout _scan reads;
+    # ties keep the order of rows, and take, not fancy indexing, keeps the rows contiguous
+    columns = rows.take(order[::-1], axis=1)
+    best, low, high = _scan(h[order], columns, max_l1, ny)
     # position -1 - rank holds the canonical point of that rank; b's blocks are paired with a's as
     # the orbit distance pairs them, and the rows of paired blocks, both sorted, match in order
     q, b = (columns[:, -1 - r].reshape(nx, ny) for r in (low, high))

@@ -19,14 +19,20 @@ the initial TV.
 
 After reordering the blocks are independent, so step 3 runs them in
 lockstep, a range of blocks at a time: each range holds at most
-max(1, _CHUNK_CELLS // nx) blocks, and each phase (fill, concentrate,
+max(1, _CHUNK_CELLS // nx) blocks (_CHUNK_CELLS = 2^14), and each phase (fill, concentrate,
 transfer) runs once, as array operations down the rows, over every block of
 the range it applies to. So every pass of the kernel and its ledger works
 on about _CHUNK_CELLS cells of each grid (a whole block when one block is
 taller). Every move of every phase shifts mass within one block onto its
 top row, so the three phases share one fold of the top rows' running sums
 (_to_top), each in its own move order, and hand the ledger their steps as
-each returns. The trace still lists the steps block by block (block 1's
+each returns. A block whose top row has q < p is first filled from the
+rows below (q only, bottom up, each source capped so the block's TV stays
+put), and from the move where the cap binds its q top row is p's exactly;
+then its excess is concentrated into the top row (q only) and the rest is
+transferred there in both grids. Reordering turns every -0.0 entry into
+0.0 and a row that does not move adds an exact 0.0 to the running sums,
+so they equal a move-by-move loop bit for bit. The trace still lists the steps block by block (block 1's
 phases, then block 2's, ...), and its grids, moved masses and snapshots are
 bit-identical to processing the blocks one after another.
 

@@ -1,9 +1,11 @@
 """Digest every walk, campaign and grid-search result on a fixed input set, to compare two trees bit for bit.
 
-    PYTHONPATH=<tree>/src python tools/walk_digest.py
+    PYTHONPATH=<tree>/src python tools/walk_digest.py [SECTION ...]
 
-prints one SHA-256 per section. Two trees whose digests match give the same
-bits on these inputs:
+prints one line per section, `name count sha256`, for the sections named
+(walks, campaigns, ranges, orientation, jsonl, search; all of them, in
+that order, by default). An unknown section exits 2. Two trees whose
+digests match give the same bits on these inputs:
 
 - walks: every pair of tests/test_walk.py's `_kernel_pairs(default_rng(20240), 240)`
   and one pair of each kind (independent, near, sparse) at each bench walk
@@ -39,6 +41,7 @@ so run it from one checkout with PYTHONPATH pointing at each tree in turn.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -170,14 +173,22 @@ def search() -> tuple[int, str]:
     return len(SEARCH_CONFIGS), h.hexdigest()
 
 
-if __name__ == "__main__":
-    for name, section in (
-        ("walks", walks),
-        ("campaigns", campaigns),
-        ("ranges", ranges),
-        ("orientation", orientation),
-        ("jsonl", jsonl),
-        ("search", search),
-    ):
-        count, digest = section()
+SECTIONS = {"walks": walks, "campaigns": campaigns, "ranges": ranges, "orientation": orientation, "jsonl": jsonl, "search": search}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Print one 'name count sha256' line per section, in the order given.")
+    parser.add_argument("sections", nargs="*", metavar="SECTION",
+                        help=f"sections to digest, from {' '.join(SECTIONS)} (default: all, in that order)")
+    names = parser.parse_args(argv).sections or list(SECTIONS)
+    # checked here, not by choices=: Python 3.10 and 3.11 reject an empty nargs="*" list against choices
+    unknown = [name for name in names if name not in SECTIONS]
+    if unknown:
+        parser.error(f"unknown section {unknown[0]!r} (choose from {', '.join(SECTIONS)})")
+    for name in names:
+        count, digest = SECTIONS[name]()
         print(f"{name} {count} {digest}")
+
+
+if __name__ == "__main__":
+    main()
