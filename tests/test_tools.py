@@ -17,13 +17,6 @@ def run_tool(name, *argv):
     return subprocess.run([sys.executable, str(TOOLS / name), *argv], capture_output=True, text=True, env=ENV, timeout=120)
 
 
-def _walk_digest_module():
-    spec = importlib.util.spec_from_file_location("walk_digest", TOOLS / "walk_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_walk_digest_help_digests_nothing():
     start = time.perf_counter()
     proc = run_tool("walk_digest.py", "--help")
@@ -43,7 +36,9 @@ def test_walk_digest_unknown_section_is_a_usage_error():
 def test_walk_digest_one_section_prints_its_line_of_a_full_run(monkeypatch, capsys):
     proc = run_tool("walk_digest.py", "search")
     assert proc.returncode == 0, proc.stderr
-    module = _walk_digest_module()
+    spec = importlib.util.spec_from_file_location("walk_digest", TOOLS / "walk_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     # a full run with the five slow sections stubbed: the search line must be the one printed alone
     for name in module.SECTIONS:
         if name != "search":
@@ -52,7 +47,7 @@ def test_walk_digest_one_section_prints_its_line_of_a_full_run(monkeypatch, caps
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["walks", "campaigns", "ranges", "orientation", "jsonl", "search"]
     assert proc.stdout.splitlines() == [lines[-1]]
-    name, count, digest = lines[-1].split()
+    _, count, digest = lines[-1].split()
     assert (int(count), len(digest)) == (len(module.SEARCH_CONFIGS), 64)
 
 
